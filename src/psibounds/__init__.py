@@ -4,7 +4,7 @@ The package has four layers:
 
 * :mod:`psibounds.specfun` -- cancellation-safe evaluation of log-gamma,
   digamma, polygamma, the Stirling ratio and the underlying kernels;
-* :mod:`psibounds.bounds` -- the ten two-sided bound families and the
+* :mod:`psibounds.bounds` -- the twelve two-sided bound families and the
   proof-auxiliary functions;
 * :mod:`psibounds.oracle` -- slow series-based reference values carrying
   rigorous absolute-error radii;

@@ -1,14 +1,16 @@
 """Closed-form bound arguments and two-sided evaluators for all families.
 
-Three target quantities, each with one evaluator keyed by family so that
-tightness comparisons are uniform:
+Each family is one row of ``FAMILIES``: the quantity it bounds, the start of
+its domain and its (lower, upper) closed forms.  Each of the three targets
+has one evaluator keyed by family, so that tightness comparisons are uniform:
 
   ``digamma_gap_bounds``    encloses log(x) - psi(x)
   ``stirling_ratio_bounds`` encloses Gamma(x) / (sqrt(2 pi) x^x e^-x)
   ``gamma_bounds``          encloses Gamma(x+1) (log forms available)
 
-plus the proof-auxiliary functions and the monotone series representation of
-the digamma gap.
+plus the proof-auxiliary functions, the monotone series representation of
+the digamma gap, and ``FUNCTIONS``, the registry of every function that can
+be evaluated by name.
 """
 
 from __future__ import annotations
@@ -16,10 +18,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from . import kernels, specfun
 from .errors import DomainError
-from .specfun import _check_domain
+from .kernels import _check_domain
 
 
 class BoundFamily(enum.Enum):
@@ -40,14 +43,12 @@ class BoundFamily(enum.Enum):
 
     @property
     def domain_min(self) -> float:
-        # Only the eq6 refinement is proved from 2 upward; everything else
-        # holds on all of (0, inf).
-        return 2.0 if self is BoundFamily.EQ6 else 0.0
+        return FAMILIES[self].domain_min
 
     @property
     def target(self) -> str:
         """Which quantity the family bounds: 'gap', 'ratio' or 'gamma'."""
-        return _TARGETS[self]
+        return FAMILIES[self].target
 
     @classmethod
     def parse(cls, tag: str) -> "BoundFamily":
@@ -55,26 +56,6 @@ class BoundFamily(enum.Enum):
             return cls(tag.strip().lower())
         except ValueError:
             raise KeyError(f"unknown bound family {tag!r}") from None
-
-
-_TARGETS = {
-    BoundFamily.EQ5: "gap",
-    BoundFamily.EQ9: "gap",
-    BoundFamily.EQ9R1: "gap",
-    BoundFamily.EQ9R2: "gap",
-    BoundFamily.THM21: "gap",
-    BoundFamily.THM22: "gap",
-    BoundFamily.EQ4: "ratio",
-    BoundFamily.EQ6: "ratio",
-    BoundFamily.EQ7: "ratio",
-    BoundFamily.THM23: "ratio",
-    BoundFamily.EQ8: "gamma",
-    BoundFamily.THM24: "gamma",
-}
-
-GAP_FAMILIES = tuple(f for f, t in _TARGETS.items() if t == "gap")
-RATIO_FAMILIES = tuple(f for f, t in _TARGETS.items() if t == "ratio")
-GAMMA_FAMILIES = tuple(f for f, t in _TARGETS.items() if t == "gamma")
 
 
 @dataclass(frozen=True)
@@ -97,15 +78,6 @@ class Interval:
         return self.lower < v < self.upper
 
 
-def _check_family_domain(x: float, family: BoundFamily) -> float:
-    x = _check_domain(x)
-    if x < family.domain_min:
-        raise DomainError(
-            f"{family.value} is only valid for x >= {family.domain_min}, got {x!r}"
-        )
-    return x
-
-
 # -- closed-form arguments ---------------------------------------------------
 
 def alpha(x: float) -> float:
@@ -119,7 +91,7 @@ def beta(x: float) -> float:
     Strictly above x, approaches x + 1/3 from below as x grows.
     """
     x = _check_domain(x)
-    return 1.0 / math.sqrt(2.0 * specfun.kernel_r(x))
+    return 1.0 / math.sqrt(2.0 * kernels.kernel_r(x))
 
 
 def beta_refined(x: float) -> float:
@@ -131,7 +103,7 @@ def beta_refined(x: float) -> float:
 def delta_star(x: float) -> float:
     """1 / (2 ((x+1) log(1+1/x) - 1)): the sharp upper Stirling argument."""
     x = _check_domain(x)
-    return 0.5 / specfun.kernel_s(x)
+    return 0.5 / kernels.kernel_s(x)
 
 
 def stirling_arg_upper(x: float) -> float:
@@ -176,52 +148,79 @@ def _exp_neg_half_digamma(z: float) -> float:
     return math.exp(0.5 * specfun.digamma_gap(z)) / math.sqrt(z)
 
 
+def _eq6(x: float) -> tuple[float, float]:
+    lower = _exp_neg_half_digamma(x + 1.0 / 3.0) * math.exp(1.0 / (72.0 * x * x))
+    return lower, lower * math.exp(11.0 / (3240.0 * x**3))
+
+
+def _eq8(x: float) -> tuple[float, float]:
+    lower_arg, upper_arg, _ = gamma_arg_bounds(x)
+    return x * specfun.digamma(lower_arg), x * specfun.digamma(upper_arg)
+
+
+def _thm24(x: float) -> tuple[float, float]:
+    _, upper_arg, refined_lower_arg = gamma_arg_bounds(x)
+    return x * specfun.digamma(refined_lower_arg), x * specfun.digamma(upper_arg)
+
+
+@dataclass(frozen=True)
+class _FamilyRow:
+    target: str  # 'gap', 'ratio' or 'gamma'
+    domain_min: float
+    bounds: Callable[[float], tuple[float, float]]  # x -> (lower, upper)
+
+
+#: One row per family.  Only the eq6 refinement is proved from 2 upward;
+#: every other family holds on all of (0, inf).  The closed forms look
+#: their helpers up at call time, so a patched module attribute sees every
+#: call.
+FAMILIES = {
+    BoundFamily.EQ4: _FamilyRow("ratio", 0.0, lambda x: (
+        _exp_neg_half_digamma(x + 1.0 / 3.0), _exp_neg_half_digamma(x))),
+    BoundFamily.EQ5: _FamilyRow("gap", 0.0, lambda x: (
+        0.5 * specfun.trigamma(x + 1.0 / 3.0), 0.5 * specfun.trigamma(x))),
+    BoundFamily.EQ6: _FamilyRow("ratio", 2.0, _eq6),
+    BoundFamily.EQ7: _FamilyRow("ratio", 0.0, lambda x: (
+        _exp_neg_half_digamma(x + 1.0 / 3.0), _exp_neg_half_digamma(delta_star(x)))),
+    BoundFamily.EQ8: _FamilyRow("gamma", 0.0, _eq8),
+    BoundFamily.EQ9: _FamilyRow("gap", 0.0, lambda x: (0.5 / x, 1.0 / x)),
+    BoundFamily.EQ9R1: _FamilyRow("gap", 0.0, lambda x: (
+        0.5 / x + 1.0 / (12.0 * (x + 0.25) ** 2),
+        0.5 / x + 1.0 / (12.0 * x * x))),
+    BoundFamily.EQ9R2: _FamilyRow("gap", 0.0, lambda x: (
+        0.5 / x + 1.0 / (12.0 * x * x) - 1.0 / (12.0 * x**4),
+        0.5 / x + 1.0 / (12.0 * x * x) - 1.0 / (120.0 * (x + 0.125) ** 4))),
+    BoundFamily.THM21: _FamilyRow("gap", 0.0, lambda x: (
+        0.5 * specfun.trigamma(alpha(x)), 0.5 * specfun.trigamma(beta(x)))),
+    BoundFamily.THM22: _FamilyRow("gap", 0.0, lambda x: (
+        0.5 * specfun.trigamma(x + 1.0 / 3.0), 0.5 * specfun.trigamma(beta_refined(x)))),
+    BoundFamily.THM23: _FamilyRow("ratio", 0.0, lambda x: (
+        _exp_neg_half_digamma(x + 1.0 / 3.0),
+        _exp_neg_half_digamma(stirling_arg_upper(x)))),
+    BoundFamily.THM24: _FamilyRow("gamma", 0.0, _thm24),
+}
+
+
+def _family_bounds(x: float, family: BoundFamily, target: str, what: str) -> Interval:
+    x = _check_domain(x)
+    row = FAMILIES[family]
+    if x < row.domain_min:
+        raise DomainError(
+            f"{family.value} is only valid for x >= {row.domain_min}, got {x!r}"
+        )
+    if row.target != target:
+        raise DomainError(f"{family.value} does not bound {what}")
+    return Interval(*row.bounds(x))
+
+
 def digamma_gap_bounds(x: float, family: BoundFamily) -> Interval:
     """Two-sided bounds on log(x) - psi(x) for the gap families."""
-    x = _check_family_domain(x, family)
-    if family is BoundFamily.EQ5:
-        return Interval(0.5 * specfun.trigamma(x + 1.0 / 3.0), 0.5 * specfun.trigamma(x))
-    if family is BoundFamily.THM21:
-        return Interval(0.5 * specfun.trigamma(alpha(x)), 0.5 * specfun.trigamma(beta(x)))
-    if family is BoundFamily.THM22:
-        return Interval(
-            0.5 * specfun.trigamma(x + 1.0 / 3.0),
-            0.5 * specfun.trigamma(beta_refined(x)),
-        )
-    if family is BoundFamily.EQ9:
-        return Interval(0.5 / x, 1.0 / x)
-    if family is BoundFamily.EQ9R1:
-        return Interval(
-            0.5 / x + 1.0 / (12.0 * (x + 0.25) ** 2),
-            0.5 / x + 1.0 / (12.0 * x * x),
-        )
-    if family is BoundFamily.EQ9R2:
-        return Interval(
-            0.5 / x + 1.0 / (12.0 * x * x) - 1.0 / (12.0 * x**4),
-            0.5 / x + 1.0 / (12.0 * x * x) - 1.0 / (120.0 * (x + 0.125) ** 4),
-        )
-    raise DomainError(f"{family.value} does not bound the digamma gap")
+    return _family_bounds(x, family, "gap", "the digamma gap")
 
 
 def stirling_ratio_bounds(x: float, family: BoundFamily) -> Interval:
     """Two-sided bounds on Gamma(x) / (sqrt(2 pi) x^x e^-x)."""
-    x = _check_family_domain(x, family)
-    if family is BoundFamily.EQ4:
-        return Interval(_exp_neg_half_digamma(x + 1.0 / 3.0), _exp_neg_half_digamma(x))
-    if family is BoundFamily.EQ6:
-        base = _exp_neg_half_digamma(x + 1.0 / 3.0)
-        lower = base * math.exp(1.0 / (72.0 * x * x))
-        return Interval(lower, lower * math.exp(11.0 / (3240.0 * x**3)))
-    if family is BoundFamily.EQ7:
-        return Interval(
-            _exp_neg_half_digamma(x + 1.0 / 3.0), _exp_neg_half_digamma(delta_star(x))
-        )
-    if family is BoundFamily.THM23:
-        return Interval(
-            _exp_neg_half_digamma(x + 1.0 / 3.0),
-            _exp_neg_half_digamma(stirling_arg_upper(x)),
-        )
-    raise DomainError(f"{family.value} does not bound the Stirling ratio")
+    return _family_bounds(x, family, "ratio", "the Stirling ratio")
 
 
 def gamma_bounds_log(x: float, family: BoundFamily) -> Interval:
@@ -230,15 +229,7 @@ def gamma_bounds_log(x: float, family: BoundFamily) -> Interval:
     Finite for every x > 0, unlike the exponentiated bounds which overflow
     doubles once x exceeds a few hundred.
     """
-    x = _check_family_domain(x, family)
-    lower_arg, upper_arg, refined_lower_arg = gamma_arg_bounds(x)
-    if family is BoundFamily.EQ8:
-        return Interval(x * specfun.digamma(lower_arg), x * specfun.digamma(upper_arg))
-    if family is BoundFamily.THM24:
-        return Interval(
-            x * specfun.digamma(refined_lower_arg), x * specfun.digamma(upper_arg)
-        )
-    raise DomainError(f"{family.value} does not bound Gamma(x+1)")
+    return _family_bounds(x, family, "gamma", "Gamma(x+1)")
 
 
 def gamma_bounds(x: float, family: BoundFamily) -> Interval:
@@ -300,7 +291,7 @@ def gap_via_tau_series(x: float, terms: int) -> Interval:
 def aux_f(u: float) -> float:
     """f(u) = [2(1/u - log(1+1/u))]^(-1/2) - u: increasing from 0 to 1/3."""
     u = _check_domain(u, "u")
-    r = specfun.kernel_r(u)
+    r = kernels.kernel_r(u)
     b = 1.0 / math.sqrt(2.0 * r)
     if u < 1e4:
         return b - u
@@ -334,7 +325,7 @@ def aux_big_h(x: float) -> float:
     """H(x) = log(1+1/x) - 1/x + 1/(2 (x + 1/3 - 1/(12x+3))^2): positive, decreasing."""
     x = _check_domain(x)
     b = beta_refined(x)
-    return 0.5 / (b * b) - specfun.kernel_r(x)
+    return 0.5 / (b * b) - kernels.kernel_r(x)
 
 
 def aux_big_p(x: float) -> float:
@@ -370,20 +361,36 @@ def aux_p(x: float) -> float:
     return math.log1p(x) - (x * x + 6.0 * x) / (4.0 * x + 6.0)
 
 
-_AUX = {
-    "f": aux_f,
-    "h": aux_h,
-    "theta": aux_theta,
-    "H": aux_big_h,
-    "P": aux_big_p,
-    "p": aux_p,
-}
+class _Registry(dict):
+    """A name -> callable dict whose misses name the valid choices."""
+
+    def __missing__(self, name: str):
+        raise KeyError(f"unknown function {name!r}; choose from {sorted(self)}")
+
+
+#: Every function of one real argument that can be evaluated by name.  Each
+#: entry looks its function up at call time, so a patched module attribute
+#: sees every call.
+FUNCTIONS = _Registry(
+    gamma=lambda x: math.exp(specfun.log_gamma(x)),
+    log_gamma=lambda x: specfun.log_gamma(x),
+    digamma=lambda x: specfun.digamma(x),
+    trigamma=lambda x: specfun.trigamma(x),
+    stirling_ratio=lambda x: specfun.stirling_ratio(x),
+    beta=lambda x: beta(x),
+    delta_star=lambda x: delta_star(x),
+    f=lambda u: aux_f(u),
+    h=lambda t: aux_h(t),
+    theta=lambda t: aux_theta(t),
+    H=lambda x: aux_big_h(x),
+    P=lambda x: aux_big_p(x),
+    p=lambda x: aux_p(x),
+)
 
 
 def aux_eval(name: str, t: float) -> float:
-    """Evaluate a named proof auxiliary (f, h, theta, H, P or p) at t."""
-    try:
-        fn = _AUX[name]
-    except KeyError:
-        raise KeyError(f"unknown auxiliary {name!r}; choose from {sorted(_AUX)}") from None
-    return fn(t)
+    """Evaluate a function of ``FUNCTIONS`` by name at t.
+
+    The proof auxiliaries are f, h, theta, H, P and p.
+    """
+    return FUNCTIONS[name](t)

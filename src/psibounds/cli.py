@@ -7,6 +7,7 @@ error, 3 unknown function or family name.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -29,47 +30,41 @@ def _fmt(value: float, precision: float) -> str:
     return f"{value:.{digits}g}"
 
 
+def _exp_radius(log_value: oracle.ErrorBoundedValue):
+    value = math.exp(log_value.value)
+    return value, value * (log_value.error_radius + 2.0 * 2.0**-52)
+
+
+def _with_radius(r: oracle.ErrorBoundedValue):
+    return r.value, r.error_radius
+
+
+# Names the oracle evaluates with a rigorous radius; every other name of
+# bounds.FUNCTIONS is printed without one.
+_ORACLE_EVAL = {
+    "gamma": lambda x, eps: _exp_radius(oracle.ref_log_gamma(x, eps)),
+    "log_gamma": lambda x, eps: _with_radius(oracle.ref_log_gamma(x, eps)),
+    "digamma": lambda x, eps: _with_radius(oracle.ref_digamma(x, eps)),
+    "trigamma": lambda x, eps: _with_radius(oracle.ref_trigamma(x, eps)),
+    "stirling_ratio": lambda x, eps: _exp_radius(oracle.ref_binet_mu(x, eps)),
+}
+
+# 'name:<parameter>' forms: (parameter letter, fn(parameter text, x)).
+_PARAMETRISED = {
+    "polygamma": ("n", lambda n, x: specfun.polygamma(int(n), x)),
+    "tau": ("k", lambda k, x: bounds.tau(int(k), x)),
+    "g_c": ("c", lambda c, x: bounds.g_c(x, float(c))),
+}
+
+
 def _eval_target(name: str, x: float, eps: float):
     """Resolve an eval function name to (value, radius-or-None)."""
-    if name == "gamma":
-        lg = oracle.ref_log_gamma(x, eps)
-        value = math.exp(lg.value)
-        return value, value * (lg.error_radius + 2.0 * 2.0**-52)
-    if name == "log_gamma":
-        r = oracle.ref_log_gamma(x, eps)
-        return r.value, r.error_radius
-    if name == "digamma":
-        r = oracle.ref_digamma(x, eps)
-        return r.value, r.error_radius
-    if name == "trigamma":
-        r = oracle.ref_trigamma(x, eps)
-        return r.value, r.error_radius
-    if name == "stirling_ratio":
-        mu = oracle.ref_binet_mu(x, eps)
-        value = math.exp(mu.value)
-        return value, value * (mu.error_radius + 2.0 * 2.0**-52)
-    if name.startswith("polygamma:"):
-        n = int(name.split(":", 1)[1])
-        return specfun.polygamma(n, x), None
-    if name.startswith("tau:"):
-        k = int(name.split(":", 1)[1])
-        return bounds.tau(k, x), None
-    if name.startswith("g_c:"):
-        c = float(name.split(":", 1)[1])
-        return bounds.g_c(x, c), None
-    plain = {
-        "beta": bounds.beta,
-        "delta_star": bounds.delta_star,
-        "f": bounds.aux_f,
-        "h": bounds.aux_h,
-        "theta": bounds.aux_theta,
-        "H": bounds.aux_big_h,
-        "P": bounds.aux_big_p,
-        "p": bounds.aux_p,
-    }
-    if name in plain:
-        return plain[name](x), None
-    raise KeyError(f"unknown function {name!r}")
+    if name in _ORACLE_EVAL:
+        return _ORACLE_EVAL[name](x, eps)
+    head, colon, param = name.partition(":")
+    if colon and head in _PARAMETRISED:
+        return _PARAMETRISED[head][1](param, x), None
+    return bounds.FUNCTIONS[name](x), None
 
 
 def cmd_eval(args) -> int:
@@ -81,26 +76,17 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-_DEFAULTS = {"xmin": 1e-3, "xmax": 1e4, "points": 500, "scale": "log",
-             "precision": 1e-12, "format": "csv"}
+# Lower grid edge when --xmin is not given, before clipping into the
+# families' domain.
+_DEFAULT_XMIN = 1e-3
 
 
-class _Remember(argparse.Action):
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
-        setattr(namespace, f"{self.dest}_given", True)
-
-
-def _xmin_was_defaulted(args) -> bool:
-    return getattr(args, "xmin_given", None) is None
-
-
-def _grid_from_args(args, family: BoundFamily | None = None) -> verifier.GridSpec:
-    x_min = args.xmin
-    # Only a *defaulted* lower edge is clipped into the family domain; an
+def _grid_from_args(args, families: list[BoundFamily]) -> verifier.GridSpec:
+    # Only a *defaulted* lower edge is clipped into the families' domain; an
     # explicit out-of-domain request is an error, not a silent adjustment.
-    if family is not None and _xmin_was_defaulted(args):
-        x_min = max(x_min, family.domain_min)
+    x_min = args.xmin
+    if x_min is None:
+        x_min = max([_DEFAULT_XMIN] + [f.domain_min for f in families])
     return verifier.GridSpec(x_min=x_min, x_max=args.xmax, points=args.points,
                              spacing=args.scale)
 
@@ -141,7 +127,7 @@ def _emit(doc: dict, rows: list[dict], fmt: str, stream) -> None:
 
 def cmd_verify(args) -> int:
     family = BoundFamily.parse(args.family)
-    grid = _grid_from_args(args, family)
+    grid = _grid_from_args(args, [family])
     report = verifier.sweep(grid, family, eps=args.precision)
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -152,7 +138,8 @@ def cmd_verify(args) -> int:
         "notes": list(report.notes),
         "summary": report.summary(),
     }
-    _emit(doc, _report_rows(report), args.format, _open_out(args))
+    with _open_out(args) as stream:
+        _emit(doc, _report_rows(report), args.format, stream)
     return EXIT_OK if report.all_pass else EXIT_VERIFY_FAILED
 
 
@@ -160,11 +147,7 @@ def cmd_compare(args) -> int:
     families = [BoundFamily.parse(tag) for tag in args.families.split(",") if tag]
     if len(families) < 2:
         raise DomainError("compare needs at least two families")
-    x_min = args.xmin
-    if _xmin_was_defaulted(args):
-        x_min = max([x_min] + [f.domain_min for f in families])
-    grid = verifier.GridSpec(x_min=x_min, x_max=args.xmax, points=args.points,
-                             spacing=args.scale)
+    grid = _grid_from_args(args, families)
     rows_raw = verifier.compare(grid, families, args.side, eps=args.precision)
     rows = [
         {"x": row.x, **{f.value: row.gap_by_family[f] for f in families}}
@@ -188,7 +171,8 @@ def cmd_compare(args) -> int:
             "note": "observed direction recorded, not asserted",
         },
     }
-    _emit(doc, rows, args.format, _open_out(args))
+    with _open_out(args) as stream:
+        _emit(doc, rows, args.format, stream)
     return EXIT_OK
 
 
@@ -202,32 +186,33 @@ def cmd_constants(args) -> int:
         {"name": "half_log_two_pi", "value": specfun.HALF_LOG_TWO_PI,
          "error_radius": math.ulp(log_two_pi)},
     ]
-    if args.format == "json":
-        doc = {"schema_version": SCHEMA_VERSION, "command": "constants"}
-        _emit(doc, rows, "json", _open_out(args))
-    else:
-        # Shortest round-trip representation: --precision tunes how tightly
-        # the constant is derived, not how many digits survive printing.
-        stream = _open_out(args)
-        for row in rows:
-            stream.write(f"{row['name']} = {row['value']!r} ± {row['error_radius']:.1e}\n")
+    with _open_out(args) as stream:
+        if args.format == "json":
+            doc = {"schema_version": SCHEMA_VERSION, "command": "constants"}
+            _emit(doc, rows, "json", stream)
+        else:
+            # Shortest round-trip representation: --precision tunes how tightly
+            # the constant is derived, not how many digits survive printing.
+            for row in rows:
+                stream.write(f"{row['name']} = {row['value']!r} ± {row['error_radius']:.1e}\n")
     return EXIT_OK
 
 
 def _open_out(args):
-    if getattr(args, "output", None):
+    """The --output file, or stdout (left open), as a context manager."""
+    if args.output:
         return open(args.output, "w", newline="")
-    return sys.stdout
+    return contextlib.nullcontext(sys.stdout)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--xmin", type=float, default=_DEFAULTS["xmin"], action=_Remember)
-    p.add_argument("--xmax", type=float, default=_DEFAULTS["xmax"], action=_Remember)
-    p.add_argument("--points", type=int, default=_DEFAULTS["points"], action=_Remember)
-    p.add_argument("--scale", choices=("log", "linear"), default=_DEFAULTS["scale"],
-                   action=_Remember)
-    p.add_argument("--precision", type=float, default=_DEFAULTS["precision"])
-    p.add_argument("--format", choices=("csv", "json"), default=_DEFAULTS["format"])
+    p.add_argument("--xmin", type=float,
+                   help=f"default {_DEFAULT_XMIN}, raised to the families' domain start")
+    p.add_argument("--xmax", type=float, default=1e4)
+    p.add_argument("--points", type=int, default=500)
+    p.add_argument("--scale", choices=("log", "linear"), default="log")
+    p.add_argument("--precision", type=float, default=verifier.DEFAULT_EPS)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", help="write the artifact here instead of stdout")
 
 
@@ -239,11 +224,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate one function at one point")
-    p_eval.add_argument("fn", help="gamma, log_gamma, digamma, trigamma, "
-                        "polygamma:n, stirling_ratio, beta, delta_star, tau:k, "
-                        "f, h, theta, H, P, p, g_c:c")
+    p_eval.add_argument("fn", help=", ".join(
+        [*bounds.FUNCTIONS,
+         *(f"{name}:{letter}" for name, (letter, _) in _PARAMETRISED.items())]))
     p_eval.add_argument("x", type=float)
-    p_eval.add_argument("--precision", type=float, default=_DEFAULTS["precision"])
+    p_eval.add_argument("--precision", type=float, default=verifier.DEFAULT_EPS)
     p_eval.set_defaults(run=cmd_eval)
 
     p_verify = sub.add_parser("verify", help="sweep one bound family over a grid")
@@ -260,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(run=cmd_compare)
 
     p_const = sub.add_parser("constants", help="print the library constants")
-    p_const.add_argument("--precision", type=float, default=_DEFAULTS["precision"])
+    p_const.add_argument("--precision", type=float, default=verifier.DEFAULT_EPS)
     p_const.add_argument("--format", choices=("csv", "json", "text"), default="text")
     p_const.add_argument("--output")
     p_const.set_defaults(run=cmd_constants)

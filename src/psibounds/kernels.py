@@ -30,13 +30,19 @@ _W_COEFFS = tuple((-1.0) ** j * (j - 1) / (2.0 * j * (j + 1)) for j in range(2, 
 _WINT_COEFFS = tuple((-1.0) ** j / (2.0 * j * (j + 1)) for j in range(2, 13))
 
 
-def _require_positive(x: float, name: str = "x") -> None:
-    if not (x > 0.0) or math.isinf(x) or math.isnan(x):
+def _check_domain(x: float, name: str = "x") -> float:
+    # The one positive-finite check of the package.  The chained comparison
+    # against the largest finite double is false for nan, 0, negatives and
+    # inf alike, and costs less than separate isinf/isnan calls.
+    x = float(x)
+    if not 0.0 < x <= 1.7976931348623157e308:
         raise DomainError(f"{name} must be a positive finite real, got {x!r}")
+    return x
 
 
-def _poly_eval(u: float, coeffs, lead_power: int) -> float:
-    # Horner in u, result multiplied by u**lead_power at the end.
+def _poly_eval(u, coeffs, lead_power: int):
+    # Horner in u, result multiplied by u**lead_power at the end; u may be a
+    # float or a numpy array (the oracle sums whole blocks of terms at once).
     acc = 0.0
     for c in reversed(coeffs):
         acc = acc * u + c
@@ -61,13 +67,13 @@ def kernel_r(x: float) -> float:
     Relative error stays below ~1e-14 out to x = 1e8 and beyond; the direct
     formula would return pure noise there.
     """
-    _require_positive(x)
+    x = _check_domain(x)
     return u_minus_log1p(1.0 / x)
 
 
 def kernel_s(x: float) -> float:
     """(x+1)*log(1+1/x) - 1 > 0 for x > 0, cancellation-safe."""
-    _require_positive(x)
+    x = _check_domain(x)
     u = 1.0 / x
     if x >= SERIES_CUTOFF:
         return _poly_eval(u, _S_COEFFS, 1)
@@ -79,7 +85,7 @@ def kernel_w(x: float) -> float:
 
     Positive, decreasing, ~1/(12 x^2) for large x.
     """
-    _require_positive(x)
+    x = _check_domain(x)
     u = 1.0 / x
     if x >= SERIES_CUTOFF:
         return _poly_eval(u, _W_COEFFS, 2)
@@ -91,8 +97,8 @@ def kernel_s_scaled(t: float, a: float) -> float:
 
     Equals a * kernel_s(t/a).  Requires t > 0 and a > 0.
     """
-    _require_positive(t, "t")
-    _require_positive(a, "a")
+    t = _check_domain(t, "t")
+    a = _check_domain(a, "a")
     return a * kernel_s(t / a)
 
 
@@ -101,7 +107,7 @@ def kernel_w_integral(t: float) -> float:
 
     ~1/(12 t) for large t; evaluated by series past the cancellation point.
     """
-    _require_positive(t, "t")
+    t = _check_domain(t, "t")
     u = 1.0 / t
     if t >= SERIES_CUTOFF:
         return _poly_eval(u, _WINT_COEFFS, 1)

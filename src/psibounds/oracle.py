@@ -29,7 +29,7 @@ import numpy as np
 
 from . import kernels, tails
 from .errors import DomainError, ToleranceError
-from .specfun import _check_domain
+from .kernels import _check_domain
 
 _EPS = 2.0**-52
 
@@ -78,37 +78,13 @@ def _ensure(radius: float, eps: float, what: str) -> None:
         )
 
 
-# Vectorised Horner for the series kernels; valid for y >= 16 (u <= 1/16).
-
-_R_REV = tuple(reversed(kernels._R_COEFFS))
-_W_REV = tuple(reversed(kernels._W_COEFFS))
-
-
-def _r_series_from_u(u: np.ndarray) -> np.ndarray:
-    acc = np.zeros_like(u)
-    for c in _R_REV:
-        acc = acc * u + c
-    return acc * u * u
-
-
-def _r_series_bulk(y: np.ndarray) -> np.ndarray:
-    return _r_series_from_u(1.0 / y)
-
-
-def _w_series_bulk(y: np.ndarray) -> np.ndarray:
-    u = 1.0 / y
-    acc = np.zeros_like(u)
-    for c in _W_REV:
-        acc = acc * u + c
-    return acc * u * u
-
-
-def _kernel_sum(x: float, eps: float, kernel, bulk, tail, trunc_scale: float,
+def _kernel_sum(x: float, eps: float, kernel, coeffs, tail, trunc_scale: float,
                 trunc_rel_bound) -> ErrorBoundedValue:
     """Sum kernel(x + j) for j >= 0 with a rigorous radius.
 
-    ``kernel``/``bulk``/``tail`` select the scalar term, the vectorised
-    series and the tail enclosure; ``trunc_scale`` is the constant in the
+    ``kernel``/``coeffs``/``tail`` select the scalar term, the coefficients
+    of its u^2-led series in u = 1/y (summed as one array for y >= 16) and
+    the tail enclosure; ``trunc_scale`` is the constant in the
     enclosure-width law width ~ trunc_scale / M^5.
     """
     # Half-width target: a quarter ulp of the expected magnitude, floored by
@@ -133,7 +109,8 @@ def _kernel_sum(x: float, eps: float, kernel, bulk, tail, trunc_scale: float,
         head_charges += 2.0 * _EPS * (abs(term) + 1.0)
     bulk_sum = 0.0
     if count > n_head:
-        arr = bulk(x + np.arange(n_head, count, dtype=np.float64))
+        u = 1.0 / (x + np.arange(n_head, count, dtype=np.float64))
+        arr = kernels._poly_eval(u, coeffs, 2)
         bulk_sum = float(np.abs(arr).sum())
         parts.extend(arr.tolist())
     lo, hi = tail(x + count)
@@ -173,7 +150,7 @@ def ref_digamma_gap(x: float, eps: float = 1e-12) -> ErrorBoundedValue:
     """
     x = _check_domain(x)
     eps = _check_eps(eps)
-    out = _kernel_sum(x, eps, kernels.kernel_r, _r_series_bulk, tails.gap_tail,
+    out = _kernel_sum(x, eps, kernels.kernel_r, kernels._R_COEFFS, tails.gap_tail,
                       1.0 / 60.0, _r_trunc_rel)
     _ensure(out.error_radius, eps, f"ref_digamma_gap({x!r})")
     return out
@@ -184,7 +161,7 @@ def ref_binet_mu(x: float, eps: float = 1e-12) -> ErrorBoundedValue:
     """log of the Stirling ratio Gamma(x)/(sqrt(2 pi) x^(x-1/2) e^-x)."""
     x = _check_domain(x)
     eps = _check_eps(eps)
-    out = _kernel_sum(x, eps, kernels.kernel_w, _w_series_bulk, tails.mu_tail,
+    out = _kernel_sum(x, eps, kernels.kernel_w, kernels._W_COEFFS, tails.mu_tail,
                       1.0 / 360.0, _w_trunc_rel)
     _ensure(out.error_radius, eps, f"ref_binet_mu({x!r})")
     return out
@@ -355,7 +332,7 @@ def ref_log_gamma(x: float, eps: float = 1e-12) -> ErrorBoundedValue:
         if k_tail > head_n:
             # term_k = a/k - log(1+a/k) = u - log1p(u) at u = a/k <= 1/16
             karr = np.arange(float(head_n), float(k_tail))
-            terms = _r_series_from_u(a / karr)
+            terms = kernels._poly_eval(a / karr, kernels._R_COEFFS, 2)
             parts.extend(terms.tolist())
             charges.append((2.0 * _EPS + _r_trunc_rel(a / head_n)) * float(terms.sum()))
         lo, hi = tails.log_gamma_series_tail(float(k_tail), a)

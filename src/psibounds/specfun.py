@@ -20,6 +20,8 @@ import math
 
 from . import kernels, tails
 from .errors import DomainError
+# kernel_r and kernel_s are re-exported as part of this module's interface.
+from .kernels import _check_domain, kernel_r, kernel_s
 
 _EPS = 2.0**-52
 
@@ -29,13 +31,6 @@ EULER_GAMMA = 0.5772156649015329
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
 HALF_LOG_TWO_PI = LOG_TWO_PI / 2.0
-
-
-def _check_domain(x: float, name: str = "x") -> float:
-    x = float(x)
-    if not (x > 0.0) or math.isinf(x) or math.isnan(x):
-        raise DomainError(f"{name} must be a positive finite real, got {x!r}")
-    return x
 
 
 def _tail_start(x: float, scale: float) -> float:
@@ -135,12 +130,3 @@ def log_stirling_root_scaled(x: float) -> float:
     x = _check_domain(x)
     return binet_mu(x) - 0.5 * math.log(x)
 
-
-def kernel_r(x: float) -> float:
-    """1/x - log(1+1/x); see :func:`psibounds.kernels.kernel_r`."""
-    return kernels.kernel_r(_check_domain(x))
-
-
-def kernel_s(x: float) -> float:
-    """(x+1) log(1+1/x) - 1; see :func:`psibounds.kernels.kernel_s`."""
-    return kernels.kernel_s(_check_domain(x))

@@ -74,11 +74,3 @@ def log_gamma_series_tail(m: float, a: float) -> tuple[float, float]:
     d3 = -2.0 * a * a * (6.0 * m * m + 8.0 * m * a + 3.0 * a * a) / (m**4 * (m + a) ** 3)
     return _em2(integral, f0, d1, d3)
 
-
-def integral_test_bracket_trigamma(m: float) -> tuple[float, float]:
-    """Coarse integral-test bracket for sum_{j>=0} (m+j)^-2: (1/m, 1/m + 1/m^2).
-
-    Equivalently: 1/(x+K+1) < sum_{k>K} 1/(x+k)^2 < 1/(x+K) with m = x+K+1.
-    Kept for cross-checking the sharp enclosure against the classical bound.
-    """
-    return 1.0 / m, 1.0 / m + 1.0 / (m * m)

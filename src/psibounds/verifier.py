@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 from . import bounds, oracle, specfun
 from .bounds import BoundFamily, Interval
@@ -134,50 +135,59 @@ class ComparisonRow:
     gap_by_family: dict[BoundFamily, float]
 
 
-def _oracle_target(family: BoundFamily, x: float, eps: float) -> oracle.ErrorBoundedValue:
-    kind = family.target
-    if kind == "gap":
-        fn = lambda e: oracle.ref_digamma_gap(x, e)
-    elif kind == "ratio":
-        fn = lambda e: oracle.ref_stirling_target(x, e)
-    else:
-        fn = lambda e: oracle.ref_log_gamma(x + 1.0, e)
+@dataclass(frozen=True)
+class _TargetRow:
+    oracle: Callable[[float, float], oracle.ErrorBoundedValue]  # (x, eps)
+    bounds: Callable[[float, BoundFamily], Interval]  # (x, family)
+    scale: str
+    notes: tuple[str, ...] = ()
+
+
+#: One row per target quantity.  The entries look their functions up at
+#: call time, so a patched module attribute sees every call.
+_TARGET_ROWS = {
+    "gap": _TargetRow(lambda x, e: oracle.ref_digamma_gap(x, e),
+                      lambda x, f: bounds.digamma_gap_bounds(x, f), "abs"),
+    "ratio": _TargetRow(lambda x, e: oracle.ref_stirling_target(x, e),
+                        lambda x, f: bounds.stirling_ratio_bounds(x, f), "ratio"),
+    "gamma": _TargetRow(lambda x, e: oracle.ref_log_gamma(x + 1.0, e),
+                        lambda x, f: bounds.gamma_bounds_log(x, f), "log",
+                        ("target and bounds reported on the log scale: "
+                         "Gamma(x+1) overflows doubles for x beyond ~170",)),
+}
+
+
+def _oracle_target(row: _TargetRow, x: float, eps: float) -> oracle.ErrorBoundedValue:
     # Large arguments can have representation floors above eps (log-gamma at
     # 1e4 occupies ~1.5e-11 per ulp); relax in decades and keep the honest
     # radius, which is what the strictness rule consumes.
     current = eps
     while True:
         try:
-            return fn(current)
+            return row.oracle(x, current)
         except ToleranceError:
             current *= 10.0
             if current > 1e-3:
                 raise
 
 
-def _family_interval(family: BoundFamily, x: float) -> Interval:
-    kind = family.target
-    if kind == "gap":
-        return bounds.digamma_gap_bounds(x, family)
-    if kind == "ratio":
-        return bounds.stirling_ratio_bounds(x, family)
-    return bounds.gamma_bounds_log(x, family)
-
-
-_SCALES = {"gap": "abs", "ratio": "ratio", "gamma": "log"}
+def _check_grid_domain(grid: GridSpec, families) -> None:
+    for f in families:
+        if grid.x_min < f.domain_min:
+            raise DomainError(
+                f"grid starts at {grid.x_min!r} but {f.value} requires "
+                f"x >= {f.domain_min}"
+            )
 
 
 def sweep(grid: GridSpec, family: BoundFamily, eps: float = DEFAULT_EPS) -> InequalityReport:
     """Certify one family over a grid; every abscissa must be in-domain."""
-    if grid.x_min < family.domain_min:
-        raise DomainError(
-            f"grid starts at {grid.x_min!r} but {family.value} requires "
-            f"x >= {family.domain_min}"
-        )
+    _check_grid_domain(grid, [family])
+    row = _TARGET_ROWS[family.target]
     records = []
     for x in grid.abscissae():
-        target = _oracle_target(family, x, eps)
-        interval = _family_interval(family, x)
+        target = _oracle_target(row, x, eps)
+        interval = row.bounds(x, family)
         lower_margin = target.value - interval.lower
         upper_margin = interval.upper - target.value
         lo_thr = STRICTNESS_FACTOR * (
@@ -198,12 +208,8 @@ def sweep(grid: GridSpec, family: BoundFamily, eps: float = DEFAULT_EPS) -> Ineq
                 passed=(lower_margin > lo_thr and upper_margin > up_thr),
             )
         )
-    notes = ()
-    if family.target == "gamma":
-        notes = ("target and bounds reported on the log scale: "
-                 "Gamma(x+1) overflows doubles for x beyond ~170",)
-    return InequalityReport(family=family, grid=grid, scale=_SCALES[family.target],
-                            records=records, notes=notes)
+    return InequalityReport(family=family, grid=grid, scale=row.scale,
+                            records=records, notes=row.notes)
 
 
 def compare(grid: GridSpec, families: list[BoundFamily], side: str,
@@ -223,20 +229,17 @@ def compare(grid: GridSpec, families: list[BoundFamily], side: str,
             "families bound different targets: "
             + ", ".join(f"{f.value}->{f.target}" for f in families)
         )
-    for f in families:
-        if grid.x_min < f.domain_min:
-            raise DomainError(
-                f"grid starts at {grid.x_min!r} but {f.value} requires x >= {f.domain_min}"
-            )
+    _check_grid_domain(grid, families)
+    row = _TARGET_ROWS[kinds.pop()]
     rows = []
     for x in grid.abscissae():
         gaps = {}
         for f in families:
-            interval = _family_interval(f, x)
+            interval = row.bounds(x, f)
             if side == "width":
                 gaps[f] = interval.width
             else:
-                target = _oracle_target(f, x, eps)
+                target = _oracle_target(row, x, eps)
                 bound = interval.lower if side == "lower" else interval.upper
                 gaps[f] = abs(bound - target.value)
         rows.append(ComparisonRow(x=x, gap_by_family=gaps))
@@ -248,22 +251,6 @@ def compare(grid: GridSpec, families: list[BoundFamily], side: str,
 
 def _tau_at(x: float):
     return lambda k: bounds.tau(int(round(k)), x)
-
-
-def _monotone_functions() -> dict:
-    fns = {
-        "digamma": specfun.digamma,
-        "trigamma": specfun.trigamma,
-        "beta": bounds.beta,
-        "stirling_ratio": specfun.stirling_ratio,
-        "f": bounds.aux_f,
-        "h": bounds.aux_h,
-        "theta": bounds.aux_theta,
-        "H": bounds.aux_big_h,
-        "P": bounds.aux_big_p,
-        "p": bounds.aux_p,
-    }
-    return fns
 
 
 def monotonicity_check(fn_name: str, grid: GridSpec, expected: str) -> bool:
@@ -282,10 +269,7 @@ def monotonicity_check(fn_name: str, grid: GridSpec, expected: str) -> bool:
         if len(xs) < 2:
             raise DomainError("tau grid collapsed to fewer than 2 integer indices")
     else:
-        try:
-            fn = _monotone_functions()[fn_name]
-        except KeyError:
-            raise KeyError(f"unknown function {fn_name!r} for monotonicity checks") from None
+        fn = bounds.FUNCTIONS[fn_name]
         xs = grid.abscissae()
     want_positive = expected == "increasing"
     values = [fn(x) for x in xs]
@@ -303,10 +287,10 @@ def monotonicity_check(fn_name: str, grid: GridSpec, expected: str) -> bool:
 
 
 def sign_check(fn_name: str, grid: GridSpec, expected: str) -> bool:
-    """True iff the named auxiliary has the expected strict sign on the grid."""
+    """True iff the named function has the expected strict sign on the grid."""
     if expected not in ("positive", "negative"):
         raise DomainError(f"expected must be positive/negative, got {expected!r}")
-    fn = _monotone_functions()[fn_name]
+    fn = bounds.FUNCTIONS[fn_name]
     want_positive = expected == "positive"
     for x in grid.abscissae():
         v = fn(x)

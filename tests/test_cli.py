@@ -1,9 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from psibounds import cli
+from psibounds import bounds, cli
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -36,6 +42,22 @@ def test_eval_unknown_function_exit_3(capsys):
     code, _, err = run(capsys, "eval", "zeta", "2")
     assert code == 3
     assert "zeta" in err
+    assert "choose from" in err and "'digamma'" in err
+
+
+@pytest.mark.parametrize("name", sorted(bounds.FUNCTIONS))
+def test_eval_every_registered_function(capsys, name):
+    code, out, err = run(capsys, "eval", name, "2")
+    assert code == 0, err
+    assert math.isfinite(float(out.split("±")[0]))
+
+
+def test_eval_help_lists_every_name(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["eval", "--help"])
+    flat = " ".join(capsys.readouterr().out.split())
+    for name in [*bounds.FUNCTIONS, "polygamma:n", "tau:k", "g_c:c"]:
+        assert name in flat
 
 
 def test_eval_parametrized_names(capsys):
@@ -76,6 +98,15 @@ def test_verify_default_grid_is_clipped_for_eq6(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["grid"]["x_min"] == 2.0
+
+
+def test_compare_default_grid_is_clipped_to_largest_domain(capsys):
+    code, out, _ = run(capsys, "compare", "--families", "eq4,eq6", "--points", "20",
+                       "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["grid"]["x_min"] == 2.0
+    assert len(doc["rows"]) == 20
 
 
 def test_verify_unknown_family_exit_3(capsys):
@@ -161,6 +192,18 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     doc = json.loads(target.read_text())
     assert doc["family"] == "eq9"
+
+
+def test_output_file_is_closed(tmp_path):
+    # -X dev reports a file object that is garbage-collected while still open.
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-m", "psibounds", "verify", "--family", "eq9",
+         "--xmin", "1", "--xmax", "10", "--points", "5", "--output", "f"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "ResourceWarning" not in proc.stderr
+    assert (tmp_path / "f").read_text().startswith("x,target,")
 
 
 def test_verify_exit_1_on_certification_failure(capsys):

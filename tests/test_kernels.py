@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -51,6 +52,20 @@ def test_series_matches_direct_formulas(y):
                                                 rel=2e-11)
     direct_wint = 0.25 + 0.5 * y - 0.5 * y * (y + 1.0) * math.log1p(u)
     assert kernels.kernel_w_integral(y) == pytest.approx(direct_wint, rel=2e-11)
+
+
+def test_poly_eval_on_arrays_matches_scalar_kernels():
+    # The oracle evaluates whole blocks of series terms as one array.  Each
+    # term must equal the scalar kernel up to rounding: the two paths may
+    # square u differently (u*u against pow), an ulp that the final product
+    # can carry into a second.
+    y = 16.0 + np.geomspace(1e-9, 1e7, 2001)
+    u = 1.0 / y
+    for coeffs, kernel in ((kernels._R_COEFFS, kernels.kernel_r),
+                           (kernels._W_COEFFS, kernels.kernel_w)):
+        bulk = kernels._poly_eval(u, coeffs, 2)
+        scalar = np.array([kernel(v) for v in y.tolist()])
+        assert np.all(np.abs(bulk - scalar) <= 2.0 * np.spacing(scalar))
 
 
 @given(st.floats(min_value=1e-3, max_value=1e12))

@@ -140,11 +140,19 @@ def test_recurrence_closure_within_combined_radii():
         assert abs(b.value - a.value - 1.0 / x) <= slack
 
 
+def integral_test_bracket_trigamma(m):
+    """Coarse integral-test bracket for sum_{j>=0} (m+j)^-2: (1/m, 1/m + 1/m^2).
+
+    Equivalently: 1/(x+K+1) < sum_{k>K} 1/(x+k)^2 < 1/(x+K) with m = x+K+1.
+    """
+    return 1.0 / m, 1.0 / m + 1.0 / (m * m)
+
+
 def test_em2_enclosure_inside_classical_integral_test():
     # the sharp trigamma tail must sit inside 1/(x+K+1) < tail < 1/(x+K)
     for m in (5.0, 64.0, 1000.0):
         lo, hi = tails.polygamma_tail(m, 1)
-        coarse_lo, coarse_hi = tails.integral_test_bracket_trigamma(m)
+        coarse_lo, coarse_hi = integral_test_bracket_trigamma(m)
         assert coarse_lo < lo < hi < coarse_hi
 
 

@@ -132,6 +132,21 @@ def test_sign_checks():
     assert not verifier.sign_check("H", grid, "negative")
 
 
+def test_unknown_function_names_list_the_choices():
+    grid = GridSpec(1.0, 2.0, 5)
+    calls = [
+        lambda: bounds.aux_eval("Q", 1.0),
+        lambda: verifier.monotonicity_check("Q", grid, "increasing"),
+        lambda: verifier.sign_check("Q", grid, "positive"),
+    ]
+    for call in calls:
+        with pytest.raises(KeyError) as info:
+            call()
+        message = info.value.args[0]
+        assert "'Q'" in message
+        assert all(repr(name) in message for name in bounds.FUNCTIONS)
+
+
 def test_limit_checks():
     for name, probe in (("beta_offset", 1e3), ("delta_offset", 1e3),
                         ("gap_leading", 1e4), ("stirling_limit", 1e3),
