@@ -232,6 +232,17 @@ def gamma_bounds_log(x: float, family: BoundFamily) -> Interval:
     return _family_bounds(x, family, "gamma", "Gamma(x+1)")
 
 
+def gamma_from_log(log_gamma_value: float) -> float:
+    """Gamma from its logarithm; DomainError where Gamma passes the largest double."""
+    try:
+        return math.exp(log_gamma_value)
+    except OverflowError:
+        raise DomainError(
+            f"Gamma overflows doubles (log Gamma = {log_gamma_value!r}); "
+            "use eval log_gamma"
+        ) from None
+
+
 def gamma_bounds(x: float, family: BoundFamily) -> Interval:
     """Two-sided bounds on Gamma(x+1) itself (exponentiated forms)."""
     log_iv = gamma_bounds_log(x, family)
@@ -372,7 +383,7 @@ class _Registry(dict):
 #: entry looks its function up at call time, so a patched module attribute
 #: sees every call.
 FUNCTIONS = _Registry(
-    gamma=lambda x: math.exp(specfun.log_gamma(x)),
+    gamma=lambda x: gamma_from_log(specfun.log_gamma(x)),
     log_gamma=lambda x: specfun.log_gamma(x),
     digamma=lambda x: specfun.digamma(x),
     trigamma=lambda x: specfun.trigamma(x),

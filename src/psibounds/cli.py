@@ -30,8 +30,8 @@ def _fmt(value: float, precision: float) -> str:
     return f"{value:.{digits}g}"
 
 
-def _exp_radius(log_value: oracle.ErrorBoundedValue):
-    value = math.exp(log_value.value)
+def _exp_radius(log_value: oracle.ErrorBoundedValue, exp=math.exp):
+    value = exp(log_value.value)
     return value, value * (log_value.error_radius + 2.0 * 2.0**-52)
 
 
@@ -42,7 +42,7 @@ def _with_radius(r: oracle.ErrorBoundedValue):
 # Names the oracle evaluates with a rigorous radius; every other name of
 # bounds.FUNCTIONS is printed without one.
 _ORACLE_EVAL = {
-    "gamma": lambda x, eps: _exp_radius(oracle.ref_log_gamma(x, eps)),
+    "gamma": lambda x, eps: _exp_radius(oracle.ref_log_gamma(x, eps), bounds.gamma_from_log),
     "log_gamma": lambda x, eps: _with_radius(oracle.ref_log_gamma(x, eps)),
     "digamma": lambda x, eps: _with_radius(oracle.ref_digamma(x, eps)),
     "trigamma": lambda x, eps: _with_radius(oracle.ref_trigamma(x, eps)),

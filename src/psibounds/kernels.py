@@ -115,14 +115,27 @@ def kernel_w_integral(t: float) -> float:
 
 
 # Exact derivative forms used by the tail enclosures (no cancellation).
+# Past HUGE_Y each form is its leading term in u = 1/y instead: the next
+# term is u times smaller (below 1e-30 relative), while the product forms
+# overflow there (y**4 from 1.2e77, (y(y+1))**3 from 7.5e51, y(y+1) from
+# 1.3e154, where kernel_w_d1 then returns log1p(u) = u instead of -u^3/6).
+# Every abscissa a tail is evaluated at for x <= 1e20 lies below HUGE_Y.
+HUGE_Y = 1e30
+
 
 def kernel_r_d1(y: float) -> float:
     """First derivative of kernel_r: -1/(y^2 (y+1))."""
+    if y > HUGE_Y:
+        u = 1.0 / y
+        return -(u * u * u)
     return -1.0 / (y * y * (y + 1.0))
 
 
 def kernel_r_d3(y: float) -> float:
     """Third derivative of kernel_r: -2(6y^2+8y+3)/(y^4 (y+1)^3)."""
+    if y > HUGE_Y:
+        u = 1.0 / y
+        return -12.0 * (u * u * u * u * u)
     return -2.0 * (6.0 * y * y + 8.0 * y + 3.0) / (y**4 * (y + 1.0) ** 3)
 
 
@@ -132,9 +145,15 @@ def kernel_w_d1(y: float) -> float:
     Mild cancellation (~1e-13 relative near y=16) is harmless: this only
     feeds a correction term that is itself divided by 12.
     """
+    if y > HUGE_Y:
+        u = 1.0 / y
+        return -(u * u * u) / 6.0
     return math.log1p(1.0 / y) - (y + 0.5) / (y * (y + 1.0))
 
 
 def kernel_w_d3(y: float) -> float:
     """Third derivative of kernel_w: -(2y+1)/(y(y+1))^3."""
+    if y > HUGE_Y:
+        u = 1.0 / y
+        return -2.0 * (u * u * u * u * u)
     return -(2.0 * y + 1.0) / (y * (y + 1.0)) ** 3

@@ -17,6 +17,25 @@ The charges sit roughly 2x above the worst error observed against a
 Requests below ``EPS_FLOOR`` fail loudly instead of returning an optimistic
 radius, as do requests that the argument's own representation cannot honour
 (e.g. an absolute 1e-12 on trigamma near 0, where the value is ~1e6).
+
+Cost is bounded, not linear in x: one evaluation sums at most about
+``MAX_TERMS`` (1e5) terms.  The gap and mu series push their tails out to
+min(16x, x + MAX_TERMS); past 2^53 that sum rounds, so the count is
+MAX_TERMS within ulp(x)/2: at most 131072 (x in [2^68, 2^70)), and none from
+2^70, where the tail enclosure starts at x itself.  Above x = MAX_TERMS,
+ref_digamma and ref_log_gamma leave their ~x-term recurrences for closed
+forms around those two series (DLMF 5.11.1):
+
+  * psi(x) = log x - gap(x), charging the gap's radius, 1 ulp of log x and
+    half an ulp of the difference;
+  * log Gamma(x) = mu(x) + (x - 1/2) log x - x + log(2 pi)/2, summed with
+    fsum, charging mu's radius, (x - 1/2) ulps of log x, the roundings of
+    x - 1/2 and of the product, 1.7e-16 for log(2 pi)/2 and half an ulp of
+    the value.
+
+Refusals known from the value's magnitude are decided before any sum:
+ref_log_gamma's value exceeds its Stirling part (mu > 0), so where half an
+ulp of that part exceeds eps the full evaluation would refuse as well.
 """
 
 from __future__ import annotations
@@ -35,6 +54,18 @@ _EPS = 2.0**-52
 
 #: Smallest honest absolute tolerance at working precision.
 EPS_FLOOR = 1e-14
+
+#: About the most terms one evaluation sums (see the module docstring).
+MAX_TERMS = 100_000
+
+#: log(2 pi)/2 to within 1.7e-16: 2 pi rounds by at most 2^-53 relative and
+#: log by at most 1 ulp; the halving is exact.
+_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
+
+#: Least rounding charge of a result: below the normal range half an ulp
+#: rounds to zero (ties to even), yet each rounding still costs up to half
+#: a spacing of 2^-1074.
+_SUBNORMAL_CHARGE = 4.0 * 2.0**-1074
 
 
 @dataclass(frozen=True)
@@ -95,7 +126,7 @@ def _kernel_sum(x: float, eps: float, kernel, coeffs, tail, trunc_scale: float,
     if x >= 64.0:
         # Push the tail further out so its midpoint carries little weight in
         # the rounding charge; matters only for the razor-thin margins.
-        m_tail = max(m_tail, min(16.0 * x, x + 1e5))
+        m_tail = max(m_tail, min(16.0 * x, x + MAX_TERMS))
     count = int(math.ceil(m_tail - x))
 
     head_charges = 0.0
@@ -125,7 +156,7 @@ def _kernel_sum(x: float, eps: float, kernel, coeffs, tail, trunc_scale: float,
             head_charges,
             (2.0 * _EPS + trunc_rel_bound(u_first)) * bulk_sum,
             4.0 * _EPS * abs(mid),
-            0.5 * math.ulp(value),
+            max(0.5 * math.ulp(value), _SUBNORMAL_CHARGE),
         ]
     )
     return ErrorBoundedValue(value, radius)
@@ -234,14 +265,34 @@ def _reduce_argument(y: float) -> tuple[float, int]:
 
 @functools.lru_cache(maxsize=None)
 def ref_digamma(x: float, eps: float = 1e-12) -> ErrorBoundedValue:
-    """psi(x) from the defining series, recurrence-shifted so the series
-    argument lies in (0, 1].
+    """psi(x) from at most ~MAX_TERMS terms.
 
-    psi(z0) = -gamma + sum_{k>=1} a/(k(k+a)) with a = z0 - 1, then
-    psi(x) = psi(z0) +/- the recurrence corrections.
+    Up to x = MAX_TERMS: the defining series, recurrence-shifted so its
+    argument lies in (0, 1] (_digamma_recurrence).  Above it:
+    psi(x) = log x - ref_digamma_gap(x), charging the gap's radius, 1 ulp
+    of log x and half an ulp of the difference (_digamma_stirling).
     """
     x = _check_domain(x)
     eps = _check_eps(eps)
+    if x > MAX_TERMS:
+        out = _digamma_stirling(x, eps)
+    else:
+        out = _digamma_recurrence(x, eps)
+    _ensure(out.error_radius, eps, f"ref_digamma({x!r})")
+    return out
+
+
+def _digamma_stirling(x: float, eps: float) -> ErrorBoundedValue:
+    gap = ref_digamma_gap(x, eps)
+    log_x = math.log(x)
+    value = log_x - gap.value
+    radius = math.fsum([gap.error_radius, math.ulp(log_x), 0.5 * math.ulp(value)])
+    return ErrorBoundedValue(value, radius)
+
+
+def _digamma_recurrence(x: float, eps: float) -> ErrorBoundedValue:
+    # psi(z0) = -gamma + sum_{k>=1} a/(k(k+a)) with a = z0 - 1, then
+    # psi(x) = psi(z0) +/- the recurrence corrections.
     z0, m = _reduce_argument(x)
     a = z0 - 1.0
 
@@ -272,9 +323,7 @@ def ref_digamma(x: float, eps: float = 1e-12) -> ErrorBoundedValue:
 
     value = math.fsum(parts)
     charges.append(0.5 * math.ulp(value))
-    radius = math.fsum(charges)
-    _ensure(radius, eps, f"ref_digamma({x!r})")
-    return ErrorBoundedValue(value, radius)
+    return ErrorBoundedValue(value, math.fsum(charges))
 
 
 @functools.lru_cache(maxsize=None)
@@ -307,13 +356,64 @@ def ref_trigamma(x: float, eps: float = 1e-12) -> ErrorBoundedValue:
 
 @functools.lru_cache(maxsize=None)
 def ref_log_gamma(x: float, eps: float = 1e-12) -> ErrorBoundedValue:
-    """log Gamma(x) from the product-form series plus recurrence shifts.
+    """log Gamma(x) from at most ~MAX_TERMS terms.
 
-    log Gamma(1+a) = -gamma a + sum_{k>=1} [a/k - log(1+a/k)] for the reduced
-    a in (0, 1]; shifting back multiplies in the exactly-summed log terms.
+    Up to x = MAX_TERMS: the product-form series plus recurrence shifts
+    (_log_gamma_recurrence).  Above it, Stirling's formula with Binet's
+    remainder (DLMF 5.11.1): ref_binet_mu(x) + (x - 1/2) log x - x
+    + log(2 pi)/2, summed with fsum, charging mu's radius, 1 ulp of log x
+    scaled by x - 1/2, the rounding of x - 1/2 (none below 2^52) and of the
+    product, 1.7e-16 for log(2 pi)/2 and half an ulp of the value
+    (_log_gamma_stirling).
+
+    Refused before any sum: mu > 0, so the value exceeds its Stirling part
+    s, and the radius, which charges half an ulp of the value, cannot be
+    below half an ulp of s.  Where that exceeds eps the full evaluation
+    would refuse too.  Above MAX_TERMS the charges that need no sum are
+    also checked before mu is summed.  Where (x - 1/2) log x overflows,
+    DomainError.
     """
     x = _check_domain(x)
     eps = _check_eps(eps)
+    stirling = (x - 0.5) * math.log(x) - x + _HALF_LOG_TWO_PI
+    if not math.isfinite(stirling):
+        raise DomainError(f"ref_log_gamma({x!r}): (x - 1/2) log x overflows binary64")
+    if stirling > 0.0:
+        # Where this can fire (eps >= EPS_FLOOR, so s >= 128 and x > 45)
+        # s is within 2^-50 relative of the exact part, so 2^-48 below it
+        # bounds the true value from below.  A computed value under that
+        # bound would be more than eps from the truth, so no rigorous radius
+        # could be within eps either.
+        _ensure(0.5 * math.ulp(stirling * (1.0 - 2.0**-48)), eps,
+                f"ref_log_gamma({x!r})")
+    if x > MAX_TERMS:
+        out = _log_gamma_stirling(x, eps)
+    else:
+        out = _log_gamma_recurrence(x, eps)
+    _ensure(out.error_radius, eps, f"ref_log_gamma({x!r})")
+    return out
+
+
+def _log_gamma_stirling(x: float, eps: float) -> ErrorBoundedValue:
+    h, log_x = x - 0.5, math.log(x)
+    product = h * log_x
+    charges = [
+        abs(x - h - 0.5) * log_x,   # x - h is exact, so this is h's rounding
+        h * math.ulp(log_x),
+        0.5 * math.ulp(product),
+        1.7e-16,                    # _HALF_LOG_TWO_PI
+    ]
+    _ensure(math.fsum(charges), eps, f"ref_log_gamma({x!r})")
+    mu = ref_binet_mu(x, eps)
+    value = math.fsum([mu.value, product, -x, _HALF_LOG_TWO_PI])
+    charges.extend([mu.error_radius, 0.5 * math.ulp(value)])
+    return ErrorBoundedValue(value, math.fsum(charges))
+
+
+def _log_gamma_recurrence(x: float, eps: float) -> ErrorBoundedValue:
+    # log Gamma(1+a) = -gamma a + sum_{k>=1} [a/k - log(1+a/k)] for the
+    # reduced a in (0, 1]; shifting back multiplies in the exactly-summed
+    # log terms.
     z0, m = _reduce_argument(x)
     a = z0 - 1.0
 
@@ -351,9 +451,7 @@ def ref_log_gamma(x: float, eps: float = 1e-12) -> ErrorBoundedValue:
 
     value = math.fsum(parts)
     charges.append(0.5 * math.ulp(value))
-    radius = math.fsum(charges)
-    _ensure(radius, eps, f"ref_log_gamma({x!r})")
-    return ErrorBoundedValue(value, radius)
+    return ErrorBoundedValue(value, math.fsum(charges))
 
 
 def clear_caches() -> None:

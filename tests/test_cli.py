@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from psibounds import bounds, cli
+from psibounds.errors import DomainError
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -30,6 +31,17 @@ def test_eval_gamma_factorial(capsys):
     code, out, _ = run(capsys, "eval", "gamma", "5")
     assert code == 0
     assert out.split("±")[0].strip() == "24"
+
+
+def test_eval_gamma_overflow_names_log_gamma(capsys):
+    # Gamma(200) ~ 4e372 passes the largest double; log Gamma(200) does not.
+    code, out, err = run(capsys, "eval", "gamma", "200")
+    assert code == 2 and out == ""
+    assert "eval log_gamma" in err
+    with pytest.raises(DomainError, match="eval log_gamma"):
+        bounds.FUNCTIONS["gamma"](200.0)
+    code, out, _ = run(capsys, "eval", "log_gamma", "200")
+    assert code == 0 and out.startswith("857.93366982")
 
 
 def test_eval_domain_error_exit_2(capsys):

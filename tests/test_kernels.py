@@ -122,3 +122,23 @@ def test_w_integral_matches_quadrature():
                        + 4 * sum(ws[1:-1:2]) + 2 * sum(ws[2:-1:2]))
     total = simpson + kernels.kernel_w_integral(upper)
     assert kernels.kernel_w_integral(t) == pytest.approx(total, rel=1e-9)
+
+
+def test_derivative_forms_past_huge_y():
+    # The product forms overflow (or, for kernel_w_d1, cancel to log1p(u))
+    # from ~7.5e51; past HUGE_Y the leading term in u = 1/y takes over.
+    mpmath = pytest.importorskip("mpmath")
+    exact = {
+        kernels.kernel_r_d1: lambda y: -1 / (y * y * (y + 1)),
+        kernels.kernel_r_d3: lambda y: -2 * (6 * y * y + 8 * y + 3) / (y**4 * (y + 1) ** 3),
+        kernels.kernel_w_d1: lambda y: mpmath.log1p(1 / y) - (y + mpmath.mpf(1) / 2) / (y * (y + 1)),
+        kernels.kernel_w_d3: lambda y: -(2 * y + 1) / (y * (y + 1)) ** 3,
+    }
+    for fn, ref in exact.items():
+        for y in (2 * kernels.HUGE_Y, 1e52, 1e55, 1e80, 1e155, 1e200, 1.7976931348623157e308):
+            # kernel_w_d1's exact form cancels 2 log10(y) digits.
+            with mpmath.workdps(40 + 2 * math.ceil(math.log10(y))):
+                truth = ref(mpmath.mpf(y))
+            value = fn(y)
+            assert value <= 0.0
+            assert abs(value - truth) <= 1e-15 * abs(truth) + 2.0**-1074, (fn.__name__, y)

@@ -1,5 +1,7 @@
 import math
+import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -180,3 +182,95 @@ def test_determinism_and_cache_transparency():
     oracle.clear_caches()
     b = oracle.ref_digamma_gap(17.5, 1e-12)
     assert a == b
+
+
+# -- bounded cost above MAX_TERMS ---------------------------------------------
+
+def mp_reference(fn, x):
+    """An mpmath value at 60 + 2 log10(x) digits: the digamma gap and mu are
+    small differences of large terms at large x."""
+    with mpmath.workdps(60 + 2 * max(0, math.ceil(math.log10(x)))):
+        return fn(mpmath.mpf(x))
+
+
+def encloses(r, ref):
+    return math.isfinite(r.value) and abs(mpmath.mpf(r.value) - ref) <= r.error_radius
+
+
+def test_large_x_is_routed_and_fast():
+    # The recurrences would take ~1e8 terms (and O(x) memory) here.
+    x = 1e8
+    oracle.clear_caches()
+    t0 = time.perf_counter()
+    psi = oracle.ref_digamma(x)
+    lg = oracle.ref_log_gamma(x, 1e-3)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 1.0
+    assert encloses(psi, mp_reference(mpmath.digamma, x))
+    assert encloses(lg, mp_reference(mpmath.loggamma, x))
+
+
+def test_log_gamma_refusal_known_before_any_sum(monkeypatch):
+    # Half an ulp of log Gamma(1e6) ~ 1.3e7 is ~9e-10 > 1e-12: no sum may run.
+    def boom(*args, **kwargs):
+        raise AssertionError("summed before refusing")
+
+    oracle.clear_caches()
+    monkeypatch.setattr(oracle.np, "arange", boom)
+    monkeypatch.setattr(oracle.kernels, "_poly_eval", boom)
+    with pytest.raises(ToleranceError):
+        oracle.ref_log_gamma(1e6, 1e-12)
+
+
+@pytest.mark.parametrize("x", [math.nextafter(1e5, 0.0), 1e5, math.nextafter(1e5, math.inf)])
+def test_routed_and_recurrence_agree_at_the_switch(x):
+    pairs = [
+        (oracle._digamma_recurrence(x, 1e-12), oracle._digamma_stirling(x, 1e-12),
+         mp_reference(mpmath.digamma, x)),
+        (oracle._log_gamma_recurrence(x, 1e-6), oracle._log_gamma_stirling(x, 1e-6),
+         mp_reference(mpmath.loggamma, x)),
+    ]
+    for recurrence, routed, ref in pairs:
+        assert encloses(recurrence, ref) and encloses(routed, ref)
+        assert max(recurrence.lower, routed.lower) <= min(recurrence.upper, routed.upper)
+
+
+@pytest.mark.parametrize("eps", [1e-12, 1e-9, 1e-6])
+def test_early_log_gamma_refusal_only_where_the_full_sum_refuses(eps):
+    for x in np.logspace(np.log10(2.5), 5, 40):
+        x = float(x)
+        full = oracle._log_gamma_recurrence(x, eps)
+        try:
+            oracle.ref_log_gamma(x, eps)
+            refused = False
+        except ToleranceError:
+            refused = True
+        assert refused == (full.error_radius > eps), x
+
+
+HUGE_TARGETS = {
+    "ref_digamma_gap": lambda m: mpmath.log(m) - mpmath.digamma(m),
+    "ref_binet_mu": lambda m: (mpmath.loggamma(m) - (m - 0.5) * mpmath.log(m) + m
+                               - mpmath.log(2 * mpmath.pi) / 2),
+    "ref_digamma": mpmath.digamma,
+    "ref_log_gamma": mpmath.loggamma,
+}
+
+
+@pytest.mark.parametrize("name", sorted(HUGE_TARGETS))
+def test_huge_x_encloses_or_refuses(name):
+    # Up to the largest double, including the subnormal results of the gap
+    # and mu past ~1e306: a true enclosure or a documented refusal.
+    xs = [float(v) for v in np.logspace(5, 308, 60)]
+    xs += [1e55, 1e80, 1e200, 1e300, 3e307, 1e308, 1.7976931348623157e308]
+    returned = 0
+    for x in xs:
+        for eps in (1e-12, 1e-3):
+            oracle.clear_caches()
+            try:
+                r = getattr(oracle, name)(x, eps)
+            except (ToleranceError, DomainError):
+                continue
+            returned += 1
+            assert encloses(r, mp_reference(HUGE_TARGETS[name], x)), (x, eps, r)
+    assert returned > 0
