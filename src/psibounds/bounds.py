@@ -22,7 +22,7 @@ from typing import Callable
 
 from . import kernels, specfun
 from .errors import DomainError
-from .kernels import _check_domain
+from .kernels import _check_domain, _check_nonnegative
 
 
 class BoundFamily(enum.Enum):
@@ -314,9 +314,7 @@ def aux_f(u: float) -> float:
 
 def aux_h(t: float) -> float:
     """h(t) = t - log(1+t) for t >= 0."""
-    t = float(t)
-    if t < 0.0 or math.isnan(t) or math.isinf(t):
-        raise DomainError(f"t must be a finite real >= 0, got {t!r}")
+    t = _check_nonnegative(t)
     if t == 0.0:
         return 0.0
     return kernels.u_minus_log1p(t)
@@ -324,9 +322,7 @@ def aux_h(t: float) -> float:
 
 def aux_theta(t: float) -> float:
     """theta(t) = h(t) - t^2 / (2 (t+1)^(2/3)): equals 0 at 0, negative after."""
-    t = float(t)
-    if t < 0.0 or math.isnan(t) or math.isinf(t):
-        raise DomainError(f"t must be a finite real >= 0, got {t!r}")
+    t = _check_nonnegative(t)
     if t == 0.0:
         return 0.0
     return aux_h(t) - t * t / (2.0 * (t + 1.0) ** (2.0 / 3.0))
@@ -364,9 +360,7 @@ def aux_p(x: float) -> float:
     p' = -x^2/((x+1)(2x+3)^2) < 0; statements of the opposite sign circulate
     but contradict that monotonicity.
     """
-    x = float(x)
-    if x < 0.0 or math.isnan(x) or math.isinf(x):
-        raise DomainError(f"x must be a finite real >= 0, got {x!r}")
+    x = _check_nonnegative(x, "x")
     if x == 0.0:
         return 0.0
     return math.log1p(x) - (x * x + 6.0 * x) / (4.0 * x + 6.0)

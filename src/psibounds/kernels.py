@@ -40,6 +40,14 @@ def _check_domain(x: float, name: str = "x") -> float:
     return x
 
 
+def _check_nonnegative(t: float, name: str = "t") -> float:
+    # _check_domain with 0 allowed (auxiliaries defined at the origin).
+    t = float(t)
+    if not 0.0 <= t <= 1.7976931348623157e308:
+        raise DomainError(f"{name} must be a finite real >= 0, got {t!r}")
+    return t
+
+
 def _poly_eval(u, coeffs, lead_power: int):
     # Horner in u, result multiplied by u**lead_power at the end; u may be a
     # float or a numpy array (the oracle sums whole blocks of terms at once).

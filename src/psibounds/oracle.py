@@ -1,9 +1,9 @@
 """Slow, rigorous reference evaluations with explicit absolute-error radii.
 
 The oracle is deliberately independent of every library special-function
-implementation: it only sums the defining series (with recurrence shifts)
-and encloses their tails via :mod:`psibounds.tails`.  Each result carries an
-``error_radius`` that accounts for
+implementation: it only sums the defining series and encloses their tails
+via :mod:`psibounds.tails`.  Each result carries an ``error_radius`` that
+accounts for
 
   * the truncation enclosure (half the tail-bracket width),
   * per-term floating-point evaluation, charged at a calibrated 2 ulps of
@@ -18,24 +18,36 @@ Requests below ``EPS_FLOOR`` fail loudly instead of returning an optimistic
 radius, as do requests that the argument's own representation cannot honour
 (e.g. an absolute 1e-12 on trigamma near 0, where the value is ~1e6).
 
-Cost is bounded, not linear in x: one evaluation sums at most about
-``MAX_TERMS`` (1e5) terms.  The gap and mu series push their tails out to
-min(16x, x + MAX_TERMS); past 2^53 that sum rounds, so the count is
-MAX_TERMS within ulp(x)/2: at most 131072 (x in [2^68, 2^70)), and none from
-2^70, where the tail enclosure starts at x itself.  Above x = MAX_TERMS,
-ref_digamma and ref_log_gamma leave their ~x-term recurrences for closed
-forms around those two series (DLMF 5.11.1):
+psi and log Gamma come from two kernel sums over x + j, the digamma gap
+and Binet's mu (DLMF 5.11.1):
 
-  * psi(x) = log x - gap(x), charging the gap's radius, 1 ulp of log x and
-    half an ulp of the difference;
-  * log Gamma(x) = mu(x) + (x - 1/2) log x - x + log(2 pi)/2, summed with
-    fsum, charging mu's radius, (x - 1/2) ulps of log x, the roundings of
-    x - 1/2 and of the product, 1.7e-16 for log(2 pi)/2 and half an ulp of
-    the value.
+  * psi(x) = log x - gap(x) at every x, charging the gap's radius, 1 ulp of
+    log x and half an ulp of the difference;
+  * log Gamma(x) = mu(x) + (x - 1/2) log x - x + log(2 pi)/2 for x > 2,
+    summed with fsum, charging mu's radius, (x - 1/2) ulps of log x, the
+    roundings of x - 1/2 and of the product, 1.7e-16 for log(2 pi)/2 and
+    half an ulp of the value.  On (0, 2] that form cancels near the zeros
+    at 1 and 2, so log Gamma sums its product-form series at 1 + a there.
 
-Refusals known from the value's magnitude are decided before any sum:
-ref_log_gamma's value exceeds its Stirling part (mu > 0), so where half an
-ulp of that part exceeds eps the full evaluation would refuse as well.
+A kernel sum is asked for a half-width ``target``: a quarter ulp of ~1/(2x)
+(within [1e-26, eps/4]) for the gap and mu themselves; eps/8 for psi and an
+eighth of what the closed-form charges leave of eps for log Gamma, each
+floored at that quarter ulp.  Its tail starts where both the enclosure
+width (~ scale / m^5) and the 4-ulp charge on the tail midpoint (~ 1/(2m))
+fit within the target:
+m >= max(x + 16, 64, (scale/target)^0.2, min(2^-51/target, x + MAX_TERMS)).
+
+Cost is bounded, not linear in x: no sum has more than about ``MAX_TERMS``
+(1e5) terms, and psi's at most ~420.  For the quarter-ulp target the
+midpoint term is 16x (to within its rounding) below x ~ 2.8e9; from
+x ~ 4.45e10 it falls below x, so the tail starts at x + 16, rounded, and
+past 2^53 at most 16 bulk terms sit at abscissas that round together.
+
+Refusals known from the value's magnitude are decided before any sum: the
+radius charges half an ulp of the value, so where the value is known to
+exceed some v with half an ulp of v above eps, no sum could help.  The gap
+exceeds 1/(2x) (which overflows for subnormal x), trigamma 1/x^2 and
+log Gamma its Stirling part (mu > 0).
 """
 
 from __future__ import annotations
@@ -109,24 +121,31 @@ def _ensure(radius: float, eps: float, what: str) -> None:
         )
 
 
-def _kernel_sum(x: float, eps: float, kernel, coeffs, tail, trunc_scale: float,
+def _ensure_above(floor: float, eps: float, what: str) -> None:
+    # Refusal before any sum for a value known to exceed ``floor``, which is
+    # computed within a few ulps (hence the 2^-48 slack); ulp(inf) = inf.
+    _ensure(0.5 * math.ulp(floor * (1.0 - 2.0**-48)), eps, what)
+
+
+def _target(x: float, eps: float) -> float:
+    # A quarter ulp of the gap's magnitude (~1/(2x)), capped at eps/4: no
+    # sum needs to be tighter than the value it feeds.
+    magnitude = max(0.5 / x, 1e-10)
+    return max(min(eps / 4.0, 0.25 * _EPS * magnitude), 1e-26)
+
+
+def _kernel_sum(x: float, target: float, kernel, coeffs, tail, trunc_scale: float,
                 trunc_rel_bound) -> ErrorBoundedValue:
-    """Sum kernel(x + j) for j >= 0 with a rigorous radius.
+    """Sum kernel(x + j) for j >= 0 to about half-width ``target``.
 
     ``kernel``/``coeffs``/``tail`` select the scalar term, the coefficients
     of its u^2-led series in u = 1/y (summed as one array for y >= 16) and
     the tail enclosure; ``trunc_scale`` is the constant in the
-    enclosure-width law width ~ trunc_scale / M^5.
+    enclosure-width law width ~ trunc_scale / M^5, which with the midpoint
+    charge sets the tail start (see the module docstring).
     """
-    # Half-width target: a quarter ulp of the expected magnitude, floored by
-    # the caller's eps budget.
-    magnitude = max(0.5 / x, 1e-10)
-    target = max(min(eps / 4.0, 0.25 * _EPS * magnitude), 1e-26)
-    m_tail = max(x + 16.0, 64.0, (trunc_scale / target) ** 0.2)
-    if x >= 64.0:
-        # Push the tail further out so its midpoint carries little weight in
-        # the rounding charge; matters only for the razor-thin margins.
-        m_tail = max(m_tail, min(16.0 * x, x + MAX_TERMS))
+    m_tail = max(x + 16.0, 64.0, (trunc_scale / target) ** 0.2,
+                 min(2.0 * _EPS / target, x + MAX_TERMS))
     count = int(math.ceil(m_tail - x))
 
     head_charges = 0.0
@@ -172,6 +191,18 @@ def _w_trunc_rel(u: float) -> float:
     return (12.0 / (2.0 * 13.0 * 14.0)) * 12.0 * u**11
 
 
+def _gap_sum(x: float, eps: float, target: float, what: str) -> ErrorBoundedValue:
+    # sum_j kernel_r(x + j) = log x - psi(x) > 1/(2x).
+    _ensure_above(0.5 / x, eps, what)
+    return _kernel_sum(x, target, kernels.kernel_r, kernels._R_COEFFS, tails.gap_tail,
+                       1.0 / 60.0, _r_trunc_rel)
+
+
+def _mu_sum(x: float, target: float) -> ErrorBoundedValue:
+    return _kernel_sum(x, target, kernels.kernel_w, kernels._W_COEFFS, tails.mu_tail,
+                       1.0 / 360.0, _w_trunc_rel)
+
+
 @functools.lru_cache(maxsize=None)
 def ref_digamma_gap(x: float, eps: float = 1e-12) -> ErrorBoundedValue:
     """log(x) - psi(x) as a directly summed positive series.
@@ -181,9 +212,9 @@ def ref_digamma_gap(x: float, eps: float = 1e-12) -> ErrorBoundedValue:
     """
     x = _check_domain(x)
     eps = _check_eps(eps)
-    out = _kernel_sum(x, eps, kernels.kernel_r, kernels._R_COEFFS, tails.gap_tail,
-                      1.0 / 60.0, _r_trunc_rel)
-    _ensure(out.error_radius, eps, f"ref_digamma_gap({x!r})")
+    what = f"ref_digamma_gap({x!r})"
+    out = _gap_sum(x, eps, _target(x, eps), what)
+    _ensure(out.error_radius, eps, what)
     return out
 
 
@@ -192,8 +223,7 @@ def ref_binet_mu(x: float, eps: float = 1e-12) -> ErrorBoundedValue:
     """log of the Stirling ratio Gamma(x)/(sqrt(2 pi) x^(x-1/2) e^-x)."""
     x = _check_domain(x)
     eps = _check_eps(eps)
-    out = _kernel_sum(x, eps, kernels.kernel_w, kernels._W_COEFFS, tails.mu_tail,
-                      1.0 / 360.0, _w_trunc_rel)
+    out = _mu_sum(x, _target(x, eps))
     _ensure(out.error_radius, eps, f"ref_binet_mu({x!r})")
     return out
 
@@ -215,12 +245,6 @@ def ref_stirling_target(x: float, eps: float = 1e-12) -> ErrorBoundedValue:
 
 
 @functools.lru_cache(maxsize=1)
-def _gamma_constant() -> ErrorBoundedValue:
-    # gamma = sum_{k>=1} [1/k - log(1+1/k)], i.e. the gap series at x = 1.
-    return ref_digamma_gap(1.0, 1e-12)
-
-
-@functools.lru_cache(maxsize=1)
 def _gamma_harmonic_accelerated() -> tuple[float, float]:
     # H_n - log sqrt(n(n+1)) approaches the constant from above like 1/(6n^2);
     # returns (estimate, rigorous-ish error allowance).
@@ -236,9 +260,7 @@ def ref_euler_gamma(eps: float = 1e-12) -> ErrorBoundedValue:
     Derived from the digamma oracle at 1 (psi(1) = -gamma) and cross-checked
     against the accelerated harmonic-minus-log limit.
     """
-    eps = float(eps)
-    if not eps > 0.0:
-        raise DomainError(f"eps must be positive, got {eps!r}")
+    eps = _check_eps(eps)
     if eps < 1e-12:
         raise ToleranceError(f"eps={eps!r} below the 1e-12 floor for the constant")
     psi1 = ref_digamma(1.0, eps)
@@ -251,79 +273,22 @@ def ref_euler_gamma(eps: float = 1e-12) -> ErrorBoundedValue:
     return ErrorBoundedValue(value, radius)
 
 
-def _reduce_argument(y: float) -> tuple[float, int]:
-    """Split y > 0 into z0 + m with z0 in (1, 2] and integer m >= -1."""
-    if y <= 1.0:
-        return y + 1.0, -1
-    m = max(0, int(math.ceil(y - 2.0)))
-    z0 = y - m
-    if z0 > 2.0:  # guards ceil edge cases from float dust
-        m += 1
-        z0 = y - m
-    return z0, m
-
-
 @functools.lru_cache(maxsize=None)
 def ref_digamma(x: float, eps: float = 1e-12) -> ErrorBoundedValue:
-    """psi(x) from at most ~MAX_TERMS terms.
+    """psi(x) = log x - gap(x) at every x (DLMF 5.11.1).
 
-    Up to x = MAX_TERMS: the defining series, recurrence-shifted so its
-    argument lies in (0, 1] (_digamma_recurrence).  Above it:
-    psi(x) = log x - ref_digamma_gap(x), charging the gap's radius, 1 ulp
-    of log x and half an ulp of the difference (_digamma_stirling).
+    The gap is summed to half-width max(eps/8, its quarter-ulp target), not
+    through the cached ref_digamma_gap, which always sums to a quarter ulp.
     """
     x = _check_domain(x)
     eps = _check_eps(eps)
-    if x > MAX_TERMS:
-        out = _digamma_stirling(x, eps)
-    else:
-        out = _digamma_recurrence(x, eps)
-    _ensure(out.error_radius, eps, f"ref_digamma({x!r})")
-    return out
-
-
-def _digamma_stirling(x: float, eps: float) -> ErrorBoundedValue:
-    gap = ref_digamma_gap(x, eps)
+    what = f"ref_digamma({x!r})"
+    gap = _gap_sum(x, eps, max(eps / 8.0, _target(x, eps)), what)
     log_x = math.log(x)
     value = log_x - gap.value
     radius = math.fsum([gap.error_radius, math.ulp(log_x), 0.5 * math.ulp(value)])
+    _ensure(radius, eps, what)
     return ErrorBoundedValue(value, radius)
-
-
-def _digamma_recurrence(x: float, eps: float) -> ErrorBoundedValue:
-    # psi(z0) = -gamma + sum_{k>=1} a/(k(k+a)) with a = z0 - 1, then
-    # psi(x) = psi(z0) +/- the recurrence corrections.
-    z0, m = _reduce_argument(x)
-    a = z0 - 1.0
-
-    gam = _gamma_constant()
-    parts = [-gam.value]
-    charges = [gam.error_radius]
-
-    if a > 0.0:
-        target = max(eps / 4.0, 1e-18)
-        k_tail = max(64, int(math.ceil((4.0 * a / (30.0 * target)) ** 0.2)))
-        k = np.arange(1.0, k_tail)
-        terms = a / (k * (k + a))
-        parts.extend(terms.tolist())
-        charges.append(2.0 * _EPS * float(terms.sum()))
-        tail_lo, tail_hi = tails.digamma_series_tail(float(k_tail), a)
-        mid = 0.5 * (tail_lo + tail_hi)
-        parts.append(mid)
-        charges.extend([0.5 * (tail_hi - tail_lo), 4.0 * _EPS * mid])
-
-    if m == -1:
-        recurrence = -1.0 / x
-        parts.append(recurrence)
-        charges.append(_EPS * abs(recurrence))
-    elif m > 0:
-        rec = 1.0 / (z0 + np.arange(0.0, m))
-        parts.extend(rec.tolist())
-        charges.append(_EPS * float(rec.sum()))
-
-    value = math.fsum(parts)
-    charges.append(0.5 * math.ulp(value))
-    return ErrorBoundedValue(value, math.fsum(charges))
 
 
 @functools.lru_cache(maxsize=None)
@@ -331,10 +296,12 @@ def ref_trigamma(x: float, eps: float = 1e-12) -> ErrorBoundedValue:
     """psi'(x) = sum_{k>=0} 1/(x+k)^2 with an integral-test tail enclosure.
 
     The enclosure sits inside the classical bracket
-    1/(x+K+1) < sum_{k>K} 1/(x+k)^2 < 1/(x+K).
+    1/(x+K+1) < sum_{k>K} 1/(x+k)^2 < 1/(x+K).  Refused before any sum where
+    half an ulp of 1/x^2 < psi'(x) exceeds eps.
     """
     x = _check_domain(x)
     eps = _check_eps(eps)
+    _ensure_above(1.0 / x / x, eps, f"ref_trigamma({x!r})")
     target = max(eps / 4.0, 1e-18)
     m_tail = max(x + 8.0, 64.0, (4.0 / (30.0 * target)) ** 0.2)
     count = int(math.ceil(m_tail - x))
@@ -356,71 +323,57 @@ def ref_trigamma(x: float, eps: float = 1e-12) -> ErrorBoundedValue:
 
 @functools.lru_cache(maxsize=None)
 def ref_log_gamma(x: float, eps: float = 1e-12) -> ErrorBoundedValue:
-    """log Gamma(x) from at most ~MAX_TERMS terms.
+    """log Gamma(x): a series on (0, 2], Stirling's formula above 2.
 
-    Up to x = MAX_TERMS: the product-form series plus recurrence shifts
-    (_log_gamma_recurrence).  Above it, Stirling's formula with Binet's
-    remainder (DLMF 5.11.1): ref_binet_mu(x) + (x - 1/2) log x - x
-    + log(2 pi)/2, summed with fsum, charging mu's radius, 1 ulp of log x
-    scaled by x - 1/2, the rounding of x - 1/2 (none below 2^52) and of the
-    product, 1.7e-16 for log(2 pi)/2 and half an ulp of the value
-    (_log_gamma_stirling).
-
-    Refused before any sum: mu > 0, so the value exceeds its Stirling part
-    s, and the radius, which charges half an ulp of the value, cannot be
-    below half an ulp of s.  Where that exceeds eps the full evaluation
-    would refuse too.  Above MAX_TERMS the charges that need no sum are
-    also checked before mu is summed.  Where (x - 1/2) log x overflows,
-    DomainError.
+    On (0, 2], the product-form series at 1 + a, a in (0, 1], less log x
+    for x <= 1.  Above 2, mu(x) + (x - 1/2) log x - x + log(2 pi)/2, with mu
+    summed to an eighth of what the closed-form charges leave of eps.
+    Refused before any sum where half an ulp of the Stirling part (mu > 0)
+    or the closed-form charges exceed eps; DomainError where
+    (x - 1/2) log x overflows.
     """
     x = _check_domain(x)
     eps = _check_eps(eps)
-    stirling = (x - 0.5) * math.log(x) - x + _HALF_LOG_TWO_PI
-    if not math.isfinite(stirling):
-        raise DomainError(f"ref_log_gamma({x!r}): (x - 1/2) log x overflows binary64")
-    if stirling > 0.0:
-        # Where this can fire (eps >= EPS_FLOOR, so s >= 128 and x > 45)
-        # s is within 2^-50 relative of the exact part, so 2^-48 below it
-        # bounds the true value from below.  A computed value under that
-        # bound would be more than eps from the truth, so no rigorous radius
-        # could be within eps either.
-        _ensure(0.5 * math.ulp(stirling * (1.0 - 2.0**-48)), eps,
-                f"ref_log_gamma({x!r})")
-    if x > MAX_TERMS:
-        out = _log_gamma_stirling(x, eps)
-    else:
-        out = _log_gamma_recurrence(x, eps)
-    _ensure(out.error_radius, eps, f"ref_log_gamma({x!r})")
+    what = f"ref_log_gamma({x!r})"
+    out = _log_gamma_series(x, eps) if x <= 2.0 else _log_gamma_stirling(x, eps, what)
+    _ensure(out.error_radius, eps, what)
     return out
 
 
-def _log_gamma_stirling(x: float, eps: float) -> ErrorBoundedValue:
+def _log_gamma_stirling(x: float, eps: float, what: str) -> ErrorBoundedValue:
     h, log_x = x - 0.5, math.log(x)
     product = h * log_x
+    stirling = product - x + _HALF_LOG_TWO_PI
+    if not math.isfinite(stirling):
+        raise DomainError(f"{what}: (x - 1/2) log x overflows binary64")
+    # Where this can fire (eps >= EPS_FLOOR, so s >= 128 and x > 45), s is
+    # within 2^-50 relative of the exact part.
+    _ensure_above(stirling, eps, what)
     charges = [
         abs(x - h - 0.5) * log_x,   # x - h is exact, so this is h's rounding
         h * math.ulp(log_x),
         0.5 * math.ulp(product),
         1.7e-16,                    # _HALF_LOG_TWO_PI
     ]
-    _ensure(math.fsum(charges), eps, f"ref_log_gamma({x!r})")
-    mu = ref_binet_mu(x, eps)
+    closed_form = math.fsum(charges)
+    _ensure(closed_form, eps, what)
+    mu = _mu_sum(x, max((eps - closed_form) / 8.0, _target(x, eps)))
     value = math.fsum([mu.value, product, -x, _HALF_LOG_TWO_PI])
     charges.extend([mu.error_radius, 0.5 * math.ulp(value)])
     return ErrorBoundedValue(value, math.fsum(charges))
 
 
-def _log_gamma_recurrence(x: float, eps: float) -> ErrorBoundedValue:
-    # log Gamma(1+a) = -gamma a + sum_{k>=1} [a/k - log(1+a/k)] for the
-    # reduced a in (0, 1]; shifting back multiplies in the exactly-summed
-    # log terms.
-    z0, m = _reduce_argument(x)
+def _log_gamma_series(x: float, eps: float) -> ErrorBoundedValue:
+    # log Gamma(1+a) = -gamma a + sum_{k>=1} [a/k - log(1+a/k)] for
+    # a = z0 - 1 in (0, 1], with z0 = x + 1 for x <= 1 (then
+    # log Gamma(x) = log Gamma(x+1) - log x) and z0 = x on (1, 2].
+    z0 = x + 1.0 if x <= 1.0 else x
     a = z0 - 1.0
 
     parts: list[float] = []
     charges: list[float] = []
     if a > 0.0:
-        gam = _gamma_constant()
+        gam = ref_digamma_gap(1.0)   # the series at 1 sums to gamma
         parts.append(-gam.value * a)
         charges.append(gam.error_radius * a + 0.5 * math.ulp(gam.value * a))
         target = max(eps / 4.0, 1e-18)
@@ -440,14 +393,10 @@ def _log_gamma_recurrence(x: float, eps: float) -> ErrorBoundedValue:
         parts.append(mid)
         charges.extend([0.5 * (hi - lo), 4.0 * _EPS * mid])
 
-    if m == -1:
+    if x <= 1.0:
         log_x = math.log(x)
         parts.append(-log_x)
         charges.append(2.0 * _EPS * abs(log_x))
-    elif m > 0:
-        logs = np.log(z0 + np.arange(0.0, m))
-        parts.extend(logs.tolist())
-        charges.append(2.0 * _EPS * float(np.abs(logs).sum()))
 
     value = math.fsum(parts)
     charges.append(0.5 * math.ulp(value))

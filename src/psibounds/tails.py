@@ -15,8 +15,6 @@ integral-test bracket (I, I + f(m)), which the test suite asserts.
 
 from __future__ import annotations
 
-import math
-
 from . import kernels
 
 
@@ -54,15 +52,6 @@ def polygamma_tail(m: float, n: int) -> tuple[float, float]:
     f0 = m ** -(n + 1)
     d1 = -(n + 1) * m ** -(n + 2)
     d3 = -(n + 1) * (n + 2) * (n + 3) * m ** -(n + 4)
-    return _em2(integral, f0, d1, d3)
-
-
-def digamma_series_tail(m: float, a: float) -> tuple[float, float]:
-    """Enclosure of sum_{k>=m} a/(k(k+a)), the digamma-series remainder."""
-    integral = math.log1p(a / m)
-    f0 = a / (m * (m + a))
-    d1 = -a * (2.0 * m + a) / (m * (m + a)) ** 2
-    d3 = -6.0 * a * (4.0 * m**3 + 6.0 * m**2 * a + 4.0 * m * a**2 + a**3) / (m * (m + a)) ** 4
     return _em2(integral, f0, d1, d3)
 
 

@@ -262,6 +262,15 @@ def test_aux_signs_on_grid():
         assert bounds.aux_eval("theta", x) < 0.0
 
 
+@pytest.mark.parametrize("name", ["aux_h", "aux_theta", "aux_p"])
+def test_aux_nonnegative_domain(name):
+    fn = getattr(bounds, name)
+    assert fn(0.0) == 0.0
+    for bad in (-1e-300, -1.0, -math.inf, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            fn(bad)
+
+
 def test_aux_f_limit():
     assert bounds.aux_eval("f", 1e6) == pytest.approx(1.0 / 3.0, abs=1e-6)
 

@@ -184,7 +184,7 @@ def test_determinism_and_cache_transparency():
     assert a == b
 
 
-# -- bounded cost above MAX_TERMS ---------------------------------------------
+# -- bounded cost: psi and log Gamma through the gap and mu series -------------
 
 def mp_reference(fn, x):
     """An mpmath value at 60 + 2 log10(x) digits: the digamma gap and mu are
@@ -198,7 +198,7 @@ def encloses(r, ref):
 
 
 def test_large_x_is_routed_and_fast():
-    # The recurrences would take ~1e8 terms (and O(x) memory) here.
+    # A recurrence down to (0, 2] would take ~1e8 terms (and O(x) memory) here.
     x = 1e8
     oracle.clear_caches()
     t0 = time.perf_counter()
@@ -222,30 +222,59 @@ def test_log_gamma_refusal_known_before_any_sum(monkeypatch):
         oracle.ref_log_gamma(1e6, 1e-12)
 
 
-@pytest.mark.parametrize("x", [math.nextafter(1e5, 0.0), 1e5, math.nextafter(1e5, math.inf)])
-def test_routed_and_recurrence_agree_at_the_switch(x):
-    pairs = [
-        (oracle._digamma_recurrence(x, 1e-12), oracle._digamma_stirling(x, 1e-12),
-         mp_reference(mpmath.digamma, x)),
-        (oracle._log_gamma_recurrence(x, 1e-6), oracle._log_gamma_stirling(x, 1e-6),
-         mp_reference(mpmath.loggamma, x)),
-    ]
-    for recurrence, routed, ref in pairs:
-        assert encloses(recurrence, ref) and encloses(routed, ref)
-        assert max(recurrence.lower, routed.lower) <= min(recurrence.upper, routed.upper)
+@pytest.mark.parametrize("x", [math.nextafter(2.0, 0.0), 2.0, math.nextafter(2.0, math.inf)])
+def test_series_and_closed_form_agree_at_the_switch(x):
+    # log Gamma's series serves (0, 2], the closed form around mu above 2.
+    series = oracle._log_gamma_series(x, 1e-12)
+    closed = oracle._log_gamma_stirling(x, 1e-12, "closed form")
+    ref = mp_reference(mpmath.loggamma, x)
+    assert encloses(series, ref) and encloses(closed, ref)
+    assert max(series.lower, closed.lower) <= min(series.upper, closed.upper)
 
 
 @pytest.mark.parametrize("eps", [1e-12, 1e-9, 1e-6])
-def test_early_log_gamma_refusal_only_where_the_full_sum_refuses(eps):
+def test_early_log_gamma_refusal_only_where_the_full_sum_refuses(eps, monkeypatch):
     for x in np.logspace(np.log10(2.5), 5, 40):
         x = float(x)
-        full = oracle._log_gamma_recurrence(x, eps)
+        with monkeypatch.context() as m:
+            # The closed form evaluated in full: mu summed, no refusal.
+            m.setattr(oracle, "_ensure", lambda *args: None)
+            full = oracle._log_gamma_stirling(x, eps, "full")
+        oracle.clear_caches()
         try:
             oracle.ref_log_gamma(x, eps)
             refused = False
         except ToleranceError:
             refused = True
         assert refused == (full.error_radius > eps), x
+
+
+def test_no_bulk_terms_at_abscissas_that_round_together(monkeypatch):
+    # Past 2^53, x + j repeats a few doubles; at 1e19 the tail enclosure at
+    # x itself is already far below an ulp of the gap, so terms summed in
+    # bulk there would be wasted work.
+    lengths = []
+    arange = np.arange
+
+    def recording_arange(*args, **kwargs):
+        out = arange(*args, **kwargs)
+        lengths.append(len(out))
+        return out
+
+    oracle.clear_caches()
+    monkeypatch.setattr(oracle.np, "arange", recording_arange)
+    r = oracle.ref_digamma_gap(1e19)
+    assert sum(lengths) < 64
+    assert encloses(r, mp_reference(HUGE_TARGETS["ref_digamma_gap"], 1e19))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x", [1e-300, 1e-310, 5e-324])
+def test_trigamma_refuses_tiny_x_before_summing(x):
+    # psi'(x) > 1/x^2, whose half ulp exceeds eps long before 1/x^2
+    # overflows: ToleranceError, with no overflow warning from the sum.
+    with pytest.raises(ToleranceError):
+        oracle.ref_trigamma(x, 1e-3)
 
 
 HUGE_TARGETS = {
@@ -260,9 +289,11 @@ HUGE_TARGETS = {
 @pytest.mark.parametrize("name", sorted(HUGE_TARGETS))
 def test_huge_x_encloses_or_refuses(name):
     # Up to the largest double, including the subnormal results of the gap
-    # and mu past ~1e306: a true enclosure or a documented refusal.
+    # and mu past ~1e306, and at subnormal x: a true enclosure or a
+    # documented refusal.
     xs = [float(v) for v in np.logspace(5, 308, 60)]
     xs += [1e55, 1e80, 1e200, 1e300, 3e307, 1e308, 1.7976931348623157e308]
+    xs += [1e-310, 5e-324]  # subnormal x, where 1/x overflows
     returned = 0
     for x in xs:
         for eps in (1e-12, 1e-3):
