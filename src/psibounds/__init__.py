@@ -33,6 +33,7 @@ from .bounds import (
     tau,
 )
 from .errors import DomainError, ToleranceError, UndecidedComparisonError
+from .kernels import kernel_r, kernel_s
 from .oracle import (
     EPS_FLOOR,
     ErrorBoundedValue,
@@ -50,8 +51,6 @@ from .specfun import (
     LOG_TWO_PI,
     digamma,
     digamma_gap,
-    kernel_r,
-    kernel_s,
     log_gamma,
     polygamma,
     stirling_ratio,

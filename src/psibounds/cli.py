@@ -187,9 +187,9 @@ def cmd_constants(args) -> int:
          "error_radius": math.ulp(log_two_pi)},
     ]
     with _open_out(args) as stream:
-        if args.format == "json":
+        if args.format != "text":
             doc = {"schema_version": SCHEMA_VERSION, "command": "constants"}
-            _emit(doc, rows, "json", stream)
+            _emit(doc, rows, args.format, stream)
         else:
             # Shortest round-trip representation: --precision tunes how tightly
             # the constant is derived, not how many digits survive printing.

@@ -7,7 +7,7 @@ accounts for
 
   * the truncation enclosure (half the tail-bracket width),
   * per-term floating-point evaluation, charged at a calibrated 2 ulps of
-    the accumulated term magnitude (4 ulps for the tail midpoint), and
+    each term's rounding scale (4 ulps for the tail midpoint), and
   * the final exactly-rounded summation (``math.fsum``), half an ulp.
 
 The charges sit roughly 2x above the worst error observed against a
@@ -18,23 +18,28 @@ Requests below ``EPS_FLOOR`` fail loudly instead of returning an optimistic
 radius, as do requests that the argument's own representation cannot honour
 (e.g. an absolute 1e-12 on trigamma near 0, where the value is ~1e6).
 
-psi and log Gamma come from two kernel sums over x + j, the digamma gap
-and Binet's mu (DLMF 5.11.1):
+One routine sums every series over y = x + j: direct-formula terms below
+y = 16, charged at a per-series rounding scale, then the terms' series in
+u = a/y as one array, then a tail enclosure.  It serves four series:
 
-  * psi(x) = log x - gap(x) at every x, charging the gap's radius, 1 ulp of
-    log x and half an ulp of the difference;
-  * log Gamma(x) = mu(x) + (x - 1/2) log x - x + log(2 pi)/2 for x > 2,
-    summed with fsum, charging mu's radius, (x - 1/2) ulps of log x, the
-    roundings of x - 1/2 and of the product, 1.7e-16 for log(2 pi)/2 and
-    half an ulp of the value.  On (0, 2] that form cancels near the zeros
-    at 1 and 2, so log Gamma sums its product-form series at 1 + a there.
+  * the digamma gap, sum kernel_r(x + j) = log x - psi(x), and Binet's mu,
+    sum kernel_w(x + j) (DLMF 5.11.1); scale |term| + 1, for the log factor;
+  * psi'(x) = sum (x + j)^-2, whose series in u is u^2; scale |term|;
+  * log Gamma(1 + a) + gamma a = sum_k [a/k - log(1 + a/k)], the gap's
+    series at u = a/k; scale u.
+
+psi(x) = log x - gap(x) at every x, charging 1 ulp of log x on top of the
+gap.  Above 2, log Gamma(x) = mu(x) + (x - 1/2) log x - x + log(2 pi)/2,
+charging (x - 1/2) ulps of log x, the roundings of x - 1/2 and of the
+product and 1.7e-16 for log(2 pi)/2 on top of mu; on (0, 2] that form
+cancels near the zeros at 1 and 2, so the series at 1 + a serves there.
 
 A kernel sum is asked for a half-width ``target``: a quarter ulp of ~1/(2x)
 (within [1e-26, eps/4]) for the gap and mu themselves; eps/8 for psi and an
 eighth of what the closed-form charges leave of eps for log Gamma, each
-floored at that quarter ulp.  Its tail starts where both the enclosure
-width (~ scale / m^5) and the 4-ulp charge on the tail midpoint (~ 1/(2m))
-fit within the target:
+floored at that quarter ulp; eps/16 for psi' and the log Gamma series.  Its
+tail starts where both the enclosure width (~ scale / m^5) and the 4-ulp
+charge on the tail midpoint (~ 1/(2m)) fit within the target:
 m >= max(x + 16, 64, (scale/target)^0.2, min(2^-51/target, x + MAX_TERMS)).
 
 Cost is bounded, not linear in x: no sum has more than about ``MAX_TERMS``
@@ -135,14 +140,13 @@ def _target(x: float, eps: float) -> float:
 
 
 def _kernel_sum(x: float, target: float, kernel, coeffs, tail, trunc_scale: float,
-                trunc_rel_bound) -> ErrorBoundedValue:
-    """Sum kernel(x + j) for j >= 0 to about half-width ``target``.
+                trunc_rel_bound, head_scale, a: float = 1.0):
+    """Parts and charges of sum_j kernel(x + j) to about half-width ``target``.
 
-    ``kernel``/``coeffs``/``tail`` select the scalar term, the coefficients
-    of its u^2-led series in u = 1/y (summed as one array for y >= 16) and
-    the tail enclosure; ``trunc_scale`` is the constant in the
-    enclosure-width law width ~ trunc_scale / M^5, which with the midpoint
-    charge sets the tail start (see the module docstring).
+    Direct terms round at ``head_scale(term, u)``; ``coeffs`` are the
+    terms' u^2-led series in u = a/(x + j), truncated within
+    ``trunc_rel_bound(u)`` relative; ``tail`` encloses the tail, of width
+    ~ trunc_scale / M^5 (see the module docstring).  ``_close`` ends it.
     """
     m_tail = max(x + 16.0, 64.0, (trunc_scale / target) ** 0.2,
                  min(2.0 * _EPS / target, x + MAX_TERMS))
@@ -154,31 +158,28 @@ def _kernel_sum(x: float, target: float, kernel, coeffs, tail, trunc_scale: floa
     for j in range(n_head):
         term = kernel(x + j)
         parts.append(term)
-        # Direct-formula terms round at the scale of the term itself plus the
-        # O(1) log factor, not of the raw 1/y operand.
-        head_charges += 2.0 * _EPS * (abs(term) + 1.0)
+        head_charges += 2.0 * _EPS * head_scale(term, a / (x + j))
     bulk_sum = 0.0
     if count > n_head:
-        u = 1.0 / (x + np.arange(n_head, count, dtype=np.float64))
+        u = a / (x + np.arange(n_head, count, dtype=np.float64))
         arr = kernels._poly_eval(u, coeffs, 2)
         bulk_sum = float(np.abs(arr).sum())
         parts.extend(arr.tolist())
     lo, hi = tail(x + count)
     mid = 0.5 * (lo + hi)
     parts.append(mid)
-    value = math.fsum(parts)
+    u_first = a / max(x + n_head, 16.0)
+    return parts, [0.5 * (hi - lo), head_charges,
+                   (2.0 * _EPS + trunc_rel_bound(u_first)) * bulk_sum,
+                   4.0 * _EPS * abs(mid)]
 
-    u_first = 1.0 / max(x + n_head, 16.0)
-    radius = math.fsum(
-        [
-            0.5 * (hi - lo),
-            head_charges,
-            (2.0 * _EPS + trunc_rel_bound(u_first)) * bulk_sum,
-            4.0 * _EPS * abs(mid),
-            max(0.5 * math.ulp(value), _SUBNORMAL_CHARGE),
-        ]
-    )
-    return ErrorBoundedValue(value, radius)
+
+def _close(parts: list[float], charges: list[float]) -> ErrorBoundedValue:
+    # Every summed value ends here: one exactly rounded sum, charged half an
+    # ulp of itself on top of the charges of its parts.
+    value = math.fsum(parts)
+    charges = [*charges, max(0.5 * math.ulp(value), _SUBNORMAL_CHARGE)]
+    return ErrorBoundedValue(value, math.fsum(charges))
 
 
 def _r_trunc_rel(u: float) -> float:
@@ -191,16 +192,21 @@ def _w_trunc_rel(u: float) -> float:
     return (12.0 / (2.0 * 13.0 * 14.0)) * 12.0 * u**11
 
 
+def _plus_one(term: float, u: float) -> float:
+    # The gap and mu terms round with their O(1) log factor, not with 1/y.
+    return abs(term) + 1.0
+
+
 def _gap_sum(x: float, eps: float, target: float, what: str) -> ErrorBoundedValue:
     # sum_j kernel_r(x + j) = log x - psi(x) > 1/(2x).
     _ensure_above(0.5 / x, eps, what)
-    return _kernel_sum(x, target, kernels.kernel_r, kernels._R_COEFFS, tails.gap_tail,
-                       1.0 / 60.0, _r_trunc_rel)
+    return _close(*_kernel_sum(x, target, kernels.kernel_r, kernels._R_COEFFS,
+                               tails.gap_tail, 1.0 / 60.0, _r_trunc_rel, _plus_one))
 
 
 def _mu_sum(x: float, target: float) -> ErrorBoundedValue:
-    return _kernel_sum(x, target, kernels.kernel_w, kernels._W_COEFFS, tails.mu_tail,
-                       1.0 / 360.0, _w_trunc_rel)
+    return _close(*_kernel_sum(x, target, kernels.kernel_w, kernels._W_COEFFS,
+                               tails.mu_tail, 1.0 / 360.0, _w_trunc_rel, _plus_one))
 
 
 @functools.lru_cache(maxsize=None)
@@ -244,33 +250,13 @@ def ref_stirling_target(x: float, eps: float = 1e-12) -> ErrorBoundedValue:
     return ErrorBoundedValue(value, radius)
 
 
-@functools.lru_cache(maxsize=1)
-def _gamma_harmonic_accelerated() -> tuple[float, float]:
-    # H_n - log sqrt(n(n+1)) approaches the constant from above like 1/(6n^2);
-    # returns (estimate, rigorous-ish error allowance).
-    n = 20000
-    h = math.fsum(1.0 / k for k in range(1, n + 1))
-    est = h - 0.5 * (math.log(n) + math.log(n + 1))
-    return est, 1.0 / (3.0 * n * n) + 1e-12
-
-
 def ref_euler_gamma(eps: float = 1e-12) -> ErrorBoundedValue:
-    """The Euler-Mascheroni constant with an error radius.
-
-    Derived from the digamma oracle at 1 (psi(1) = -gamma) and cross-checked
-    against the accelerated harmonic-minus-log limit.
-    """
+    """The Euler-Mascheroni constant, -psi(1), with the digamma oracle's radius."""
     eps = _check_eps(eps)
     if eps < 1e-12:
         raise ToleranceError(f"eps={eps!r} below the 1e-12 floor for the constant")
     psi1 = ref_digamma(1.0, eps)
-    value, radius = -psi1.value, psi1.error_radius
-    accel, allowance = _gamma_harmonic_accelerated()
-    if abs(value - accel) > allowance + radius:
-        raise ArithmeticError(
-            f"gamma constant cross-check failed: {value!r} vs {accel!r}"
-        )
-    return ErrorBoundedValue(value, radius)
+    return ErrorBoundedValue(-psi1.value, psi1.error_radius)
 
 
 @functools.lru_cache(maxsize=None)
@@ -285,40 +271,27 @@ def ref_digamma(x: float, eps: float = 1e-12) -> ErrorBoundedValue:
     what = f"ref_digamma({x!r})"
     gap = _gap_sum(x, eps, max(eps / 8.0, _target(x, eps)), what)
     log_x = math.log(x)
-    value = log_x - gap.value
-    radius = math.fsum([gap.error_radius, math.ulp(log_x), 0.5 * math.ulp(value)])
-    _ensure(radius, eps, what)
-    return ErrorBoundedValue(value, radius)
+    out = _close([log_x, -gap.value], [gap.error_radius, math.ulp(log_x)])
+    _ensure(out.error_radius, eps, what)
+    return out
 
 
 @functools.lru_cache(maxsize=None)
 def ref_trigamma(x: float, eps: float = 1e-12) -> ErrorBoundedValue:
-    """psi'(x) = sum_{k>=0} 1/(x+k)^2 with an integral-test tail enclosure.
+    """psi'(x) = sum_{k>=0} 1/(x+k)^2, a kernel sum with u^2 as its series.
 
-    The enclosure sits inside the classical bracket
-    1/(x+K+1) < sum_{k>K} 1/(x+k)^2 < 1/(x+K).  Refused before any sum where
-    half an ulp of 1/x^2 < psi'(x) exceeds eps.
+    Summed to half-width eps/16; the tail enclosure sits inside the
+    classical bracket 1/(x+K+1) < sum_{k>K} 1/(x+k)^2 < 1/(x+K).  Refused
+    before any sum where half an ulp of 1/x^2 < psi'(x) exceeds eps.
     """
     x = _check_domain(x)
     eps = _check_eps(eps)
     _ensure_above(1.0 / x / x, eps, f"ref_trigamma({x!r})")
-    target = max(eps / 4.0, 1e-18)
-    m_tail = max(x + 8.0, 64.0, (4.0 / (30.0 * target)) ** 0.2)
-    count = int(math.ceil(m_tail - x))
-    terms = (x + np.arange(0.0, count)) ** -2.0
-    lo, hi = tails.polygamma_tail(x + count, 1)
-    mid = 0.5 * (lo + hi)
-    value = math.fsum(terms.tolist() + [mid])
-    radius = math.fsum(
-        [
-            0.5 * (hi - lo),
-            2.0 * _EPS * float(terms.sum()),
-            4.0 * _EPS * mid,
-            0.5 * math.ulp(value),
-        ]
-    )
-    _ensure(radius, eps, f"ref_trigamma({x!r})")
-    return ErrorBoundedValue(value, radius)
+    out = _close(*_kernel_sum(x, eps / 16.0, lambda y: y**-2.0, (1.0,),
+                              lambda y: tails.polygamma_tail(y, 1), 1.0 / 30.0,
+                              lambda u: 0.0, lambda term, u: term))
+    _ensure(out.error_radius, eps, f"ref_trigamma({x!r})")
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -358,9 +331,7 @@ def _log_gamma_stirling(x: float, eps: float, what: str) -> ErrorBoundedValue:
     closed_form = math.fsum(charges)
     _ensure(closed_form, eps, what)
     mu = _mu_sum(x, max((eps - closed_form) / 8.0, _target(x, eps)))
-    value = math.fsum([mu.value, product, -x, _HALF_LOG_TWO_PI])
-    charges.extend([mu.error_radius, 0.5 * math.ulp(value)])
-    return ErrorBoundedValue(value, math.fsum(charges))
+    return _close([mu.value, product, -x, _HALF_LOG_TWO_PI], [*charges, mu.error_radius])
 
 
 def _log_gamma_series(x: float, eps: float) -> ErrorBoundedValue:
@@ -369,38 +340,22 @@ def _log_gamma_series(x: float, eps: float) -> ErrorBoundedValue:
     # log Gamma(x) = log Gamma(x+1) - log x) and z0 = x on (1, 2].
     z0 = x + 1.0 if x <= 1.0 else x
     a = z0 - 1.0
-
     parts: list[float] = []
     charges: list[float] = []
     if a > 0.0:
+        parts, charges = _kernel_sum(
+            1.0, eps / 16.0, lambda k: kernels.u_minus_log1p(a / k), kernels._R_COEFFS,
+            lambda k: tails.log_gamma_series_tail(k, a), a * a / 60.0, _r_trunc_rel,
+            lambda term, u: u, a)
         gam = ref_digamma_gap(1.0)   # the series at 1 sums to gamma
         parts.append(-gam.value * a)
         charges.append(gam.error_radius * a + 0.5 * math.ulp(gam.value * a))
-        target = max(eps / 4.0, 1e-18)
-        k_tail = max(64, int(math.ceil((4.0 * a * a / (60.0 * target)) ** 0.2)))
-        head_n = min(k_tail, 16)
-        for k in range(1, head_n):
-            parts.append(kernels.u_minus_log1p(a / k))
-            charges.append(2.0 * _EPS * (a / k))
-        if k_tail > head_n:
-            # term_k = a/k - log(1+a/k) = u - log1p(u) at u = a/k <= 1/16
-            karr = np.arange(float(head_n), float(k_tail))
-            terms = kernels._poly_eval(a / karr, kernels._R_COEFFS, 2)
-            parts.extend(terms.tolist())
-            charges.append((2.0 * _EPS + _r_trunc_rel(a / head_n)) * float(terms.sum()))
-        lo, hi = tails.log_gamma_series_tail(float(k_tail), a)
-        mid = 0.5 * (lo + hi)
-        parts.append(mid)
-        charges.extend([0.5 * (hi - lo), 4.0 * _EPS * mid])
 
     if x <= 1.0:
         log_x = math.log(x)
         parts.append(-log_x)
         charges.append(2.0 * _EPS * abs(log_x))
-
-    value = math.fsum(parts)
-    charges.append(0.5 * math.ulp(value))
-    return ErrorBoundedValue(value, math.fsum(charges))
+    return _close(parts, charges)
 
 
 def clear_caches() -> None:

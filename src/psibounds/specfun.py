@@ -17,11 +17,12 @@ All functions are pure; there is no shared mutable state.
 from __future__ import annotations
 
 import math
+import sys
+from fractions import Fraction
 
 from . import kernels, tails
 from .errors import DomainError
-# kernel_r and kernel_s are re-exported as part of this module's interface.
-from .kernels import _check_domain, kernel_r, kernel_s
+from .kernels import _check_domain
 
 _EPS = 2.0**-52
 
@@ -78,22 +79,38 @@ def digamma(x: float) -> float:
 
 
 def polygamma(n: int, x: float) -> float:
-    """psi^(n)(x) = (-1)^(n-1) n! sum_{k>=0} 1/(x+k)^(n+1), n >= 1, x > 0."""
+    """psi^(n)(x) = (-1)^(n-1) n! sum_{k>=0} 1/(x+k)^(n+1), n >= 1, x > 0.
+
+    DomainError where |psi^(n)(x)| exceeds the largest double, or where for
+    n >= 2 the sum underflows the normal range and n! would scale it back up.
+    """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise DomainError(f"polygamma order must be an integer >= 1, got {n!r}")
     x = _check_domain(x)
+    too_big = f"|polygamma({n}, {x!r})| exceeds the largest double"
+    try:
+        lead = x ** -(n + 1)   # the first term: its overflow is the value's
+    except OverflowError:
+        raise DomainError(too_big) from None
     # Enclosure width ~ (n+3)!/(n-1)! / (720 M^(n+4)); aim below a quarter
     # ulp of the leading magnitude max(x^-(n+1), M^-n / n).
-    target = 0.25 * _EPS * max(x ** -(n + 1), 1e-300)
+    target = 0.25 * _EPS * max(lead, 1e-300)
     scale = (n + 1) * (n + 2) * (n + 3) / 720.0
-    m_tail = max(x + 8.0, 64.0, (scale / target) ** (1.0 / (n + 4)))
+    # A subnormal target overflows scale / target; take that root apart.
+    ratio, p = scale / target, 1.0 / (n + 4)
+    m_tail = max(x + 8.0, 64.0, ratio**p if ratio < math.inf else scale**p / target**p)
     count = int(math.ceil(m_tail - x))
     lo, hi = tails.polygamma_tail(x + count, n)
     terms = [(x + k) ** -(n + 1) for k in range(count)]
     terms.append(0.5 * (lo + hi))
     total = math.fsum(terms)
-    sign = 1.0 if n % 2 == 1 else -1.0
-    return sign * math.factorial(n) * total
+    if n > 1 and total < sys.float_info.min:
+        raise DomainError(f"polygamma({n}, {x!r}): the sum underflows binary64")
+    # Exact, then rounded once: n! alone overflows a double from n = 171.
+    magnitude = math.factorial(n) * Fraction(total)
+    if magnitude > sys.float_info.max:
+        raise DomainError(too_big)
+    return float(magnitude) if n % 2 == 1 else -float(magnitude)
 
 
 def trigamma(x: float) -> float:

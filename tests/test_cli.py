@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -194,6 +196,16 @@ def test_constants_json_has_radius(capsys):
     gamma_row = doc["rows"][0]
     assert gamma_row["name"] == "euler_gamma"
     assert 0.0 < gamma_row["error_radius"] <= 1e-12
+
+
+def test_constants_csv_is_csv(capsys):
+    code, out, _ = run(capsys, "constants", "--format", "csv")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [row["name"] for row in rows] == ["euler_gamma", "log_two_pi", "half_log_two_pi"]
+    for row in rows:
+        assert float(row["value"]) > 0.0 and float(row["error_radius"]) > 0.0
+    assert abs(float(rows[0]["value"]) - 0.5772156649015329) <= float(rows[0]["error_radius"])
 
 
 def test_output_file(tmp_path, capsys):

@@ -69,6 +69,17 @@ def test_ref_euler_gamma():
     assert abs(psi1.value + tight.value) <= psi1.error_radius + tight.error_radius
 
 
+@pytest.mark.parametrize("eps", [1e-12, 1e-9, 1e-5])
+def test_euler_gamma_matches_the_accelerated_harmonic_limit(eps):
+    # H_n - log sqrt(n(n+1)) approaches the constant from above like 1/(6n^2);
+    # 1/(3n^2) + 1e-12 allows for that and the float sum.
+    n = 20000
+    h = math.fsum(1.0 / k for k in range(1, n + 1))
+    accel = h - 0.5 * (math.log(n) + math.log(n + 1))
+    gamma = oracle.ref_euler_gamma(eps)
+    assert abs(gamma.value - accel) <= 1.0 / (3.0 * n * n) + 1e-12 + gamma.error_radius
+
+
 def test_eps_floor_fails_loudly():
     with pytest.raises(ToleranceError):
         oracle.ref_digamma(1.0, 9e-15)
@@ -283,6 +294,7 @@ HUGE_TARGETS = {
                                - mpmath.log(2 * mpmath.pi) / 2),
     "ref_digamma": mpmath.digamma,
     "ref_log_gamma": mpmath.loggamma,
+    "ref_trigamma": lambda m: mpmath.polygamma(1, m),
 }
 
 
@@ -305,3 +317,28 @@ def test_huge_x_encloses_or_refuses(name):
             returned += 1
             assert encloses(r, mp_reference(HUGE_TARGETS[name], x)), (x, eps, r)
     assert returned > 0
+
+
+def _neighbours(x):
+    return [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
+
+
+@pytest.mark.parametrize("eps", [1e-12, 1e-9, 1e-6])
+def test_trigamma_and_log_gamma_series_enclose_on_a_grid(eps):
+    # Both sum through the kernel sum: psi' at every x, log Gamma's series
+    # on (0, 2].  From 16 on, psi' has no direct-formula head terms.
+    xs = [float(v) for v in np.logspace(-3, 6, 200)]
+    xs += _neighbours(1.0) + _neighbours(2.0) + _neighbours(16.0)
+    returned = {"ref_trigamma": 0, "ref_log_gamma": 0}
+    for x in xs:
+        for name, target in (("ref_trigamma", HUGE_TARGETS["ref_trigamma"]),
+                             ("ref_log_gamma", mpmath.loggamma)):
+            if name == "ref_log_gamma" and x > 2.0:
+                continue
+            try:
+                r = getattr(oracle, name)(x, eps)
+            except ToleranceError:
+                continue
+            returned[name] += 1
+            assert encloses(r, mp_reference(target, x)), (name, x, eps, r)
+    assert min(returned.values()) > 0, returned

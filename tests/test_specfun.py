@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import refs_frozen as refs
-from psibounds import oracle, specfun
+from psibounds import kernels, oracle, specfun
 from psibounds.errors import DomainError
 
 
@@ -58,6 +58,29 @@ def test_domain_errors(fn, bad):
         fn(bad)
 
 
+def test_trigamma_at_huge_x_is_its_tail():
+    # A quarter ulp of 1e-300 is subnormal; it once overflowed the tail-start
+    # ratio.
+    assert specfun.trigamma(1e300) == pytest.approx(1e-300, rel=1e-15)
+
+
+@pytest.mark.parametrize("n, x", [(1, 1e-300), (200, 1.0)])
+def test_polygamma_beyond_the_largest_double_is_a_domain_error(n, x):
+    # psi'(1e-300) > 1e600 and |psi^(200)(1)| = 200! zeta(201) > 7e374.
+    with pytest.raises(DomainError):
+        specfun.polygamma(n, x)
+
+
+def test_polygamma_past_the_factorial_overflow():
+    # 171! overflows a double, psi^(171)(2) ~ 2.07e257 does not; at 1000 the
+    # terms of psi^(200) underflow while the value (~4e-228) would not.
+    mpmath = pytest.importorskip("mpmath")
+    assert specfun.polygamma(171, 2.0) == pytest.approx(float(mpmath.polygamma(171, 2)),
+                                                        rel=1e-13)
+    with pytest.raises(DomainError):
+        specfun.polygamma(200, 1000.0)
+
+
 def test_recurrences_on_random_points():
     rng = random.Random(20240811)
     for _ in range(1000):
@@ -90,12 +113,12 @@ def test_derivative_consistency():
 def test_gap_positive_and_leading_coefficient(x):
     g = specfun.digamma_gap(x)
     assert g > 0.0
-    assert 0.0 < x * x * specfun.kernel_r(x) < 0.5
+    assert 0.0 < x * x * kernels.kernel_r(x) < 0.5
 
 
 def test_squared_kernel_increases_to_half():
     xs = [10.0 ** (-2 + 8 * i / 199) for i in range(200)]
-    vals = [x * x * specfun.kernel_r(x) for x in xs]
+    vals = [x * x * kernels.kernel_r(x) for x in xs]
     assert all(b > a for a, b in zip(vals, vals[1:]))
     assert vals[-1] < 0.5
 
