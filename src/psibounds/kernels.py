@@ -61,9 +61,10 @@ def u_minus_log1p(u: float) -> float:
     """u - log(1+u) for u > -1, stable for small |u|.
 
     This is the h auxiliary; kernel_r(y) equals u_minus_log1p(1/y).
+    DomainError for nan, u <= -1 and u = inf (where the value is inf too).
     """
-    if u <= -1.0 or math.isnan(u):
-        raise DomainError(f"argument must exceed -1, got {u!r}")
+    if not -1.0 < u <= 1.7976931348623157e308:
+        raise DomainError(f"argument must be a finite real > -1, got {u!r}")
     if abs(u) <= 1.0 / SERIES_CUTOFF:
         return _poly_eval(u, _R_COEFFS, 2)
     return u - math.log1p(u)
@@ -73,7 +74,8 @@ def kernel_r(x: float) -> float:
     """1/x - log(1+1/x) > 0 for x > 0.
 
     Relative error stays below ~1e-14 out to x = 1e8 and beyond; the direct
-    formula would return pure noise there.
+    formula would return pure noise there.  Below ~5.56e-309, where 1/x and
+    the value pass the largest double, DomainError.
     """
     x = _check_domain(x)
     return u_minus_log1p(1.0 / x)
@@ -85,7 +87,11 @@ def kernel_s(x: float) -> float:
     u = 1.0 / x
     if x >= SERIES_CUTOFF:
         return _poly_eval(u, _S_COEFFS, 1)
-    return (x + 1.0) * math.log1p(u) - 1.0
+    # Below ~5.56e-309, u = 1/x overflows; there log(1 + 1/x) is
+    # -log x + log1p(x), and log1p(x) < 6e-309 is far below an ulp of
+    # -log x > 708.  kernel_w and kernel_w_integral do the same, inline: a
+    # helper call would cost the head terms of every mu sum.
+    return (x + 1.0) * (math.log1p(u) if u <= 1.7976931348623157e308 else -math.log(x)) - 1.0
 
 
 def kernel_w(x: float) -> float:
@@ -97,7 +103,7 @@ def kernel_w(x: float) -> float:
     u = 1.0 / x
     if x >= SERIES_CUTOFF:
         return _poly_eval(u, _W_COEFFS, 2)
-    return (x + 0.5) * math.log1p(u) - 1.0
+    return (x + 0.5) * (math.log1p(u) if u <= 1.7976931348623157e308 else -math.log(x)) - 1.0
 
 
 def kernel_s_scaled(t: float, a: float) -> float:
@@ -119,7 +125,8 @@ def kernel_w_integral(t: float) -> float:
     u = 1.0 / t
     if t >= SERIES_CUTOFF:
         return _poly_eval(u, _WINT_COEFFS, 1)
-    return 0.25 + 0.5 * t - 0.5 * t * (t + 1.0) * math.log1p(u)
+    log_ratio = math.log1p(u) if u <= 1.7976931348623157e308 else -math.log(t)
+    return 0.25 + 0.5 * t - 0.5 * t * (t + 1.0) * log_ratio
 
 
 # Exact derivative forms used by the tail enclosures (no cancellation).

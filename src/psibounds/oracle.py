@@ -28,6 +28,11 @@ u = a/y as one array, then a tail enclosure.  It serves four series:
   * log Gamma(1 + a) + gamma a = sum_k [a/k - log(1 + a/k)], the gap's
     series at u = a/k; scale u.
 
+The array block is the package's only use of numpy, and numpy is imported
+there, at the first bulk sum: ``import psibounds``, the CLI parser and the
+fast path (``kernels``, ``specfun``, ``bounds``, all standard library only)
+never load it.
+
 psi(x) = log x - gap(x) at every x, charging 1 ulp of log x on top of the
 gap.  Above 2, log Gamma(x) = mu(x) + (x - 1/2) log x - x + log(2 pi)/2,
 charging (x - 1/2) ulps of log x, the roundings of x - 1/2 and of the
@@ -60,8 +65,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import kernels, tails
 from .errors import DomainError, ToleranceError
@@ -161,6 +164,7 @@ def _kernel_sum(x: float, target: float, kernel, coeffs, tail, trunc_scale: floa
         head_charges += 2.0 * _EPS * head_scale(term, a / (x + j))
     bulk_sum = 0.0
     if count > n_head:
+        import numpy as np   # imported at the first bulk sum (see the module docstring)
         u = a / (x + np.arange(n_head, count, dtype=np.float64))
         arr = kernels._poly_eval(u, coeffs, 2)
         bulk_sum = float(np.abs(arr).sum())

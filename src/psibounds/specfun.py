@@ -78,11 +78,34 @@ def digamma(x: float) -> float:
     return math.log(x) - digamma_gap(x)
 
 
+def _power_sum(n: int, x: float, d: float, lead: float) -> float:
+    """sum_{k>=0} ((x + k)/d)^-(n+1), the polygamma series scaled by d^(n+1).
+
+    d = 1 is the series itself, whose leading term is ``lead``; d = x starts
+    the terms at lead = 1, so they cannot underflow where the value does not.
+    """
+    # Enclosure width ~ d^(n+1) (n+3)!/(n-1)! / (720 M^(n+4)); aim below a
+    # quarter ulp of the leading magnitude max(lead, M^-n / n).
+    target = 0.25 * _EPS * max(lead, 1e-300)
+    scale = (n + 1) * (n + 2) * (n + 3) / 720.0
+    # A subnormal target overflows scale / target; take that root apart.
+    ratio, p = scale / target, 1.0 / (n + 4)
+    m = ratio**p if ratio < math.inf else scale**p / target**p
+    m_tail = max(x + 8.0, 64.0, m * d ** ((n + 1) * p))
+    count = int(math.ceil(m_tail - x))
+    lo, hi = tails.polygamma_tail((x + count) / d, n, 1.0 / d)
+    power = -(n + 1)
+    terms = [((x + k) / d) ** power for k in range(count)]
+    terms.append(0.5 * (lo + hi))
+    return math.fsum(terms)
+
+
 def polygamma(n: int, x: float) -> float:
     """psi^(n)(x) = (-1)^(n-1) n! sum_{k>=0} 1/(x+k)^(n+1), n >= 1, x > 0.
 
-    DomainError where |psi^(n)(x)| exceeds the largest double, or where for
-    n >= 2 the sum underflows the normal range and n! would scale it back up.
+    DomainError where |psi^(n)(x)| exceeds the largest double.  Where for
+    n >= 2 the sum underflows the normal range, it is summed scaled by
+    x^(n+1) and x^-(n+1) is applied exactly, with n!, before one rounding.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise DomainError(f"polygamma order must be an integer >= 1, got {n!r}")
@@ -92,22 +115,14 @@ def polygamma(n: int, x: float) -> float:
         lead = x ** -(n + 1)   # the first term: its overflow is the value's
     except OverflowError:
         raise DomainError(too_big) from None
-    # Enclosure width ~ (n+3)!/(n-1)! / (720 M^(n+4)); aim below a quarter
-    # ulp of the leading magnitude max(x^-(n+1), M^-n / n).
-    target = 0.25 * _EPS * max(lead, 1e-300)
-    scale = (n + 1) * (n + 2) * (n + 3) / 720.0
-    # A subnormal target overflows scale / target; take that root apart.
-    ratio, p = scale / target, 1.0 / (n + 4)
-    m_tail = max(x + 8.0, 64.0, ratio**p if ratio < math.inf else scale**p / target**p)
-    count = int(math.ceil(m_tail - x))
-    lo, hi = tails.polygamma_tail(x + count, n)
-    terms = [(x + k) ** -(n + 1) for k in range(count)]
-    terms.append(0.5 * (lo + hi))
-    total = math.fsum(terms)
+    total = _power_sum(n, x, 1.0, lead)
     if n > 1 and total < sys.float_info.min:
-        raise DomainError(f"polygamma({n}, {x!r}): the sum underflows binary64")
+        # The terms underflow: sum them over x^-(n+1), then divide that out.
+        series = Fraction(_power_sum(n, x, x, 1.0)) / Fraction(x) ** (n + 1)
+    else:
+        series = Fraction(total)
     # Exact, then rounded once: n! alone overflows a double from n = 171.
-    magnitude = math.factorial(n) * Fraction(total)
+    magnitude = math.factorial(n) * series
     if magnitude > sys.float_info.max:
         raise DomainError(too_big)
     return float(magnitude) if n % 2 == 1 else -float(magnitude)
@@ -122,11 +137,14 @@ def log_gamma(x: float) -> float:
     """log Gamma(x) for x > 0.
 
     Satisfies log_gamma(x+1) = log_gamma(x) + log(x) to ulp-scale accuracy.
+    DomainError where (x - 1/2) log x overflows (from x ~ 2.5e305), as in
+    the oracle.
     """
     x = _check_domain(x)
-    return math.fsum(
-        [binet_mu(x), (x - 0.5) * math.log(x), -x, HALF_LOG_TWO_PI]
-    )
+    product = (x - 0.5) * math.log(x)
+    if product == math.inf:
+        raise DomainError(f"log_gamma({x!r}): (x - 1/2) log x overflows binary64")
+    return math.fsum([binet_mu(x), product, -x, HALF_LOG_TWO_PI])
 
 
 def stirling_ratio(x: float) -> float:

@@ -238,3 +238,39 @@ def test_verify_exit_1_on_certification_failure(capsys):
     doc = json.loads(out)
     assert doc["summary"]["all_pass"] is False
     assert doc["summary"]["failures"] > 0
+
+
+def _python(*args):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+@pytest.mark.parametrize("args", [
+    ["-c", "import psibounds; from psibounds import cli; cli.build_parser()"],
+    ["-m", "psibounds", "--help"],
+    ["-m", "psibounds", "verify"],            # usage error, exit 2
+    ["-m", "psibounds", "eval", "beta", "2"],
+])
+def test_cold_start_does_not_import_numpy(args):
+    # Only the oracle's bulk sums use numpy, and they import it themselves.
+    # -X importtime lists every module imported, one per line.
+    proc = _python("-X", "importtime", *args)
+    assert proc.returncode in (0, 2), proc.stderr
+    imported = {line.rsplit("|", 1)[-1].strip().split(".")[0]
+                for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    assert "psibounds" in imported
+    assert "numpy" not in imported
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["constants"], "euler_gamma = 0.5772156649015946 ± 6.9e-14\n"
+                    "log_two_pi = 1.8378770664093453 ± 4.4e-16\n"
+                    "half_log_two_pi = 0.9189385332046727 ± 2.2e-16\n"),
+    (["eval", "digamma", "1"], "-0.577215664902 ± 6.9e-14\n"),
+])
+def test_commands_that_sum_in_bulk_print_as_before(argv, expected):
+    proc = _python("-m", "psibounds", *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected

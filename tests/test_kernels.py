@@ -142,3 +142,26 @@ def test_derivative_forms_past_huge_y():
             value = fn(y)
             assert value <= 0.0
             assert abs(value - truth) <= 1e-15 * abs(truth) + 2.0**-1074, (fn.__name__, y)
+
+
+@pytest.mark.parametrize("x", [5e-324, 1e-310, 5.562684646268003e-309])
+def test_kernels_where_the_reciprocal_overflows(x):
+    # Below ~5.56e-309, 1/x is inf: kernel_r (~1/x) is beyond the largest
+    # double, while log(1 + 1/x) = -log x + log1p(x) keeps kernel_s, kernel_w
+    # and the w-integral finite.
+    mpmath = pytest.importorskip("mpmath")
+    assert 1.0 / x == math.inf
+    with pytest.raises(DomainError):
+        kernels.kernel_r(x)
+    with pytest.raises(DomainError):
+        kernels.u_minus_log1p(math.inf)
+    with mpmath.workdps(50):
+        t = mpmath.mpf(x)
+        log_ratio = mpmath.log1p(1 / t)
+        exact = {
+            kernels.kernel_s: (t + 1) * log_ratio - 1,
+            kernels.kernel_w: (t + mpmath.mpf(1) / 2) * log_ratio - 1,
+            kernels.kernel_w_integral: mpmath.mpf(1) / 4 + t / 2 - t * (t + 1) / 2 * log_ratio,
+        }
+    for fn, truth in exact.items():
+        assert fn(x) == pytest.approx(float(truth), rel=4 * 2.0**-52), fn.__name__

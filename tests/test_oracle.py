@@ -227,7 +227,7 @@ def test_log_gamma_refusal_known_before_any_sum(monkeypatch):
         raise AssertionError("summed before refusing")
 
     oracle.clear_caches()
-    monkeypatch.setattr(oracle.np, "arange", boom)
+    monkeypatch.setattr(np, "arange", boom)
     monkeypatch.setattr(oracle.kernels, "_poly_eval", boom)
     with pytest.raises(ToleranceError):
         oracle.ref_log_gamma(1e6, 1e-12)
@@ -273,7 +273,7 @@ def test_no_bulk_terms_at_abscissas_that_round_together(monkeypatch):
         return out
 
     oracle.clear_caches()
-    monkeypatch.setattr(oracle.np, "arange", recording_arange)
+    monkeypatch.setattr(np, "arange", recording_arange)
     r = oracle.ref_digamma_gap(1e19)
     assert sum(lengths) < 64
     assert encloses(r, mp_reference(HUGE_TARGETS["ref_digamma_gap"], 1e19))

@@ -73,12 +73,93 @@ def test_polygamma_beyond_the_largest_double_is_a_domain_error(n, x):
 
 def test_polygamma_past_the_factorial_overflow():
     # 171! overflows a double, psi^(171)(2) ~ 2.07e257 does not; at 1000 the
-    # terms of psi^(200) underflow while the value (~4e-228) would not.
+    # terms of psi^(200) underflow while the value (~-4.35e-228) does not.
     mpmath = pytest.importorskip("mpmath")
     assert specfun.polygamma(171, 2.0) == pytest.approx(float(mpmath.polygamma(171, 2)),
                                                         rel=1e-13)
-    with pytest.raises(DomainError):
-        specfun.polygamma(200, 1000.0)
+    assert specfun.polygamma(200, 1000.0) == pytest.approx(
+        float(mpmath.polygamma(200, 1000)), rel=1e-13)
+
+
+@pytest.mark.parametrize("n, x", [(200, 1e6), (100, 2e3), (1000, 400.0), (20, 3e15),
+                                  (3, 1e155), (2, 1.3e154), (2, 1e160)])
+def test_polygamma_where_its_terms_underflow(n, x):
+    # Summed over x^-(n+1), with x^-(n+1) and n! applied exactly: the result
+    # is the rounding of a value within (n+1) ulps, subnormal ones included.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        ref = float(mpmath.polygamma(n, mpmath.mpf(x)))
+    assert specfun.polygamma(n, x) == pytest.approx(ref, rel=(n + 1) * 2.0**-52,
+                                                    abs=2.0**-1074)
+
+
+_FULL_RANGE = st.floats(min_value=5e-324, max_value=1.7976931348623157e308)
+_SPECFUN_NAMES = ["digamma_gap", "binet_mu", "digamma", "trigamma", "log_gamma",
+                  "stirling_ratio", "log_stirling_root_scaled"]
+
+
+#: Where 1/x overflows (below the first two), log Gamma's Stirling product
+#: overflows (from ~2.5e305), and the largest double.
+_RANGE_EDGES = [5e-324, 3e-311, 1e-310, 5.562684646268003e-309, 5.56268464626801e-309,
+                2.5e305, 1.4e308, 1.7976931348623157e308]
+
+
+def _finite_or_domain_error(fn, *args):
+    # Defined behaviour from the smallest subnormal to the largest double:
+    # a finite value, or DomainError.
+    try:
+        value = fn(*args)
+    except DomainError:
+        return
+    assert math.isfinite(value), (args, value)
+
+
+@pytest.mark.parametrize("name", _SPECFUN_NAMES)
+@given(x=_FULL_RANGE)
+@settings(max_examples=80, deadline=None)
+def test_total_on_every_positive_double(name, x):
+    _finite_or_domain_error(getattr(specfun, name), x)
+
+
+@pytest.mark.parametrize("name", _SPECFUN_NAMES)
+@pytest.mark.parametrize("x", _RANGE_EDGES)
+def test_total_at_the_range_edges(name, x):
+    _finite_or_domain_error(getattr(specfun, name), x)
+
+
+@given(n=st.integers(min_value=1, max_value=300), x=_FULL_RANGE)
+@settings(max_examples=150, deadline=None)
+def test_polygamma_total_on_every_positive_double(n, x):
+    _finite_or_domain_error(specfun.polygamma, n, x)
+
+
+@pytest.mark.parametrize("x", [5e-324, 1e-310, 3e-311, 5.562684646268003e-309])
+def test_tiny_x_values_or_domain_errors(x):
+    # Below ~5.56e-309, 1/x overflows: the gap (~1/x) and psi are beyond the
+    # largest double, while mu, log Gamma and the Stirling ratio (~ -log x)
+    # are not.
+    mpmath = pytest.importorskip("mpmath")
+    for fn in (specfun.digamma_gap, specfun.digamma):
+        with pytest.raises(DomainError):
+            fn(x)
+    with mpmath.workdps(50):
+        m = mpmath.mpf(x)
+        log_gamma = mpmath.loggamma(m)
+        mu = log_gamma - (m - 0.5) * mpmath.log(m) + m - mpmath.log(2 * mpmath.pi) / 2
+        refs_mp = {"binet_mu": mu, "log_gamma": log_gamma, "stirling_ratio": mpmath.exp(mu),
+                   "log_stirling_root_scaled": mu - mpmath.log(m) / 2}
+    # mu carries the ~1.3e-12 absolute error it has at x = 1e-10 as well;
+    # exp turns that into a relative one.
+    for name, ref in refs_mp.items():
+        tol = {"rel": 1e-11} if name == "stirling_ratio" else {"abs": 1e-11}
+        assert getattr(specfun, name)(x) == pytest.approx(float(ref), **tol), name
+
+
+def test_log_gamma_where_the_stirling_product_overflows():
+    # log Gamma(1.4e308) ~ 9.92e310 is beyond the largest double.
+    for x in (1.4e308, 1.7976931348623157e308):
+        with pytest.raises(DomainError):
+            specfun.log_gamma(x)
 
 
 def test_recurrences_on_random_points():
