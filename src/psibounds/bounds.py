@@ -210,7 +210,15 @@ def _family_bounds(x: float, family: BoundFamily, target: str, what: str) -> Int
         )
     if row.target != target:
         raise DomainError(f"{family.value} does not bound {what}")
-    return Interval(*row.bounds(x))
+    try:
+        lower, upper = row.bounds(x)
+    except (OverflowError, ZeroDivisionError):
+        # A closed form passes the largest double (exp, pow), or divides by
+        # a square or power of x that underflowed to 0.
+        raise DomainError(
+            f"{family.value}: evaluating its bounds at x={x!r} overflows binary64"
+        ) from None
+    return Interval(lower, upper)
 
 
 def digamma_gap_bounds(x: float, family: BoundFamily) -> Interval:

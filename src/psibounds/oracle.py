@@ -142,12 +142,12 @@ def _target(x: float, eps: float) -> float:
     return max(min(eps / 4.0, 0.25 * _EPS * magnitude), 1e-26)
 
 
-def _kernel_sum(x: float, target: float, kernel, coeffs, tail, trunc_scale: float,
+def _kernel_sum(x: float, target: float, kernel, poly, tail, trunc_scale: float,
                 trunc_rel_bound, head_scale, a: float = 1.0):
     """Parts and charges of sum_j kernel(x + j) to about half-width ``target``.
 
-    Direct terms round at ``head_scale(term, u)``; ``coeffs`` are the
-    terms' u^2-led series in u = a/(x + j), truncated within
+    Direct terms round at ``head_scale(term, u)``; ``poly`` evaluates the
+    terms' series in u = a/(x + j) on an array, truncated within
     ``trunc_rel_bound(u)`` relative; ``tail`` encloses the tail, of width
     ~ trunc_scale / M^5 (see the module docstring).  ``_close`` ends it.
     """
@@ -166,7 +166,7 @@ def _kernel_sum(x: float, target: float, kernel, coeffs, tail, trunc_scale: floa
     if count > n_head:
         import numpy as np   # imported at the first bulk sum (see the module docstring)
         u = a / (x + np.arange(n_head, count, dtype=np.float64))
-        arr = kernels._poly_eval(u, coeffs, 2)
+        arr = poly(u)
         bulk_sum = float(np.abs(arr).sum())
         parts.extend(arr.tolist())
     lo, hi = tail(x + count)
@@ -204,12 +204,12 @@ def _plus_one(term: float, u: float) -> float:
 def _gap_sum(x: float, eps: float, target: float, what: str) -> ErrorBoundedValue:
     # sum_j kernel_r(x + j) = log x - psi(x) > 1/(2x).
     _ensure_above(0.5 / x, eps, what)
-    return _close(*_kernel_sum(x, target, kernels.kernel_r, kernels._R_COEFFS,
+    return _close(*_kernel_sum(x, target, kernels.kernel_r, kernels._r_poly,
                                tails.gap_tail, 1.0 / 60.0, _r_trunc_rel, _plus_one))
 
 
 def _mu_sum(x: float, target: float) -> ErrorBoundedValue:
-    return _close(*_kernel_sum(x, target, kernels.kernel_w, kernels._W_COEFFS,
+    return _close(*_kernel_sum(x, target, kernels.kernel_w, kernels._w_poly,
                                tails.mu_tail, 1.0 / 360.0, _w_trunc_rel, _plus_one))
 
 
@@ -291,7 +291,7 @@ def ref_trigamma(x: float, eps: float = 1e-12) -> ErrorBoundedValue:
     x = _check_domain(x)
     eps = _check_eps(eps)
     _ensure_above(1.0 / x / x, eps, f"ref_trigamma({x!r})")
-    out = _close(*_kernel_sum(x, eps / 16.0, lambda y: y**-2.0, (1.0,),
+    out = _close(*_kernel_sum(x, eps / 16.0, lambda y: y**-2.0, lambda u: u**2,
                               lambda y: tails.polygamma_tail(y, 1), 1.0 / 30.0,
                               lambda u: 0.0, lambda term, u: term))
     _ensure(out.error_radius, eps, f"ref_trigamma({x!r})")
@@ -348,7 +348,7 @@ def _log_gamma_series(x: float, eps: float) -> ErrorBoundedValue:
     charges: list[float] = []
     if a > 0.0:
         parts, charges = _kernel_sum(
-            1.0, eps / 16.0, lambda k: kernels.u_minus_log1p(a / k), kernels._R_COEFFS,
+            1.0, eps / 16.0, lambda k: kernels.u_minus_log1p(a / k), kernels._r_poly,
             lambda k: tails.log_gamma_series_tail(k, a), a * a / 60.0, _r_trunc_rel,
             lambda term, u: u, a)
         gam = ref_digamma_gap(1.0)   # the series at 1 sums to gamma

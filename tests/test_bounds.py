@@ -180,6 +180,36 @@ def test_wrong_family_for_target_raises():
         bounds.gamma_bounds(1.0, BoundFamily.EQ5)
 
 
+_EVALUATORS = {"gap": bounds.digamma_gap_bounds, "ratio": bounds.stirling_ratio_bounds,
+               "gamma": bounds.gamma_bounds_log}
+
+
+def _interval_or_domain_error(family, x):
+    # An interval or DomainError, never a raw arithmetic error.  Sides that
+    # round together still raise the degenerate-interval ValueError.
+    try:
+        iv = _EVALUATORS[family.target](x, family)
+    except DomainError:
+        return
+    except ValueError as exc:
+        assert "degenerate interval" in str(exc), (family, x)
+        return
+    assert not (math.isnan(iv.lower) or math.isnan(iv.upper)), (family, x)
+
+
+@pytest.mark.parametrize("family", list(BoundFamily))
+@given(x=st.floats(min_value=5e-324, max_value=1.7976931348623157e308))
+@settings(max_examples=40, deadline=None)
+def test_family_intervals_total_on_every_positive_double(family, x):
+    _interval_or_domain_error(family, x)
+
+
+@pytest.mark.parametrize("family", list(BoundFamily))
+@pytest.mark.parametrize("x", [5e-324, 1e-300, 1e-238, 1e-10, 1e300, 1.7976931348623157e308])
+def test_family_intervals_where_their_closed_forms_overflow(family, x):
+    _interval_or_domain_error(family, x)
+
+
 # Upper limit of the regime where each family's thinnest margin still exceeds
 # a handful of ulps of the bound value.  eq6's upper slack decays like
 # 13/(6480 x^4) and eq9r2's like 1/(240 x^5); past these points the two sides

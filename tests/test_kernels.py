@@ -61,9 +61,9 @@ def test_poly_eval_on_arrays_matches_scalar_kernels():
     # can carry into a second.
     y = 16.0 + np.geomspace(1e-9, 1e7, 2001)
     u = 1.0 / y
-    for coeffs, kernel in ((kernels._R_COEFFS, kernels.kernel_r),
-                           (kernels._W_COEFFS, kernels.kernel_w)):
-        bulk = kernels._poly_eval(u, coeffs, 2)
+    for poly, kernel in ((kernels._r_poly, kernels.kernel_r),
+                         (kernels._w_poly, kernels.kernel_w)):
+        bulk = poly(u)
         scalar = np.array([kernel(v) for v in y.tolist()])
         assert np.all(np.abs(bulk - scalar) <= 2.0 * np.spacing(scalar))
 
@@ -165,3 +165,68 @@ def test_kernels_where_the_reciprocal_overflows(x):
         }
     for fn, truth in exact.items():
         assert fn(x) == pytest.approx(float(truth), rel=4 * 2.0**-52), fn.__name__
+
+
+def _horner_loop(u, coeffs, lead_power):
+    # The generic Horner loop the straight-line polynomials replace.
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * u + c
+    return acc * u**lead_power
+
+
+# (polynomial, its coefficients from the series formulas, leading power of u)
+_SERIES = [
+    (kernels._r_poly, [(-1.0) ** m / m for m in range(2, 13)], 2),
+    (kernels._s_poly, [(-1.0) ** (j + 1) / (j * (j + 1)) for j in range(1, 13)], 1),
+    (kernels._w_poly, [(-1.0) ** j * (j - 1) / (2.0 * j * (j + 1)) for j in range(2, 13)], 2),
+    (kernels._wint_poly, [(-1.0) ** j / (2.0 * j * (j + 1)) for j in range(2, 13)], 1),
+]
+
+
+@pytest.mark.parametrize("poly, coeffs, lead_power", _SERIES)
+def test_polynomials_match_the_horner_loop_bit_for_bit(poly, coeffs, lead_power):
+    # Same operations in the same order, on floats (u**2 by pow) and on
+    # arrays (u**2 squared) alike; negative u is u_minus_log1p's.
+    u = np.concatenate([np.geomspace(1e-300, 1.0 / 16.0, 3001),
+                        -np.geomspace(1e-300, 1.0 / 16.0, 1001)])
+    expected = _horner_loop(u, coeffs, lead_power)
+    assert np.array_equal(poly(u), expected)
+    assert [poly(v) for v in u.tolist()] == [_horner_loop(v, coeffs, lead_power)
+                                             for v in u.tolist()]
+
+
+_TERM_STARTS = ([10.0 ** (-300 + 608 * i / 400) for i in range(401)]
+                + [float(i) for i in range(1, 40)]
+                + [1.0 - 2.0**-53, 15.0, 16.0, 17.0]
+                + [math.nextafter(16.0 - k, 0.0) for k in range(16)]
+                + [math.nextafter(16.0 - k, 20.0) for k in range(16)]
+                + [16.0 - k + 0.3 for k in range(16)])
+
+
+@pytest.mark.parametrize("terms, kernel", [(kernels.kernel_r_terms, kernels.kernel_r),
+                                           (kernels.kernel_w_terms, kernels.kernel_w)])
+def test_term_lists_equal_the_scalar_kernels(terms, kernel):
+    for x in _TERM_STARTS:
+        assert terms(x, 40) == [kernel(x + j) for j in range(40)], x
+    assert terms(2.0, 0) == []
+
+
+@pytest.mark.parametrize("x", [5e-324, 1e-310, 5.562684646268003e-309])
+def test_term_lists_where_the_reciprocal_overflows(x):
+    # kernel_r_terms raises kernel_r's own DomainError; kernel_w stays finite.
+    with pytest.raises(DomainError) as scalar:
+        kernels.kernel_r(x)
+    with pytest.raises(DomainError) as listed:
+        kernels.kernel_r_terms(x, 5)
+    assert str(listed.value) == str(scalar.value)
+    assert kernels.kernel_w_terms(x, 5) == [kernels.kernel_w(x + j) for j in range(5)]
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+def test_term_lists_check_their_start(bad):
+    for terms in (kernels.kernel_r_terms, kernels.kernel_w_terms):
+        with pytest.raises(DomainError):
+            terms(bad, 3)
+        with pytest.raises(DomainError):
+            terms(bad, 0)

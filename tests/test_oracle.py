@@ -228,7 +228,8 @@ def test_log_gamma_refusal_known_before_any_sum(monkeypatch):
 
     oracle.clear_caches()
     monkeypatch.setattr(np, "arange", boom)
-    monkeypatch.setattr(oracle.kernels, "_poly_eval", boom)
+    monkeypatch.setattr(oracle.kernels, "_r_poly", boom)
+    monkeypatch.setattr(oracle.kernels, "_w_poly", boom)
     with pytest.raises(ToleranceError):
         oracle.ref_log_gamma(1e6, 1e-12)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import refs_frozen as refs
-from psibounds import kernels, oracle, specfun
+from psibounds import kernels, oracle, specfun, tails
 from psibounds.errors import DomainError
 
 
@@ -81,8 +81,52 @@ def test_polygamma_past_the_factorial_overflow():
         float(mpmath.polygamma(200, 1000)), rel=1e-13)
 
 
+# Log grid over [1e-3, 1e6], plus starts just below powers of two, where the
+# abscissas x + k round the most.
+_POLYGAMMA_GRID = ([10.0 ** (-3 + 9 * i / 180) for i in range(181)]
+                   + [2.0**e - f for e in range(4, 20) for f in (0.3, 1.7, 7.3)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 10])
+def test_polygamma_within_four_ulps(n):
+    mpmath = pytest.importorskip("mpmath")
+    for x in _POLYGAMMA_GRID:
+        with mpmath.workdps(50):
+            ref = mpmath.polygamma(n, mpmath.mpf(x))
+            err = abs(mpmath.mpf(specfun.polygamma(n, x)) - ref)
+        assert err <= 4 * math.ulp(float(ref)), (n, x)
+
+
+def test_trigamma_tail_sized_by_the_value(monkeypatch):
+    # The tail starts where its enclosure is a quarter ulp of psi'(x) ~ 1/x,
+    # not of the first term 1/x^2: a few terms at x = 1e4, not ~26000.
+    mpmath = pytest.importorskip("mpmath")
+    starts, polygamma_tail = [], tails.polygamma_tail
+
+    def recording_tail(m, n, h=1.0):
+        starts.append(m)
+        return polygamma_tail(m, n, h)
+
+    monkeypatch.setattr(specfun.tails, "polygamma_tail", recording_tail)
+    value = specfun.trigamma(1e4)
+    assert len(starts) == 1 and starts[0] - 1e4 <= 64
+    assert value == pytest.approx(float(mpmath.psi(1, 10000)), rel=2 * 2.0**-52)
+
+
+def test_binet_mu_exceeds_its_tail_magnitude():
+    # binet_mu sizes its tail by mu(x) > 1/(12x + 1).
+    mpmath = pytest.importorskip("mpmath")
+    for i in range(171):
+        x = 10.0 ** (-10 + 17 * i / 170)
+        with mpmath.workdps(50):
+            m = mpmath.mpf(x)
+            mu = mpmath.loggamma(m) - (m - 0.5) * mpmath.log(m) + m - mpmath.log(2 * mpmath.pi) / 2
+        assert mu > 1 / (12 * m + 1), x
+
+
 @pytest.mark.parametrize("n, x", [(200, 1e6), (100, 2e3), (1000, 400.0), (20, 3e15),
-                                  (3, 1e155), (2, 1.3e154), (2, 1e160)])
+                                  (3, 1e155), (2, 1.3e154), (2, 1e160),
+                                  (2, 1.7976931348623157e308), (3, 1.7976931348623153e308)])
 def test_polygamma_where_its_terms_underflow(n, x):
     # Summed over x^-(n+1), with x^-(n+1) and n! applied exactly: the result
     # is the rounding of a value within (n+1) ulps, subnormal ones included.
@@ -148,10 +192,9 @@ def test_tiny_x_values_or_domain_errors(x):
         mu = log_gamma - (m - 0.5) * mpmath.log(m) + m - mpmath.log(2 * mpmath.pi) / 2
         refs_mp = {"binet_mu": mu, "log_gamma": log_gamma, "stirling_ratio": mpmath.exp(mu),
                    "log_stirling_root_scaled": mu - mpmath.log(m) / 2}
-    # mu carries the ~1.3e-12 absolute error it has at x = 1e-10 as well;
-    # exp turns that into a relative one.
+    # exp turns mu's absolute error into a relative one.
     for name, ref in refs_mp.items():
-        tol = {"rel": 1e-11} if name == "stirling_ratio" else {"abs": 1e-11}
+        tol = {"rel": 5e-14} if name == "stirling_ratio" else {"abs": 5e-14}
         assert getattr(specfun, name)(x) == pytest.approx(float(ref), **tol), name
 
 
