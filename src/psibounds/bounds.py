@@ -85,13 +85,21 @@ def alpha(x: float) -> float:
     return _check_domain(x) + 1.0 / 3.0
 
 
+# From x ~ 6.7e153, 2 kernel_r(x) ~ 1/x^2 leaves the normal range and then
+# underflows.  There the series without its u^2 factor, 2 x^2 kernel_r(x) =
+# 1 - 2u/3 + u^2/2 - ... with u = 1/x < 1.5e-154, is 1 in binary64, so
+# beta(x) = x + 1/3 - u/12 + ... rounds to x and f(x) = beta(x) - x to 1/3.
+_NORMAL_MIN = 2.0**-1022
+
+
 def beta(x: float) -> float:
     """Upper-bound trigamma argument 1/sqrt(2/x - 2 log(1+1/x)).
 
     Strictly above x, approaches x + 1/3 from below as x grows.
     """
     x = _check_domain(x)
-    return 1.0 / math.sqrt(2.0 * kernels.kernel_r(x))
+    r2 = 2.0 * kernels.kernel_r(x)
+    return x if r2 < _NORMAL_MIN else 1.0 / math.sqrt(r2)
 
 
 def beta_refined(x: float) -> float:
@@ -311,6 +319,8 @@ def aux_f(u: float) -> float:
     """f(u) = [2(1/u - log(1+1/u))]^(-1/2) - u: increasing from 0 to 1/3."""
     u = _check_domain(u, "u")
     r = kernels.kernel_r(u)
+    if 2.0 * r < _NORMAL_MIN:
+        return 1.0 / 3.0   # see beta
     b = 1.0 / math.sqrt(2.0 * r)
     if u < 1e4:
         return b - u

@@ -31,7 +31,16 @@ u = a/y as one array, then a tail enclosure.  It serves four series:
 The array block is the package's only use of numpy, and numpy is imported
 there, at the first bulk sum: ``import psibounds``, the CLI parser and the
 fast path (``kernels``, ``specfun``, ``bounds``, all standard library only)
-never load it.
+never load it.  A block of ``SPLIT_MIN_TERMS`` (600) terms or more never
+becomes Python floats: ``_exact_split`` reduces it in numpy to two or three
+doubles with the same exact sum (Rump, Ogita and Oishi's error-free vector
+transformation), and the one ``fsum`` rounds those, the head terms and the
+tail midpoint to the same double as the whole term list would give.  A full
+1e5-term block then takes about 0.5 ms to sum instead of 4 ms, with one
+0.8 MB scratch array beside the terms instead of 1e5 floats, and
+``ref_binet_mu(9999)`` takes 3.1 ms instead of 5.6 ms, at a transient peak
+of 2.4 MB instead of 5.6 MB (2-vCPU x86_64, numpy 2.4).  Shorter blocks,
+where ``fsum`` is faster, go to it as floats.
 
 psi(x) = log x - gap(x) at every x, charging 1 ulp of log x on top of the
 gap.  Above 2, log Gamma(x) = mu(x) + (x - 1/2) log x - x + log(2 pi)/2,
@@ -77,6 +86,14 @@ EPS_FLOOR = 1e-14
 
 #: About the most terms one evaluation sums (see the module docstring).
 MAX_TERMS = 100_000
+
+#: Entries each ``ref_*`` cache keeps: twice the most any one of them holds
+#: after one certify pass (1048, ``ref_binet_mu``), rounded up.
+CACHE_SIZE = 4096
+
+#: Bulk blocks of at least this many terms are reduced by ``_exact_split``;
+#: shorter ones go to ``fsum`` as Python floats, which is faster there.
+SPLIT_MIN_TERMS = 600
 
 #: log(2 pi)/2 to within 1.7e-16: 2 pi rounds by at most 2^-53 relative and
 #: log by at most 1 ulp; the halving is exact.
@@ -165,10 +182,9 @@ def _kernel_sum(x: float, target: float, kernel, poly, tail, trunc_scale: float,
     bulk_sum = 0.0
     if count > n_head:
         import numpy as np   # imported at the first bulk sum (see the module docstring)
-        u = a / (x + np.arange(n_head, count, dtype=np.float64))
-        arr = poly(u)
+        arr = poly(a / (x + np.arange(n_head, count, dtype=np.float64)))
         bulk_sum = float(np.abs(arr).sum())
-        parts.extend(arr.tolist())
+        parts.extend(arr.tolist() if arr.size < SPLIT_MIN_TERMS else _exact_split(arr))
     lo, hi = tail(x + count)
     mid = 0.5 * (lo + hi)
     parts.append(mid)
@@ -176,6 +192,37 @@ def _kernel_sum(x: float, target: float, kernel, poly, tail, trunc_scale: float,
     return parts, [0.5 * (hi - lo), head_charges,
                    (2.0 * _EPS + trunc_rel_bound(u_first)) * bulk_sum,
                    4.0 * _EPS * abs(mid)]
+
+
+def _exact_split(p) -> list[float]:
+    """A few doubles whose exact sum is the exact sum of the array ``p``.
+
+    Rump, Ogita and Oishi's error-free vector transformation (SIAM J. Sci.
+    Comput. 31(1), 2008, Algorithm 3.2): with 2^k >= n + 2 and sigma = 2^k
+    times a power of two >= max|p|, q = (p + sigma) - sigma and p - q are
+    exact, and so is sum(q) in any order, since every q is a multiple of
+    2^-53 sigma and their total stays below sigma.  Each round strips at
+    least 53 - k - 1 bits off the largest residual; it repeats until the
+    residual is all zero.  ``p`` is consumed.  Requires finite |p| <= 1/2,
+    so that sigma stays far from overflow: every bulk term of the four
+    series is at most u^2 <= 1/256, at u <= 1/16.
+    """
+    import numpy as np
+    k = (p.size + 1).bit_length()   # 2^k >= n + 2
+    q = np.abs(p)
+    top = float(q.max())
+    if not top <= 0.5:
+        raise ValueError(f"bulk terms must be finite and at most 1/2, got {top!r}")
+    taus = []
+    while top != 0.0:
+        sigma = math.ldexp(1.0, k + math.frexp(top)[1])
+        np.add(p, sigma, out=q)
+        q -= sigma
+        p -= q
+        taus.append(float(q.sum()))
+        np.abs(p, out=q)
+        top = float(q.max())
+    return taus
 
 
 def _close(parts: list[float], charges: list[float]) -> ErrorBoundedValue:
@@ -213,7 +260,7 @@ def _mu_sum(x: float, target: float) -> ErrorBoundedValue:
                                tails.mu_tail, 1.0 / 360.0, _w_trunc_rel, _plus_one))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def ref_digamma_gap(x: float, eps: float = 1e-12) -> ErrorBoundedValue:
     """log(x) - psi(x) as a directly summed positive series.
 
@@ -228,7 +275,7 @@ def ref_digamma_gap(x: float, eps: float = 1e-12) -> ErrorBoundedValue:
     return out
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def ref_binet_mu(x: float, eps: float = 1e-12) -> ErrorBoundedValue:
     """log of the Stirling ratio Gamma(x)/(sqrt(2 pi) x^(x-1/2) e^-x)."""
     x = _check_domain(x)
@@ -238,7 +285,7 @@ def ref_binet_mu(x: float, eps: float = 1e-12) -> ErrorBoundedValue:
     return out
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def ref_stirling_target(x: float, eps: float = 1e-12) -> ErrorBoundedValue:
     """Gamma(x) / (sqrt(2 pi) x^x e^-x), the exponential families' target.
 
@@ -263,7 +310,7 @@ def ref_euler_gamma(eps: float = 1e-12) -> ErrorBoundedValue:
     return ErrorBoundedValue(-psi1.value, psi1.error_radius)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def ref_digamma(x: float, eps: float = 1e-12) -> ErrorBoundedValue:
     """psi(x) = log x - gap(x) at every x (DLMF 5.11.1).
 
@@ -280,7 +327,7 @@ def ref_digamma(x: float, eps: float = 1e-12) -> ErrorBoundedValue:
     return out
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def ref_trigamma(x: float, eps: float = 1e-12) -> ErrorBoundedValue:
     """psi'(x) = sum_{k>=0} 1/(x+k)^2, a kernel sum with u^2 as its series.
 
@@ -298,7 +345,7 @@ def ref_trigamma(x: float, eps: float = 1e-12) -> ErrorBoundedValue:
     return out
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def ref_log_gamma(x: float, eps: float = 1e-12) -> ErrorBoundedValue:
     """log Gamma(x): a series on (0, 2], Stirling's formula above 2.
 

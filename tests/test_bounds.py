@@ -305,6 +305,22 @@ def test_aux_f_limit():
     assert bounds.aux_eval("f", 1e6) == pytest.approx(1.0 / 3.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("x", [1e160, 1e300, 1.7976931348623157e308])
+def test_beta_f_and_tau_where_kernel_r_underflows(x):
+    # 2 kernel_r(x) ~ 1/x^2 is subnormal or zero here: beta, f and tau (f
+    # plus x - 1) come from the series without its u^2 factor, and match
+    # mpmath rounded to the nearest double.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40 + 2 * math.ceil(math.log10(x))):
+        m = mpmath.mpf(x)
+        b = 1 / mpmath.sqrt(2 * (1 / m - mpmath.log1p(1 / m)))
+        assert bounds.beta(x) == float(b)
+        assert bounds.aux_f(x) == float(b - m)
+        assert bounds.tau(1, x) == float(b - 1)
+        y = m + 2
+        assert bounds.tau(3, x) == float(1 / mpmath.sqrt(2 * (1 / y - mpmath.log1p(1 / y))) - 3)
+
+
 def test_aux_p_large_x_series_branch():
     # the series branch must join the direct branch smoothly and keep P < 0
     direct = bounds.aux_big_p(15.999999)

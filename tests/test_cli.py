@@ -46,6 +46,14 @@ def test_eval_gamma_overflow_names_log_gamma(capsys):
     assert code == 0 and out.startswith("857.93366982")
 
 
+@pytest.mark.parametrize("name, x, expected", [("beta", "1e160", "1e+160"),
+                                               ("beta", "1e300", "1e+300"),
+                                               ("f", "1e300", "0.333333333333")])
+def test_eval_where_kernel_r_underflows(capsys, name, x, expected):
+    code, out, _ = run(capsys, "eval", name, x)
+    assert code == 0 and out.strip() == expected
+
+
 def test_eval_domain_error_exit_2(capsys):
     code, _, err = run(capsys, "eval", "digamma", "-1")
     assert code == 2

@@ -343,3 +343,121 @@ def test_trigamma_and_log_gamma_series_enclose_on_a_grid(eps):
             returned[name] += 1
             assert encloses(r, mp_reference(target, x)), (name, x, eps, r)
     assert min(returned.values()) > 0, returned
+
+
+# -- exact bulk sums: the split reduces an array to doubles with its exact sum --
+
+_SPLIT_LENGTHS = [1, 2, oracle.SPLIT_MIN_TERMS - 1, oracle.SPLIT_MIN_TERMS,
+                  oracle.SPLIT_MIN_TERMS + 1, 100_000]
+
+
+def _same_float(a, b):
+    # Bit for bit, except that a zero total may carry either sign (every
+    # oracle sum also holds its positive tail midpoint).
+    return a == b and (a == 0.0 or a.hex() == b.hex())
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from(_SPLIT_LENGTHS), seed=st.integers(0, 2**32 - 1),
+       top=st.integers(-1074, -1), span=st.integers(0, 1100),
+       zeros=st.sampled_from([0.0, 0.3, 1.0]), mixed_signs=st.booleans())
+def test_exact_split_keeps_the_correctly_rounded_sum(n, seed, top, span, zeros, mixed_signs):
+    # Terms of magnitude below 2^top over up to `span` binades: zeros,
+    # subnormals (exponents down to -1074) and mixed signs included.
+    rng = np.random.default_rng(seed)
+    exponents = rng.integers(max(top - span, -1074), top + 1, size=n)
+    terms = np.ldexp(rng.uniform(0.5, 1.0, size=n), exponents)
+    terms[rng.random(n) < zeros] = 0.0
+    if mixed_signs:
+        terms[rng.random(n) < 0.5] *= -1.0
+    assert np.all(np.abs(terms) <= 0.5)
+    expected = math.fsum(terms.tolist())
+    assert _same_float(math.fsum(oracle._exact_split(terms.copy())), expected)
+
+
+def test_exact_split_edge_values():
+    cases = [[0.5], [-0.5, 0.5], [5e-324], [5e-324, -5e-324, 1e-300],
+             [0.5, 2.0**-60, -2.0**-110, 5e-324], [0.0] * 5, [0.5] * 3 + [2.0**-1074] * 7,
+             [0.5 - 2.0**-54, 2.0**-55, 2.0**-108]]
+    for values in cases:
+        arr = np.array(values)
+        assert _same_float(math.fsum(oracle._exact_split(arr)), math.fsum(values)), values
+    assert oracle._exact_split(np.zeros(3)) == []
+
+
+@pytest.mark.parametrize("bad", [0.75, -1.0, math.inf, math.nan])
+def test_exact_split_checks_its_invariant(bad):
+    # Beyond |p| <= 1/2 sigma could overflow; the bulk terms never get there.
+    with pytest.raises(ValueError):
+        oracle._exact_split(np.array([0.1, bad]))
+
+
+_SERIES_X = [1e-3, 1.0, 15.9, 16.0, 100.0, 6.7e3, 1e4, 1e6, 1e20, 1e300]
+#: The refs whose kernel sums cover the four series: the gap (twice, at two
+#: targets), mu, psi' and, for x <= 2, the log Gamma series.
+_SERIES_REFS = ("ref_digamma_gap", "ref_digamma", "ref_binet_mu", "ref_trigamma",
+                "ref_log_gamma")
+
+
+@pytest.mark.parametrize("split_min", [1, oracle.SPLIT_MIN_TERMS])
+def test_kernel_sums_equal_fsum_over_the_full_term_list(split_min, monkeypatch):
+    # Each kernel sum's value against fsum over its head terms, its whole
+    # bulk array as Python floats and its tail midpoint; with split_min = 1
+    # every bulk block goes through the split.
+    sums = []
+    real_split, real_kernel_sum = oracle._exact_split, oracle._kernel_sum
+
+    def recording_split(arr):
+        sums[-1]["bulk"] = arr.tolist()
+        sums[-1]["taus"] = real_split(arr)
+        return sums[-1]["taus"]
+
+    def recording_kernel_sum(*args, **kwargs):
+        sums.append({})
+        parts, charges = real_kernel_sum(*args, **kwargs)
+        sums[-1]["out"] = list(parts), list(charges)   # callers extend them
+        return parts, charges
+
+    monkeypatch.setattr(oracle, "SPLIT_MIN_TERMS", split_min)
+    monkeypatch.setattr(oracle, "_exact_split", recording_split)
+    monkeypatch.setattr(oracle, "_kernel_sum", recording_kernel_sum)
+    split_sums = full_length = 0
+    for x in _SERIES_X + [1.5, 2.0]:
+        for name in _SERIES_REFS:
+            oracle.clear_caches()
+            try:
+                getattr(oracle, name)(x)
+            except ToleranceError:
+                pass
+    for record in sums:
+        parts, charges = record["out"]
+        if "taus" not in record:   # short blocks, or none where x + 16 rounds to x
+            continue
+        split_sums += 1
+        full_length += len(record["bulk"]) == oracle.MAX_TERMS
+        head, mid = parts[:len(parts) - 1 - len(record["taus"])], parts[-1]
+        full = oracle._close([*head, *record["bulk"], mid], charges)
+        split = oracle._close(parts, charges)
+        assert (split.value.hex(), split.error_radius.hex()) == (
+            full.value.hex(), full.error_radius.hex())
+    assert split_sums >= 20 and full_length >= 2, (split_sums, full_length)
+
+
+# -- bounded caches --------------------------------------------------------------
+
+_REFS = ("ref_digamma_gap", "ref_binet_mu", "ref_stirling_target", "ref_digamma",
+         "ref_trigamma", "ref_log_gamma")
+
+
+@pytest.mark.parametrize("name", _REFS)
+def test_oracle_caches_are_bounded(name):
+    fn = getattr(oracle, name)
+    assert fn.cache_info().maxsize == oracle.CACHE_SIZE
+    oracle.clear_caches()
+    # Past ~4.45e10, and with eps = 1 for log Gamma's sake, every kernel sum
+    # is 16 bulk terms: cheap distinct keys.
+    for i in range(oracle.CACHE_SIZE + 50):
+        fn(1e12 + 1024.0 * i, 1.0)
+        assert fn.cache_info().currsize <= oracle.CACHE_SIZE
+    assert fn.cache_info().currsize == oracle.CACHE_SIZE
+    oracle.clear_caches()
