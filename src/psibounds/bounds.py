@@ -10,7 +10,8 @@ has one evaluator keyed by family, so that tightness comparisons are uniform:
 
 plus the proof-auxiliary functions, the monotone series representation of
 the digamma gap, and ``FUNCTIONS``, the registry of every function that can
-be evaluated by name.
+be evaluated by name.  Where a closed form cancels (f and beta from x = 16,
+H from 16, theta up to 1/16), its series with exact coefficients serves.
 """
 
 from __future__ import annotations
@@ -85,21 +86,27 @@ def alpha(x: float) -> float:
     return _check_domain(x) + 1.0 / 3.0
 
 
-# From x ~ 6.7e153, 2 kernel_r(x) ~ 1/x^2 leaves the normal range and then
-# underflows.  There the series without its u^2 factor, 2 x^2 kernel_r(x) =
-# 1 - 2u/3 + u^2/2 - ... with u = 1/x < 1.5e-154, is 1 in binary64, so
-# beta(x) = x + 1/3 - u/12 + ... rounds to x and f(x) = beta(x) - x to 1/3.
-_NORMAL_MIN = 2.0**-1022
+def _f_poly(v: float) -> float:
+    # f(x) = x((1+d)^(-1/2) - 1) with 1 + d = 2x^2 kernel_r(x), as its series
+    # in v = 1/x through v^12 (exact coefficients, derived with fractions):
+    # the truncation is below 1e-18 at v <= 1/16, and f tends to 1/3 exactly.
+    return ((((((((((((456157941704137/91516282970112000 * v
+            - 169861927409147/30505427656704000) * v + 532524715193/84737299046400) * v
+            - 46803332951/6518253772800) * v + 646245559/77598259200) * v
+            - 514303/52254720) * v + 7783/653184) * v - 81083/5443200) * v + 589/30240) * v
+            - 353/12960) * v + 23/540) * v - 1/12) * v + 1/3)
 
 
 def beta(x: float) -> float:
     """Upper-bound trigamma argument 1/sqrt(2/x - 2 log(1+1/x)).
 
-    Strictly above x, approaches x + 1/3 from below as x grows.
+    Strictly above x, approaches x + 1/3 from below as x grows; x + f(x)
+    from x = 16, so it neither cancels nor underflows.
     """
     x = _check_domain(x)
-    r2 = 2.0 * kernels.kernel_r(x)
-    return x if r2 < _NORMAL_MIN else 1.0 / math.sqrt(r2)
+    if x >= kernels.SERIES_CUTOFF:
+        return x + _f_poly(1.0 / x)
+    return 1.0 / math.sqrt(2.0 * kernels.kernel_r(x))
 
 
 def beta_refined(x: float) -> float:
@@ -316,41 +323,57 @@ def gap_via_tau_series(x: float, terms: int) -> Interval:
 # -- proof auxiliaries ---------------------------------------------------------
 
 def aux_f(u: float) -> float:
-    """f(u) = [2(1/u - log(1+1/u))]^(-1/2) - u: increasing from 0 to 1/3."""
+    """f(u) = [2(1/u - log(1+1/u))]^(-1/2) - u: increasing from 0 to 1/3.
+
+    A series in 1/u from u = 16, where the difference would cancel.
+    """
     u = _check_domain(u, "u")
-    r = kernels.kernel_r(u)
-    if 2.0 * r < _NORMAL_MIN:
-        return 1.0 / 3.0   # see beta
-    b = 1.0 / math.sqrt(2.0 * r)
-    if u < 1e4:
-        return b - u
-    # For large u the direct difference cancels; expand b = u(1+d)^(-1/2)
-    # with d = 2 u^2 r - 1 = O(1/u).
-    d = 2.0 * u * u * r - 1.0
-    return u * math.expm1(-0.5 * math.log1p(d))
+    return _f_poly(1.0 / u) if u >= kernels.SERIES_CUTOFF else beta(u) - u
 
 
 def aux_h(t: float) -> float:
     """h(t) = t - log(1+t) for t >= 0."""
-    t = _check_nonnegative(t)
-    if t == 0.0:
-        return 0.0
-    return kernels.u_minus_log1p(t)
+    return kernels.u_minus_log1p(_check_nonnegative(t))
 
 
 def aux_theta(t: float) -> float:
-    """theta(t) = h(t) - t^2 / (2 (t+1)^(2/3)): equals 0 at 0, negative after."""
+    """theta(t) = h(t) - t^2 / (2 (t+1)^(2/3)): equals 0 at 0, negative after.
+
+    Up to t = 1/16, where the difference cancels, its series -t^4/36 + ...
+    through t^17 (exact coefficients; truncated below 5e-17 relative).
+    """
     t = _check_nonnegative(t)
-    if t == 0.0:
-        return 0.0
-    return aux_h(t) - t * t / (2.0 * (t + 1.0) ** (2.0 / 3.0))
+    if t <= 1.0 / kernels.SERIES_CUTOFF:
+        return ((((((((((((((15968225149/177826004451 * t - 1664324453/18596183472) * t
+                + 172477237/1937102445) * t - 159777557/1807962282) * t
+                + 16311749/186535791) * t - 1648631/19131876) * t + 1480892/17537553) * t
+                - 24238/295245) * t + 1553/19683) * t - 3911/52488) * t + 349/5103) * t
+                - 29/486) * t + 19/405) * t - 1/36) * t**4.0 + 0.0)   # + 0.0: theta(0) = +0
+    # t * (t / ...) rather than t^2 / ..., which overflows from t ~ 1.3e154.
+    return aux_h(t) - t * (0.5 * t / (t + 1.0) ** (2.0 / 3.0))
 
 
 def aux_big_h(x: float) -> float:
-    """H(x) = log(1+1/x) - 1/x + 1/(2 (x + 1/3 - 1/(12x+3))^2): positive, decreasing."""
+    """H(x) = log(1+1/x) - 1/x + 1/(2 (x + 1/3 - 1/(12x+3))^2): positive, decreasing.
+
+    From x = 16, where the difference cancels, its series in v = 1/x,
+    47/2160 v^5 - 227/5184 v^6 + ... through v^18 (exact coefficients;
+    truncated below 4e-17 relative).
+    """
     x = _check_domain(x)
-    b = beta_refined(x)
-    return 0.5 / (b * b) - kernels.kernel_r(x)
+    if x >= kernels.SERIES_CUTOFF:
+        v = 1.0 / x
+        return ((((((((((((((-2542742675402315/46221064723759104 * v
+                + 3794106432454427/65479841691992064) * v
+                - 6534821176981/106993205379072) * v + 8609614803091/133741506723840) * v
+                - 1057170080485/15603175784448) * v + 6355110245/89436192768) * v
+                - 1145825063/15479341056) * v + 1081588709/14189395968) * v
+                - 13798189/179159040) * v + 675995/8957952) * v - 52495/746496) * v
+                + 8731/145152) * v - 227/5184) * v + 47/2160) * x**-5.0)
+    # beta_refined(x), with 1/3 - 1/(12x+3) written 4x/(12x+3), which does
+    # not cancel at small x; 0.5/b/b, as b*b underflows there.
+    b = x + 4.0 * x / (12.0 * x + 3.0)
+    return 0.5 / b / b - kernels.kernel_r(x)
 
 
 def aux_big_p(x: float) -> float:
@@ -379,8 +402,6 @@ def aux_p(x: float) -> float:
     but contradict that monotonicity.
     """
     x = _check_nonnegative(x, "x")
-    if x == 0.0:
-        return 0.0
     return math.log1p(x) - (x * x + 6.0 * x) / (4.0 * x + 6.0)
 
 

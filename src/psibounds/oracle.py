@@ -338,7 +338,7 @@ def ref_trigamma(x: float, eps: float = 1e-12) -> ErrorBoundedValue:
     x = _check_domain(x)
     eps = _check_eps(eps)
     _ensure_above(1.0 / x / x, eps, f"ref_trigamma({x!r})")
-    out = _close(*_kernel_sum(x, eps / 16.0, lambda y: y**-2.0, lambda u: u**2,
+    out = _close(*_kernel_sum(x, eps / 16.0, lambda y: y**-2.0, lambda u: u * u,
                               lambda y: tails.polygamma_tail(y, 1), 1.0 / 30.0,
                               lambda u: 0.0, lambda term, u: term))
     _ensure(out.error_radius, eps, f"ref_trigamma({x!r})")
@@ -396,7 +396,7 @@ def _log_gamma_series(x: float, eps: float) -> ErrorBoundedValue:
     if a > 0.0:
         parts, charges = _kernel_sum(
             1.0, eps / 16.0, lambda k: kernels.u_minus_log1p(a / k), kernels._r_poly,
-            lambda k: tails.log_gamma_series_tail(k, a), a * a / 60.0, _r_trunc_rel,
+            lambda k: tails.gap_tail(k / a, 1.0 / a), a * a / 60.0, _r_trunc_rel,
             lambda term, u: u, a)
         gam = ref_digamma_gap(1.0)   # the series at 1 sums to gamma
         parts.append(-gam.value * a)

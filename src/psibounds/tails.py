@@ -10,7 +10,10 @@ f'''/720 and 0.  Each helper returns a rigorous (lo, hi) pair with
 
 where I is the exact integral of f over [m, inf), evaluated in closed,
 cancellation-free form.  The pair always sits strictly inside the coarse
-integral-test bracket (I, I + f(m)), which the test suite asserts.
+integral-test bracket (I, I + f(m)), which the test suite asserts.  A sum
+over m + j h, for a step h > 0, divides I by h and scales the k-th
+derivative by h^k: the log Gamma series sum_{k>=m} [a/k - log(1 + a/k)] is
+the gap tail at m/a with step 1/a.
 """
 
 from __future__ import annotations
@@ -26,13 +29,13 @@ def _em2(integral: float, f0: float, d1: float, d3: float) -> tuple[float, float
     return lo, hi
 
 
-def gap_tail(y0: float) -> tuple[float, float]:
-    """Enclosure of sum_{j>=0} kernel_r(y0 + j)."""
+def gap_tail(y0: float, h: float = 1.0) -> tuple[float, float]:
+    """Enclosure of sum_{j>=0} kernel_r(y0 + j h) for a step h > 0."""
     return _em2(
-        kernels.kernel_s(y0),
+        kernels.kernel_s(y0) / h,
         kernels.kernel_r(y0),
-        kernels.kernel_r_d1(y0),
-        kernels.kernel_r_d3(y0),
+        kernels.kernel_r_d1(y0) * h,
+        kernels.kernel_r_d3(y0) * h**3,
     )
 
 
@@ -47,22 +50,9 @@ def mu_tail(y0: float) -> tuple[float, float]:
 
 
 def polygamma_tail(m: float, n: int, h: float = 1.0) -> tuple[float, float]:
-    """Enclosure of sum_{j>=0} (m + j h)^-(n+1) for n >= 1 and a step h > 0.
-
-    A step h divides the integral by h and scales the k-th derivative by h^k.
-    """
+    """Enclosure of sum_{j>=0} (m + j h)^-(n+1) for n >= 1 and a step h > 0."""
     integral = m**-n / n / h
     f0 = m ** -(n + 1)
     d1 = -(n + 1) * m ** -(n + 2) * h
     d3 = -(n + 1) * (n + 2) * (n + 3) * m ** -(n + 4) * h**3
     return _em2(integral, f0, d1, d3)
-
-
-def log_gamma_series_tail(m: float, a: float) -> tuple[float, float]:
-    """Enclosure of sum_{k>=m} [a/k - log(1 + a/k)]."""
-    integral = kernels.kernel_s_scaled(m, a)
-    f0 = kernels.u_minus_log1p(a / m)
-    d1 = -(a * a) / (m * m * (m + a))
-    d3 = -2.0 * a * a * (6.0 * m * m + 8.0 * m * a + 3.0 * a * a) / (m**4 * (m + a) ** 3)
-    return _em2(integral, f0, d1, d3)
-

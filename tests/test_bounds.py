@@ -308,8 +308,8 @@ def test_aux_f_limit():
 @pytest.mark.parametrize("x", [1e160, 1e300, 1.7976931348623157e308])
 def test_beta_f_and_tau_where_kernel_r_underflows(x):
     # 2 kernel_r(x) ~ 1/x^2 is subnormal or zero here: beta, f and tau (f
-    # plus x - 1) come from the series without its u^2 factor, and match
-    # mpmath rounded to the nearest double.
+    # plus x - 1) come from f's series in 1/x, and match mpmath rounded to
+    # the nearest double.
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40 + 2 * math.ceil(math.log10(x))):
         m = mpmath.mpf(x)
@@ -319,6 +319,81 @@ def test_beta_f_and_tau_where_kernel_r_underflows(x):
         assert bounds.tau(1, x) == float(b - 1)
         y = m + 2
         assert bounds.tau(3, x) == float(1 / mpmath.sqrt(2 * (1 / y - mpmath.log1p(1 / y))) - 3)
+
+
+_MAX = 1.7976931348623157e308
+
+
+def _log_points(lo: float, hi: float, n: int) -> list[float]:
+    a, b = math.log(lo), math.log(hi)
+    return [lo] + [math.exp(a + (b - a) * i / (n - 1)) for i in range(1, n - 1)] + [hi]
+
+
+@given(st.floats(min_value=16.0, max_value=_MAX))
+def test_f_and_beta_bracket_above_the_cutoff(x):
+    f = bounds.aux_f(x)
+    assert 0.0 < f <= 1.0 / 3.0
+    assert x <= bounds.beta(x) <= x + f
+
+
+def test_beta_f_and_tau_within_an_ulp_above_the_cutoff():
+    # From x = 16, f is a series in 1/x and beta = x + f: neither cancels
+    # nor underflows, up to the largest double.
+    mpmath = pytest.importorskip("mpmath")
+
+    def mp_beta(y):
+        return 1 / mpmath.sqrt(2 * (1 / y - mpmath.log1p(1 / y)))
+
+    for x in _log_points(16.0, _MAX, 1000):
+        # 1/y - log1p(1/y) and beta - y each cancel log10(y) digits.
+        with mpmath.workdps(30 + 2 * math.ceil(math.log10(x))):
+            m = mpmath.mpf(x)
+            b = mp_beta(m)
+            cases = {"f": (bounds.aux_f(x), b - m), "beta": (bounds.beta(x), b),
+                     "tau1": (bounds.tau(1, x), b - 1),
+                     "tau3": (bounds.tau(3, x), mp_beta(m + 2) - 3)}
+            for name, (got, truth) in cases.items():
+                assert abs(got - truth) <= math.ulp(float(truth)), (name, x)
+
+
+def test_big_h_sign_and_relative_error():
+    # H > 0 is proved.  From x = 16 it is a series in 1/x; below, the direct
+    # difference cancels toward 16 (within 1.2e-11 measured).  H is a normal
+    # double on about [2.3e-155, 1.4e61]; past it, H is subnormal or 0
+    # (below, it passes the largest double).
+    mpmath = pytest.importorskip("mpmath")
+    for x in _log_points(1e-300, _MAX, 600):
+        h = bounds.aux_big_h(x)
+        assert h >= 0.0, x
+        if x > 1e62:
+            continue
+        # The terms of H are ~1/x and it is ~1/x^5 (at small x, b cancels).
+        with mpmath.workdps(30 + 4 * abs(math.ceil(math.log10(x)))):
+            m = mpmath.mpf(x)
+            b = m + mpmath.mpf(1) / 3 - 1 / (12 * m + 3)
+            truth = mpmath.log1p(1 / m) - 1 / m + 1 / (2 * b * b)
+            if 2.2250738585072014e-308 <= truth <= _MAX:
+                assert h > 0.0, x
+                tol = 1e-15 if x >= 16.0 else 2e-11
+                assert abs(h - truth) <= tol * truth, x
+
+
+def test_theta_sign_and_relative_error():
+    # theta < 0 after 0.  Up to t = 1/16 it is a series in t; above, the
+    # direct difference cancels toward 1/16 (within 4.1e-12 measured).
+    # theta is a normal double on about [2.9e-77, 2.6e231].
+    mpmath = pytest.importorskip("mpmath")
+    for t in _log_points(1e-100, _MAX, 800) + [1 / 16, math.nextafter(1 / 16, 1.0), 1e-3, 1e-8]:
+        theta = bounds.aux_theta(t)
+        assert theta <= 0.0, t
+        # t - log1p(t) ~ t^2/2 and theta ~ t^4/36 cancel 3 log10(1/t) digits.
+        with mpmath.workdps(30 + 3 * abs(math.ceil(math.log10(t)))):
+            m = mpmath.mpf(t)
+            truth = m - mpmath.log1p(m) - m * m / (2 * (m + 1) ** (mpmath.mpf(2) / 3))
+            if 2.2250738585072014e-308 <= -truth <= _MAX:
+                assert theta < 0.0, t
+                tol = 4e-16 if t <= 1.0 / 16.0 else 1e-11
+                assert abs(theta - truth) <= tol * -truth, t
 
 
 def test_aux_p_large_x_series_branch():

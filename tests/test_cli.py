@@ -54,6 +54,13 @@ def test_eval_where_kernel_r_underflows(capsys, name, x, expected):
     assert code == 0 and out.strip() == expected
 
 
+@pytest.mark.parametrize("name, x, expected", [("f", "1e17", "0.333333333333"),
+                                               ("H", "1e5", "2.17588213795e-27")])
+def test_eval_where_the_direct_forms_cancel(capsys, name, x, expected):
+    code, out, _ = run(capsys, "eval", name, x)
+    assert code == 0 and out.strip() == expected
+
+
 def test_eval_domain_error_exit_2(capsys):
     code, _, err = run(capsys, "eval", "digamma", "-1")
     assert code == 2

@@ -56,16 +56,14 @@ def test_series_matches_direct_formulas(y):
 
 def test_poly_eval_on_arrays_matches_scalar_kernels():
     # The oracle evaluates whole blocks of series terms as one array.  Each
-    # term must equal the scalar kernel up to rounding: the two paths may
-    # square u differently (u*u against pow), an ulp that the final product
-    # can carry into a second.
-    y = 16.0 + np.geomspace(1e-9, 1e7, 2001)
+    # term must equal the scalar kernel exactly: both paths square u as u*u.
+    y = 16.0 + np.geomspace(1e-9, 1e7, 20001)
     u = 1.0 / y
     for poly, kernel in ((kernels._r_poly, kernels.kernel_r),
                          (kernels._w_poly, kernels.kernel_w)):
         bulk = poly(u)
         scalar = np.array([kernel(v) for v in y.tolist()])
-        assert np.all(np.abs(bulk - scalar) <= 2.0 * np.spacing(scalar))
+        assert np.array_equal(bulk, scalar)
 
 
 @given(st.floats(min_value=1e-3, max_value=1e12))
@@ -125,8 +123,9 @@ def test_w_integral_matches_quadrature():
 
 
 def test_derivative_forms_past_huge_y():
-    # The product forms overflow (or, for kernel_w_d1, cancel to log1p(u))
-    # from ~7.5e51; past HUGE_Y the leading term in u = 1/y takes over.
+    # The product forms in y would overflow (or, for kernel_w_d1, cancel to
+    # log1p(u)) from ~7.5e51; the forms in u = 1/y hold on every abscissa a
+    # tail starts at, from 64 up to the largest double.
     mpmath = pytest.importorskip("mpmath")
     exact = {
         kernels.kernel_r_d1: lambda y: -1 / (y * y * (y + 1)),
@@ -135,7 +134,8 @@ def test_derivative_forms_past_huge_y():
         kernels.kernel_w_d3: lambda y: -(2 * y + 1) / (y * (y + 1)) ** 3,
     }
     for fn, ref in exact.items():
-        for y in (2 * kernels.HUGE_Y, 1e52, 1e55, 1e80, 1e155, 1e200, 1.7976931348623157e308):
+        for y in (64.0, 100.0, 1e3, 12345.678, 1e6, 1e10, 1e20, 2e30, 1e52, 1e55, 1e80,
+                  1e155, 1e200, 1.7976931348623157e308):
             # kernel_w_d1's exact form cancels 2 log10(y) digits.
             with mpmath.workdps(40 + 2 * math.ceil(math.log10(y))):
                 truth = ref(mpmath.mpf(y))
@@ -168,11 +168,12 @@ def test_kernels_where_the_reciprocal_overflows(x):
 
 
 def _horner_loop(u, coeffs, lead_power):
-    # The generic Horner loop the straight-line polynomials replace.
+    # The generic Horner loop the straight-line polynomials replace; the
+    # leading power is u or u*u.
     acc = 0.0
     for c in reversed(coeffs):
         acc = acc * u + c
-    return acc * u**lead_power
+    return acc * (u * u if lead_power == 2 else u)
 
 
 # (polynomial, its coefficients from the series formulas, leading power of u)
@@ -186,8 +187,8 @@ _SERIES = [
 
 @pytest.mark.parametrize("poly, coeffs, lead_power", _SERIES)
 def test_polynomials_match_the_horner_loop_bit_for_bit(poly, coeffs, lead_power):
-    # Same operations in the same order, on floats (u**2 by pow) and on
-    # arrays (u**2 squared) alike; negative u is u_minus_log1p's.
+    # Same operations in the same order, on floats and on arrays alike;
+    # negative u is u_minus_log1p's.
     u = np.concatenate([np.geomspace(1e-300, 1.0 / 16.0, 3001),
                         -np.geomspace(1e-300, 1.0 / 16.0, 1001)])
     expected = _horner_loop(u, coeffs, lead_power)

@@ -180,6 +180,21 @@ def test_em2_brackets_contain_high_precision_tails():
         assert lo <= true_tail <= hi
 
 
+@pytest.mark.parametrize("a", [2.0**-52, 1e-9, 1e-3, 0.25, 0.5, 0.999, 1.0])
+def test_log_gamma_series_tail_encloses_a_50_digit_sum(a):
+    # sum_{k>=m} [a/k - log(1 + a/k)] = log Gamma(m + a) - log Gamma(m) - a psi(m)
+    # is the gap tail at m/a with step 1/a.  Its midpoint is within the
+    # half-width plus the oracle's 4-ulp charge on it.
+    for m in (64, 100, 470, 1000, 12345):
+        # The closed form cancels up to ~21 digits at a = 2^-52.
+        with mpmath.workdps(80):
+            aa, mm = mpmath.mpf(a), mpmath.mpf(m)
+            truth = mpmath.loggamma(mm + aa) - mpmath.loggamma(mm) - aa * mpmath.psi(0, mm)
+        lo, hi = tails.gap_tail(m / a, 1.0 / a)
+        mid = 0.5 * (lo + hi)
+        assert abs(mid - truth) <= 0.5 * (hi - lo) + 4.0 * 2.0**-52 * abs(mid), (a, m)
+
+
 def test_error_bounded_value_validation():
     with pytest.raises(ValueError):
         oracle.ErrorBoundedValue(1.0, -1e-3)
