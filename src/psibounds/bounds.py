@@ -110,9 +110,9 @@ def beta(x: float) -> float:
 
 
 def beta_refined(x: float) -> float:
-    """x + 1/3 - 1/(12x+3): a closed-form argument lying in (x, beta(x))."""
+    """x + 1/3 - 1/(12x+3), in (x, beta(x)): as x + 4x/(12x+3), which does not cancel."""
     x = _check_domain(x)
-    return x + 1.0 / 3.0 - 1.0 / (12.0 * x + 3.0)
+    return x + 4.0 * x / (12.0 * x + 3.0)
 
 
 def delta_star(x: float) -> float:
@@ -370,9 +370,7 @@ def aux_big_h(x: float) -> float:
                 - 1145825063/15479341056) * v + 1081588709/14189395968) * v
                 - 13798189/179159040) * v + 675995/8957952) * v - 52495/746496) * v
                 + 8731/145152) * v - 227/5184) * v + 47/2160) * x**-5.0)
-    # beta_refined(x), with 1/3 - 1/(12x+3) written 4x/(12x+3), which does
-    # not cancel at small x; 0.5/b/b, as b*b underflows there.
-    b = x + 4.0 * x / (12.0 * x + 3.0)
+    b = beta_refined(x)   # 0.5/b/b, as b*b underflows at small x
     return 0.5 / b / b - kernels.kernel_r(x)
 
 
@@ -398,10 +396,22 @@ def aux_p(x: float) -> float:
     """p(x) = log(x+1) - (x^2+6x)/(4x+6): zero at 0, strictly decreasing.
 
     The asserted sign is p < 0 on (0, inf), forced by p(0) = 0 together with
-    p' = -x^2/((x+1)(2x+3)^2) < 0; statements of the opposite sign circulate
-    but contradict that monotonicity.
+    p' = -x^3/((x+1)(2x+3)^2) < 0 (so p ~ -x^4/36); statements of the
+    opposite sign circulate but contradict that monotonicity.  Up to x = 1,
+    where the difference cancels, log(1+x) = 2 atanh(t) with t = x/(x+2) gives
+    p = 2t^4 (t sum_{j>=0} t^2j/(2j+5) - (2+t)/(3(1-t)(3+t))), the sum through
+    t^34 (exact coefficients; truncated below 1e-18 relative).
     """
     x = _check_nonnegative(x, "x")
+    if x <= 1.0:
+        t = x / (2.0 + x)
+        s = t * t
+        atanh_tail = ((((((((((((((((1/39 * s + 1/37) * s + 1/35) * s + 1/33) * s
+                + 1/31) * s + 1/29) * s + 1/27) * s + 1/25) * s + 1/23) * s + 1/21) * s
+                + 1/19) * s + 1/17) * s + 1/15) * s + 1/13) * s + 1/11) * s + 1/9) * s
+                + 1/7) * s + 1/5
+        rational = (2.0 + t) / (3.0 * (1.0 - t) * (3.0 + t))
+        return 2.0 * s * s * (t * atanh_tail - rational) + 0.0   # + 0.0: p(0) = +0
     return math.log1p(x) - (x * x + 6.0 * x) / (4.0 * x + 6.0)
 
 

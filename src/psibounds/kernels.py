@@ -125,16 +125,12 @@ def kernel_w(x: float) -> float:
     return (x + 0.5) * (math.log1p(u) if u <= 1.7976931348623157e308 else -math.log(x)) - 1.0
 
 
-# The term lists of the digamma-gap and mu sums: one polynomial call per
-# series term, while the few direct terms (y < 16) go through the scalar
-# routine and its domain check.
-
-
 def kernel_r_terms(x: float, count: int) -> list[float]:
-    """[kernel_r(x + j) for j in range(count)], bit for bit.
+    """[kernel_r(x + j) for j in range(count)], bit for bit: the gap's terms.
 
     x is checked once; each term takes kernel_r's own series/direct test,
-    and DomainError is raised where kernel_r raises it.
+    one polynomial call per series term, and DomainError is raised where
+    kernel_r raises it.
     """
     x = _check_domain(x)
     r_poly, u_max = _r_poly, 1.0 / SERIES_CUTOFF
@@ -142,20 +138,6 @@ def kernel_r_terms(x: float, count: int) -> list[float]:
     for j in range(count):
         u = 1.0 / (x + j)
         terms.append(r_poly(u) if u <= u_max else u_minus_log1p(u))
-    return terms
-
-
-def kernel_w_terms(x: float, count: int) -> list[float]:
-    """[kernel_w(x + j) for j in range(count)], bit for bit.
-
-    x is checked once; each term takes kernel_w's own series/direct test.
-    """
-    x = _check_domain(x)
-    w_poly, cutoff = _w_poly, SERIES_CUTOFF
-    terms = []
-    for j in range(count):
-        y = x + j
-        terms.append(w_poly(1.0 / y) if y >= cutoff else kernel_w(y))
     return terms
 
 

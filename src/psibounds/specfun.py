@@ -1,22 +1,23 @@
 """Core evaluation of log-gamma, digamma, polygamma and the Stirling ratio.
 
-Everything is built from two convergent series with completely monotone,
-cancellation-free terms:
-
-    digamma gap   log(x) - psi(x)      = sum_{j>=0} kernel_r(x + j)
-    Stirling term log of the ratio     = sum_{j>=0} kernel_w(x + j)
-
-plus the defining series for polygamma.  Tails are enclosed by
-:mod:`psibounds.tails` and start where the enclosure width drops to a
-quarter ulp of a lower bound on the value.  The kernels' own errors (see
-:mod:`psibounds.kernels`) then set the accuracy.  Measured against 60-digit
-mpmath on 601 log points in [1e-3, 1e6]:
+The digamma gap log(x) - psi(x) = sum_{j>=0} kernel_r(x + j) is summed term
+by term, with completely monotone, cancellation-free terms, until the
+enclosure of its tail (:mod:`psibounds.tails`) is a quarter ulp of the value.
+mu, the log of the Stirling ratio, and the polygamma series
+S(x) = sum_k (x + k)^-(n+1) shift the argument instead: they sum kernel_w(x + j)
+while x + j < 7, or (x + k)^-(n+1) while x + k < n + 8, then add a
+fixed-length Stirling/Bernoulli expansion in 1/y (DLMF 5.11.1, 5.15.8;
+Bernardo, Appl. Statist. AS 103, 1976).  Both functions are completely
+monotone, so each expansion envelopes: its remainder has the sign of the
+first omitted term and is smaller.  Measured against 60-digit mpmath on 601
+log points in [1e-3, 1e6]:
 
     digamma_gap     within 6.2 ulps
-    binet_mu        up to 674 ulps near x = 11.6, 65 at x = 10: the sum
-                    inherits kernel_w's cancellation below 16
+    binet_mu        within 1.5 ulps from x = 7 (the expansion alone); below,
+                    up to 127 ulps (221 at x = 5.58 on a dense grid), as
+                    kernel_w's direct form cancels to about an ulp of 1
     digamma         within 11 ulps, away from its zero at 1.4616
-    polygamma       within 2.7 ulps for n in {1, 2, 3, 5, 10} (1000 log
+    polygamma       within 2.4 ulps for n in {1, 2, 3, 5, 10} (1000 log
                     points in the same range)
 
 All functions are pure; there is no shared mutable state.
@@ -66,18 +67,38 @@ def digamma_gap(x: float) -> float:
     return math.fsum(terms)
 
 
+def _shift(term, x: float, x0: float) -> tuple[list[float], float]:
+    """[term(x + j) for x + j < x0], at most ceil(x0) of them, and y = x + j >= x0."""
+    count = math.ceil(x0 - x) if x < x0 else 0
+    return [term(x + j) for j in range(count)], x + count
+
+
+# mu's shift point: from y = 7 the first term the expansion below omits is
+# under 2^-57 of mu(y).  Each kernel_w term of the shift costs up to ~eps
+# absolute in its direct form, so a lower start is more accurate.
+_MU_X0 = 7.0
+
+
+def _mu_expansion(y: float) -> float:
+    # mu(y) = sum_{k=1..16} B_2k / (2k(2k-1) y^(2k-1)) (DLMF 5.11.1), as a
+    # polynomial in v = 1/y^2 divided by y: exact coefficients, and the
+    # remainder has the sign of the first omitted term and is below it.
+    v = 1.0 / (y * y)   # 0 once y*y overflows, leaving 1/(12y)
+    return (((((((((((((((-7709321041217/505920 * v + 1723168255201/2492028) * v
+            - 3392780147/93960) * v + 657931/300) * v - 236364091/1506960) * v
+            + 77683/5796) * v - 174611/125400) * v + 43867/244188) * v - 3617/122400) * v
+            + 1/156) * v - 691/360360) * v + 1/1188) * v - 1/1680) * v + 1/1260) * v
+            - 1/360) * v + 1/12) / y
+
+
 def binet_mu(x: float) -> float:
     """log of Gamma(x) / (sqrt(2 pi) x^(x-1/2) e^-x): the Stirling-series sum.
 
     Positive, strictly decreasing, ~1/(12x) for large x.
     """
     x = _check_domain(x)
-    # mu(x) > 1/(12x + 1) (checked against mpmath on [1e-10, 1e7]).
-    y_tail = _tail_start(x, 1.0 / 360.0, 1.0 / (12.0 * x + 1.0))
-    count = int(math.ceil(y_tail - x))
-    lo, hi = tails.mu_tail(x + count)
-    terms = kernels.kernel_w_terms(x, count)
-    terms.append(0.5 * (lo + hi))
+    terms, y = _shift(kernels.kernel_w, x, _MU_X0)
+    terms.append(_mu_expansion(y))
     return math.fsum(terms)
 
 
@@ -93,35 +114,44 @@ def _add_error(a: float, b: float, s: float) -> float:
     return (a - (s - z)) + (b - z)
 
 
-def _power_sum(n: int, x: float, d: float, magnitude: float) -> float:
+#: B_2k / (2k)!, k = 1..12: the expansion of polygamma divides out n!.
+_BERNOULLI_OVER_FACTORIAL = (
+    1/12, -1/720, 1/30240, -1/1209600, 1/47900160, -691/1307674368000,
+    1/74724249600, -3617/10670622842880000, 43867/5109094217170944000,
+    -174611/802857662698291200000, 77683/14101100039391805440000,
+    -236364091/1693824136731743669452800000)
+
+# psi^(n)'s shift point is n + _PSI_X0: from there the expansion's terms
+# shrink by about (n + 2k)^2 / (2 pi y)^2 each, and the first omitted one is
+# below 2^-60 relative for every n.
+_PSI_X0 = 8.0
+
+
+def _power_sum(n: int, x: float, d: float) -> float:
     """sum_{k>=0} ((x + k)/d)^-(n+1), the polygamma series scaled by d^(n+1).
 
-    ``magnitude`` is a lower bound on the sum.  d = 1 is the series itself;
-    d = x starts the terms at 1, so they cannot underflow where the value
-    does not.
+    d = 1 is the series itself; d = x starts the terms at 1, so they cannot
+    underflow where the value does not.  From y >= n + _PSI_X0 on,
+    y^n S(y) = 1/n + 1/(2y) + sum_k B_2k (2k+n-1)! / ((2k)! n!) y^-2k, its
+    coefficients built by their running ratio, so no factorial is formed.
     """
-    # Enclosure width ~ d^(n+1) (n+3)!/(n-1)! / (720 M^(n+4)); aim below a
-    # quarter ulp of the magnitude.
-    target = 0.25 * _EPS * max(magnitude, 1e-300)
-    scale = (n + 1) * (n + 2) * (n + 3) / 720.0
-    # A subnormal target overflows scale / target; take that root apart.
-    ratio, p = scale / target, 1.0 / (n + 4)
-    m = ratio**p if ratio < math.inf else scale**p / target**p
-    m_tail = max(x + 8.0, 64.0, m * d ** ((n + 1) * p))
-    count = int(math.ceil(m_tail - x))
     power = -(n + 1)
-    terms = [((x + k) / d) ** power for k in range(count)]
-    y = x + count
-    lo, hi = tails.polygamma_tail(y / d, n, 1.0 / d)
-    mid = lo + 0.5 * (hi - lo)   # 0.5 * (lo + hi) overflows near 1.8e308 when scaled
-    terms.append(mid)
+    terms, y = _shift(lambda t: (t / d) ** power, x, n + _PSI_X0)
+    count = len(terms)
+    v = 1.0 / (y * y)
+    acc, m = 0.0, float(n + 2 * len(_BERNOULLI_OVER_FACTORIAL))
+    for b in reversed(_BERNOULLI_OVER_FACTORIAL):
+        m -= 2.0   # n + 2k - 2 for k = K, ..., 1
+        acc = (b + acc) * (m * (m + 1.0) * v)
+    # y^-n d^(n+1) / n apart, so that only its own roundings reach the value.
+    lead = (y / d) ** -n * d
+    terms += [lead / n, lead * (0.5 / y + acc / n)]
     if n > 1:
         # Each abscissa y = x + k rounds, and a term carries that error n + 1
-        # times over: up to 8 ulps of psi^(10) near powers of two, against
-        # at most an ulp for n = 1.  To first order, the exact error
-        # e = x + k - y moves a term t by -(n + 1) t e / y and the tail
-        # midpoint (~ y^-n) by -n mid e / y.
-        drift = n * _add_error(x, count, y) / y * mid
+        # times over: without this, psi^(10) is 3.2 ulps off at x = 15.8.
+        # To first order, the exact error e = x + k - y moves a term t by
+        # -(n + 1) t e / y and the expansion (~ y^-n / n) by -n e / y of it.
+        drift = n * _add_error(x, count, y) / y * terms[count]
         for k in range(1, count):
             y = x + k
             drift += (n + 1) * _add_error(x, k, y) / y * terms[k]
@@ -139,24 +169,24 @@ def polygamma(n: int, x: float) -> float:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise DomainError(f"polygamma order must be an integer >= 1, got {n!r}")
     x = _check_domain(x)
-    too_big = f"|polygamma({n}, {x!r})| exceeds the largest double"
     try:
-        lead = x ** -(n + 1)   # the first term: its overflow is the value's
+        total = _power_sum(n, x, 1.0)   # its first term overflows where the value does
+        if n > 1 and total < sys.float_info.min:
+            # The terms underflow: sum them over x^-(n+1), then divide that out.
+            magnitude = float(math.factorial(n) * Fraction(_power_sum(n, x, x))
+                              / Fraction(x) ** (n + 1))
+        elif n <= 22:
+            # n! is a double up to 22!: the float product is already the exact
+            # one rounded once, as below.
+            magnitude = math.factorial(n) * total
+        else:
+            # Exact, then rounded once: n! alone overflows a double from n = 171.
+            magnitude = float(math.factorial(n) * Fraction(total))
     except OverflowError:
-        raise DomainError(too_big) from None
-    # The sum exceeds both its first term and the integral x^-n / n of its
-    # terms from x (DLMF 5.15.1): past x ~ n, the integral is the larger.
-    total = _power_sum(n, x, 1.0, max(lead, x**-n / n))
-    if n > 1 and total < sys.float_info.min:
-        # The terms underflow: sum them over x^-(n+1), then divide that out.
-        series = Fraction(_power_sum(n, x, x, 1.0)) / Fraction(x) ** (n + 1)
-    else:
-        series = Fraction(total)
-    # Exact, then rounded once: n! alone overflows a double from n = 171.
-    magnitude = math.factorial(n) * series
-    if magnitude > sys.float_info.max:
-        raise DomainError(too_big)
-    return float(magnitude) if n % 2 == 1 else -float(magnitude)
+        magnitude = math.inf
+    if magnitude == math.inf:
+        raise DomainError(f"|polygamma({n}, {x!r})| exceeds the largest double")
+    return magnitude if n % 2 == 1 else -magnitude
 
 
 def trigamma(x: float) -> float:

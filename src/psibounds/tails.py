@@ -49,10 +49,10 @@ def mu_tail(y0: float) -> tuple[float, float]:
     )
 
 
-def polygamma_tail(m: float, n: int, h: float = 1.0) -> tuple[float, float]:
-    """Enclosure of sum_{j>=0} (m + j h)^-(n+1) for n >= 1 and a step h > 0."""
-    integral = m**-n / n / h
+def polygamma_tail(m: float, n: int) -> tuple[float, float]:
+    """Enclosure of sum_{j>=0} (m + j)^-(n+1) for n >= 1."""
+    integral = m**-n / n
     f0 = m ** -(n + 1)
-    d1 = -(n + 1) * m ** -(n + 2) * h
-    d3 = -(n + 1) * (n + 2) * (n + 3) * m ** -(n + 4) * h**3
+    d1 = -(n + 1) * m ** -(n + 2)
+    d3 = -(n + 1) * (n + 2) * (n + 3) * m ** -(n + 4)
     return _em2(integral, f0, d1, d3)

@@ -378,6 +378,39 @@ def test_big_h_sign_and_relative_error():
                 assert abs(h - truth) <= tol * truth, x
 
 
+def test_p_sign_and_relative_error():
+    # p < 0 on (0, inf), ~ -x^4/36 at 0.  Up to x = 1 it is written in
+    # t = x/(x+2) without cancellation; above, the direct difference is
+    # within 3e-14 (measured, worst just above 1).
+    mpmath = pytest.importorskip("mpmath")
+    for x in _log_points(1e-20, 1e3, 600) + [1.0, math.nextafter(1.0, 2.0), 1e-5, 1e-10]:
+        p = bounds.aux_p(x)
+        assert p < 0.0, x
+        # log1p(x) ~ x against p ~ x^4/36 cancels 3 log10(1/x) digits.
+        with mpmath.workdps(30 + 3 * abs(math.ceil(math.log10(x)))):
+            m = mpmath.mpf(x)
+            truth = mpmath.log1p(m) - (m * m + 6 * m) / (4 * m + 6)
+            tol = 8 * 2.0**-52 if x <= 1.0 else 1e-13
+            assert abs(p - truth) <= tol * -truth, x
+
+
+@pytest.mark.parametrize("x", [1e-5, 1e-10, 1e-17])
+def test_beta_refined_at_small_x(x):
+    # x + 1/3 - 1/(12x+3) cancels at small x; 4x/(12x+3) does not.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        m = mpmath.mpf(x)
+        truth = float(m + mpmath.mpf(1) / 3 - 1 / (12 * m + 3))
+    assert abs(bounds.beta_refined(x) - truth) <= math.ulp(truth)
+
+
+def test_thm22_at_tiny_x_is_returned():
+    # beta_refined(1e-17) once rounded to 0.0, so trigamma refused it.
+    # The gap there is 1/x + log x + gamma + O(x), 1e17 in binary64.
+    iv = bounds.digamma_gap_bounds(1e-17, BoundFamily.THM22)
+    assert iv.contains(1e17)
+
+
 def test_theta_sign_and_relative_error():
     # theta < 0 after 0.  Up to t = 1/16 it is a series in t; above, the
     # direct difference cancels toward 1/16 (within 4.1e-12 measured).

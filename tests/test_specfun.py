@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import refs_frozen as refs
-from psibounds import kernels, oracle, specfun, tails
+from psibounds import kernels, oracle, specfun
 from psibounds.errors import DomainError
 
 
@@ -97,31 +97,111 @@ def test_polygamma_within_four_ulps(n):
         assert err <= 4 * math.ulp(float(ref)), (n, x)
 
 
-def test_trigamma_tail_sized_by_the_value(monkeypatch):
-    # The tail starts where its enclosure is a quarter ulp of psi'(x) ~ 1/x,
-    # not of the first term 1/x^2: a few terms at x = 1e4, not ~26000.
+def test_shift_then_expand_does_bounded_work(monkeypatch):
+    # Each sum evaluates its terms below the shift point x0 (ceil(x0) of them
+    # at most), then one expansion: a few terms at any x, where the summed
+    # tails once took thousands.  The scaled polygamma path sums twice.
+    counts, shift = [], specfun._shift
+
+    def counting_shift(term, x, x0):
+        counts.append(0)
+
+        def counted(t):
+            counts[-1] += 1
+            return term(t)
+        return shift(counted, x, x0)
+
+    monkeypatch.setattr(specfun, "_shift", counting_shift)
+    xs = [5e-324, 1e-300, 1e-3, 0.5, 1.0, 6.99, 7.0, 100.0, 1e4, 1e300,
+          1.7976931348623157e308]
+    for x in xs:
+        counts.clear()
+        specfun.binet_mu(x)
+        assert len(counts) == 1 and counts[0] <= specfun._MU_X0 + 1, (x, counts)
+        for n in (1, 2, 3, 10, 200):
+            counts.clear()
+            try:
+                specfun.polygamma(n, x)
+            except DomainError:
+                pass
+            x0 = n + specfun._PSI_X0
+            assert len(counts) <= 2 and all(c <= x0 + 1 for c in counts), (n, x, counts)
+
+
+def _stirling_terms(mpmath, y, count):
+    # The terms B_2k / (2k(2k-1) y^(2k-1)) of mu's expansion, k = 1..count.
+    return [mpmath.bernoulli(2 * k) / (2 * k * (2 * k - 1) * y ** (2 * k - 1))
+            for k in range(1, count + 1)]
+
+
+def _polygamma_terms(mpmath, n, y, count):
+    # y^-n/n, y^-(n+1)/2, then B_2k (2k+n-1)! / ((2k)! n!) y^-(2k+n), k = 1..count.
+    return [y**-n / n, y ** -(n + 1) / 2] + [
+        mpmath.bernoulli(2 * k) * mpmath.factorial(2 * k + n - 1)
+        / (mpmath.factorial(2 * k) * mpmath.factorial(n)) * y ** -(2 * k + n)
+        for k in range(1, count + 1)]
+
+
+_MU_KEPT = 16   # the terms of specfun._mu_expansion
+
+
+def test_mu_expansion_is_its_partial_sum():
+    # At small y the high terms dominate, so every coefficient shows.
     mpmath = pytest.importorskip("mpmath")
-    starts, polygamma_tail = [], tails.polygamma_tail
-
-    def recording_tail(m, n, h=1.0):
-        starts.append(m)
-        return polygamma_tail(m, n, h)
-
-    monkeypatch.setattr(specfun.tails, "polygamma_tail", recording_tail)
-    value = specfun.trigamma(1e4)
-    assert len(starts) == 1 and starts[0] - 1e4 <= 64
-    assert value == pytest.approx(float(mpmath.psi(1, 10000)), rel=2 * 2.0**-52)
+    for y in (1.0, 1.5, 2.0, 4.0, 7.0, 30.0):
+        with mpmath.workdps(50):
+            ref = mpmath.fsum(_stirling_terms(mpmath, mpmath.mpf(y), _MU_KEPT))
+        assert specfun._mu_expansion(y) == pytest.approx(float(ref), rel=1e-14), y
 
 
-def test_binet_mu_exceeds_its_tail_magnitude():
-    # binet_mu sizes its tail by mu(x) > 1/(12x + 1).
+def test_expansions_envelope():
+    # From the shift point up, what the kept terms leave lies strictly
+    # between 0 and the first omitted term (DLMF 5.11(ii), 5.15.8): the
+    # truncation is bounded by that term, not calibrated.
     mpmath = pytest.importorskip("mpmath")
+    # The omitted terms fall like y^-(2K+2) against the value: 50 digits,
+    # plus 35 per decade of y, keep them resolved.
+    kept_psi = len(specfun._BERNOULLI_OVER_FACTORIAL)
+    for i in range(40):
+        with mpmath.workdps(50 + 35 * i // 8):
+            y = mpmath.mpf(specfun._MU_X0) * mpmath.mpf(10) ** (mpmath.mpf(i) / 8)
+            mu = mpmath.loggamma(y) - (y - 0.5) * mpmath.log(y) + y - mpmath.log(2 * mpmath.pi) / 2
+            terms = _stirling_terms(mpmath, y, _MU_KEPT + 1)
+            ratio = (mu - mpmath.fsum(terms[:-1])) / terms[-1]
+            assert 0 < ratio < 1, ("mu", y)
+            for n in (1, 2, 3, 10, 200):
+                y_n = y + n + specfun._PSI_X0 - specfun._MU_X0
+                series = mpmath.polygamma(n, y_n) / mpmath.factorial(n) * (-1) ** (n + 1)
+                terms = _polygamma_terms(mpmath, n, y_n, kept_psi + 1)
+                ratio = (series - mpmath.fsum(terms[:-1])) / terms[-1]
+                assert 0 < ratio < 1, (n, y_n)
+
+
+def test_binet_mu_within_its_documented_ulps():
+    # The shift's kernel_w terms cancel (up to ~eps absolute each); from x = 7
+    # on, mu is the expansion alone and within a few ulps.
+    mpmath = pytest.importorskip("mpmath")
+    worst_below, worst_above = 0.0, 0.0
+    for i in range(601):
+        x = 10.0 ** (-3 + 9 * i / 600)
+        with mpmath.workdps(60):
+            m = mpmath.mpf(x)
+            ref = mpmath.loggamma(m) - (m - 0.5) * mpmath.log(m) + m - mpmath.log(2 * mpmath.pi) / 2
+            err = float(abs(mpmath.mpf(specfun.binet_mu(x)) - ref)) / math.ulp(float(ref))
+        if x < specfun._MU_X0:
+            worst_below = max(worst_below, err)
+        else:
+            worst_above = max(worst_above, err)
+    assert worst_below <= 130
+    assert worst_above <= 2
+
+
+def test_binet_mu_exceeds_robbins_lower_bound():
+    # mu(x) > 1/(12x + 1) for x > 0 (Robbins), with a relative gap of about
+    # 1/(12x): wider than binet_mu's error on [1e-10, 1e7].
     for i in range(171):
         x = 10.0 ** (-10 + 17 * i / 170)
-        with mpmath.workdps(50):
-            m = mpmath.mpf(x)
-            mu = mpmath.loggamma(m) - (m - 0.5) * mpmath.log(m) + m - mpmath.log(2 * mpmath.pi) / 2
-        assert mu > 1 / (12 * m + 1), x
+        assert specfun.binet_mu(x) > 1 / (12 * x + 1), x
 
 
 @pytest.mark.parametrize("n, x", [(200, 1e6), (100, 2e3), (1000, 400.0), (20, 3e15),
