@@ -122,9 +122,9 @@ def delta_star(x: float) -> float:
 
 
 def stirling_arg_upper(x: float) -> float:
-    """x + 1/3 - 1/(18x+3): simple argument below delta_star."""
+    """x + 1/3 - 1/(18x+3), below delta_star: as x + 2x/(6x+1), which does not cancel."""
     x = _check_domain(x)
-    return x + 1.0 / 3.0 - 1.0 / (18.0 * x + 3.0)
+    return x + 2.0 * x / (6.0 * x + 1.0)
 
 
 def gamma_arg_bounds(x: float) -> tuple[float, float, float]:

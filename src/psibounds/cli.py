@@ -8,14 +8,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import json
 import math
 import sys
 
-from . import bounds, oracle, specfun, verifier
-from .bounds import BoundFamily
-from .errors import DomainError, ToleranceError
+from .errors import DEFAULT_EPS, DomainError, ToleranceError
 
 SCHEMA_VERSION = "1"
 
@@ -30,17 +26,18 @@ def _fmt(value: float, precision: float) -> str:
     return f"{value:.{digits}g}"
 
 
-def _exp_radius(log_value: oracle.ErrorBoundedValue, exp=math.exp):
+def _exp_radius(log_value, exp=math.exp):
     value = exp(log_value.value)
     return value, value * (log_value.error_radius + 2.0 * 2.0**-52)
 
 
-def _with_radius(r: oracle.ErrorBoundedValue):
+def _with_radius(r):
     return r.value, r.error_radius
 
 
 # Names the oracle evaluates with a rigorous radius; every other name of
-# bounds.FUNCTIONS is printed without one.
+# bounds.FUNCTIONS is printed without one.  The lambdas here and below read
+# the layers from the module globals that _eval_target binds.
 _ORACLE_EVAL = {
     "gamma": lambda x, eps: _exp_radius(oracle.ref_log_gamma(x, eps), bounds.gamma_from_log),
     "log_gamma": lambda x, eps: _with_radius(oracle.ref_log_gamma(x, eps)),
@@ -59,7 +56,10 @@ _PARAMETRISED = {
 
 def _eval_target(name: str, x: float, eps: float):
     """Resolve an eval function name to (value, radius-or-None)."""
+    global bounds, oracle, specfun
+    from . import bounds, specfun
     if name in _ORACLE_EVAL:
+        from . import oracle
         return _ORACLE_EVAL[name](x, eps)
     head, colon, param = name.partition(":")
     if colon and head in _PARAMETRISED:
@@ -81,17 +81,17 @@ def cmd_eval(args) -> int:
 _DEFAULT_XMIN = 1e-3
 
 
-def _grid_from_args(args, families: list[BoundFamily]) -> verifier.GridSpec:
+def _grid_from_args(args, families):
+    from .verifier import GridSpec
     # Only a *defaulted* lower edge is clipped into the families' domain; an
     # explicit out-of-domain request is an error, not a silent adjustment.
     x_min = args.xmin
     if x_min is None:
         x_min = max([_DEFAULT_XMIN] + [f.domain_min for f in families])
-    return verifier.GridSpec(x_min=x_min, x_max=args.xmax, points=args.points,
-                             spacing=args.scale)
+    return GridSpec(x_min=x_min, x_max=args.xmax, points=args.points, spacing=args.scale)
 
 
-def _report_rows(report: verifier.InequalityReport) -> list[dict]:
+def _report_rows(report) -> list[dict]:
     rows = []
     for r in report.records:
         rows.append(
@@ -115,9 +115,11 @@ def _report_rows(report: verifier.InequalityReport) -> list[dict]:
 
 def _emit(doc: dict, rows: list[dict], fmt: str, stream) -> None:
     if fmt == "json":
+        import json
         json.dump({**doc, "rows": rows}, stream, indent=1)
         stream.write("\n")
         return
+    import csv
     writer = csv.DictWriter(stream, fieldnames=list(rows[0].keys()))
     writer.writeheader()
     for row in rows:
@@ -126,6 +128,8 @@ def _emit(doc: dict, rows: list[dict], fmt: str, stream) -> None:
 
 
 def cmd_verify(args) -> int:
+    from . import verifier
+    from .bounds import BoundFamily
     family = BoundFamily.parse(args.family)
     grid = _grid_from_args(args, [family])
     report = verifier.sweep(grid, family, eps=args.precision)
@@ -144,6 +148,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from . import verifier
+    from .bounds import BoundFamily
     families = [BoundFamily.parse(tag) for tag in args.families.split(",") if tag]
     if len(families) < 2:
         raise DomainError("compare needs at least two families")
@@ -177,6 +183,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_constants(args) -> int:
+    from . import oracle, specfun
     gam = oracle.ref_euler_gamma(args.precision)
     log_two_pi = specfun.LOG_TWO_PI
     rows = [
@@ -205,13 +212,24 @@ def _open_out(args):
     return contextlib.nullcontext(sys.stdout)
 
 
+class _EvalHelpFormatter(argparse.HelpFormatter):
+    """Lists the eval names only when help is printed, so parsing loads no layer."""
+
+    def _get_help_string(self, action):
+        if action.dest != "fn":
+            return super()._get_help_string(action)
+        from .bounds import FUNCTIONS
+        return ", ".join([*FUNCTIONS, *(f"{name}:{letter}"
+                                        for name, (letter, _) in _PARAMETRISED.items())])
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--xmin", type=float,
                    help=f"default {_DEFAULT_XMIN}, raised to the families' domain start")
     p.add_argument("--xmax", type=float, default=1e4)
     p.add_argument("--points", type=int, default=500)
     p.add_argument("--scale", choices=("log", "linear"), default="log")
-    p.add_argument("--precision", type=float, default=verifier.DEFAULT_EPS)
+    p.add_argument("--precision", type=float, default=DEFAULT_EPS)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", help="write the artifact here instead of stdout")
 
@@ -223,12 +241,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_eval = sub.add_parser("eval", help="evaluate one function at one point")
-    p_eval.add_argument("fn", help=", ".join(
-        [*bounds.FUNCTIONS,
-         *(f"{name}:{letter}" for name, (letter, _) in _PARAMETRISED.items())]))
+    p_eval = sub.add_parser("eval", help="evaluate one function at one point",
+                            formatter_class=_EvalHelpFormatter)
+    p_eval.add_argument("fn", help="function name")
     p_eval.add_argument("x", type=float)
-    p_eval.add_argument("--precision", type=float, default=verifier.DEFAULT_EPS)
+    p_eval.add_argument("--precision", type=float, default=DEFAULT_EPS)
     p_eval.set_defaults(run=cmd_eval)
 
     p_verify = sub.add_parser("verify", help="sweep one bound family over a grid")
@@ -245,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(run=cmd_compare)
 
     p_const = sub.add_parser("constants", help="print the library constants")
-    p_const.add_argument("--precision", type=float, default=verifier.DEFAULT_EPS)
+    p_const.add_argument("--precision", type=float, default=DEFAULT_EPS)
     p_const.add_argument("--format", choices=("csv", "json", "text"), default="text")
     p_const.add_argument("--output")
     p_const.set_defaults(run=cmd_constants)

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types and the default tolerance shared across the package."""
+
+#: Absolute tolerance of the oracle's reference values unless a caller asks
+#: for another; the CLI's ``--precision`` default.
+DEFAULT_EPS = 1e-12
 
 
 class DomainError(ValueError):

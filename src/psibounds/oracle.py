@@ -29,18 +29,19 @@ u = a/y as one array, then a tail enclosure.  It serves four series:
     series at u = a/k; scale u.
 
 The array block is the package's only use of numpy, and numpy is imported
-there, at the first bulk sum: ``import psibounds``, the CLI parser and the
-fast path (``kernels``, ``specfun``, ``bounds``, all standard library only)
-never load it.  A block of ``SPLIT_MIN_TERMS`` (600) terms or more never
-becomes Python floats: ``_exact_split`` reduces it in numpy to two or three
-doubles with the same exact sum (Rump, Ogita and Oishi's error-free vector
-transformation), and the one ``fsum`` rounds those, the head terms and the
-tail midpoint to the same double as the whole term list would give.  A full
-1e5-term block then takes about 0.5 ms to sum instead of 4 ms, with one
-0.8 MB scratch array beside the terms instead of 1e5 floats, and
-``ref_binet_mu(9999)`` takes 3.1 ms instead of 5.6 ms, at a transient peak
-of 2.4 MB instead of 5.6 MB (2-vCPU x86_64, numpy 2.4).  Shorter blocks,
-where ``fsum`` is faster, go to it as floats.
+there, at the first bulk sum: ``import psibounds`` and the CLI parser load
+no numeric layer, and the fast path (``kernels``, ``specfun``, ``bounds``,
+all standard library only) never loads numpy.  A block of
+``SPLIT_MIN_TERMS`` (600) terms or more never becomes Python floats:
+``_exact_split`` reduces it in numpy to two or three doubles with the same
+exact sum (Rump, Ogita and Oishi's error-free vector transformation), and
+the one ``fsum`` rounds those, the head terms and the tail midpoint to the
+same double as the whole term list would give.  A full 1e5-term block then
+takes about 0.5 ms to sum instead of 4 ms, with one 0.8 MB scratch array
+beside the terms instead of 1e5 floats, and ``ref_binet_mu(9999)`` takes
+3.1 ms instead of 5.6 ms, at a transient peak of 2.4 MB instead of 5.6 MB
+(2-vCPU x86_64, numpy 2.4).  Shorter blocks, where ``fsum`` is faster, go to
+it as floats.
 
 psi(x) = log x - gap(x) at every x, charging 1 ulp of log x on top of the
 gap.  Above 2, log Gamma(x) = mu(x) + (x - 1/2) log x - x + log(2 pi)/2,
@@ -76,7 +77,7 @@ import math
 from dataclasses import dataclass
 
 from . import kernels, tails
-from .errors import DomainError, ToleranceError
+from .errors import DEFAULT_EPS, DomainError, ToleranceError
 from .kernels import _check_domain
 
 _EPS = 2.0**-52
@@ -261,7 +262,7 @@ def _mu_sum(x: float, target: float) -> ErrorBoundedValue:
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
-def ref_digamma_gap(x: float, eps: float = 1e-12) -> ErrorBoundedValue:
+def ref_digamma_gap(x: float, eps: float = DEFAULT_EPS) -> ErrorBoundedValue:
     """log(x) - psi(x) as a directly summed positive series.
 
     The target quantity of the digamma-gap bound families; also the source
@@ -276,7 +277,7 @@ def ref_digamma_gap(x: float, eps: float = 1e-12) -> ErrorBoundedValue:
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
-def ref_binet_mu(x: float, eps: float = 1e-12) -> ErrorBoundedValue:
+def ref_binet_mu(x: float, eps: float = DEFAULT_EPS) -> ErrorBoundedValue:
     """log of the Stirling ratio Gamma(x)/(sqrt(2 pi) x^(x-1/2) e^-x)."""
     x = _check_domain(x)
     eps = _check_eps(eps)
@@ -286,7 +287,7 @@ def ref_binet_mu(x: float, eps: float = 1e-12) -> ErrorBoundedValue:
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
-def ref_stirling_target(x: float, eps: float = 1e-12) -> ErrorBoundedValue:
+def ref_stirling_target(x: float, eps: float = DEFAULT_EPS) -> ErrorBoundedValue:
     """Gamma(x) / (sqrt(2 pi) x^x e^-x), the exponential families' target.
 
     Computed as exp(mu)/sqrt(x) so the relative radius stays at ulp scale;
@@ -301,17 +302,17 @@ def ref_stirling_target(x: float, eps: float = 1e-12) -> ErrorBoundedValue:
     return ErrorBoundedValue(value, radius)
 
 
-def ref_euler_gamma(eps: float = 1e-12) -> ErrorBoundedValue:
+def ref_euler_gamma(eps: float = DEFAULT_EPS) -> ErrorBoundedValue:
     """The Euler-Mascheroni constant, -psi(1), with the digamma oracle's radius."""
     eps = _check_eps(eps)
-    if eps < 1e-12:
-        raise ToleranceError(f"eps={eps!r} below the 1e-12 floor for the constant")
+    if eps < DEFAULT_EPS:
+        raise ToleranceError(f"eps={eps!r} below the {DEFAULT_EPS} floor for the constant")
     psi1 = ref_digamma(1.0, eps)
     return ErrorBoundedValue(-psi1.value, psi1.error_radius)
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
-def ref_digamma(x: float, eps: float = 1e-12) -> ErrorBoundedValue:
+def ref_digamma(x: float, eps: float = DEFAULT_EPS) -> ErrorBoundedValue:
     """psi(x) = log x - gap(x) at every x (DLMF 5.11.1).
 
     The gap is summed to half-width max(eps/8, its quarter-ulp target), not
@@ -328,7 +329,7 @@ def ref_digamma(x: float, eps: float = 1e-12) -> ErrorBoundedValue:
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
-def ref_trigamma(x: float, eps: float = 1e-12) -> ErrorBoundedValue:
+def ref_trigamma(x: float, eps: float = DEFAULT_EPS) -> ErrorBoundedValue:
     """psi'(x) = sum_{k>=0} 1/(x+k)^2, a kernel sum with u^2 as its series.
 
     Summed to half-width eps/16; the tail enclosure sits inside the
@@ -346,7 +347,7 @@ def ref_trigamma(x: float, eps: float = 1e-12) -> ErrorBoundedValue:
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
-def ref_log_gamma(x: float, eps: float = 1e-12) -> ErrorBoundedValue:
+def ref_log_gamma(x: float, eps: float = DEFAULT_EPS) -> ErrorBoundedValue:
     """log Gamma(x): a series on (0, 2], Stirling's formula above 2.
 
     On (0, 2], the product-form series at 1 + a, a in (0, 1], less log x

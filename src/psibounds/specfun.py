@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import sys
-from fractions import Fraction
 
 from . import kernels, tails
 from .errors import DomainError
@@ -173,6 +172,7 @@ def polygamma(n: int, x: float) -> float:
         total = _power_sum(n, x, 1.0)   # its first term overflows where the value does
         if n > 1 and total < sys.float_info.min:
             # The terms underflow: sum them over x^-(n+1), then divide that out.
+            from fractions import Fraction
             magnitude = float(math.factorial(n) * Fraction(_power_sum(n, x, x))
                               / Fraction(x) ** (n + 1))
         elif n <= 22:
@@ -181,6 +181,7 @@ def polygamma(n: int, x: float) -> float:
             magnitude = math.factorial(n) * total
         else:
             # Exact, then rounded once: n! alone overflows a double from n = 171.
+            from fractions import Fraction
             magnitude = float(math.factorial(n) * Fraction(total))
     except OverflowError:
         magnitude = math.inf

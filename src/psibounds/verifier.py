@@ -19,9 +19,8 @@ from typing import Callable
 
 from . import bounds, oracle, specfun
 from .bounds import BoundFamily, Interval
-from .errors import DomainError, ToleranceError, UndecidedComparisonError
+from .errors import DEFAULT_EPS, DomainError, ToleranceError, UndecidedComparisonError
 
-DEFAULT_EPS = 1e-12
 STRICTNESS_FACTOR = 10.0
 BOUND_ULPS = 4.0
 #: Forward differences within this many ulps of the larger neighbour are

@@ -411,6 +411,32 @@ def test_thm22_at_tiny_x_is_returned():
     assert iv.contains(1e17)
 
 
+@pytest.mark.parametrize("x", [1e-5, 1e-10, 1e-17])
+def test_stirling_arg_upper_at_small_x(x):
+    # x + 1/3 - 1/(18x+3) cancels at small x; 2x/(6x+1) does not.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        m = mpmath.mpf(x)
+        truth = float(m + mpmath.mpf(1) / 3 - 1 / (18 * m + 3))
+    assert abs(bounds.stirling_arg_upper(x) - truth) <= math.ulp(truth)
+
+
+def test_thm23_at_tiny_x():
+    # The upper side exp(-psi(z)/2), z ~ 3x, is about exp(1/(6x)): finite
+    # down to x ~ 2.35e-4.  There the cancelling argument put it 4.6e-11
+    # relative off; below, the overflow is reported with the family and x,
+    # not as "got 0.0" from an argument that had rounded to zero.
+    mpmath = pytest.importorskip("mpmath")
+    x = 2.5e-4
+    with mpmath.workdps(50):
+        m = mpmath.mpf(x)
+        truth = mpmath.exp(-mpmath.digamma(m + mpmath.mpf(1) / 3 - 1 / (18 * m + 3)) / 2)
+    upper = bounds.stirling_ratio_bounds(x, BoundFamily.THM23).upper
+    assert abs(upper - truth) <= 1e-12 * truth
+    with pytest.raises(DomainError, match=r"thm23.*x=1e-17"):
+        bounds.stirling_ratio_bounds(1e-17, BoundFamily.THM23)
+
+
 def test_theta_sign_and_relative_error():
     # theta < 0 after 0.  Up to t = 1/16 it is a series in t; above, the
     # direct difference cancels toward 1/16 (within 4.1e-12 measured).

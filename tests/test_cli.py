@@ -262,12 +262,15 @@ def _python(*args):
                           text=True, timeout=120)
 
 
-@pytest.mark.parametrize("args", [
+_COLD_STARTS = [
     ["-c", "import psibounds; from psibounds import cli; cli.build_parser()"],
     ["-m", "psibounds", "--help"],
     ["-m", "psibounds", "verify"],            # usage error, exit 2
     ["-m", "psibounds", "eval", "beta", "2"],
-])
+]
+
+
+@pytest.mark.parametrize("args", _COLD_STARTS)
 def test_cold_start_does_not_import_numpy(args):
     # Only the oracle's bulk sums use numpy, and they import it themselves.
     # -X importtime lists every module imported, one per line.
@@ -277,6 +280,23 @@ def test_cold_start_does_not_import_numpy(args):
                 for line in proc.stderr.splitlines() if line.startswith("import time:")}
     assert "psibounds" in imported
     assert "numpy" not in imported
+
+
+@pytest.mark.parametrize("args", _COLD_STARTS)
+def test_cold_start_loads_only_what_it_runs(args):
+    # Parsing, --help and usage errors load no numeric layer; eval loads the
+    # layers its function needs: beta needs neither oracle nor verifier, nor
+    # the fractions that only polygamma's exact branches use.
+    proc = _python("-X", "importtime", *args)
+    assert proc.returncode in (0, 2), proc.stderr
+    imported = {line.rsplit("|", 1)[-1].strip()
+                for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    assert "psibounds.cli" in imported
+    forbidden = {"psibounds.oracle", "psibounds.verifier", "fractions"}
+    if "eval" not in args:
+        forbidden |= {"psibounds.bounds", "psibounds.specfun", "psibounds.kernels",
+                      "psibounds.tails", "dataclasses", "json", "csv"}
+    assert not imported & forbidden
 
 
 @pytest.mark.parametrize("argv, expected", [
