@@ -26,6 +26,18 @@ def _fmt(value: float, precision: float) -> str:
     return f"{value:.{digits}g}"
 
 
+def _precision(text: str) -> float:
+    # argparse type of --precision: _fmt takes its log10, and every oracle
+    # tolerance must be a positive number.
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
+
+
 def _exp_radius(log_value, exp=math.exp):
     value = exp(log_value.value)
     return value, value * (log_value.error_radius + 2.0 * 2.0**-52)
@@ -229,7 +241,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--xmax", type=float, default=1e4)
     p.add_argument("--points", type=int, default=500)
     p.add_argument("--scale", choices=("log", "linear"), default="log")
-    p.add_argument("--precision", type=float, default=DEFAULT_EPS)
+    p.add_argument("--precision", type=_precision, default=DEFAULT_EPS)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", help="write the artifact here instead of stdout")
 
@@ -245,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
                             formatter_class=_EvalHelpFormatter)
     p_eval.add_argument("fn", help="function name")
     p_eval.add_argument("x", type=float)
-    p_eval.add_argument("--precision", type=float, default=DEFAULT_EPS)
+    p_eval.add_argument("--precision", type=_precision, default=DEFAULT_EPS)
     p_eval.set_defaults(run=cmd_eval)
 
     p_verify = sub.add_parser("verify", help="sweep one bound family over a grid")
@@ -262,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(run=cmd_compare)
 
     p_const = sub.add_parser("constants", help="print the library constants")
-    p_const.add_argument("--precision", type=float, default=DEFAULT_EPS)
+    p_const.add_argument("--precision", type=_precision, default=DEFAULT_EPS)
     p_const.add_argument("--format", choices=("csv", "json", "text"), default="text")
     p_const.add_argument("--output")
     p_const.set_defaults(run=cmd_constants)

@@ -28,8 +28,9 @@ SERIES_CUTOFF = 16.0
 
 # Each series below is one straight-line Horner expression in u, led by its
 # highest retained power and ended by the leading power of u, squared as
-# u * u.  u may be a float or a numpy array (the oracle sums whole blocks of
-# terms at once), with the same operations and so the same values.
+# u * u.  They serve floats only.  The oracle builds its bulk terms from the
+# same coefficients in place on numpy arrays, with the same operations and
+# so the same values.
 
 
 def _r_poly(u):

@@ -20,7 +20,7 @@ radius, as do requests that the argument's own representation cannot honour
 
 One routine sums every series over y = x + j: direct-formula terms below
 y = 16, charged at a per-series rounding scale, then the terms' series in
-u = a/y as one array, then a tail enclosure.  It serves four series:
+u = a/y in numpy arrays, then a tail enclosure.  It serves four series:
 
   * the digamma gap, sum kernel_r(x + j) = log x - psi(x), and Binet's mu,
     sum kernel_w(x + j) (DLMF 5.11.1); scale |term| + 1, for the log factor;
@@ -28,20 +28,26 @@ u = a/y as one array, then a tail enclosure.  It serves four series:
   * log Gamma(1 + a) + gamma a = sum_k [a/k - log(1 + a/k)], the gap's
     series at u = a/k; scale u.
 
-The array block is the package's only use of numpy, and numpy is imported
-there, at the first bulk sum: ``import psibounds`` and the CLI parser load
-no numeric layer, and the fast path (``kernels``, ``specfun``, ``bounds``,
-all standard library only) never loads numpy.  A block of
+The bulk is the package's only use of numpy, and numpy is imported there,
+at the first bulk sum: ``import psibounds`` and the CLI parser load no
+numeric layer, and the fast path (``kernels``, ``specfun``, ``bounds``, all
+standard library only) never loads numpy.  The bulk terms are built and
+reduced ``BLOCK_TERMS`` (32768) at a time, in place on two arrays: u =
+a/(x + j), then the series by Horner's rule from its coefficient tuple, with
+the operations of the scalar kernels' straight-line polynomials, so each
+term equals the scalar kernel at x + j bit for bit.  A chunk of
 ``SPLIT_MIN_TERMS`` (600) terms or more never becomes Python floats:
 ``_exact_split`` reduces it in numpy to two or three doubles with the same
 exact sum (Rump, Ogita and Oishi's error-free vector transformation), and
 the one ``fsum`` rounds those, the head terms and the tail midpoint to the
-same double as the whole term list would give.  A full 1e5-term block then
-takes about 0.5 ms to sum instead of 4 ms, with one 0.8 MB scratch array
-beside the terms instead of 1e5 floats, and ``ref_binet_mu(9999)`` takes
-3.1 ms instead of 5.6 ms, at a transient peak of 2.4 MB instead of 5.6 MB
-(2-vCPU x86_64, numpy 2.4).  Shorter blocks, where ``fsum`` is faster, go to
-it as floats.
+same double as the whole term list would give.  Shorter chunks, where
+``fsum`` is faster, go to it as floats.  A full 1e5-term block then takes
+about 2.0 ms to build and reduce (3.0 ms as one whole-block array, each
+numpy step writing a fresh 0.8 MB temporary), 0.6 ms of it the reduction,
+against 4.2 ms for ``fsum`` over its terms as floats; ``ref_binet_mu(9999)``
+takes 1.7 ms instead of 3.3 ms, at a transient peak of 0.53 MB instead of
+2.4 MB (3.7 MB with its terms as floats).  Medians of 200 runs, 2-vCPU
+x86_64, numpy 2.4.
 
 psi(x) = log x - gap(x) at every x, charging 1 ulp of log x on top of the
 gap.  Above 2, log Gamma(x) = mu(x) + (x - 1/2) log x - x + log(2 pi)/2,
@@ -92,9 +98,19 @@ MAX_TERMS = 100_000
 #: after one certify pass (1048, ``ref_binet_mu``), rounded up.
 CACHE_SIZE = 4096
 
-#: Bulk blocks of at least this many terms are reduced by ``_exact_split``;
+#: Bulk chunks of at least this many terms are reduced by ``_exact_split``;
 #: shorter ones go to ``fsum`` as Python floats, which is faster there.
 SPLIT_MIN_TERMS = 600
+
+#: Terms per bulk chunk, 256 KiB of doubles: the fastest power of two from 8192 to 65536.
+BLOCK_TERMS = 32_768
+
+# The bulk series in u as coefficient tuples of u^2, u^3, ..., u^12, from the
+# series formulas of the kernels: u - log1p(u) for the gap and the log Gamma
+# series, (1/u + 1/2) log1p(u) - 1 for mu, and u^2 for psi'.
+_R_SERIES = tuple((-1.0) ** m / m for m in range(2, 13))
+_W_SERIES = tuple((-1.0) ** j * (j - 1) / (2.0 * j * (j + 1)) for j in range(2, 13))
+_U2_SERIES = (1.0,)
 
 #: log(2 pi)/2 to within 1.7e-16: 2 pi rounds by at most 2^-53 relative and
 #: log by at most 1 ulp; the halving is exact.
@@ -160,14 +176,15 @@ def _target(x: float, eps: float) -> float:
     return max(min(eps / 4.0, 0.25 * _EPS * magnitude), 1e-26)
 
 
-def _kernel_sum(x: float, target: float, kernel, poly, tail, trunc_scale: float,
-                trunc_rel_bound, head_scale, a: float = 1.0):
+def _kernel_sum(x: float, target: float, kernel, coeffs: tuple[float, ...], tail,
+                trunc_scale: float, trunc_rel_bound, head_scale, a: float = 1.0):
     """Parts and charges of sum_j kernel(x + j) to about half-width ``target``.
 
-    Direct terms round at ``head_scale(term, u)``; ``poly`` evaluates the
-    terms' series in u = a/(x + j) on an array, truncated within
-    ``trunc_rel_bound(u)`` relative; ``tail`` encloses the tail, of width
-    ~ trunc_scale / M^5 (see the module docstring).  ``_close`` ends it.
+    Direct terms round at ``head_scale(term, u)``; the terms' series in
+    u = a/(x + j), with coefficients ``coeffs`` (see ``_bulk_terms``), is
+    truncated within ``trunc_rel_bound(u)`` relative; ``tail`` encloses the
+    tail, of width ~ trunc_scale / M^5 (see the module docstring).
+    ``_close`` ends it.
     """
     m_tail = max(x + 16.0, 64.0, (trunc_scale / target) ** 0.2,
                  min(2.0 * _EPS / target, x + MAX_TERMS))
@@ -181,11 +198,11 @@ def _kernel_sum(x: float, target: float, kernel, poly, tail, trunc_scale: float,
         parts.append(term)
         head_charges += 2.0 * _EPS * head_scale(term, a / (x + j))
     bulk_sum = 0.0
-    if count > n_head:
-        import numpy as np   # imported at the first bulk sum (see the module docstring)
-        arr = poly(a / (x + np.arange(n_head, count, dtype=np.float64)))
-        bulk_sum = float(np.abs(arr).sum())
-        parts.extend(arr.tolist() if arr.size < SPLIT_MIN_TERMS else _exact_split(arr))
+    for start in range(n_head, count, BLOCK_TERMS):
+        terms = _bulk_terms(x, a, coeffs, start, min(start + BLOCK_TERMS, count))
+        bulk_sum += float(terms.sum())   # every bulk term is positive
+        parts.extend(terms.tolist() if terms.size < SPLIT_MIN_TERMS else _exact_split(terms))
+        del terms   # freed before the next chunk is built
     lo, hi = tail(x + count)
     mid = 0.5 * (lo + hi)
     parts.append(mid)
@@ -193,6 +210,27 @@ def _kernel_sum(x: float, target: float, kernel, poly, tail, trunc_scale: float,
     return parts, [0.5 * (hi - lo), head_charges,
                    (2.0 * _EPS + trunc_rel_bound(u_first)) * bulk_sum,
                    4.0 * _EPS * abs(mid)]
+
+
+def _bulk_terms(x: float, a: float, coeffs: tuple[float, ...], start: int, stop: int):
+    """The series terms sum_i coeffs[i] u^(i+2) at u = a/(x + j), j in [start, stop).
+
+    In place on two arrays, with the operations of the scalar kernels'
+    straight-line Horner expressions: u = a/(x + j), the highest coefficient,
+    then ``acc *= u; acc += c`` down to coeffs[0], then ``acc *= u*u``.  So
+    each term equals the scalar kernel at x + j bit for bit.
+    """
+    import numpy as np   # imported at the first bulk sum (see the module docstring)
+    u = np.arange(start, stop, dtype=np.float64)
+    u += x
+    np.divide(a, u, out=u)
+    acc = np.full_like(u, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        acc *= u
+        acc += c
+    u *= u
+    acc *= u
+    return acc
 
 
 def _exact_split(p) -> list[float]:
@@ -252,12 +290,12 @@ def _plus_one(term: float, u: float) -> float:
 def _gap_sum(x: float, eps: float, target: float, what: str) -> ErrorBoundedValue:
     # sum_j kernel_r(x + j) = log x - psi(x) > 1/(2x).
     _ensure_above(0.5 / x, eps, what)
-    return _close(*_kernel_sum(x, target, kernels.kernel_r, kernels._r_poly,
+    return _close(*_kernel_sum(x, target, kernels.kernel_r, _R_SERIES,
                                tails.gap_tail, 1.0 / 60.0, _r_trunc_rel, _plus_one))
 
 
 def _mu_sum(x: float, target: float) -> ErrorBoundedValue:
-    return _close(*_kernel_sum(x, target, kernels.kernel_w, kernels._w_poly,
+    return _close(*_kernel_sum(x, target, kernels.kernel_w, _W_SERIES,
                                tails.mu_tail, 1.0 / 360.0, _w_trunc_rel, _plus_one))
 
 
@@ -339,7 +377,7 @@ def ref_trigamma(x: float, eps: float = DEFAULT_EPS) -> ErrorBoundedValue:
     x = _check_domain(x)
     eps = _check_eps(eps)
     _ensure_above(1.0 / x / x, eps, f"ref_trigamma({x!r})")
-    out = _close(*_kernel_sum(x, eps / 16.0, lambda y: y**-2.0, lambda u: u * u,
+    out = _close(*_kernel_sum(x, eps / 16.0, lambda y: y**-2.0, _U2_SERIES,
                               lambda y: tails.polygamma_tail(y, 1), 1.0 / 30.0,
                               lambda u: 0.0, lambda term, u: term))
     _ensure(out.error_radius, eps, f"ref_trigamma({x!r})")
@@ -396,7 +434,7 @@ def _log_gamma_series(x: float, eps: float) -> ErrorBoundedValue:
     charges: list[float] = []
     if a > 0.0:
         parts, charges = _kernel_sum(
-            1.0, eps / 16.0, lambda k: kernels.u_minus_log1p(a / k), kernels._r_poly,
+            1.0, eps / 16.0, lambda k: kernels.u_minus_log1p(a / k), _R_SERIES,
             lambda k: tails.gap_tail(k / a, 1.0 / a), a * a / 60.0, _r_trunc_rel,
             lambda term, u: u, a)
         gam = ref_digamma_gap(1.0)   # the series at 1 sums to gamma

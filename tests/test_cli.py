@@ -67,6 +67,25 @@ def test_eval_domain_error_exit_2(capsys):
     assert err.strip()
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "digamma", "1", "--precision", "inf"],
+    ["eval", "f", "1", "--precision", "0"],
+    ["eval", "f", "1", "--precision=-1e-3"],
+    ["eval", "f", "1", "--precision", "nan"],
+    ["eval", "f", "1", "--precision", "tight"],
+    ["verify", "--family", "eq4", "--precision", "0"],
+    ["compare", "--families", "eq4,eq5", "--precision=-inf"],
+    ["constants", "--precision", "inf"],
+])
+def test_precision_must_be_positive_and_finite(capsys, argv):
+    # Rejected by the parser with a plain message, before any layer runs.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --precision: must be a positive finite number" in err
+
+
 def test_eval_unknown_function_exit_3(capsys):
     code, _, err = run(capsys, "eval", "zeta", "2")
     assert code == 3

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import refs_frozen as refs
-from psibounds import kernels
+from psibounds import kernels, oracle
 from psibounds.errors import DomainError
 
 
@@ -54,16 +54,41 @@ def test_series_matches_direct_formulas(y):
     assert kernels.kernel_w_integral(y) == pytest.approx(direct_wint, rel=2e-11)
 
 
-def test_poly_eval_on_arrays_matches_scalar_kernels():
-    # The oracle evaluates whole blocks of series terms as one array.  Each
-    # term must equal the scalar kernel exactly: both paths square u as u*u.
-    y = 16.0 + np.geomspace(1e-9, 1e7, 20001)
-    u = 1.0 / y
-    for poly, kernel in ((kernels._r_poly, kernels.kernel_r),
-                         (kernels._w_poly, kernels.kernel_w)):
-        bulk = poly(u)
-        scalar = np.array([kernel(v) for v in y.tolist()])
-        assert np.array_equal(bulk, scalar)
+def test_poly_eval_on_arrays_matches_scalar_kernels(monkeypatch):
+    # The oracle builds its bulk terms in place, BLOCK_TERMS at a time, from
+    # coefficient tuples.  Each term must equal the scalar kernel at x + j
+    # exactly, in every chunk: both paths take the same IEEE operations.
+    chunks = []
+    bulk_terms = oracle._bulk_terms
+
+    def recording(x, a, coeffs, start, stop):
+        terms = bulk_terms(x, a, coeffs, start, stop)
+        chunks.append((x, a, coeffs, start, terms.tolist()))
+        return terms
+
+    monkeypatch.setattr(oracle, "_bulk_terms", recording)
+    for x in (16.0, 17.3, 2200.37, 4380.0, 9999.0):
+        oracle.clear_caches()
+        oracle.ref_digamma_gap(x)
+        oracle.ref_binet_mu(x)
+    oracle.clear_caches()
+    oracle.ref_log_gamma(1.7)   # the r-series at u = a/k, a = 0.7
+    kernel = {oracle._R_SERIES: kernels.kernel_r, oracle._W_SERIES: kernels.kernel_w}
+    for x, a, coeffs, start, terms in chunks:
+        if a == 1.0:
+            expected = [kernel[coeffs](x + j) for j in range(start, start + len(terms))]
+        else:
+            expected = [kernels.u_minus_log1p(a / (x + j))
+                        for j in range(start, start + len(terms))]
+        assert terms == expected, (x, a, start)
+    # Chunk boundaries were crossed, and the log Gamma series was summed.
+    assert sum(start > 0 and start % oracle.BLOCK_TERMS == 0 for _, _, _, start, _ in chunks) >= 10
+    assert any(a != 1.0 for _, a, _, _, _ in chunks)
+    # A dense set of fractional parts of x + j, from y = 16 on.
+    for x in (16.0 + np.geomspace(1e-9, 1e7, 2001)).tolist():
+        for coeffs, kernel_fn in kernel.items():
+            terms = oracle._bulk_terms(x, 1.0, coeffs, 0, 3).tolist()
+            assert terms == [kernel_fn(x + j) for j in range(3)], x
 
 
 @given(st.floats(min_value=1e-3, max_value=1e12))

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -243,8 +244,7 @@ def test_log_gamma_refusal_known_before_any_sum(monkeypatch):
 
     oracle.clear_caches()
     monkeypatch.setattr(np, "arange", boom)
-    monkeypatch.setattr(oracle.kernels, "_r_poly", boom)
-    monkeypatch.setattr(oracle.kernels, "_w_poly", boom)
+    monkeypatch.setattr(oracle, "_bulk_terms", boom)
     with pytest.raises(ToleranceError):
         oracle.ref_log_gamma(1e6, 1e-12)
 
@@ -274,6 +274,23 @@ def test_early_log_gamma_refusal_only_where_the_full_sum_refuses(eps, monkeypatc
         except ToleranceError:
             refused = True
         assert refused == (full.error_radius > eps), x
+
+
+@pytest.mark.parametrize("name, x", [("ref_binet_mu", 9999.0), ("ref_digamma_gap", 1e6)])
+def test_full_bulk_block_stays_small_in_memory(name, x):
+    # A full 1e5-term block is built and reduced a chunk at a time, so the
+    # sum's transient peak stays near two BLOCK_TERMS arrays (0.5 MB), not
+    # the 0.8 MB of one whole-block array.
+    fn = getattr(oracle, name)
+    fn(x)   # numpy imported and warmed up outside the trace
+    oracle.clear_caches()
+    tracemalloc.start()
+    try:
+        fn(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 def test_no_bulk_terms_at_abscissas_that_round_together(monkeypatch):
@@ -408,6 +425,10 @@ def test_exact_split_checks_its_invariant(bad):
 
 
 _SERIES_X = [1e-3, 1.0, 15.9, 16.0, 100.0, 6.7e3, 1e4, 1e6, 1e20, 1e300]
+#: The gap and mu blocks here span two and three chunks; each ends in a
+#: chunk shorter than BLOCK_TERMS, above SPLIT_MIN_TERMS at 3000 (12232
+#: terms) and below it at 4380 (164 terms).
+_CHUNKED_X = [3000.0, 4380.0]
 #: The refs whose kernel sums cover the four series: the gap (twice, at two
 #: targets), mu, psi' and, for x <= 2, the log Gamma series.
 _SERIES_REFS = ("ref_digamma_gap", "ref_digamma", "ref_binet_mu", "ref_trigamma",
@@ -416,28 +437,37 @@ _SERIES_REFS = ("ref_digamma_gap", "ref_digamma", "ref_binet_mu", "ref_trigamma"
 
 @pytest.mark.parametrize("split_min", [1, oracle.SPLIT_MIN_TERMS])
 def test_kernel_sums_equal_fsum_over_the_full_term_list(split_min, monkeypatch):
-    # Each kernel sum's value against fsum over its head terms, its whole
-    # bulk array as Python floats and its tail midpoint; with split_min = 1
-    # every bulk block goes through the split.
+    # Each kernel sum's value against fsum over its head terms, all its bulk
+    # chunks as Python floats and its tail midpoint; with split_min = 1
+    # every bulk chunk goes through the split.
     sums = []
-    real_split, real_kernel_sum = oracle._exact_split, oracle._kernel_sum
+    real_split, real_bulk_terms, real_kernel_sum = (
+        oracle._exact_split, oracle._bulk_terms, oracle._kernel_sum)
+
+    def recording_bulk_terms(*args):
+        terms = real_bulk_terms(*args)
+        sums[-1]["bulk"].extend(terms.tolist())
+        sums[-1]["chunks"].append(terms.size)
+        return terms
 
     def recording_split(arr):
-        sums[-1]["bulk"] = arr.tolist()
-        sums[-1]["taus"] = real_split(arr)
-        return sums[-1]["taus"]
+        sums[-1]["split_terms"] += arr.size
+        taus = real_split(arr)
+        sums[-1]["taus"] += len(taus)
+        return taus
 
     def recording_kernel_sum(*args, **kwargs):
-        sums.append({})
+        sums.append({"bulk": [], "chunks": [], "split_terms": 0, "taus": 0})
         parts, charges = real_kernel_sum(*args, **kwargs)
         sums[-1]["out"] = list(parts), list(charges)   # callers extend them
         return parts, charges
 
     monkeypatch.setattr(oracle, "SPLIT_MIN_TERMS", split_min)
     monkeypatch.setattr(oracle, "_exact_split", recording_split)
+    monkeypatch.setattr(oracle, "_bulk_terms", recording_bulk_terms)
     monkeypatch.setattr(oracle, "_kernel_sum", recording_kernel_sum)
     split_sums = full_length = 0
-    for x in _SERIES_X + [1.5, 2.0]:
+    for x in _SERIES_X + _CHUNKED_X + [1.5, 2.0]:
         for name in _SERIES_REFS:
             oracle.clear_caches()
             try:
@@ -446,16 +476,22 @@ def test_kernel_sums_equal_fsum_over_the_full_term_list(split_min, monkeypatch):
                 pass
     for record in sums:
         parts, charges = record["out"]
-        if "taus" not in record:   # short blocks, or none where x + 16 rounds to x
+        if not record["taus"]:   # short blocks, or none where x + 16 rounds to x
             continue
         split_sums += 1
         full_length += len(record["bulk"]) == oracle.MAX_TERMS
-        head, mid = parts[:len(parts) - 1 - len(record["taus"])], parts[-1]
+        # The bulk's parts: the split chunks' taus and the short chunks' terms.
+        n_bulk = record["taus"] + len(record["bulk"]) - record["split_terms"]
+        head, mid = parts[:len(parts) - 1 - n_bulk], parts[-1]
         full = oracle._close([*head, *record["bulk"], mid], charges)
         split = oracle._close(parts, charges)
         assert (split.value.hex(), split.error_radius.hex()) == (
             full.value.hex(), full.error_radius.hex())
     assert split_sums >= 20 and full_length >= 2, (split_sums, full_length)
+    # Blocks of several chunks that end in a short one, both above and below
+    # SPLIT_MIN_TERMS.
+    last_chunks = {r["chunks"][-1] for r in sums if len(r["chunks"]) > 1}
+    assert {12232, 164} <= last_chunks, last_chunks
 
 
 # -- bounded caches --------------------------------------------------------------
