@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
+import re
 import sys
 
 from .errors import DEFAULT_EPS, DomainError, ToleranceError
@@ -257,6 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
                             formatter_class=_EvalHelpFormatter)
     p_eval.add_argument("fn", help="function name")
     p_eval.add_argument("x", type=float)
+    # argparse's own negative-number pattern has no exponent: "-1e-3" was an option.
+    p_eval._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
     p_eval.add_argument("--precision", type=_precision, default=DEFAULT_EPS)
     p_eval.set_defaults(run=cmd_eval)
 

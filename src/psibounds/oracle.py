@@ -5,7 +5,8 @@ implementation: it only sums the defining series and encloses their tails
 via :mod:`psibounds.tails`.  Each result carries an ``error_radius`` that
 accounts for
 
-  * the truncation enclosure (half the tail-bracket width),
+  * the truncation enclosure (half the tail-bracket width) and the derived
+    truncation of the terms' positive series W (see ``kernels``),
   * per-term floating-point evaluation, charged at a calibrated 2 ulps of
     each term's rounding scale (4 ulps for the tail midpoint), and
   * the final exactly-rounded summation (``math.fsum``), half an ulp.
@@ -18,36 +19,30 @@ Requests below ``EPS_FLOOR`` fail loudly instead of returning an optimistic
 radius, as do requests that the argument's own representation cannot honour
 (e.g. an absolute 1e-12 on trigamma near 0, where the value is ~1e6).
 
-One routine sums every series over y = x + j: direct-formula terms below
-y = 16, charged at a per-series rounding scale, then the terms' series in
-u = a/y in numpy arrays, then a tail enclosure.  It serves four series:
+One routine sums every series over y = x + j: the direct-formula terms,
+charged at a per-series rounding scale, then the rest in numpy arrays,
+then a tail enclosure.  It serves four series:
 
   * the digamma gap, sum kernel_r(x + j) = log x - psi(x), and Binet's mu,
-    sum kernel_w(x + j) (DLMF 5.11.1); scale |term| + 1, for the log factor;
-  * psi'(x) = sum (x + j)^-2, whose series in u is u^2; scale |term|;
-  * log Gamma(1 + a) + gamma a = sum_k [a/k - log(1 + a/k)], the gap's
-    series at u = a/k; scale u.
+    sum kernel_w(x + j) (DLMF 5.11.1), from y = 1 by the kernels' series:
+    at most one direct term, at scale |term| + 1 for its log factor;
+  * psi'(x) = sum (x + j)^-2: y^-2 below y = 16, scale |term|, then u^2;
+  * log Gamma(1 + a) + gamma a = sum_k kernel_r(k/a), all series terms.
 
 The bulk is the package's only use of numpy, and numpy is imported there,
 at the first bulk sum: ``import psibounds`` and the CLI parser load no
 numeric layer, and the fast path (``kernels``, ``specfun``, ``bounds``, all
 standard library only) never loads numpy.  The bulk terms are built and
-reduced ``BLOCK_TERMS`` (32768) at a time, in place on two arrays: u =
-a/(x + j), then the series by Horner's rule from its coefficient tuple, with
-the operations of the scalar kernels' straight-line polynomials, so each
-term equals the scalar kernel at x + j bit for bit.  A chunk of
+reduced ``BLOCK_TERMS`` (32768) at a time, in place on at most three
+arrays, each equal to its scalar kernel bit for bit.  A chunk of
 ``SPLIT_MIN_TERMS`` (600) terms or more never becomes Python floats:
 ``_exact_split`` reduces it in numpy to two or three doubles with the same
 exact sum (Rump, Ogita and Oishi's error-free vector transformation), and
 the one ``fsum`` rounds those, the head terms and the tail midpoint to the
 same double as the whole term list would give.  Shorter chunks, where
-``fsum`` is faster, go to it as floats.  A full 1e5-term block then takes
-about 2.0 ms to build and reduce (3.0 ms as one whole-block array, each
-numpy step writing a fresh 0.8 MB temporary), 0.6 ms of it the reduction,
-against 4.2 ms for ``fsum`` over its terms as floats; ``ref_binet_mu(9999)``
-takes 1.7 ms instead of 3.3 ms, at a transient peak of 0.53 MB instead of
-2.4 MB (3.7 MB with its terms as floats).  Medians of 200 runs, 2-vCPU
-x86_64, numpy 2.4.
+``fsum`` is faster, go to it as floats.  ``ref_binet_mu(9999)``, a full
+1e5-term block, peaks at 0.53 MB and ``ref_digamma_gap(9999)`` at 0.79 MB
+(3.7 MB with the terms as floats).
 
 psi(x) = log x - gap(x) at every x, charging 1 ulp of log x on top of the
 gap.  Above 2, log Gamma(x) = mu(x) + (x - 1/2) log x - x + log(2 pi)/2,
@@ -105,12 +100,10 @@ SPLIT_MIN_TERMS = 600
 #: Terms per bulk chunk, 256 KiB of doubles: the fastest power of two from 8192 to 65536.
 BLOCK_TERMS = 32_768
 
-# The bulk series in u as coefficient tuples of u^2, u^3, ..., u^12, from the
-# series formulas of the kernels: u - log1p(u) for the gap and the log Gamma
-# series, (1/u + 1/2) log1p(u) - 1 for mu, and u^2 for psi'.
-_R_SERIES = tuple((-1.0) ** m / m for m in range(2, 13))
-_W_SERIES = tuple((-1.0) ** j * (j - 1) / (2.0 * j * (j + 1)) for j in range(2, 13))
-_U2_SERIES = (1.0,)
+#: W(v) = sum_{k>=1} v^k/(2k + 1) (see ``kernels``): the bulk's K = 6
+#: coefficients, and each K the kernels take with the largest v it serves.
+_W_COEFFS = tuple(1.0 / (2 * k + 1) for k in range(1, 7))
+_W_LENGTHS = ((1 / 9, 18), (1 / 81, 9), (1 / 1089, 6))
 
 #: log(2 pi)/2 to within 1.7e-16: 2 pi rounds by at most 2^-53 relative and
 #: log by at most 1 ulp; the halving is exact.
@@ -176,15 +169,22 @@ def _target(x: float, eps: float) -> float:
     return max(min(eps / 4.0, 0.25 * _EPS * magnitude), 1e-26)
 
 
-def _kernel_sum(x: float, target: float, kernel, coeffs: tuple[float, ...], tail,
-                trunc_scale: float, trunc_rel_bound, head_scale, a: float = 1.0):
-    """Parts and charges of sum_j kernel(x + j) to about half-width ``target``.
+def _plus_one(term: float) -> float:
+    # The direct gap and mu terms round with their O(1) log factor, not with 1/y.
+    return abs(term) + 1.0
 
-    Direct terms round at ``head_scale(term, u)``; the terms' series in
-    u = a/(x + j), with coefficients ``coeffs`` (see ``_bulk_terms``), is
-    truncated within ``trunc_rel_bound(u)`` relative; ``tail`` encloses the
-    tail, of width ~ trunc_scale / M^5 (see the module docstring).
-    ``_close`` ends it.
+
+def _inverse_square(y: float) -> float:
+    # psi''s terms; the bulk takes them as u*u at u = 1/y.
+    return y**-2.0
+
+
+def _kernel_sum(x: float, target: float, kernel, tail, trunc_scale: float,
+                head_scale=_plus_one, head_end: float = 1.0, a: float = 1.0):
+    """Parts and charges of sum_j kernel((x + j)/a) to about half-width ``target``.
+
+    Terms below ``head_end`` round at ``head_scale(term)``, the bulk at 2 ulps plus
+    ``_trunc_rel``; ``tail`` encloses the tail, of width ~ trunc_scale / M^5.
     """
     m_tail = max(x + 16.0, 64.0, (trunc_scale / target) ** 0.2,
                  min(2.0 * _EPS / target, x + MAX_TERMS))
@@ -192,45 +192,67 @@ def _kernel_sum(x: float, target: float, kernel, coeffs: tuple[float, ...], tail
 
     head_charges = 0.0
     parts: list[float] = []
-    n_head = min(count, max(0, int(math.ceil(16.0 - x))))
+    n_head = min(count, max(0, int(math.ceil(head_end - x))))
     for j in range(n_head):
-        term = kernel(x + j)
+        term = kernel((x + j) / a)
         parts.append(term)
-        head_charges += 2.0 * _EPS * head_scale(term, a / (x + j))
+        head_charges += 2.0 * _EPS * head_scale(term)
     bulk_sum = 0.0
     for start in range(n_head, count, BLOCK_TERMS):
-        terms = _bulk_terms(x, a, coeffs, start, min(start + BLOCK_TERMS, count))
+        terms = _bulk_terms(x, a, kernel, start, min(start + BLOCK_TERMS, count))
         bulk_sum += float(terms.sum())   # every bulk term is positive
         parts.extend(terms.tolist() if terms.size < SPLIT_MIN_TERMS else _exact_split(terms))
         del terms   # freed before the next chunk is built
     lo, hi = tail(x + count)
     mid = 0.5 * (lo + hi)
     parts.append(mid)
-    u_first = a / max(x + n_head, 16.0)
-    return parts, [0.5 * (hi - lo), head_charges,
-                   (2.0 * _EPS + trunc_rel_bound(u_first)) * bulk_sum,
+    trunc_rel = 0.0 if kernel is _inverse_square else _trunc_rel(x + n_head, a)
+    return parts, [0.5 * (hi - lo), head_charges, (2.0 * _EPS + trunc_rel) * bulk_sum,
                    4.0 * _EPS * abs(mid)]
 
 
-def _bulk_terms(x: float, a: float, coeffs: tuple[float, ...], start: int, stop: int):
-    """The series terms sum_i coeffs[i] u^(i+2) at u = a/(x + j), j in [start, stop).
+def _trunc_rel(y: float, a: float) -> float:
+    # W cut after K terms is short by < v^(K+1)/((2K + 3)(1 - v)), W > v/3, and no more
+    # relative to kernel_r (4W < 1/y); from y on, v <= t^2 (2^-50 up), t = a/(2y + a).
+    v = (a / (2.0 * y + a)) ** 2 * (1.0 + 2.0**-50)
+    return max(3.0 * w**k / ((2 * k + 3) * (1.0 - w))
+               for w, k in ((min(v, top), k) for top, k in _W_LENGTHS))
 
-    In place on two arrays, with the operations of the scalar kernels'
-    straight-line Horner expressions: u = a/(x + j), the highest coefficient,
-    then ``acc *= u; acc += c`` down to coeffs[0], then ``acc *= u*u``.  So
-    each term equals the scalar kernel at x + j bit for bit.
+
+def _bulk_terms(x: float, a: float, kernel, start: int, stop: int):
+    """kernel((x + j)/a) for j in [start, stop), bit for bit, on at most three arrays.
+
+    As in ``kernels``: terms over the K = 6 length's largest v (y < 16) take the
+    kernels' longer W, the rest K = 6 in place, from (0 + c_6) v = c_6 v.
+    psi''s ``_inverse_square`` is u*u at u = 1/y, within its rounding charge.
     """
     import numpy as np   # imported at the first bulk sum (see the module docstring)
-    u = np.arange(start, stop, dtype=np.float64)
-    u += x
-    np.divide(a, u, out=u)
-    acc = np.full_like(u, coeffs[-1])
-    for c in coeffs[-2::-1]:
-        acc *= u
-        acc += c
-    u *= u
-    acc *= u
-    return acc
+    y = np.arange(start, stop, dtype=np.float64)
+    y += x
+    if a != 1.0:
+        y /= a
+    if kernel is _inverse_square:
+        np.divide(1.0, y, out=y)
+        y *= y
+        return y
+    v = np.add(y, 0.5, out=y if kernel is kernels.kernel_w else None)
+    np.divide(0.5, v, out=v)
+    v *= v
+    n = v.size - int(np.searchsorted(v[::-1], _W_LENGTHS[-1][0], side="right"))
+    w = np.empty_like(v)
+    w[:n] = [kernels._w_over_v(s) * s for s in v[:n].tolist()]
+    w_6, v_6 = w[n:], v[n:]
+    np.multiply(v_6, _W_COEFFS[-1], out=w_6)
+    for c in _W_COEFFS[-2::-1]:
+        w_6 += c
+        w_6 *= v_6
+    if kernel is kernels.kernel_w:
+        return w
+    np.divide(0.5, y, out=v)
+    np.subtract(v, w, out=w)
+    y += 0.5
+    w /= y
+    return w
 
 
 def _exact_split(p) -> list[float]:
@@ -243,8 +265,8 @@ def _exact_split(p) -> list[float]:
     2^-53 sigma and their total stays below sigma.  Each round strips at
     least 53 - k - 1 bits off the largest residual; it repeats until the
     residual is all zero.  ``p`` is consumed.  Requires finite |p| <= 1/2,
-    so that sigma stays far from overflow: every bulk term of the four
-    series is at most u^2 <= 1/256, at u <= 1/16.
+    so that sigma stays far from overflow: no bulk term of the four series
+    exceeds kernel_r(1) = 1 - log 2 < 0.31.
     """
     import numpy as np
     k = (p.size + 1).bit_length()   # 2^k >= n + 2
@@ -272,31 +294,14 @@ def _close(parts: list[float], charges: list[float]) -> ErrorBoundedValue:
     return ErrorBoundedValue(value, math.fsum(charges))
 
 
-def _r_trunc_rel(u: float) -> float:
-    # First omitted series term over the leading one: (u^13/13) / (u^2/2).
-    return 2.0 * u**11 / 13.0
-
-
-def _w_trunc_rel(u: float) -> float:
-    # |c_13| u^13 over u^2/12.
-    return (12.0 / (2.0 * 13.0 * 14.0)) * 12.0 * u**11
-
-
-def _plus_one(term: float, u: float) -> float:
-    # The gap and mu terms round with their O(1) log factor, not with 1/y.
-    return abs(term) + 1.0
-
-
 def _gap_sum(x: float, eps: float, target: float, what: str) -> ErrorBoundedValue:
     # sum_j kernel_r(x + j) = log x - psi(x) > 1/(2x).
     _ensure_above(0.5 / x, eps, what)
-    return _close(*_kernel_sum(x, target, kernels.kernel_r, _R_SERIES,
-                               tails.gap_tail, 1.0 / 60.0, _r_trunc_rel, _plus_one))
+    return _close(*_kernel_sum(x, target, kernels.kernel_r, tails.gap_tail, 1.0 / 60.0))
 
 
 def _mu_sum(x: float, target: float) -> ErrorBoundedValue:
-    return _close(*_kernel_sum(x, target, kernels.kernel_w, _W_SERIES,
-                               tails.mu_tail, 1.0 / 360.0, _w_trunc_rel, _plus_one))
+    return _close(*_kernel_sum(x, target, kernels.kernel_w, tails.mu_tail, 1.0 / 360.0))
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
@@ -377,9 +382,9 @@ def ref_trigamma(x: float, eps: float = DEFAULT_EPS) -> ErrorBoundedValue:
     x = _check_domain(x)
     eps = _check_eps(eps)
     _ensure_above(1.0 / x / x, eps, f"ref_trigamma({x!r})")
-    out = _close(*_kernel_sum(x, eps / 16.0, lambda y: y**-2.0, _U2_SERIES,
+    out = _close(*_kernel_sum(x, eps / 16.0, _inverse_square,
                               lambda y: tails.polygamma_tail(y, 1), 1.0 / 30.0,
-                              lambda u: 0.0, lambda term, u: term))
+                              head_scale=abs, head_end=16.0))
     _ensure(out.error_radius, eps, f"ref_trigamma({x!r})")
     return out
 
@@ -433,10 +438,9 @@ def _log_gamma_series(x: float, eps: float) -> ErrorBoundedValue:
     parts: list[float] = []
     charges: list[float] = []
     if a > 0.0:
-        parts, charges = _kernel_sum(
-            1.0, eps / 16.0, lambda k: kernels.u_minus_log1p(a / k), _R_SERIES,
-            lambda k: tails.gap_tail(k / a, 1.0 / a), a * a / 60.0, _r_trunc_rel,
-            lambda term, u: u, a)
+        parts, charges = _kernel_sum(   # a/k - log(1 + a/k) = kernel_r(k/a)
+            1.0, eps / 16.0, kernels.kernel_r,
+            lambda k: tails.gap_tail(k / a, 1.0 / a), a * a / 60.0, a=a)
         gam = ref_digamma_gap(1.0)   # the series at 1 sums to gamma
         parts.append(-gam.value * a)
         charges.append(gam.error_radius * a + 0.5 * math.ulp(gam.value * a))

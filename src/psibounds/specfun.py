@@ -12,10 +12,10 @@ monotone, so each expansion envelopes: its remainder has the sign of the
 first omitted term and is smaller.  Measured against 60-digit mpmath on 601
 log points in [1e-3, 1e6]:
 
-    digamma_gap     within 6.2 ulps
+    digamma_gap     within 1.9 ulps
     binet_mu        within 1.5 ulps from x = 7 (the expansion alone); below,
-                    up to 127 ulps (221 at x = 5.58 on a dense grid), as
-                    kernel_w's direct form cancels to about an ulp of 1
+                    16.3 ulps (20.5 at x = 0.873 on a dense grid), from the
+                    first kernel_w term below x = 1, a direct form that cancels
     digamma         within 11 ulps, away from its zero at 1.4616
     polygamma       within 2.4 ulps for n in {1, 2, 3, 5, 10} (1000 log
                     points in the same range)
@@ -73,8 +73,7 @@ def _shift(term, x: float, x0: float) -> tuple[list[float], float]:
 
 
 # mu's shift point: from y = 7 the first term the expansion below omits is
-# under 2^-57 of mu(y).  Each kernel_w term of the shift costs up to ~eps
-# absolute in its direct form, so a lower start is more accurate.
+# under 2^-57 of mu(y).
 _MU_X0 = 7.0
 
 

@@ -56,14 +56,14 @@ def test_series_matches_direct_formulas(y):
 
 def test_poly_eval_on_arrays_matches_scalar_kernels(monkeypatch):
     # The oracle builds its bulk terms in place, BLOCK_TERMS at a time, from
-    # coefficient tuples.  Each term must equal the scalar kernel at x + j
+    # W's coefficient tuple.  Each term must equal the scalar kernel at x + j
     # exactly, in every chunk: both paths take the same IEEE operations.
     chunks = []
     bulk_terms = oracle._bulk_terms
 
-    def recording(x, a, coeffs, start, stop):
-        terms = bulk_terms(x, a, coeffs, start, stop)
-        chunks.append((x, a, coeffs, start, terms.tolist()))
+    def recording(x, a, kernel, start, stop):
+        terms = bulk_terms(x, a, kernel, start, stop)
+        chunks.append((x, a, kernel, start, terms.tolist()))
         return terms
 
     monkeypatch.setattr(oracle, "_bulk_terms", recording)
@@ -72,13 +72,12 @@ def test_poly_eval_on_arrays_matches_scalar_kernels(monkeypatch):
         oracle.ref_digamma_gap(x)
         oracle.ref_binet_mu(x)
     oracle.clear_caches()
-    oracle.ref_log_gamma(1.7)   # the r-series at u = a/k, a = 0.7
-    kernel = {oracle._R_SERIES: kernels.kernel_r, oracle._W_SERIES: kernels.kernel_w}
-    for x, a, coeffs, start, terms in chunks:
+    oracle.ref_log_gamma(1.7)   # the r-series at k/a, a = 0.7
+    for x, a, kernel, start, terms in chunks:
         if a == 1.0:
-            expected = [kernel[coeffs](x + j) for j in range(start, start + len(terms))]
+            expected = [kernel(x + j) for j in range(start, start + len(terms))]
         else:
-            expected = [kernels.u_minus_log1p(a / (x + j))
+            expected = [kernels.kernel_r((x + j) / a)
                         for j in range(start, start + len(terms))]
         assert terms == expected, (x, a, start)
     # Chunk boundaries were crossed, and the log Gamma series was summed.
@@ -86,9 +85,54 @@ def test_poly_eval_on_arrays_matches_scalar_kernels(monkeypatch):
     assert any(a != 1.0 for _, a, _, _, _ in chunks)
     # A dense set of fractional parts of x + j, from y = 16 on.
     for x in (16.0 + np.geomspace(1e-9, 1e7, 2001)).tolist():
-        for coeffs, kernel_fn in kernel.items():
-            terms = oracle._bulk_terms(x, 1.0, coeffs, 0, 3).tolist()
-            assert terms == [kernel_fn(x + j) for j in range(3)], x
+        for kernel in (kernels.kernel_r, kernels.kernel_w):
+            terms = oracle._bulk_terms(x, 1.0, kernel, 0, 3).tolist()
+            assert terms == [kernel(x + j) for j in range(3)], x
+
+
+def test_bulk_terms_change_length_where_the_kernels_do():
+    # Below y = 16 one bulk array holds terms of all three lengths of W
+    # (K = 18 below y = 4, 9 below 16); each must still equal its scalar.
+    for x in np.linspace(1.0, 17.0, 1601).tolist() + [math.nextafter(4.0, 0.0),
+                                                       math.nextafter(16.0, 0.0)]:
+        for kernel in (kernels.kernel_r, kernels.kernel_w):
+            terms = oracle._bulk_terms(x, 1.0, kernel, 0, 20).tolist()
+            assert terms == [kernel(x + j) for j in range(20)], (kernel.__name__, x)
+    for a in np.linspace(0.01, 1.0, 100).tolist():
+        terms = oracle._bulk_terms(1.0, a, kernels.kernel_r, 0, 40).tolist()
+        assert terms == [kernels.kernel_r((1.0 + k) / a) for k in range(40)], a
+
+
+# The kernels' accuracy table, as their module docstring quotes it: most ulps
+# off (40 + 2 log10 y)-digit mpmath on 600 log points of [1e-3, 1) (direct
+# forms) and 3000 of [1, 1e150] (the series), and for u - log1p(u) on 3001
+# points of [-1/2, 1].
+_BELOW_ONE = [1e-3 * 1e3 ** (i / 600) for i in range(600)]
+_FROM_ONE = [10.0 ** (150 * i / 2999) for i in range(3000)]
+_H_POINTS = [-0.5 + 1.5 * i / 3000 for i in range(3001)]
+_ACCURACY_TABLE = [
+    ("kernel_r", lambda m, mp: 1 / m - mp.log1p(1 / m), _BELOW_ONE, 2.1),
+    ("kernel_r", lambda m, mp: 1 / m - mp.log1p(1 / m), _FROM_ONE, 2.4),
+    ("kernel_s", lambda m, mp: (m + 1) * mp.log1p(1 / m) - 1, _BELOW_ONE, 5.5),
+    ("kernel_s", lambda m, mp: (m + 1) * mp.log1p(1 / m) - 1, _FROM_ONE, 1.6),
+    ("kernel_w", lambda m, mp: (m + mp.mpf(1) / 2) * mp.log1p(1 / m) - 1, _BELOW_ONE, 39),
+    ("kernel_w", lambda m, mp: (m + mp.mpf(1) / 2) * mp.log1p(1 / m) - 1, _FROM_ONE, 2.9),
+    ("kernel_w_integral",
+     lambda m, mp: 1 / mp.mpf(4) + m / 2 - m * (m + 1) / 2 * mp.log1p(1 / m), _FROM_ONE, 2.4),
+    ("u_minus_log1p", lambda m, mp: m - mp.log1p(m), _H_POINTS, 2.3),
+]
+
+
+@pytest.mark.parametrize("name, exact, points, max_ulps", _ACCURACY_TABLE,
+                         ids=[f"{row[0]}-{row[2][0]:g}" for row in _ACCURACY_TABLE])
+def test_kernel_accuracy_table(name, exact, points, max_ulps):
+    mpmath = pytest.importorskip("mpmath")
+    fn, worst = getattr(kernels, name), 0.0
+    for y in points:
+        with mpmath.workdps(40 + 2 * max(0, math.ceil(math.log10(abs(y) or 1.0)))):
+            ref = exact(mpmath.mpf(y), mpmath)
+            worst = max(worst, float(abs(mpmath.mpf(fn(y)) - ref)) / math.ulp(float(ref)))
+    assert worst <= max_ulps, (name, worst)
 
 
 @given(st.floats(min_value=1e-3, max_value=1e12))
@@ -192,34 +236,22 @@ def test_kernels_where_the_reciprocal_overflows(x):
         assert fn(x) == pytest.approx(float(truth), rel=4 * 2.0**-52), fn.__name__
 
 
-def _horner_loop(u, coeffs, lead_power):
-    # The generic Horner loop the straight-line polynomials replace; the
-    # leading power is u or u*u.
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * u + c
-    return acc * (u * u if lead_power == 2 else u)
+def test_w_series_takes_the_exact_coefficients_bit_for_bit():
+    # W(v) = sum_{k<=K} v^k/(2k + 1), K = 18 above v = 1/81, 9 above 1/1089,
+    # else 6, by the plain Horner loop from 0: the scalar straight-line
+    # stages take its operations.  The oracle's K = 6 coefficients are W's
+    # (its terms equal the scalars': test_poly_eval_on_arrays_matches_scalar_kernels).
+    def horner_loop(v):
+        acc = 0.0
+        for k in range(18 if v > 1 / 81 else 9 if v > 1 / 1089 else 6, 0, -1):
+            acc = (acc + 1.0 / (2 * k + 1)) * v
+        return acc
 
-
-# (polynomial, its coefficients from the series formulas, leading power of u)
-_SERIES = [
-    (kernels._r_poly, [(-1.0) ** m / m for m in range(2, 13)], 2),
-    (kernels._s_poly, [(-1.0) ** (j + 1) / (j * (j + 1)) for j in range(1, 13)], 1),
-    (kernels._w_poly, [(-1.0) ** j * (j - 1) / (2.0 * j * (j + 1)) for j in range(2, 13)], 2),
-    (kernels._wint_poly, [(-1.0) ** j / (2.0 * j * (j + 1)) for j in range(2, 13)], 1),
-]
-
-
-@pytest.mark.parametrize("poly, coeffs, lead_power", _SERIES)
-def test_polynomials_match_the_horner_loop_bit_for_bit(poly, coeffs, lead_power):
-    # Same operations in the same order, on floats and on arrays alike;
-    # negative u is u_minus_log1p's.
-    u = np.concatenate([np.geomspace(1e-300, 1.0 / 16.0, 3001),
-                        -np.geomspace(1e-300, 1.0 / 16.0, 1001)])
-    expected = _horner_loop(u, coeffs, lead_power)
-    assert np.array_equal(poly(u), expected)
-    assert [poly(v) for v in u.tolist()] == [_horner_loop(v, coeffs, lead_power)
-                                             for v in u.tolist()]
+    assert oracle._W_COEFFS == tuple(1.0 / (2 * k + 1) for k in range(1, 7))
+    v = np.concatenate([np.geomspace(1.0 / 9.0, 1e-300, 4001),
+                        [1 / 81, math.nextafter(1 / 81, 1.0), 1 / 1089,
+                         math.nextafter(1 / 1089, 1.0), 0.0]])
+    assert [kernels._w_over_v(w) * w for w in v.tolist()] == [horner_loop(w) for w in v.tolist()]
 
 
 _TERM_STARTS = ([10.0 ** (-300 + 608 * i / 400) for i in range(401)]

@@ -178,7 +178,8 @@ def test_expansions_envelope():
 
 
 def test_binet_mu_within_its_documented_ulps():
-    # The shift's kernel_w terms cancel (up to ~eps absolute each); from x = 7
+    # Below x = 1 the shift's first kernel_w term is its direct form, which
+    # cancels (up to ~eps absolute); the others are series terms.  From x = 7
     # on, mu is the expansion alone and within a few ulps.
     mpmath = pytest.importorskip("mpmath")
     worst_below, worst_above = 0.0, 0.0
@@ -192,8 +193,20 @@ def test_binet_mu_within_its_documented_ulps():
             worst_below = max(worst_below, err)
         else:
             worst_above = max(worst_above, err)
-    assert worst_below <= 130
+    assert worst_below <= 16.3
     assert worst_above <= 2
+
+
+def test_digamma_gap_within_its_documented_ulps():
+    mpmath = pytest.importorskip("mpmath")
+    worst = 0.0
+    for i in range(601):
+        x = 10.0 ** (-3 + 9 * i / 600)
+        with mpmath.workdps(60):
+            ref = mpmath.log(x) - mpmath.digamma(x)
+            worst = max(worst, float(abs(mpmath.mpf(specfun.digamma_gap(x)) - ref))
+                        / math.ulp(float(ref)))
+    assert worst <= 1.9
 
 
 def test_binet_mu_exceeds_robbins_lower_bound():
