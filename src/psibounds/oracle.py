@@ -2,13 +2,15 @@
 
 The oracle is deliberately independent of every library special-function
 implementation: it only sums the defining series and encloses their tails
-via :mod:`psibounds.tails`.  Each result carries an ``error_radius`` that
-accounts for
+by the Euler-Maclaurin pairs of :mod:`psibounds.tails`.  Each result
+carries an ``error_radius`` that accounts for
 
   * the truncation enclosure (half the tail-bracket width) and the derived
     truncation of the terms' positive series W (see ``kernels``),
   * per-term floating-point evaluation, charged at a calibrated 2 ulps of
-    each term's rounding scale (4 ulps for the tail midpoint), and
+    each term's rounding scale; 4 ulps for mu's and psi''s tail midpoints,
+    which are doubles, while the gap series' midpoint is exact to about
+    2^-76 of itself and charged that, derived (``_exact_gap_tail``), and
   * the final exactly-rounded summation (``math.fsum``), half an ulp.
 
 The charges sit roughly 2x above the worst error observed against a
@@ -38,11 +40,11 @@ arrays, each equal to its scalar kernel bit for bit.  A chunk of
 ``SPLIT_MIN_TERMS`` (600) terms or more never becomes Python floats:
 ``_exact_split`` reduces it in numpy to two or three doubles with the same
 exact sum (Rump, Ogita and Oishi's error-free vector transformation), and
-the one ``fsum`` rounds those, the head terms and the tail midpoint to the
-same double as the whole term list would give.  Shorter chunks, where
-``fsum`` is faster, go to it as floats.  ``ref_binet_mu(9999)``, a full
-1e5-term block, peaks at 0.53 MB and ``ref_digamma_gap(9999)`` at 0.79 MB
-(3.7 MB with the terms as floats).
+the one ``fsum`` rounds those, the head terms and the tail midpoint's
+parts to the same double as the whole term list would give.  Shorter
+chunks, where ``fsum`` is faster, go to it as floats.  ``ref_binet_mu(9999)``,
+a full 1e5-term block, peaks at 0.53 MB (3.7 MB with the terms as floats);
+no gap series sum leaves its first chunk.
 
 psi(x) = log x - gap(x) at every x, charging 1 ulp of log x on top of the
 gap.  Above 2, log Gamma(x) = mu(x) + (x - 1/2) log x - x + log(2 pi)/2,
@@ -54,15 +56,20 @@ A kernel sum is asked for a half-width ``target``: a quarter ulp of ~1/(2x)
 (within [1e-26, eps/4]) for the gap and mu themselves; eps/8 for psi and an
 eighth of what the closed-form charges leave of eps for log Gamma, each
 floored at that quarter ulp; eps/16 for psi' and the log Gamma series.  Its
-tail starts where both the enclosure width (~ scale / m^5) and the 4-ulp
-charge on the tail midpoint (~ 1/(2m)) fit within the target:
-m >= max(x + 16, 64, (scale/target)^0.2, min(2^-51/target, x + MAX_TERMS)).
+tail starts where the enclosure width (~ scale / m^5) fits within the
+target and, for a double midpoint charged mid_rel = 4 ulps of itself
+(~ 1/(2m)), where that charge fits too:
+m >= max(x + 16, 64, (scale/target)^0.2, min(mid_rel/(2 target), x + MAX_TERMS)).
+The gap series' exact midpoint has no such term.
 
-Cost is bounded, not linear in x: no sum has more than about ``MAX_TERMS``
-(1e5) terms, and psi's at most ~420.  For the quarter-ulp target the
-midpoint term is 16x (to within its rounding) below x ~ 2.8e9; from
-x ~ 4.45e10 it falls below x, so the tail starts at x + 16, rounded, and
-past 2^53 at most 16 bulk terms sit at abscissas that round together.
+Cost is bounded, not linear in x.  A sum of the gap series (the gap's,
+psi's or the log Gamma series') has at most max_x (8x/(60 eps))^0.2 - x,
+about 2650 terms (near x = 663), and from
+x ~ 4.9e3 on its tail starts at x + 16; psi's has at most ~420.  mu's
+midpoint term is 16x (to within its rounding) for the quarter-ulp target,
+capped at x + ``MAX_TERMS`` (1e5), up to x ~ 2.8e9; from x ~ 4.45e10 it
+falls below x.  Every tail starts at x + 16, rounded, from there, and past
+2^53 at most 16 bulk terms sit at abscissas that round together.
 
 Refusals known from the value's magnitude are decided before any sum: the
 radius charges half an ulp of the value, so where the value is known to
@@ -96,6 +103,9 @@ CACHE_SIZE = 4096
 #: Bulk chunks of at least this many terms are reduced by ``_exact_split``;
 #: shorter ones go to ``fsum`` as Python floats, which is faster there.
 SPLIT_MIN_TERMS = 600
+
+#: Relative charge on a double tail midpoint (mu's and psi''s): 4 ulps, calibrated.
+_FLOAT_MID_REL = 4.0 * _EPS
 
 #: Terms per bulk chunk, 256 KiB of doubles: the fastest power of two from 8192 to 65536.
 BLOCK_TERMS = 32_768
@@ -180,14 +190,19 @@ def _inverse_square(y: float) -> float:
 
 
 def _kernel_sum(x: float, target: float, kernel, tail, trunc_scale: float,
-                head_scale=_plus_one, head_end: float = 1.0, a: float = 1.0):
+                mid_rel: float = 0.0, head_scale=_plus_one, head_end: float = 1.0,
+                a: float = 1.0):
     """Parts and charges of sum_j kernel((x + j)/a) to about half-width ``target``.
 
     Terms below ``head_end`` round at ``head_scale(term)``, the bulk at 2 ulps plus
-    ``_trunc_rel``; ``tail`` encloses the tail, of width ~ trunc_scale / M^5.
+    ``_trunc_rel``.  ``tail(x, count, a)`` encloses sum_{j>=count}: it returns its
+    midpoint as parts, its half-width (~ trunc_scale / M^5) and the midpoint's
+    derived charge.  A midpoint charged ``mid_rel`` of itself instead (a double
+    one, see ``_float_tail``) moves the tail out until that charge fits too,
+    or to x + ``MAX_TERMS``.
     """
     m_tail = max(x + 16.0, 64.0, (trunc_scale / target) ** 0.2,
-                 min(2.0 * _EPS / target, x + MAX_TERMS))
+                 min(mid_rel / (2.0 * target), x + MAX_TERMS))
     count = int(math.ceil(m_tail - x))
 
     head_charges = 0.0
@@ -203,12 +218,74 @@ def _kernel_sum(x: float, target: float, kernel, tail, trunc_scale: float,
         bulk_sum += float(terms.sum())   # every bulk term is positive
         parts.extend(terms.tolist() if terms.size < SPLIT_MIN_TERMS else _exact_split(terms))
         del terms   # freed before the next chunk is built
-    lo, hi = tail(x + count)
-    mid = 0.5 * (lo + hi)
-    parts.append(mid)
+    mid_parts, half_width, mid_charge = tail(x, count, a)
+    parts.extend(mid_parts)
     trunc_rel = 0.0 if kernel is _inverse_square else _trunc_rel(x + n_head, a)
-    return parts, [0.5 * (hi - lo), head_charges, (2.0 * _EPS + trunc_rel) * bulk_sum,
-                   4.0 * _EPS * abs(mid)]
+    return parts, [half_width, head_charges, (2.0 * _EPS + trunc_rel) * bulk_sum,
+                   mid_charge + mid_rel * abs(math.fsum(mid_parts))]
+
+
+def _float_tail(enclosure):
+    """A tail from a double (lo, hi) pair at x + count: one midpoint part, with
+    no derived charge (its kernel sum charges it ``_FLOAT_MID_REL``)."""
+    def tail(x: float, count: int, a: float):
+        lo, hi = enclosure(x + count)
+        return [0.5 * (lo + hi)], 0.5 * (hi - lo), 0.0
+    return tail
+
+
+def _exact_gap_tail(x: float, count: int, a: float):
+    """sum_{j>=count} kernel_r((x + j)/a) by ``tails``' Euler-Maclaurin pair
+    (step h = 1/a), evaluated at the exact y = k/a, k = x + count, in binary
+    fixed point: Python integers in units of 2^-b, with the midpoint over
+    2^76 units.
+
+    Returns the midpoint as two doubles, hi + lo, the half-width rounded up to
+    a double, and the midpoint's derived charge: the floors' errors and what
+    hi + lo leave of the midpoint (nothing, unless they are subnormal).
+    Requires k >= 64 and a <= 1, as every kernel sum's tail has.
+    """
+    p, q = x.as_integer_ratio()
+    pa, qa = a.as_integer_ratio()
+    kq = p + count * q                               # (x + count) q
+    num, den = kq * qa, q * pa                       # y = num/den
+    b = 80 + num.bit_length() - den.bit_length() + qa.bit_length() - pa.bit_length()
+    one = 1 << b
+    t = (den << b) // (2 * num + den)                # t = 1/(2y + 1)
+    r = (den << b) // num                            # r = 1/y
+    rho = (q << b) // kq                             # rho = 1/k = r/h
+    v = t * t >> b
+    w, power, d = 0, v, 1
+    while power:                                     # W(v) = sum v^j/(2j + 1)
+        d += 2
+        w += power // d
+        power = power * v >> b
+    rho2 = rho * rho >> b
+    rho3 = rho2 * rho >> b
+    q1 = one + r
+    a2_num, a2_den = pa * pa, qa * qa
+    em_hi = ((t + w + (t * w >> b)) * pa // qa       # a kernel_s(y) = a((W + t) + tW)
+             + (t * (r - 2 * w) >> (b + 1))          # kernel_r(y)/2 = t(1/y - 2W)/2
+             # h |f'(y)|/12 = h r^3/(12(1 + r)) = a^2 rho^3/(12(1 + r))
+             + (rho3 << b) // q1 * a2_num // (12 * a2_den))
+    # h^3 |f'''(y)|/1440 = h^3 r^5 (6 + 8r + 3r^2)/(720 (1 + r)^3), with h^3 r^5 = a^2 rho^5
+    half = ((rho3 * rho2 >> b) * (3 * (r * r >> b) + 8 * r + 6 * one)
+            // (q1 * q1 * q1 >> 2 * b) * a2_num // (720 * a2_den))
+    # Each floor errs by under one unit.  With t <= 1/129 and r, rho <= 1/64
+    # the errors carried are: v and each power of v under 1.02, so W under
+    # 1.34n + 0.34 for its n = (d - 1)/2 terms (the rest of the series is
+    # under 0.34 once a power floors to 0); the three terms of em_hi under
+    # 3.4 + 1.36n, 1.1 + 0.02n and 1.2; half under 1.1.  So mid is under
+    # 7 + 2n = 6 + d units off.
+    mid = em_hi - half
+    # Both true divisions round correctly, subnormals included, and leave
+    # hi and lo whole numbers of units.
+    hi = mid / one
+    rest = mid - int(math.ldexp(hi, b))
+    lo = rest / one
+    rest -= int(math.ldexp(lo, b))
+    return ([hi, lo], math.nextafter((half + 2) / one, math.inf),
+            math.nextafter((6 + d + abs(rest)) / one, math.inf))
 
 
 def _trunc_rel(y: float, a: float) -> float:
@@ -297,11 +374,12 @@ def _close(parts: list[float], charges: list[float]) -> ErrorBoundedValue:
 def _gap_sum(x: float, eps: float, target: float, what: str) -> ErrorBoundedValue:
     # sum_j kernel_r(x + j) = log x - psi(x) > 1/(2x).
     _ensure_above(0.5 / x, eps, what)
-    return _close(*_kernel_sum(x, target, kernels.kernel_r, tails.gap_tail, 1.0 / 60.0))
+    return _close(*_kernel_sum(x, target, kernels.kernel_r, _exact_gap_tail, 1.0 / 60.0))
 
 
 def _mu_sum(x: float, target: float) -> ErrorBoundedValue:
-    return _close(*_kernel_sum(x, target, kernels.kernel_w, tails.mu_tail, 1.0 / 360.0))
+    return _close(*_kernel_sum(x, target, kernels.kernel_w, _float_tail(tails.mu_tail),
+                               1.0 / 360.0, _FLOAT_MID_REL))
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
@@ -383,8 +461,8 @@ def ref_trigamma(x: float, eps: float = DEFAULT_EPS) -> ErrorBoundedValue:
     eps = _check_eps(eps)
     _ensure_above(1.0 / x / x, eps, f"ref_trigamma({x!r})")
     out = _close(*_kernel_sum(x, eps / 16.0, _inverse_square,
-                              lambda y: tails.polygamma_tail(y, 1), 1.0 / 30.0,
-                              head_scale=abs, head_end=16.0))
+                              _float_tail(lambda y: tails.polygamma_tail(y, 1)), 1.0 / 30.0,
+                              _FLOAT_MID_REL, head_scale=abs, head_end=16.0))
     _ensure(out.error_radius, eps, f"ref_trigamma({x!r})")
     return out
 
@@ -439,8 +517,7 @@ def _log_gamma_series(x: float, eps: float) -> ErrorBoundedValue:
     charges: list[float] = []
     if a > 0.0:
         parts, charges = _kernel_sum(   # a/k - log(1 + a/k) = kernel_r(k/a)
-            1.0, eps / 16.0, kernels.kernel_r,
-            lambda k: tails.gap_tail(k / a, 1.0 / a), a * a / 60.0, a=a)
+            1.0, eps / 16.0, kernels.kernel_r, _exact_gap_tail, a * a / 60.0, a=a)
         gam = ref_digamma_gap(1.0)   # the series at 1 sums to gamma
         parts.append(-gam.value * a)
         charges.append(gam.error_radius * a + 0.5 * math.ulp(gam.value * a))

@@ -10,10 +10,7 @@ f'''/720 and 0.  Each helper returns a rigorous (lo, hi) pair with
 
 where I is the exact integral of f over [m, inf), evaluated in closed,
 cancellation-free form.  The pair always sits strictly inside the coarse
-integral-test bracket (I, I + f(m)), which the test suite asserts.  A sum
-over m + j h, for a step h > 0, divides I by h and scales the k-th
-derivative by h^k: the log Gamma series sum_{k>=m} [a/k - log(1 + a/k)] is
-the gap tail at m/a with step 1/a.
+integral-test bracket (I, I + f(m)), which the test suite asserts.
 """
 
 from __future__ import annotations
@@ -29,13 +26,13 @@ def _em2(integral: float, f0: float, d1: float, d3: float) -> tuple[float, float
     return lo, hi
 
 
-def gap_tail(y0: float, h: float = 1.0) -> tuple[float, float]:
-    """Enclosure of sum_{j>=0} kernel_r(y0 + j h) for a step h > 0."""
+def gap_tail(y0: float) -> tuple[float, float]:
+    """Enclosure of sum_{j>=0} kernel_r(y0 + j)."""
     return _em2(
-        kernels.kernel_s(y0) / h,
+        kernels.kernel_s(y0),
         kernels.kernel_r(y0),
-        kernels.kernel_r_d1(y0) * h,
-        kernels.kernel_r_d3(y0) * h**3,
+        kernels.kernel_r_d1(y0),
+        kernels.kernel_r_d3(y0),
     )
 
 

@@ -318,13 +318,14 @@ def test_cold_start_does_not_import_numpy(args):
 def test_cold_start_loads_only_what_it_runs(args):
     # Parsing, --help and usage errors load no numeric layer; eval loads the
     # layers its function needs: beta needs neither oracle nor verifier, nor
-    # the fractions that only polygamma's exact branches use.
+    # the fractions that only polygamma's exact branches use, nor decimal,
+    # which no part of the package needs.
     proc = _python("-X", "importtime", *args)
     assert proc.returncode in (0, 2), proc.stderr
     imported = {line.rsplit("|", 1)[-1].strip()
                 for line in proc.stderr.splitlines() if line.startswith("import time:")}
     assert "psibounds.cli" in imported
-    forbidden = {"psibounds.oracle", "psibounds.verifier", "fractions"}
+    forbidden = {"psibounds.oracle", "psibounds.verifier", "fractions", "decimal"}
     if "eval" not in args:
         forbidden |= {"psibounds.bounds", "psibounds.specfun", "psibounds.kernels",
                       "psibounds.tails", "dataclasses", "json", "csv"}

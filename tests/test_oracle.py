@@ -184,16 +184,15 @@ def test_em2_brackets_contain_high_precision_tails():
 @pytest.mark.parametrize("a", [2.0**-52, 1e-9, 1e-3, 0.25, 0.5, 0.999, 1.0])
 def test_log_gamma_series_tail_encloses_a_50_digit_sum(a):
     # sum_{k>=m} [a/k - log(1 + a/k)] = log Gamma(m + a) - log Gamma(m) - a psi(m)
-    # is the gap tail at m/a with step 1/a.  Its midpoint is within the
-    # half-width plus the oracle's 4-ulp charge on it.
+    # is the gap tail at m/a with step 1/a.  Its exact midpoint is within the
+    # half-width plus its derived charge.
     for m in (64, 100, 470, 1000, 12345):
         # The closed form cancels up to ~21 digits at a = 2^-52.
         with mpmath.workdps(80):
             aa, mm = mpmath.mpf(a), mpmath.mpf(m)
             truth = mpmath.loggamma(mm + aa) - mpmath.loggamma(mm) - aa * mpmath.psi(0, mm)
-        lo, hi = tails.gap_tail(m / a, 1.0 / a)
-        mid = 0.5 * (lo + hi)
-        assert abs(mid - truth) <= 0.5 * (hi - lo) + 4.0 * 2.0**-52 * abs(mid), (a, m)
+            (hi, lo), half, charge = oracle._exact_gap_tail(float(m), 0, a)
+            assert abs(mpmath.mpf(hi) + lo - truth) <= mpmath.mpf(half) + charge, (a, m)
 
 
 def test_error_bounded_value_validation():
@@ -276,7 +275,7 @@ def test_early_log_gamma_refusal_only_where_the_full_sum_refuses(eps, monkeypatc
         assert refused == (full.error_radius > eps), x
 
 
-@pytest.mark.parametrize("name, x", [("ref_binet_mu", 9999.0), ("ref_digamma_gap", 1e6)])
+@pytest.mark.parametrize("name, x", [("ref_binet_mu", 9999.0), ("ref_binet_mu", 1e6)])
 def test_full_bulk_block_stays_small_in_memory(name, x):
     # A full 1e5-term block is built and reduced a chunk at a time, so the
     # sum's transient peak stays near two BLOCK_TERMS arrays (0.5 MB), not
@@ -352,6 +351,111 @@ def test_huge_x_encloses_or_refuses(name):
     assert returned > 0
 
 
+# -- the gap series: an exact tail midpoint, so its tail starts near x + 16 ----
+
+#: Log points of [1e-3, 1.8e308], and where the gap's float-midpoint tail
+#: start used to peak (640), push out to x + 1e5 (6.7e3, 1e4) or round (2^53).
+_GAP_X = ([10.0 ** (-3 + 311.25 * i / 119) for i in range(120)]
+          + [1.7976931348623157e308, 150.0, 640.0, 6.7e3, 1e4, 2.0**53, 1e300])
+#: The log Gamma series' a = x on (0, 1] and x - 1 on (1, 2].
+_LOG_GAMMA_X = [0.01, 0.3, 1.0, 1.01, 1.3, 2.0]
+
+
+def _gap_series_calls():
+    # Every series summing kernel_r: the gap at its quarter-ulp target, psi's
+    # gap at eps/8 and, on (0, 2], the log Gamma series at step 1/a.
+    for x in _GAP_X:
+        yield "ref_digamma_gap", x
+        yield "ref_digamma", x
+    for x in _LOG_GAMMA_X + [x for x in _GAP_X if x <= 2.0]:
+        yield "ref_log_gamma", x
+
+
+def test_gap_series_cost_is_bounded(monkeypatch):
+    # With no midpoint charge to fit, the tail starts at
+    # max(x + 16, 64, (scale/target)^0.2); for the gap's quarter-ulp target
+    # eps/(8x) that is at most max_x (8x/(60 eps))^0.2 - x = 4 x* terms past
+    # x, at x* = (c/5)^1.25 (about 663), c = (8/(60 eps))^0.2: about 2650.
+    # psi's and the log Gamma series' looser targets stop sooner.
+    c = (8.0 / (60.0 * 2.0**-52)) ** 0.2
+    bound = 4.0 * (c / 5.0) ** 1.25
+    assert 2600 < bound < 2700
+    calls = []
+    bulk_terms = oracle._bulk_terms
+
+    def recording(x, a, kernel, start, stop):
+        calls.append((x, a, start, stop))
+        return bulk_terms(x, a, kernel, start, stop)
+
+    monkeypatch.setattr(oracle, "_bulk_terms", recording)
+    for name, x in _gap_series_calls():
+        oracle.clear_caches()
+        try:
+            getattr(oracle, name)(x)
+        except ToleranceError:
+            pass
+    # The bound is nearly reached at x = 640 (2650 terms).
+    assert 2600 < max(stop - start for _, _, start, stop in calls) <= math.ceil(bound)
+    for x, a, start, stop in calls:
+        # One chunk per sum: none crosses a BLOCK_TERMS boundary.
+        assert start <= 1 and stop <= oracle.BLOCK_TERMS, (x, a, start, stop)
+
+
+def mp_gap_tail(x, count, a):
+    """sum_{j>=0} kernel_r((x + count + j)/a) to 80 digits: for a = 1 the gap
+    at x + count, else log Gamma(k + a) - log Gamma(k) - a psi(k) at k = x + count."""
+    y = (x + count) / a
+    with mpmath.workdps(80 + 2 * max(0, math.ceil(math.log10(y)))):
+        k = mpmath.mpf(x) + count
+        if a == 1.0:
+            return mpmath.log(k) - mpmath.digamma(k)
+        aa = mpmath.mpf(a)
+        return mpmath.loggamma(k + aa) - mpmath.loggamma(k) - aa * mpmath.digamma(k)
+
+
+def test_exact_gap_tail_is_within_its_charge(monkeypatch):
+    # Each tail the gap series take: |hi + lo - tail| <= half-width + charge,
+    # and the charge is far below the 4 ulps a double midpoint is charged.
+    tails_taken = []
+    exact_tail = oracle._exact_gap_tail
+
+    def recording(x, count, a):
+        out = exact_tail(x, count, a)
+        tails_taken.append((x, count, a, out))
+        return out
+
+    monkeypatch.setattr(oracle, "_exact_gap_tail", recording)
+    for name, x in _gap_series_calls():
+        oracle.clear_caches()
+        try:
+            getattr(oracle, name)(x)
+        except ToleranceError:
+            pass
+    steps = {a for _, _, a, _ in tails_taken}
+    assert 1.0 in steps and min(steps) < 0.02 and len(steps) >= 4, steps
+    for x, count, a, ((hi, lo), half, charge) in tails_taken:
+        truth = mp_gap_tail(x, count, a)
+        with mpmath.workdps(80):
+            miss = abs(mpmath.mpf(hi) + mpmath.mpf(lo) - truth)
+        assert miss <= mpmath.mpf(half) + mpmath.mpf(charge), (x, count, a)
+        assert charge <= max(2.0**-60 * hi, 2.0**-1070), (x, count, a, charge)
+
+
+@pytest.mark.parametrize("name", ["ref_digamma_gap", "ref_digamma"])
+def test_gap_series_values_enclose_on_a_log_grid(name):
+    # Up to the largest double, with the (60 + 2 log10 x)-digit reference.
+    returned = 0
+    for x in _GAP_X:
+        oracle.clear_caches()
+        try:
+            r = getattr(oracle, name)(x)
+        except ToleranceError:
+            continue
+        returned += 1
+        assert encloses(r, mp_reference(HUGE_TARGETS[name], x)), (x, r)
+    assert returned > 100
+
+
 def _neighbours(x):
     return [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
 
@@ -425,9 +529,10 @@ def test_exact_split_checks_its_invariant(bad):
 
 
 _SERIES_X = [1e-3, 1.0, 15.9, 16.0, 100.0, 6.7e3, 1e4, 1e6, 1e20, 1e300]
-#: The gap and mu blocks here span two and three chunks; each ends in a
-#: chunk shorter than BLOCK_TERMS, above SPLIT_MIN_TERMS at 3000 (12232
-#: terms) and below it at 4380 (164 terms).
+#: The mu blocks here span two and three chunks; each ends in a chunk
+#: shorter than BLOCK_TERMS, above SPLIT_MIN_TERMS at 3000 (12232 terms) and
+#: below it at 4380 (164 terms).  The gap's exact tail keeps its sums within
+#: one chunk.
 _CHUNKED_X = [3000.0, 4380.0]
 #: The refs whose kernel sums cover the four series: the gap (twice, at two
 #: targets), mu, psi' and, for x <= 2, the log Gamma series.
@@ -438,8 +543,8 @@ _SERIES_REFS = ("ref_digamma_gap", "ref_digamma", "ref_binet_mu", "ref_trigamma"
 @pytest.mark.parametrize("split_min", [1, oracle.SPLIT_MIN_TERMS])
 def test_kernel_sums_equal_fsum_over_the_full_term_list(split_min, monkeypatch):
     # Each kernel sum's value against fsum over its head terms, all its bulk
-    # chunks as Python floats and its tail midpoint; with split_min = 1
-    # every bulk chunk goes through the split.
+    # chunks as Python floats and its tail midpoint's parts; with
+    # split_min = 1 every bulk chunk goes through the split.
     sums = []
     real_split, real_bulk_terms, real_kernel_sum = (
         oracle._exact_split, oracle._bulk_terms, oracle._kernel_sum)
@@ -456,10 +561,17 @@ def test_kernel_sums_equal_fsum_over_the_full_term_list(split_min, monkeypatch):
         sums[-1]["taus"] += len(taus)
         return taus
 
-    def recording_kernel_sum(*args, **kwargs):
-        sums.append({"bulk": [], "chunks": [], "split_terms": 0, "taus": 0})
-        parts, charges = real_kernel_sum(*args, **kwargs)
-        sums[-1]["out"] = list(parts), list(charges)   # callers extend them
+    def recording_kernel_sum(x, target, kernel, tail, *args, **kwargs):
+        record = {"bulk": [], "chunks": [], "split_terms": 0, "taus": 0}
+        sums.append(record)
+
+        def recording_tail(*tail_args):
+            out = tail(*tail_args)
+            record["tail"] = list(out[0])
+            return out
+
+        parts, charges = real_kernel_sum(x, target, kernel, recording_tail, *args, **kwargs)
+        record["out"] = list(parts), list(charges)   # callers extend them
         return parts, charges
 
     monkeypatch.setattr(oracle, "SPLIT_MIN_TERMS", split_min)
@@ -482,8 +594,8 @@ def test_kernel_sums_equal_fsum_over_the_full_term_list(split_min, monkeypatch):
         full_length += len(record["bulk"]) == oracle.MAX_TERMS
         # The bulk's parts: the split chunks' taus and the short chunks' terms.
         n_bulk = record["taus"] + len(record["bulk"]) - record["split_terms"]
-        head, mid = parts[:len(parts) - 1 - n_bulk], parts[-1]
-        full = oracle._close([*head, *record["bulk"], mid], charges)
+        head = parts[:len(parts) - len(record["tail"]) - n_bulk]
+        full = oracle._close([*head, *record["bulk"], *record["tail"]], charges)
         split = oracle._close(parts, charges)
         assert (split.value.hex(), split.error_radius.hex()) == (
             full.value.hex(), full.error_radius.hex())
