@@ -10,8 +10,10 @@ has one evaluator keyed by family, so that tightness comparisons are uniform:
 
 plus the proof-auxiliary functions, the monotone series representation of
 the digamma gap, and ``FUNCTIONS``, the registry of every function that can
-be evaluated by name.  Where a closed form cancels (f and beta from x = 16,
-H from 16, theta up to 1/16), its series with exact coefficients serves.
+be evaluated by name.  From x = 1, f, beta, H and P are written in
+t = 1/(2x + 1) through one series V and do not cancel: from 1 and from 16,
+f is within 1.0 and 0.9 ulps, beta 0.8 and 0.5, H 7.0 and 6.0, P 9.1 and 4.5
+(tests/test_bounds.py).  theta up to t = 1/16 takes its own series.
 """
 
 from __future__ import annotations
@@ -86,26 +88,28 @@ def alpha(x: float) -> float:
     return _check_domain(x) + 1.0 / 3.0
 
 
-def _f_poly(v: float) -> float:
-    # f(x) = x((1+d)^(-1/2) - 1) with 1 + d = 2x^2 kernel_r(x), as its series
-    # in v = 1/x through v^12 (exact coefficients, derived with fractions):
-    # the truncation is below 1e-18 at v <= 1/16, and f tends to 1/3 exactly.
-    return ((((((((((((456157941704137/91516282970112000 * v
-            - 169861927409147/30505427656704000) * v + 532524715193/84737299046400) * v
-            - 46803332951/6518253772800) * v + 646245559/77598259200) * v
-            - 514303/52254720) * v + 7783/653184) * v - 81083/5443200) * v + 589/30240) * v
-            - 353/12960) * v + 23/540) * v - 1/12) * v + 1/3)
+_V_COEFFS = tuple(1.0 / (2 * k + 1) for k in range(19, 1, -1))   # 1/39, ..., 1/5
+
+
+def _shifted_atanh(v: float) -> float:
+    # V(v) = sum_{j>=0} v^j/(2j + 5), so that atanh(t) = t (1 + v/3 + v^2 V) at
+    # v = t^2 (DLMF 4.6(i)).  For v <= 1/9 (x >= 1) 18 terms leave it short by
+    # under v^18/(41(1 - v)), 2^-59 of V >= 1/5.
+    acc = 0.0
+    for c in _V_COEFFS:
+        acc = acc * v + c
+    return acc
 
 
 def beta(x: float) -> float:
     """Upper-bound trigamma argument 1/sqrt(2/x - 2 log(1+1/x)).
 
     Strictly above x, approaches x + 1/3 from below as x grows; x + f(x)
-    from x = 16, so it neither cancels nor underflows.
+    from x = 1, so it neither cancels nor underflows.
     """
     x = _check_domain(x)
-    if x >= kernels.SERIES_CUTOFF:
-        return x + _f_poly(1.0 / x)
+    if x >= 1.0:
+        return x + aux_f(x)
     return 1.0 / math.sqrt(2.0 * kernels.kernel_r(x))
 
 
@@ -325,10 +329,19 @@ def gap_via_tau_series(x: float, terms: int) -> Interval:
 def aux_f(u: float) -> float:
     """f(u) = [2(1/u - log(1+1/u))]^(-1/2) - u: increasing from 0 to 1/3.
 
-    A series in 1/u from u = 16, where the difference would cancel.
+    From u = 1, with t = 1/(2u + 1), V of ``_shifted_atanh``, g = 1 + (1 - t)^2
+    (t^2 V + 1/3) and s = sqrt(1 - t g), beta = (1 - t)/(2ts) and f is
+    (1 - t) g/(2s(1 + s)): 1/3 less an O(t) part, which does not cancel.
     """
     u = _check_domain(u, "u")
-    return _f_poly(1.0 / u) if u >= kernels.SERIES_CUTOFF else beta(u) - u
+    if u < 1.0:
+        return beta(u) - u
+    t = 0.5 / (u + 0.5)
+    big_v = _shifted_atanh(t * t)
+    g = 1.0 + (1.0 - t) ** 2 * (t * t * big_v + 1.0 / 3.0)
+    s = math.sqrt(1.0 - t * g)
+    small = 2.0 - t - 3.0 * t * (1.0 - t) ** 2 * big_v - t * g * g / (1.0 + s) ** 2
+    return 1.0 / 3.0 - t * small / (6.0 * s * (1.0 + s))
 
 
 def aux_h(t: float) -> float:
@@ -343,7 +356,7 @@ def aux_theta(t: float) -> float:
     through t^17 (exact coefficients; truncated below 5e-17 relative).
     """
     t = _check_nonnegative(t)
-    if t <= 1.0 / kernels.SERIES_CUTOFF:
+    if t <= 0.0625:
         return ((((((((((((((15968225149/177826004451 * t - 1664324453/18596183472) * t
                 + 172477237/1937102445) * t - 159777557/1807962282) * t
                 + 16311749/186535791) * t - 1648631/19131876) * t + 1480892/17537553) * t
@@ -356,40 +369,34 @@ def aux_theta(t: float) -> float:
 def aux_big_h(x: float) -> float:
     """H(x) = log(1+1/x) - 1/x + 1/(2 (x + 1/3 - 1/(12x+3))^2): positive, decreasing.
 
-    From x = 16, where the difference cancels, its series in v = 1/x,
-    47/2160 v^5 - 227/5184 v^6 + ... through v^18 (exact coefficients;
-    truncated below 4e-17 relative).
+    From x = 1, with log(1+1/x) = 2 atanh(t) at t = 1/(2x + 1), exactly
+    t^5 (2V + 2(t + 2)(t + 8)/(3(1 - t)^2 (t + 6)^2)) for the series V of
+    ``_shifted_atanh``: both parts are positive, so nothing cancels.
     """
     x = _check_domain(x)
-    if x >= kernels.SERIES_CUTOFF:
-        v = 1.0 / x
-        return ((((((((((((((-2542742675402315/46221064723759104 * v
-                + 3794106432454427/65479841691992064) * v
-                - 6534821176981/106993205379072) * v + 8609614803091/133741506723840) * v
-                - 1057170080485/15603175784448) * v + 6355110245/89436192768) * v
-                - 1145825063/15479341056) * v + 1081588709/14189395968) * v
-                - 13798189/179159040) * v + 675995/8957952) * v - 52495/746496) * v
-                + 8731/145152) * v - 227/5184) * v + 47/2160) * x**-5.0)
+    if x >= 1.0:
+        t = 0.5 / (x + 0.5)
+        rational = 2.0 * (t + 2.0) * (t + 8.0) / (3.0 * (1.0 - t) ** 2 * (t + 6.0) ** 2)
+        # t^5 as (2x + 1)^-5 by pow, which underflows gradually from x ~ 1e61.
+        return 2.0**-5 * (x + 0.5) ** -5.0 * (2.0 * _shifted_atanh(t * t) + rational)
     b = beta_refined(x)   # 0.5/b/b, as b*b underflows at small x
     return 0.5 / b / b - kernels.kernel_r(x)
 
 
 def aux_big_p(x: float) -> float:
-    """P(x) = log(1+1/x) - (1+12x+12x^2)/(6x(x+1)(2x+1)): negative, increasing."""
+    """P(x) = log(1+1/x) - (1+12x+12x^2)/(6x(x+1)(2x+1)): negative, increasing.
+
+    From x = 1, as for H, exactly 2t^5 (V - 1/(3(1 - v))) at v = t^2, where
+    V < 1/(5(1 - v)): nothing cancels.
+    """
     x = _check_domain(x)
-    if x < kernels.SERIES_CUTOFF:
-        num = 1.0 + 12.0 * x + 12.0 * x * x
-        den = 6.0 * x * (x + 1.0) * (2.0 * x + 1.0)
-        return math.log1p(1.0 / x) - num / den
-    # The rational part matches log(1+u) through u^4; work with the tails so
-    # the ~ -u^5/120 result is not drowned by cancellation.
-    u = 1.0 / x
-    log_tail = math.fsum(
-        (-1.0) ** (m + 1) * u**m / m for m in range(5, 17)
-    )
-    a_poly = (1.0 + u) * (1.0 + 0.5 * u)
-    rational_tail = u**5 * (5.0 / 24.0 + u / 8.0) / a_poly
-    return log_tail - rational_tail
+    if x >= 1.0:
+        t = 0.5 / (x + 0.5)
+        v = t * t
+        return 2.0**-4 * (x + 0.5) ** -5.0 * (_shifted_atanh(v) - 1.0 / (3.0 * (1.0 - v)))
+    num = 1.0 + 12.0 * x + 12.0 * x * x
+    den = 6.0 * x * (x + 1.0) * (2.0 * x + 1.0)
+    return math.log1p(1.0 / x) - num / den
 
 
 def aux_p(x: float) -> float:

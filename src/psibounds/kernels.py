@@ -9,12 +9,12 @@ From y = 1 all three come from one positive series (the atanh series, DLMF
     kernel_r = t (1/y - 2W) = (1/(2y) - W) / (y + 1/2),   kernel_s = (W + t) + t W.
 
 Nothing cancels; W cut after K terms is short by under v^(K+1)/((2K + 3)(1 - v)),
-1e-18 of W.  u_minus_log1p is t (u - 2W) at t = u/(2 + u) on [-1/2, 1].
-Below y = 1 the direct forms stay (kernel_r's within about 2 ulps).  Most
-ulps off (40 + 2 log10 y)-digit mpmath on 600 log points of [1e-3, 1) and
-3000 of [1, 1e150] (tests/test_kernels.py): kernel_r 2.1 and 2.4, kernel_s
-5.5 and 1.6, kernel_w 39 (its direct form cancels) and 2.9,
-kernel_w_integral 2.4 from 1; u_minus_log1p 2.3 on [-1/2, 1].
+1e-18 of W (2e-17 for y in [1/2, 1)).  u_minus_log1p is t (u - 2W) at t = u/(2 + u)
+on [-1/2, 1].  Below y = 1 the direct forms stay (kernel_r's within about 2 ulps),
+but kernel_w is W from y = 1/2.  Most ulps off (40 + 2 log10 y)-digit mpmath on 600
+log points of [1e-3, 1) and 3000 of [1, 1e150] (tests/test_kernels.py): kernel_r
+2.1 and 2.4, kernel_s 5.5 and 1.6, kernel_w 13.2 (its direct form below 1/2
+cancels) and 2.9, kernel_w_integral 2.4 from 1; u_minus_log1p 2.3 on [-1/2, 1].
 """
 
 from __future__ import annotations
@@ -23,17 +23,17 @@ import math
 
 from .errors import DomainError
 
-# bounds' beta, H and theta switch to their series in u = 1/y here.
-SERIES_CUTOFF = 16.0
-
 
 def _w_over_v(v):
-    # W(v)/v, 0 <= v <= 1/9, cut after K = 18 terms above v = 1/81 (y < 4), 9 above
-    # 1/1089 (y < 16), else 6: each K by its own straight-line Horner from acc = 0.
+    # W(v)/v, 0 <= v <= 1/4, cut after K = 26 terms above v = 1/9 (y < 1), 18 above 1/81
+    # (y < 4), 9 above 1/1089 (y < 16), else 6: each K by straight-line Horner from acc = 0.
     acc = 0.0
     if v > 1/81:
-        acc = ((((((((1/37 * v + 1/35) * v + 1/33) * v + 1/31) * v + 1/29) * v + 1/27) * v
-                 + 1/25) * v + 1/23) * v + 1/21) * v
+        if v > 1/9:
+            acc = (((((((1/53 * v + 1/51) * v + 1/49) * v + 1/47) * v + 1/45) * v
+                     + 1/43) * v + 1/41) * v + 1/39) * v
+        acc = (((((((((acc + 1/37) * v + 1/35) * v + 1/33) * v + 1/31) * v + 1/29) * v
+                  + 1/27) * v + 1/25) * v + 1/23) * v + 1/21) * v
     if v > 1/1089:
         acc = (((acc + 1/19) * v + 1/17) * v + 1/15) * v
     return (((((acc + 1/13) * v + 1/11) * v + 1/9) * v + 1/7) * v + 1/5) * v + 1/3
@@ -108,7 +108,7 @@ def kernel_w(x: float) -> float:
     Positive, decreasing, ~1/(12 x^2) for large x.
     """
     x = _check_domain(x)
-    if x >= 1.0:
+    if x >= 0.5:
         t = 0.5 / (x + 0.5)
         v = t * t
         return _w_over_v(v) * v

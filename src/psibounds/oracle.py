@@ -226,11 +226,11 @@ def _kernel_sum(x: float, target: float, kernel, tail, trunc_scale: float,
 
 
 def _float_tail(enclosure):
-    """A tail from a double (lo, hi) pair at x + count: one midpoint part, with
-    no derived charge (its kernel sum charges it ``_FLOAT_MID_REL``)."""
+    """A tail from a double (midpoint, half-width) pair at x + count: one part,
+    with no derived charge (its kernel sum charges it ``_FLOAT_MID_REL``)."""
     def tail(x: float, count: int, a: float):
-        lo, hi = enclosure(x + count)
-        return [0.5 * (lo + hi)], 0.5 * (hi - lo), 0.0
+        mid, half_width = enclosure(x + count)
+        return [mid], half_width, 0.0
     return tail
 
 

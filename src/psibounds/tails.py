@@ -1,19 +1,23 @@
-"""Two-sided enclosures for the tails of the series used in this package.
+"""Euler-Maclaurin enclosures of the tails of the series used in this package.
 
 Every series summed here has completely monotone terms f(k) (derivatives of
 alternating sign), so the Euler-Maclaurin correction sequence envelopes the
 true tail: truncating after the -f'/12 term leaves a remainder between
-f'''/720 and 0.  Each helper returns a rigorous (lo, hi) pair with
+f'''/720 and 0.  The tail lies between
 
     lo = I + f(m)/2 - f'(m)/12 + f'''(m)/720
     hi = I + f(m)/2 - f'(m)/12
 
 where I is the exact integral of f over [m, inf), evaluated in closed,
-cancellation-free form.  The pair always sits strictly inside the coarse
-integral-test bracket (I, I + f(m)), which the test suite asserts.
+cancellation-free form.  Each helper returns the midpoint (lo + hi)/2 and
+the half-width -f'''(m)/1440 rounded up (hi - lo loses it below an ulp of
+hi).  The pair sits strictly inside the integral-test bracket (I, I + f(m)),
+which the test suite asserts.
 """
 
 from __future__ import annotations
+
+import math
 
 from . import kernels
 
@@ -23,11 +27,11 @@ def _em2(integral: float, f0: float, d1: float, d3: float) -> tuple[float, float
     # d3/720 is the (negative) enveloped remainder.
     hi = integral + 0.5 * f0 - d1 / 12.0
     lo = hi + d3 / 720.0
-    return lo, hi
+    return 0.5 * (lo + hi), math.nextafter(-d3 / 1440.0, math.inf)
 
 
 def gap_tail(y0: float) -> tuple[float, float]:
-    """Enclosure of sum_{j>=0} kernel_r(y0 + j)."""
+    """(midpoint, half-width) of sum_{j>=0} kernel_r(y0 + j)."""
     return _em2(
         kernels.kernel_s(y0),
         kernels.kernel_r(y0),
@@ -37,7 +41,7 @@ def gap_tail(y0: float) -> tuple[float, float]:
 
 
 def mu_tail(y0: float) -> tuple[float, float]:
-    """Enclosure of sum_{j>=0} kernel_w(y0 + j)."""
+    """(midpoint, half-width) of sum_{j>=0} kernel_w(y0 + j)."""
     return _em2(
         kernels.kernel_w_integral(y0),
         kernels.kernel_w(y0),
@@ -47,7 +51,7 @@ def mu_tail(y0: float) -> tuple[float, float]:
 
 
 def polygamma_tail(m: float, n: int) -> tuple[float, float]:
-    """Enclosure of sum_{j>=0} (m + j)^-(n+1) for n >= 1."""
+    """(midpoint, half-width) of sum_{j>=0} (m + j)^-(n+1) for n >= 1."""
     integral = m**-n / n
     f0 = m ** -(n + 1)
     d1 = -(n + 1) * m ** -(n + 2)

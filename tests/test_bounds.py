@@ -308,8 +308,8 @@ def test_aux_f_limit():
 @pytest.mark.parametrize("x", [1e160, 1e300, 1.7976931348623157e308])
 def test_beta_f_and_tau_where_kernel_r_underflows(x):
     # 2 kernel_r(x) ~ 1/x^2 is subnormal or zero here: beta, f and tau (f
-    # plus x - 1) come from f's series in 1/x, and match mpmath rounded to
-    # the nearest double.
+    # plus x - 1) come from f's form in t = 1/(2x + 1), and match mpmath
+    # rounded to the nearest double.
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40 + 2 * math.ceil(math.log10(x))):
         m = mpmath.mpf(x)
@@ -337,8 +337,8 @@ def test_f_and_beta_bracket_above_the_cutoff(x):
 
 
 def test_beta_f_and_tau_within_an_ulp_above_the_cutoff():
-    # From x = 16, f is a series in 1/x and beta = x + f: neither cancels
-    # nor underflows, up to the largest double.
+    # From x = 1, f is written in t = 1/(2x + 1) and beta = x + f: neither
+    # cancels nor underflows, up to the largest double.
     mpmath = pytest.importorskip("mpmath")
 
     def mp_beta(y):
@@ -356,9 +356,55 @@ def test_beta_f_and_tau_within_an_ulp_above_the_cutoff():
                 assert abs(got - truth) <= math.ulp(float(truth)), (name, x)
 
 
+def _mp_f(m, mp):
+    return 1 / mp.sqrt(2 * (1 / m - mp.log1p(1 / m))) - m
+
+
+def _mp_big_h(m, mp):
+    b = m + mp.mpf(1) / 3 - 1 / (12 * m + 3)
+    return mp.log1p(1 / m) - 1 / m + 1 / (2 * b * b)
+
+
+def _mp_big_p(m, mp):
+    return mp.log1p(1 / m) - (1 + 12 * m + 12 * m * m) / (6 * m * (m + 1) * (2 * m + 1))
+
+
+# The accuracy table of f, beta, H and P, as the bounds module docstring
+# quotes it: most ulps off (40 + 6 log10 x)-digit mpmath (H ~ 1/x^5 cancels
+# five times log10 x digits of its ~1/x terms) on 1000 log points of [1, 16),
+# of [16, 1e60] and, for f, of [16, 1.8e308].
+_ONE_TO_16 = _log_points(1.0, math.nextafter(16.0, 0.0), 1000)
+_FROM_16 = _log_points(16.0, 1e60, 1000)
+_TO_MAX = _log_points(16.0, _MAX, 1000)
+_AUX_ACCURACY_TABLE = [
+    ("aux_f", _mp_f, _ONE_TO_16, 1.0),
+    ("aux_f", _mp_f, _FROM_16, 0.9),
+    ("aux_f", _mp_f, _TO_MAX, 0.9),
+    ("beta", lambda m, mp: _mp_f(m, mp) + m, _ONE_TO_16, 0.8),
+    ("beta", lambda m, mp: _mp_f(m, mp) + m, _FROM_16, 0.5),
+    ("aux_big_h", _mp_big_h, _ONE_TO_16, 7.0),
+    ("aux_big_h", _mp_big_h, _FROM_16, 6.0),
+    ("aux_big_p", _mp_big_p, _ONE_TO_16, 9.1),
+    ("aux_big_p", _mp_big_p, _FROM_16, 4.5),
+]
+
+
+@pytest.mark.parametrize("name, exact, points, max_ulps", _AUX_ACCURACY_TABLE,
+                         ids=[f"{row[0]}-{row[2][0]:g}-{row[2][-1]:.3g}"
+                              for row in _AUX_ACCURACY_TABLE])
+def test_aux_accuracy_table(name, exact, points, max_ulps):
+    mpmath = pytest.importorskip("mpmath")
+    fn, worst = getattr(bounds, name), 0.0
+    for x in points:
+        with mpmath.workdps(40 + 6 * math.ceil(math.log10(x))):
+            ref = exact(mpmath.mpf(x), mpmath)
+            worst = max(worst, float(abs(mpmath.mpf(fn(x)) - ref)) / math.ulp(float(ref)))
+    assert worst <= max_ulps, (name, worst)
+
+
 def test_big_h_sign_and_relative_error():
-    # H > 0 is proved.  From x = 16 it is a series in 1/x; below, the direct
-    # difference cancels toward 16 (within 1.2e-11 measured).  H is a normal
+    # H > 0 is proved.  From x = 1 it is written in t = 1/(2x + 1), which
+    # does not cancel; below, the direct difference is used.  H is a normal
     # double on about [2.3e-155, 1.4e61]; past it, H is subnormal or 0
     # (below, it passes the largest double).
     mpmath = pytest.importorskip("mpmath")
@@ -456,7 +502,7 @@ def test_theta_sign_and_relative_error():
 
 
 def test_aux_p_large_x_series_branch():
-    # the series branch must join the direct branch smoothly and keep P < 0
+    # P is smooth across x = 16 and stays < 0
     direct = bounds.aux_big_p(15.999999)
     series = bounds.aux_big_p(16.000001)
     assert series == pytest.approx(direct, rel=1e-6)

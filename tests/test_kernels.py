@@ -107,8 +107,8 @@ def test_bulk_terms_change_length_where_the_kernels_do():
 
 # The kernels' accuracy table, as their module docstring quotes it: most ulps
 # off (40 + 2 log10 y)-digit mpmath on 600 log points of [1e-3, 1) (direct
-# forms) and 3000 of [1, 1e150] (the series), and for u - log1p(u) on 3001
-# points of [-1/2, 1].
+# forms, but kernel_w's series from 1/2) and 3000 of [1, 1e150] (the series),
+# and for u - log1p(u) on 3001 points of [-1/2, 1].
 _BELOW_ONE = [1e-3 * 1e3 ** (i / 600) for i in range(600)]
 _FROM_ONE = [10.0 ** (150 * i / 2999) for i in range(3000)]
 _H_POINTS = [-0.5 + 1.5 * i / 3000 for i in range(3001)]
@@ -117,7 +117,7 @@ _ACCURACY_TABLE = [
     ("kernel_r", lambda m, mp: 1 / m - mp.log1p(1 / m), _FROM_ONE, 2.4),
     ("kernel_s", lambda m, mp: (m + 1) * mp.log1p(1 / m) - 1, _BELOW_ONE, 5.5),
     ("kernel_s", lambda m, mp: (m + 1) * mp.log1p(1 / m) - 1, _FROM_ONE, 1.6),
-    ("kernel_w", lambda m, mp: (m + mp.mpf(1) / 2) * mp.log1p(1 / m) - 1, _BELOW_ONE, 39),
+    ("kernel_w", lambda m, mp: (m + mp.mpf(1) / 2) * mp.log1p(1 / m) - 1, _BELOW_ONE, 13.2),
     ("kernel_w", lambda m, mp: (m + mp.mpf(1) / 2) * mp.log1p(1 / m) - 1, _FROM_ONE, 2.9),
     ("kernel_w_integral",
      lambda m, mp: 1 / mp.mpf(4) + m / 2 - m * (m + 1) / 2 * mp.log1p(1 / m), _FROM_ONE, 2.4),
@@ -239,19 +239,22 @@ def test_kernels_where_the_reciprocal_overflows(x):
 
 
 def test_w_series_takes_the_exact_coefficients_bit_for_bit():
-    # W(v) = sum_{k<=K} v^k/(2k + 1), K = 18 above v = 1/81, 9 above 1/1089,
-    # else 6, by the plain Horner loop from 0: the scalar straight-line
-    # stages take its operations.  The oracle's K = 6 coefficients are W's
-    # (its terms equal the scalars': test_poly_eval_on_arrays_matches_scalar_kernels).
+    # W(v) = sum_{k<=K} v^k/(2k + 1), K = 26 above v = 1/9, 18 above 1/81,
+    # 9 above 1/1089, else 6, by the plain Horner loop from 0: the scalar
+    # straight-line stages take its operations.  The oracle's K = 6
+    # coefficients are W's (its terms equal the scalars':
+    # test_poly_eval_on_arrays_matches_scalar_kernels).
     def horner_loop(v):
         acc = 0.0
-        for k in range(18 if v > 1 / 81 else 9 if v > 1 / 1089 else 6, 0, -1):
+        for k in range(26 if v > 1 / 9 else 18 if v > 1 / 81 else 9 if v > 1 / 1089 else 6,
+                       0, -1):
             acc = (acc + 1.0 / (2 * k + 1)) * v
         return acc
 
     assert oracle._W_COEFFS == tuple(1.0 / (2 * k + 1) for k in range(1, 7))
-    v = np.concatenate([np.geomspace(1.0 / 9.0, 1e-300, 4001),
-                        [1 / 81, math.nextafter(1 / 81, 1.0), 1 / 1089,
+    v = np.concatenate([np.geomspace(1.0 / 4.0, 1e-300, 4001),
+                        [1 / 9, math.nextafter(1 / 9, 1.0), 1 / 81,
+                         math.nextafter(1 / 81, 1.0), 1 / 1089,
                          math.nextafter(1 / 1089, 1.0), 0.0]])
     assert [kernels._w_over_v(w) * w for w in v.tolist()] == [horner_loop(w) for w in v.tolist()]
 

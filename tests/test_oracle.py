@@ -165,9 +165,9 @@ def integral_test_bracket_trigamma(m):
 def test_em2_enclosure_inside_classical_integral_test():
     # the sharp trigamma tail must sit inside 1/(x+K+1) < tail < 1/(x+K)
     for m in (5.0, 64.0, 1000.0):
-        lo, hi = tails.polygamma_tail(m, 1)
+        mid, half = tails.polygamma_tail(m, 1)
         coarse_lo, coarse_hi = integral_test_bracket_trigamma(m)
-        assert coarse_lo < lo < hi < coarse_hi
+        assert coarse_lo < mid - half < mid + half < coarse_hi
 
 
 def test_em2_brackets_contain_high_precision_tails():
@@ -177,8 +177,28 @@ def test_em2_brackets_contain_high_precision_tails():
             mpmath.log(x) - mpmath.psi(0, x)
             - mpmath.fsum(1 / (x + k) - mpmath.log(1 + 1 / (x + k)) for k in range(m))
         )
-        lo, hi = tails.gap_tail(float(x) + m)
-        assert lo <= true_tail <= hi
+        mid, half = tails.gap_tail(float(x) + m)
+        assert mid - half <= true_tail <= mid + half
+
+
+@pytest.mark.parametrize("y", [64.0, 2240.0, 1.1e5])
+def test_em2_half_width_is_the_derived_one(y):
+    # The half-width is -f'''(y)/1440 rounded up, also where it is far below
+    # an ulp of the midpoint (at 1.1e5, where hi - lo is 0), and the midpoint
+    # is within it, plus the oracle's 4-ulp midpoint charge, of the 50-digit tail.
+    with mpmath.workdps(50):
+        m = mpmath.mpf(y)
+        mu = mpmath.loggamma(m) - (m - 0.5) * mpmath.log(m) + m - mpmath.log(2 * mpmath.pi) / 2
+        cases = {
+            "gap": (tails.gap_tail(y), lambda z: 1 / z - mpmath.log1p(1 / z),
+                    mpmath.log(m) - mpmath.psi(0, m)),
+            "mu": (tails.mu_tail(y), lambda z: (z + 0.5) * mpmath.log1p(1 / z) - 1, mu),
+            "trigamma": (tails.polygamma_tail(y, 1), lambda z: z**-2, mpmath.psi(1, m)),
+        }
+        for name, ((mid, half), f, truth) in cases.items():
+            exact = -mpmath.diff(f, m, 3) / 1440
+            assert exact <= half <= exact * (1 + 2.0**-50), (name, y)
+            assert abs(mid - truth) <= half + 4 * 2.0**-52 * mid, (name, y)
 
 
 @pytest.mark.parametrize("a", [2.0**-52, 1e-9, 1e-3, 0.25, 0.5, 0.999, 1.0])
