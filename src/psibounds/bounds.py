@@ -12,7 +12,7 @@ plus the proof-auxiliary functions, the monotone series representation of
 the digamma gap, and ``FUNCTIONS``, the registry of every function that can
 be evaluated by name.  From x = 1, f, beta, H and P are written in
 t = 1/(2x + 1) through one series V and do not cancel: from 1 and from 16,
-f is within 1.0 and 0.9 ulps, beta 0.8 and 0.5, H 7.0 and 6.0, P 9.1 and 4.5
+f is within 1.0 and 0.9 ulps, beta 0.8 and 0.5, H 3.1 and 2.4, P 5.1 and 4.4
 (tests/test_bounds.py).  theta up to t = 1/16 takes its own series.
 """
 
@@ -99,6 +99,15 @@ def _shifted_atanh(v: float) -> float:
     for c in _V_COEFFS:
         acc = acc * v + c
     return acc
+
+
+def _t_fifth(x: float) -> float:
+    # t^5 = (2x + 1)^-5 for x >= 1 by pow, which underflows gradually from
+    # x ~ 1e61.  s = x + 0.5 rounds, by e = (x + 0.5) - s, exact as computed;
+    # (1 - 5e/s) keeps pow from raising that rounding to the fifth power.
+    s = x + 0.5
+    e = (x - s) + 0.5
+    return 2.0**-5 * s**-5.0 * (1.0 - 5.0 * e / s)
 
 
 def beta(x: float) -> float:
@@ -377,8 +386,7 @@ def aux_big_h(x: float) -> float:
     if x >= 1.0:
         t = 0.5 / (x + 0.5)
         rational = 2.0 * (t + 2.0) * (t + 8.0) / (3.0 * (1.0 - t) ** 2 * (t + 6.0) ** 2)
-        # t^5 as (2x + 1)^-5 by pow, which underflows gradually from x ~ 1e61.
-        return 2.0**-5 * (x + 0.5) ** -5.0 * (2.0 * _shifted_atanh(t * t) + rational)
+        return _t_fifth(x) * (2.0 * _shifted_atanh(t * t) + rational)
     b = beta_refined(x)   # 0.5/b/b, as b*b underflows at small x
     return 0.5 / b / b - kernels.kernel_r(x)
 
@@ -393,7 +401,7 @@ def aux_big_p(x: float) -> float:
     if x >= 1.0:
         t = 0.5 / (x + 0.5)
         v = t * t
-        return 2.0**-4 * (x + 0.5) ** -5.0 * (_shifted_atanh(v) - 1.0 / (3.0 * (1.0 - v)))
+        return 2.0 * _t_fifth(x) * (_shifted_atanh(v) - 1.0 / (3.0 * (1.0 - v)))
     num = 1.0 + 12.0 * x + 12.0 * x * x
     den = 6.0 * x * (x + 1.0) * (2.0 * x + 1.0)
     return math.log1p(1.0 / x) - num / den
@@ -406,19 +414,15 @@ def aux_p(x: float) -> float:
     p' = -x^3/((x+1)(2x+3)^2) < 0 (so p ~ -x^4/36); statements of the
     opposite sign circulate but contradict that monotonicity.  Up to x = 1,
     where the difference cancels, log(1+x) = 2 atanh(t) with t = x/(x+2) gives
-    p = 2t^4 (t sum_{j>=0} t^2j/(2j+5) - (2+t)/(3(1-t)(3+t))), the sum through
-    t^34 (exact coefficients; truncated below 1e-18 relative).
+    p = 2t^4 (t V(t^2) - (2+t)/(3(1-t)(3+t))) for V(v) = sum_{j>=0} v^j/(2j+5)
+    of ``_shifted_atanh`` (through t^34, as t^2 <= 1/9).
     """
     x = _check_nonnegative(x, "x")
     if x <= 1.0:
         t = x / (2.0 + x)
         s = t * t
-        atanh_tail = ((((((((((((((((1/39 * s + 1/37) * s + 1/35) * s + 1/33) * s
-                + 1/31) * s + 1/29) * s + 1/27) * s + 1/25) * s + 1/23) * s + 1/21) * s
-                + 1/19) * s + 1/17) * s + 1/15) * s + 1/13) * s + 1/11) * s + 1/9) * s
-                + 1/7) * s + 1/5
         rational = (2.0 + t) / (3.0 * (1.0 - t) * (3.0 + t))
-        return 2.0 * s * s * (t * atanh_tail - rational) + 0.0   # + 0.0: p(0) = +0
+        return 2.0 * s * s * (t * _shifted_atanh(s) - rational) + 0.0   # + 0.0: p(0) = +0
     return math.log1p(x) - (x * x + 6.0 * x) / (4.0 * x + 6.0)
 
 

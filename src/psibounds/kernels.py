@@ -14,7 +14,7 @@ on [-1/2, 1].  Below y = 1 the direct forms stay (kernel_r's within about 2 ulps
 but kernel_w is W from y = 1/2.  Most ulps off (40 + 2 log10 y)-digit mpmath on 600
 log points of [1e-3, 1) and 3000 of [1, 1e150] (tests/test_kernels.py): kernel_r
 2.1 and 2.4, kernel_s 5.5 and 1.6, kernel_w 13.2 (its direct form below 1/2
-cancels) and 2.9, kernel_w_integral 2.4 from 1; u_minus_log1p 2.3 on [-1/2, 1].
+cancels) and 2.9; u_minus_log1p 2.3 on [-1/2, 1].
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ def kernel_s(x: float) -> float:
         return (w + t) + t * w
     # Below ~5.56e-309, u = 1/x overflows; there log(1 + 1/x) is
     # -log x + log1p(x), and log1p(x) < 6e-309 is far below an ulp of
-    # -log x > 708.  kernel_w and kernel_w_integral do the same, inline.
+    # -log x > 708.  kernel_w does the same, inline.
     u = 1.0 / x
     return (x + 1.0) * (math.log1p(u) if u <= 1.7976931348623157e308 else -math.log(x)) - 1.0
 
@@ -136,27 +136,11 @@ def kernel_r_terms(x: float, count: int) -> list[float]:
     return terms
 
 
-def kernel_w_integral(t: float) -> float:
-    """Integral of kernel_w over [t, inf): 1/4 + t/2 - (t(t+1)/2) log(1+1/t).
-
-    ~1/(12 t) for large t.  From t = 1, (s/4)(1 - (1 - v) W/v) at s = 1/(2t + 1),
-    v = s^2, which neither cancels (W/v <= 0.36) nor underflows early.
-    """
-    t = _check_domain(t, "t")
-    if t >= 1.0:
-        s = 0.5 / (t + 0.5)
-        v = s * s
-        return 0.25 * s * (1.0 - (1.0 - v) * _w_over_v(v))
-    u = 1.0 / t
-    log_ratio = math.log1p(u) if u <= 1.7976931348623157e308 else -math.log(t)
-    return 0.25 + 0.5 * t - 0.5 * t * (t + 1.0) * log_ratio
-
-
-# Exact derivative forms used by the tail enclosures, in u = 1/y (kernel_w_d1
-# in W): the powers of u and of u/(1+u) = 1/(y+1) are taken by pow from the
-# exact y, so they neither overflow nor underflow before their values do for
-# y >= 1, and u's own rounding is not raised to a power: within 5e-16
-# relative (kernel_w_d1 7e-16) on [64, 1.8e308], where every tail starts.
+# Exact derivative forms used by the gap's tail enclosure, in u = 1/y: the
+# powers of u and of u/(1+u) = 1/(y+1) are taken by pow from the exact y, so
+# they neither overflow nor underflow before their values do for y >= 1, and
+# u's own rounding is not raised to a power: within 5e-16 relative on
+# [64, 1.8e308], where every tail starts.
 
 
 def kernel_r_d1(y: float) -> float:
@@ -168,18 +152,3 @@ def kernel_r_d3(y: float) -> float:
     """Third derivative of kernel_r: -2u^5 (6+8u+3u^2)/(1+u)^3."""
     u = 1.0 / y
     return -2.0 * ((3.0 * u + 8.0) * u + 6.0) * y**-2.0 * (y + 1.0) ** -3.0
-
-
-def kernel_w_d1(y: float) -> float:
-    """First derivative of kernel_w for y >= 1: log(1+1/y) - (y+1/2)/(y(y+1)).
-
-    As 2t (W - v/(1 - v)), which does not cancel: W <= v/(3(1 - v)).
-    """
-    t = 0.5 / (y + 0.5)
-    v = t * t
-    return 2.0 * t * (_w_over_v(v) * v - v / (1.0 - v))
-
-
-def kernel_w_d3(y: float) -> float:
-    """Third derivative of kernel_w: -(2y+1)/(y(y+1))^3 = -u^5 (2+u)/(1+u)^3."""
-    return -(2.0 + 1.0 / y) * y**-2.0 * (y + 1.0) ** -3.0

@@ -2,20 +2,22 @@
 
 The oracle is deliberately independent of every library special-function
 implementation: it only sums the defining series and encloses their tails
-by the Euler-Maclaurin pairs of :mod:`psibounds.tails`.  Each result
-carries an ``error_radius`` that accounts for
+by :mod:`psibounds.tails`: Euler-Maclaurin pairs for the gap series and
+psi', mu's own enveloping Stirling series for mu.  Each result carries an
+``error_radius`` that accounts for
 
   * the truncation enclosure (half the tail-bracket width) and the derived
     truncation of the terms' positive series W (see ``kernels``),
   * per-term floating-point evaluation, charged at a calibrated 2 ulps of
     each term's rounding scale; 4 ulps for mu's and psi''s tail midpoints,
-    which are doubles, while the gap series' midpoint is exact to about
-    2^-76 of itself and charged that, derived (``_exact_gap_tail``), and
+    which are doubles (mu's derived below 2.5, see ``_FLOAT_MID_REL``),
+    while the gap series' midpoint is exact to about 2^-76 of itself and
+    charged that, derived (``_exact_gap_tail``), and
   * the final exactly-rounded summation (``math.fsum``), half an ulp.
 
-The charges sit roughly 2x above the worst error observed against a
-50-digit reference across the verification grids; the test suite checks
-``|value - reference| <= error_radius`` directly.
+The calibrated charges sit roughly 2x above the worst error observed
+against a 50-digit reference across the verification grids; the test suite
+checks ``|value - reference| <= error_radius`` directly.
 
 Requests below ``EPS_FLOOR`` fail loudly instead of returning an optimistic
 radius, as do requests that the argument's own representation cannot honour
@@ -104,7 +106,13 @@ CACHE_SIZE = 4096
 #: shorter ones go to ``fsum`` as Python floats, which is faster there.
 SPLIT_MIN_TERMS = 600
 
-#: Relative charge on a double tail midpoint (mu's and psi''s): 4 ulps, calibrated.
+#: Relative charge on a double tail midpoint (mu's and psi''s): 4 ulps.  mu's
+#: midpoint (``tails.mu_tail``) rounds u = 1/y, the constant 1/12, the add of
+#: 1/12 and the product by u, each by at most 2^-53 relative, and the terms in
+#: u^2 <= 2^-12 add under 1e-4 of one such; the abscissa x + count rounds by 2^-53
+#: more, which moves mu(y) ~ 1/(12y) by as much: 2.5 ulps in all.  psi''s is
+#: calibrated.  It stays 4 ulps since it also sets both tails' starts (see
+#: ``_kernel_sum``): a smaller charge would change their term counts.
 _FLOAT_MID_REL = 4.0 * _EPS
 
 #: Terms per bulk chunk, 256 KiB of doubles: the fastest power of two from 8192 to 65536.

@@ -382,10 +382,10 @@ _AUX_ACCURACY_TABLE = [
     ("aux_f", _mp_f, _TO_MAX, 0.9),
     ("beta", lambda m, mp: _mp_f(m, mp) + m, _ONE_TO_16, 0.8),
     ("beta", lambda m, mp: _mp_f(m, mp) + m, _FROM_16, 0.5),
-    ("aux_big_h", _mp_big_h, _ONE_TO_16, 7.0),
-    ("aux_big_h", _mp_big_h, _FROM_16, 6.0),
-    ("aux_big_p", _mp_big_p, _ONE_TO_16, 9.1),
-    ("aux_big_p", _mp_big_p, _FROM_16, 4.5),
+    ("aux_big_h", _mp_big_h, _ONE_TO_16, 3.1),
+    ("aux_big_h", _mp_big_h, _FROM_16, 2.4),
+    ("aux_big_p", _mp_big_p, _ONE_TO_16, 5.1),
+    ("aux_big_p", _mp_big_p, _FROM_16, 4.4),
 ]
 
 

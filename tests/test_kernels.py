@@ -50,8 +50,6 @@ def test_series_matches_direct_formulas(y):
                                                 rel=2e-12)
     assert kernels.kernel_w(y) == pytest.approx((y + 0.5) * math.log1p(u) - 1.0,
                                                 rel=2e-11)
-    direct_wint = 0.25 + 0.5 * y - 0.5 * y * (y + 1.0) * math.log1p(u)
-    assert kernels.kernel_w_integral(y) == pytest.approx(direct_wint, rel=2e-11)
 
 
 def test_poly_eval_on_arrays_matches_scalar_kernels(monkeypatch):
@@ -119,8 +117,6 @@ _ACCURACY_TABLE = [
     ("kernel_s", lambda m, mp: (m + 1) * mp.log1p(1 / m) - 1, _FROM_ONE, 1.6),
     ("kernel_w", lambda m, mp: (m + mp.mpf(1) / 2) * mp.log1p(1 / m) - 1, _BELOW_ONE, 13.2),
     ("kernel_w", lambda m, mp: (m + mp.mpf(1) / 2) * mp.log1p(1 / m) - 1, _FROM_ONE, 2.9),
-    ("kernel_w_integral",
-     lambda m, mp: 1 / mp.mpf(4) + m / 2 - m * (m + 1) / 2 * mp.log1p(1 / m), _FROM_ONE, 2.4),
     ("u_minus_log1p", lambda m, mp: m - mp.log1p(m), _H_POINTS, 2.3),
 ]
 
@@ -174,40 +170,21 @@ def test_u_minus_log1p_domain():
 def test_w_derivative_forms_match_finite_differences():
     for y in (3.0, 17.0, 250.0):
         h = y * 1e-6
-        fd1 = (kernels.kernel_w(y + h) - kernels.kernel_w(y - h)) / (2 * h)
-        assert kernels.kernel_w_d1(y) == pytest.approx(fd1, rel=1e-6)
         fd1_r = (kernels.kernel_r(y + h) - kernels.kernel_r(y - h)) / (2 * h)
         assert kernels.kernel_r_d1(y) == pytest.approx(fd1_r, rel=1e-6)
 
 
-def test_w_integral_matches_quadrature():
-    # Composite Simpson over [t, t+200] plus the series tail beyond.
-    t = 5.0
-    n, upper = 40000, 205.0
-    h = (upper - t) / n
-    xs = [t + i * h for i in range(n + 1)]
-    ws = [kernels.kernel_w(x) for x in xs]
-    simpson = h / 3 * (ws[0] + ws[-1]
-                       + 4 * sum(ws[1:-1:2]) + 2 * sum(ws[2:-1:2]))
-    total = simpson + kernels.kernel_w_integral(upper)
-    assert kernels.kernel_w_integral(t) == pytest.approx(total, rel=1e-9)
-
-
 def test_derivative_forms_past_huge_y():
-    # The product forms in y would overflow (or, for kernel_w_d1, cancel to
-    # log1p(u)) from ~7.5e51; the forms in u = 1/y hold on every abscissa a
-    # tail starts at, from 64 up to the largest double.
+    # The product forms in y would overflow from ~7.5e51; the forms in u = 1/y
+    # hold on every abscissa a tail starts at, from 64 up to the largest double.
     mpmath = pytest.importorskip("mpmath")
     exact = {
         kernels.kernel_r_d1: lambda y: -1 / (y * y * (y + 1)),
         kernels.kernel_r_d3: lambda y: -2 * (6 * y * y + 8 * y + 3) / (y**4 * (y + 1) ** 3),
-        kernels.kernel_w_d1: lambda y: mpmath.log1p(1 / y) - (y + mpmath.mpf(1) / 2) / (y * (y + 1)),
-        kernels.kernel_w_d3: lambda y: -(2 * y + 1) / (y * (y + 1)) ** 3,
     }
     for fn, ref in exact.items():
         for y in (64.0, 100.0, 1e3, 12345.678, 1e6, 1e10, 1e20, 2e30, 1e52, 1e55, 1e80,
                   1e155, 1e200, 1.7976931348623157e308):
-            # kernel_w_d1's exact form cancels 2 log10(y) digits.
             with mpmath.workdps(40 + 2 * math.ceil(math.log10(y))):
                 truth = ref(mpmath.mpf(y))
             value = fn(y)
@@ -218,8 +195,8 @@ def test_derivative_forms_past_huge_y():
 @pytest.mark.parametrize("x", [5e-324, 1e-310, 5.562684646268003e-309])
 def test_kernels_where_the_reciprocal_overflows(x):
     # Below ~5.56e-309, 1/x is inf: kernel_r (~1/x) is beyond the largest
-    # double, while log(1 + 1/x) = -log x + log1p(x) keeps kernel_s, kernel_w
-    # and the w-integral finite.
+    # double, while log(1 + 1/x) = -log x + log1p(x) keeps kernel_s and
+    # kernel_w finite.
     mpmath = pytest.importorskip("mpmath")
     assert 1.0 / x == math.inf
     with pytest.raises(DomainError):
@@ -232,7 +209,6 @@ def test_kernels_where_the_reciprocal_overflows(x):
         exact = {
             kernels.kernel_s: (t + 1) * log_ratio - 1,
             kernels.kernel_w: (t + mpmath.mpf(1) / 2) * log_ratio - 1,
-            kernels.kernel_w_integral: mpmath.mpf(1) / 4 + t / 2 - t * (t + 1) / 2 * log_ratio,
         }
     for fn, truth in exact.items():
         assert fn(x) == pytest.approx(float(truth), rel=4 * 2.0**-52), fn.__name__

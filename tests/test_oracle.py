@@ -188,17 +188,49 @@ def test_em2_half_width_is_the_derived_one(y):
     # is within it, plus the oracle's 4-ulp midpoint charge, of the 50-digit tail.
     with mpmath.workdps(50):
         m = mpmath.mpf(y)
-        mu = mpmath.loggamma(m) - (m - 0.5) * mpmath.log(m) + m - mpmath.log(2 * mpmath.pi) / 2
         cases = {
             "gap": (tails.gap_tail(y), lambda z: 1 / z - mpmath.log1p(1 / z),
                     mpmath.log(m) - mpmath.psi(0, m)),
-            "mu": (tails.mu_tail(y), lambda z: (z + 0.5) * mpmath.log1p(1 / z) - 1, mu),
             "trigamma": (tails.polygamma_tail(y, 1), lambda z: z**-2, mpmath.psi(1, m)),
         }
         for name, ((mid, half), f, truth) in cases.items():
             exact = -mpmath.diff(f, m, 3) / 1440
             assert exact <= half <= exact * (1 + 2.0**-50), (name, y)
             assert abs(mid - truth) <= half + 4 * 2.0**-52 * mid, (name, y)
+
+
+def _mp_binet_mu(m):
+    # mu(m) = log Gamma(m) - (m - 1/2) log m + m - log(2 pi)/2, which cancels
+    # about 2 log10(m) digits: the caller's working precision must cover them.
+    return mpmath.loggamma(m) - (m - 0.5) * mpmath.log(m) + m - mpmath.log(2 * mpmath.pi) / 2
+
+
+@pytest.mark.parametrize("y", [64.0, 2240.0, 1.1e5, 1e20, 1e150])
+def test_mu_tail_is_its_enveloped_stirling_expansion(y):
+    # mu's tail at y is mu(y), between 1/(12y) - 1/(360y^3) and that plus
+    # 1/(1260y^5): the half-width is 1/(2520y^5) rounded up (at 1e150 it
+    # underflows, to the least subnormal), and the midpoint is within it, plus
+    # the oracle's 4-ulp midpoint charge, of the 50-digit mu.
+    mid, half = tails.mu_tail(y)
+    with mpmath.workdps(55 + 2 * math.ceil(math.log10(y))):
+        m = mpmath.mpf(y)
+        exact = 1 / (2520 * m**5)
+        assert exact <= half <= max(exact * (1 + 2.0**-50), 2.0**-1074), y
+        assert abs(mid - _mp_binet_mu(m)) <= half + 4 * 2.0**-52 * mid, y
+
+
+def test_mu_stirling_remainder_is_enveloped():
+    # What mu_tail's half-width rests on (DLMF 5.11(ii)): mu(y) less its two
+    # Stirling terms lies strictly between 0 and the first omitted term, so
+    # r = (mu(y) - 1/(12y) + 1/(360y^3)) 1260y^5 is in (0, 1).  r is about
+    # 1 - 0.75/y^2, mu's form cancels 2 log10(y) digits and the remainder is
+    # y^-4 of mu, so telling r from 1 takes about 8 log10(y) digits.
+    for i in range(61):
+        y = 64.0 * (1e12 / 64.0) ** (i / 60)
+        with mpmath.workdps(50 + 8 * math.ceil(math.log10(y))):
+            m = mpmath.mpf(y)
+            r = (_mp_binet_mu(m) - 1 / (12 * m) + 1 / (360 * m**3)) * 1260 * m**5
+            assert 0 < r < 1, y
 
 
 @pytest.mark.parametrize("a", [2.0**-52, 1e-9, 1e-3, 0.25, 0.5, 0.999, 1.0])
