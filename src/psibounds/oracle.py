@@ -44,7 +44,7 @@ arrays, each equal to its scalar kernel bit for bit.  A chunk of
 exact sum (Rump, Ogita and Oishi's error-free vector transformation), and
 the one ``fsum`` rounds those, the head terms and the tail midpoint's
 parts to the same double as the whole term list would give.  Shorter
-chunks, where ``fsum`` is faster, go to it as floats.  ``ref_binet_mu(9999)``,
+chunks, where ``fsum`` is faster, go to it as floats.  ``ref_binet_mu(6e4)``,
 a full 1e5-term block, peaks at 0.53 MB (3.7 MB with the terms as floats);
 no gap series sum leaves its first chunk.
 
@@ -60,18 +60,22 @@ eighth of what the closed-form charges leave of eps for log Gamma, each
 floored at that quarter ulp; eps/16 for psi' and the log Gamma series.  Its
 tail starts where the enclosure width (~ scale / m^5) fits within the
 target and, for a double midpoint charged mid_rel = 4 ulps of itself
-(~ 1/(2m)), where that charge fits too:
-m >= max(x + 16, 64, (scale/target)^0.2, min(mid_rel/(2 target), x + MAX_TERMS)).
-The gap series' exact midpoint has no such term.
+(mu's, below mu(m) < 1/(12m)), where that charge fits too:
+m >= max(x + 16, 64, (scale/target)^0.2, min(mid_rel/(12 target), x + MAX_TERMS)).
+The gap series' exact midpoint has no such term, and psi''s, at eps/16,
+keeps it below 1.
 
 Cost is bounded, not linear in x.  A sum of the gap series (the gap's,
 psi's or the log Gamma series') has at most max_x (8x/(60 eps))^0.2 - x,
 about 2650 terms (near x = 663), and from
 x ~ 4.9e3 on its tail starts at x + 16; psi's has at most ~420.  mu's
-midpoint term is 16x (to within its rounding) for the quarter-ulp target,
-capped at x + ``MAX_TERMS`` (1e5), up to x ~ 2.8e9; from x ~ 4.45e10 it
-falls below x.  Every tail starts at x + 16, rounded, from there, and past
-2^53 at most 16 bulk terms sit at abscissas that round together.
+midpoint term is 8x/3 (to within its rounding) for the quarter-ulp target;
+it exceeds the enclosure's from x ~ 930, and mu then sums about 5x/3 terms.
+From x = 6e4 the cap x + ``MAX_TERMS`` (1e5) binds.  From x ~ 2.8e9 the
+target sits at its 1e-26 floor and the term is a constant 7.4e9, so the cap
+binds up to x ~ 7.4e9 - 1e5, and from x ~ 7.4e9 the term falls below x.
+Every tail starts at x + 16, rounded, from there, and past 2^53 at most 16
+bulk terms sit at abscissas that round together.
 
 Refusals known from the value's magnitude are decided before any sum: the
 radius charges half an ulp of the value, so where the value is known to
@@ -111,8 +115,8 @@ SPLIT_MIN_TERMS = 600
 #: 1/12 and the product by u, each by at most 2^-53 relative, and the terms in
 #: u^2 <= 2^-12 add under 1e-4 of one such; the abscissa x + count rounds by 2^-53
 #: more, which moves mu(y) ~ 1/(12y) by as much: 2.5 ulps in all.  psi''s is
-#: calibrated.  It stays 4 ulps since it also sets both tails' starts (see
-#: ``_kernel_sum``): a smaller charge would change their term counts.
+#: calibrated.  Only mu's tail start depends on it (see ``_kernel_sum``), so a
+#: smaller charge would change mu's term counts.
 _FLOAT_MID_REL = 4.0 * _EPS
 
 #: Terms per bulk chunk, 256 KiB of doubles: the fastest power of two from 8192 to 65536.
@@ -209,8 +213,11 @@ def _kernel_sum(x: float, target: float, kernel, tail, trunc_scale: float,
     one, see ``_float_tail``) moves the tail out until that charge fits too,
     or to x + ``MAX_TERMS``.
     """
+    # The fourth term sizes the midpoint as mu's tail, mu(m) < 1/(12m): no
+    # other double midpoint's charge can set a start (psi''s, at eps/16,
+    # keeps this term below 1, far under 64).
     m_tail = max(x + 16.0, 64.0, (trunc_scale / target) ** 0.2,
-                 min(mid_rel / (2.0 * target), x + MAX_TERMS))
+                 min(mid_rel / (12.0 * target), x + MAX_TERMS))
     count = int(math.ceil(m_tail - x))
 
     head_charges = 0.0

@@ -142,6 +142,22 @@ class _TargetRow:
     notes: tuple[str, ...] = ()
 
 
+def _log_gamma_plus_one(x: float, eps: float) -> oracle.ErrorBoundedValue:
+    # log Gamma at the rounded s = x + 1, charged for e = (x + 1) - s exactly:
+    # the two differ by |psi(y) e| for some y between them, so y < s + 1, and
+    # -gamma < psi(y) < log y for y > 1 (gamma < 0.5773).
+    s = x + 1.0
+    out = oracle.ref_log_gamma(s, eps)
+    e = specfun._add_error(x, 1.0, s)
+    if e == 0.0:
+        return out
+    radius = math.nextafter(
+        out.error_radius + abs(e) * max(0.5773, math.log(s + 1.0)), math.inf)
+    if radius > eps:
+        raise ToleranceError(f"log Gamma({x!r} + 1): radius {radius:.3e} exceeds {eps:.3e}")
+    return oracle.ErrorBoundedValue(out.value, radius)
+
+
 #: One row per target quantity.  The entries look their functions up at
 #: call time, so a patched module attribute sees every call.
 _TARGET_ROWS = {
@@ -149,7 +165,7 @@ _TARGET_ROWS = {
                       lambda x, f: bounds.digamma_gap_bounds(x, f), "abs"),
     "ratio": _TargetRow(lambda x, e: oracle.ref_stirling_target(x, e),
                         lambda x, f: bounds.stirling_ratio_bounds(x, f), "ratio"),
-    "gamma": _TargetRow(lambda x, e: oracle.ref_log_gamma(x + 1.0, e),
+    "gamma": _TargetRow(lambda x, e: _log_gamma_plus_one(x, e),
                         lambda x, f: bounds.gamma_bounds_log(x, f), "log",
                         ("target and bounds reported on the log scale: "
                          "Gamma(x+1) overflows doubles for x beyond ~170",)),

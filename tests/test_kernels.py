@@ -65,9 +65,9 @@ def test_poly_eval_on_arrays_matches_scalar_kernels(monkeypatch):
         return terms
 
     monkeypatch.setattr(oracle, "_bulk_terms", recording)
-    # The gap's sums stay within one chunk; mu's cross 1, 2 and 3 boundaries
-    # from 2200.37, 4380 and 9999 on.
-    for x in (16.0, 17.3, 2200.37, 4380.0, 9999.0, 5e4, 1e6):
+    # The gap's sums stay within one chunk; from x = 6e4 each of mu's is a
+    # full MAX_TERMS block, which crosses 3 boundaries.
+    for x in (16.0, 17.3, 6e4, 65536.37, 2.5e5, 1e6):
         oracle.clear_caches()
         oracle.ref_digamma_gap(x)
         oracle.ref_binet_mu(x)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import refs_frozen as refs
-from psibounds import oracle, tails
+from psibounds import kernels, oracle, tails
 from psibounds.errors import DomainError, ToleranceError
 
 mpmath = pytest.importorskip("mpmath")
@@ -327,7 +327,7 @@ def test_early_log_gamma_refusal_only_where_the_full_sum_refuses(eps, monkeypatc
         assert refused == (full.error_radius > eps), x
 
 
-@pytest.mark.parametrize("name, x", [("ref_binet_mu", 9999.0), ("ref_binet_mu", 1e6)])
+@pytest.mark.parametrize("name, x", [("ref_binet_mu", 6e4), ("ref_binet_mu", 1e6)])
 def test_full_bulk_block_stays_small_in_memory(name, x):
     # A full 1e5-term block is built and reduced a chunk at a time, so the
     # sum's transient peak stays near two BLOCK_TERMS arrays (0.5 MB), not
@@ -451,6 +451,70 @@ def test_gap_series_cost_is_bounded(monkeypatch):
     for x, a, start, stop in calls:
         # One chunk per sum: none crosses a BLOCK_TERMS boundary.
         assert start <= 1 and stop <= oracle.BLOCK_TERMS, (x, a, start, stop)
+
+
+# -- mu: a double midpoint, so its start also fits the midpoint's charge -------
+
+#: mu's tail start is capped at x + MAX_TERMS from x = 6e4 until, with the
+#: target at its 1e-26 floor (from x ~ 2.8e9), 4 ulps of the midpoint
+#: ~1/(12m) fit it at m ~ _MU_FLOOR_START (7.4e9); below that m its blocks
+#: take every length.
+_MU_FLOOR_START = math.floor(oracle._FLOAT_MID_REL / (12.0 * 1e-26))
+
+
+def _record_kernel_sums(monkeypatch):
+    # (x, target, kernel, trunc_scale, count, tail midpoint) of every kernel sum.
+    sums = []
+    kernel_sum = oracle._kernel_sum
+
+    def recording(x, target, kernel, tail, trunc_scale, *args, **kwargs):
+        def recording_tail(x_, count, a):
+            out = tail(x_, count, a)
+            sums.append((x, target, kernel, trunc_scale, count, math.fsum(out[0])))
+            return out
+        return kernel_sum(x, target, kernel, recording_tail, trunc_scale, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_kernel_sum", recording)
+    return sums
+
+
+def _three_term_start(x, target, trunc_scale):
+    return max(x + 16.0, 64.0, (trunc_scale / target) ** 0.2)
+
+
+def test_mu_series_cost_is_bounded(monkeypatch):
+    # mu's double midpoint, below mu(m) < 1/(12m), is charged 4 ulps of
+    # itself.  At the quarter-ulp target eps/(8x) the tail starts at most at
+    # max(x + 16, 64, (scale/target)^0.2, min(8x/3, x + MAX_TERMS)), and
+    # where the cap does not bind, the charge fits the target there.  The
+    # gap, psi and psi' sums never take the fourth term.
+    sums = _record_kernel_sums(monkeypatch)
+    xs = _GAP_X + [2e3, 6e4, 1e5, 2.78e9, _MU_FLOOR_START - 44999.0, _MU_FLOOR_START]
+    for x in xs:
+        for name in ("ref_binet_mu", "ref_digamma_gap", "ref_digamma", "ref_trigamma"):
+            oracle.clear_caches()
+            try:
+                getattr(oracle, name)(x)
+            except ToleranceError:
+                pass
+    mu = [s for s in sums if s[2] is kernels.kernel_w]
+    others = [s for s in sums if s[2] is not kernels.kernel_w]
+    assert len(mu) > 100 and len(others) > 300, (len(mu), len(others))
+    capped = 0
+    for x, target, _, trunc_scale, count, mid in mu:
+        assert target == oracle._target(x, 1e-12), x
+        start = max(_three_term_start(x, target, trunc_scale),
+                    min(8.0 * x / 3.0, x + oracle.MAX_TERMS))
+        # 2^-50 covers the roundings of the target and of the fourth term.
+        assert count <= math.ceil((start - x) * (1.0 + 2.0**-50)), (x, count)
+        if count < oracle.MAX_TERMS:
+            assert oracle._FLOAT_MID_REL * mid <= target * (1.0 + 2.0**-50), (x, count)
+        else:
+            capped += 1
+    # The cap binds from x = 6e4 to just below _MU_FLOOR_START.
+    assert capped >= 5, capped
+    for x, target, _, trunc_scale, count, _ in others:
+        assert count == math.ceil(_three_term_start(x, target, trunc_scale) - x), (x, count)
 
 
 def mp_gap_tail(x, count, a):
@@ -581,11 +645,11 @@ def test_exact_split_checks_its_invariant(bad):
 
 
 _SERIES_X = [1e-3, 1.0, 15.9, 16.0, 100.0, 6.7e3, 1e4, 1e6, 1e20, 1e300]
-#: The mu blocks here span two and three chunks; each ends in a chunk
-#: shorter than BLOCK_TERMS, above SPLIT_MIN_TERMS at 3000 (12232 terms) and
-#: below it at 4380 (164 terms).  The gap's exact tail keeps its sums within
-#: one chunk.
-_CHUNKED_X = [3000.0, 4380.0]
+#: mu's blocks here are a full one (1e5) and two just below _MU_FLOOR_START
+#: that span two and three chunks and end in one shorter than BLOCK_TERMS:
+#: above SPLIT_MIN_TERMS (45000 terms, the last 12232) and below it (65700,
+#: the last 164).  The gap's exact tail keeps its sums within one chunk.
+_CHUNKED_X = [1e5, _MU_FLOOR_START - 44999.0, _MU_FLOOR_START - 65699.0]
 #: The refs whose kernel sums cover the four series: the gap (twice, at two
 #: targets), mu, psi' and, for x <= 2, the log Gamma series.
 _SERIES_REFS = ("ref_digamma_gap", "ref_digamma", "ref_binet_mu", "ref_trigamma",
@@ -669,7 +733,7 @@ def test_oracle_caches_are_bounded(name):
     fn = getattr(oracle, name)
     assert fn.cache_info().maxsize == oracle.CACHE_SIZE
     oracle.clear_caches()
-    # Past ~4.45e10, and with eps = 1 for log Gamma's sake, every kernel sum
+    # Past ~7.4e9, and with eps = 1 for log Gamma's sake, every kernel sum
     # is 16 bulk terms: cheap distinct keys.
     for i in range(oracle.CACHE_SIZE + 50):
         fn(1e12 + 1024.0 * i, 1.0)

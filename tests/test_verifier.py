@@ -4,7 +4,7 @@ import pytest
 
 from psibounds import bounds, oracle, verifier
 from psibounds.bounds import BoundFamily
-from psibounds.errors import DomainError, UndecidedComparisonError
+from psibounds.errors import DomainError, ToleranceError, UndecidedComparisonError
 from psibounds.verifier import GridSpec
 
 
@@ -196,3 +196,26 @@ def test_gap_families_margins_scale_with_radius_rule():
     )
     assert r.lower_threshold == pytest.approx(expected, rel=1e-12)
     assert r.rel_lower_margin == pytest.approx(r.lower_margin / r.target.value)
+
+
+def test_gamma_target_encloses_log_gamma_at_x_plus_one():
+    # The oracle sums log Gamma at the rounded s = x + 1; the target's radius
+    # also charges that rounding, so on the criterion-1 grid every eq8 target
+    # encloses 60-digit log Gamma(x + 1), where x + 1 is exact.
+    mpmath = pytest.importorskip("mpmath")
+    rep = verifier.sweep(GridSpec(1e-3, 1e4, 500), BoundFamily.EQ8)
+    assert rep.all_pass
+    misses = []
+    with mpmath.workdps(60):
+        for r in rep.records:
+            truth = mpmath.loggamma(mpmath.mpf(r.x) + 1)
+            if abs(mpmath.mpf(r.target.value) - truth) > mpmath.mpf(r.target.error_radius):
+                misses.append(r.x)
+    assert not misses, misses
+    # Where the charge takes the radius past eps, the target refuses, so a
+    # sweep relaxes eps as for any other oracle refusal.
+    x = math.nextafter(1023.3, math.inf)   # x + 1 rounds by 2^-43
+    eps = oracle.ref_log_gamma(x + 1.0, 1e-10).error_radius * 1.001
+    oracle.ref_log_gamma(x + 1.0, eps)
+    with pytest.raises(ToleranceError):
+        verifier._TARGET_ROWS["gamma"].oracle(x, eps)
