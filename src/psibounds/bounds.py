@@ -123,33 +123,38 @@ def beta(x: float) -> float:
 
 
 def beta_refined(x: float) -> float:
-    """x + 1/3 - 1/(12x+3), in (x, beta(x)): as x + 4x/(12x+3), which does not cancel."""
+    """x + 1/3 - 1/(12x+3), in (x, beta(x)): as x + x/(3x + 3/4), which neither
+    cancels nor overflows."""
     x = _check_domain(x)
-    return x + 4.0 * x / (12.0 * x + 3.0)
+    return x + x / (3.0 * x + 0.75)
 
 
 def delta_star(x: float) -> float:
     """1 / (2 ((x+1) log(1+1/x) - 1)): the sharp upper Stirling argument."""
     x = _check_domain(x)
+    if x >= 2.0**53:   # in (x, x + 1/3), which rounds to x; kernel_s goes subnormal
+        return x
     return 0.5 / kernels.kernel_s(x)
 
 
 def stirling_arg_upper(x: float) -> float:
-    """x + 1/3 - 1/(18x+3), below delta_star: as x + 2x/(6x+1), which does not cancel."""
+    """x + 1/3 - 1/(18x+3), below delta_star: as x + x/(3x + 1/2), which neither
+    cancels nor overflows."""
     x = _check_domain(x)
-    return x + 2.0 * x / (6.0 * x + 1.0)
+    return x + x / (3.0 * x + 0.5)
 
 
 def gamma_arg_bounds(x: float) -> tuple[float, float, float]:
     """(lower_arg, upper_arg, refined_lower_arg) for the Gamma(x+1) bounds.
 
     lower_arg = x/log(x+1); upper_arg = x/2 + 1;
-    refined_lower_arg = x/2 + 1 - x^2/(12+2x) < lower_arg for all x > 0.
+    refined_lower_arg = x/2 + 1 - x^2/(12+2x) < lower_arg for all x > 0, as
+    4(x + 3/2)/(x + 6), which neither cancels nor overflows.
     """
     x = _check_domain(x)
     lower_arg = x / math.log1p(x)
     upper_arg = 0.5 * x + 1.0
-    refined_lower_arg = upper_arg - x * x / (12.0 + 2.0 * x)
+    refined_lower_arg = 4.0 * ((x + 1.5) / (x + 6.0))
     return lower_arg, upper_arg, refined_lower_arg
 
 
@@ -157,12 +162,15 @@ def tau(k: int, x: float) -> float:
     """[2/(x+k-1) - 2 log(1+1/(x+k-1))]^(-1/2) - k.
 
     Strictly increasing in k with x - 1 < tau(k, x) < x - 2/3; tau(1, x)
-    equals beta(x) - 1.
+    equals beta(x) - 1.  DomainError where k - 1 passes the largest double.
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise DomainError(f"k must be an integer >= 1, got {k!r}")
     x = _check_domain(x)
-    y = x + k - 1.0
+    try:
+        y = x + (k - 1)   # one rounding; (x + k) - 1 would lose x's digits at k = 1
+    except OverflowError:
+        raise DomainError("tau: k - 1 passes the largest double") from None
     # beta(y) - y is evaluated as the stable f auxiliary to dodge the large-y
     # cancellation in (beta(y)) - (k).
     return aux_f(y) + (x - 1.0)
@@ -241,11 +249,12 @@ def _family_bounds(x: float, family: BoundFamily, target: str, what: str) -> Int
     try:
         lower, upper = row.bounds(x)
     except (OverflowError, ZeroDivisionError):
-        # A closed form passes the largest double (exp, pow), or divides by
-        # a square or power of x that underflowed to 0.
+        lower = upper = math.inf
+    if not (math.isfinite(lower) and math.isfinite(upper)):
+        # A closed form passes the largest double (exp, pow, a product or a
+        # quotient), or divides by a square or power of x that underflowed to 0.
         raise DomainError(
-            f"{family.value}: evaluating its bounds at x={x!r} overflows binary64"
-        ) from None
+            f"{family.value}: evaluating its bounds at x={x!r} overflows binary64")
     return Interval(lower, upper)
 
 
@@ -314,7 +323,8 @@ def g_c(x: float, c: float) -> float:
 def gap_via_tau_series(x: float, terms: int) -> Interval:
     """Enclose log(x) - psi(x) by the monotone series (1/2) sum 1/(k+tau(k))^2.
 
-    The partial sum is exact apart from rounding; the tail is bracketed by
+    The partial sum is exact apart from rounding: k + tau(k) is beta(x + k - 1),
+    which does not cancel as k + tau(k) does.  The tail is bracketed by
     replacing tau(k) with its limits x - 2/3 (from above) and beta(x) - 1
     (from below), each summed in closed form via trigamma.  Width shrinks
     like 1/terms^2.
@@ -322,9 +332,7 @@ def gap_via_tau_series(x: float, terms: int) -> Interval:
     x = _check_domain(x)
     if not isinstance(terms, int) or isinstance(terms, bool) or terms < 1:
         raise DomainError(f"terms must be an integer >= 1, got {terms!r}")
-    partial = 0.5 * math.fsum(
-        (k + tau(k, x)) ** -2.0 for k in range(1, terms + 1)
-    )
+    partial = 0.5 * math.fsum(beta(x + (k - 1)) ** -2.0 for k in range(1, terms + 1))
     k_next = terms + 1.0
     tail_low = 0.5 * specfun.trigamma(k_next + x - 2.0 / 3.0)
     tail_high = 0.5 * specfun.trigamma(k_next + beta(x) - 1.0)
@@ -334,6 +342,12 @@ def gap_via_tau_series(x: float, terms: int) -> Interval:
 
 
 # -- proof auxiliaries ---------------------------------------------------------
+
+def _finite(value: float, what: str) -> float:
+    if not math.isfinite(value):
+        raise DomainError(f"{what} passes the largest double")
+    return value
+
 
 def aux_f(u: float) -> float:
     """f(u) = [2(1/u - log(1+1/u))]^(-1/2) - u: increasing from 0 to 1/3.
@@ -371,8 +385,8 @@ def aux_theta(t: float) -> float:
                 + 16311749/186535791) * t - 1648631/19131876) * t + 1480892/17537553) * t
                 - 24238/295245) * t + 1553/19683) * t - 3911/52488) * t + 349/5103) * t
                 - 29/486) * t + 19/405) * t - 1/36) * t**4.0 + 0.0)   # + 0.0: theta(0) = +0
-    # t * (t / ...) rather than t^2 / ..., which overflows from t ~ 1.3e154.
-    return aux_h(t) - t * (0.5 * t / (t + 1.0) ** (2.0 / 3.0))
+    # t * (t / ...), as t^2 / ... overflows from t ~ 1.3e154; theta from 2.6e231.
+    return _finite(aux_h(t) - t * (0.5 * t / (t + 1.0) ** (2.0 / 3.0)), f"theta({t!r})")
 
 
 def aux_big_h(x: float) -> float:
@@ -388,7 +402,8 @@ def aux_big_h(x: float) -> float:
         rational = 2.0 * (t + 2.0) * (t + 8.0) / (3.0 * (1.0 - t) ** 2 * (t + 6.0) ** 2)
         return _t_fifth(x) * (2.0 * _shifted_atanh(t * t) + rational)
     b = beta_refined(x)   # 0.5/b/b, as b*b underflows at small x
-    return 0.5 / b / b - kernels.kernel_r(x)
+    # H ~ 0.09/x^2 passes the largest double below x ~ 2.3e-155.
+    return _finite(0.5 / b / b, f"H({x!r})") - kernels.kernel_r(x)
 
 
 def aux_big_p(x: float) -> float:
@@ -402,9 +417,10 @@ def aux_big_p(x: float) -> float:
         t = 0.5 / (x + 0.5)
         v = t * t
         return 2.0 * _t_fifth(x) * (_shifted_atanh(v) - 1.0 / (3.0 * (1.0 - v)))
-    num = 1.0 + 12.0 * x + 12.0 * x * x
-    den = 6.0 * x * (x + 1.0) * (2.0 * x + 1.0)
-    return math.log1p(1.0 / x) - num / den
+    # log(1 + 1/x) = log1p(x) - log x, as 1/x overflows at subnormal x.  P ~ -1/(6x)
+    # passes the largest double below x ~ 9.3e-310; above, 6x keeps 50 bits.
+    rational = (1.0 + 12.0 * x + 12.0 * x * x) / (6.0 * x * (x + 1.0) * (2.0 * x + 1.0))
+    return (math.log1p(x) - math.log(x)) - _finite(rational, f"P({x!r})")
 
 
 def aux_p(x: float) -> float:
@@ -423,7 +439,7 @@ def aux_p(x: float) -> float:
         s = t * t
         rational = (2.0 + t) / (3.0 * (1.0 - t) * (3.0 + t))
         return 2.0 * s * s * (t * _shifted_atanh(s) - rational) + 0.0   # + 0.0: p(0) = +0
-    return math.log1p(x) - (x * x + 6.0 * x) / (4.0 * x + 6.0)
+    return math.log1p(x) - 0.25 * x * ((x + 6.0) / (x + 1.5))   # x(x + 6)/(4x + 6), no x^2
 
 
 class _Registry(dict):

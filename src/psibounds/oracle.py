@@ -1,37 +1,36 @@
 """Slow, rigorous reference evaluations with explicit absolute-error radii.
 
 The oracle is deliberately independent of every library special-function
-implementation: it only sums the defining series and encloses their tails
-by :mod:`psibounds.tails`: Euler-Maclaurin pairs for the gap series and
-psi', mu's own enveloping Stirling series for mu.  Each result carries an
+implementation: it only sums the defining series and encloses their tails:
+Euler-Maclaurin pairs for the gap series and psi', mu's own enveloping
+Stirling series for mu (:mod:`psibounds.tails`).  Each result carries an
 ``error_radius`` that accounts for
 
   * the truncation enclosure (half the tail-bracket width) and the derived
     truncation of the terms' positive series W (see ``kernels``),
-  * per-term floating-point evaluation, charged at a calibrated 2 ulps of
-    each term's rounding scale; 4 ulps for mu's and psi''s tail midpoints,
-    which are doubles (mu's derived below 2.5, see ``_FLOAT_MID_REL``),
-    while the gap series' midpoint is exact to about 2^-76 of itself and
-    charged that, derived (``_exact_gap_tail``), and
+  * per-term floating-point evaluation: 2 ulps of each term's rounding
+    scale, calibrated for the kernel terms and derived for psi''s
+    (``ref_trigamma``); 4 ulps for mu's tail midpoint, a double (derived
+    below 2.5, see ``_FLOAT_MID_REL``), while the gap series' midpoint is
+    exact to about 2^-76 of itself and psi''s to an ulp of its second
+    double, each charged that (``_exact_gap_tail``, ``_trigamma_tail``), and
   * the final exactly-rounded summation (``math.fsum``), half an ulp.
 
-The calibrated charges sit roughly 2x above the worst error observed
-against a 50-digit reference across the verification grids; the test suite
-checks ``|value - reference| <= error_radius`` directly.
+The calibrated bulk charge sits above the worst error observed against a
+50-digit reference across the verification grids; the test suite checks
+``|value - reference| <= error_radius`` directly.
 
 Requests below ``EPS_FLOOR`` fail loudly instead of returning an optimistic
 radius, as do requests that the argument's own representation cannot honour
 (e.g. an absolute 1e-12 on trigamma near 0, where the value is ~1e6).
 
-One routine sums every series over y = x + j: the direct-formula terms,
-charged at a per-series rounding scale, then the rest in numpy arrays,
-then a tail enclosure.  It serves four series:
-
-  * the digamma gap, sum kernel_r(x + j) = log x - psi(x), and Binet's mu,
-    sum kernel_w(x + j) (DLMF 5.11.1), from y = 1 by the kernels' series:
-    at most one direct term, at scale |term| + 1 for its log factor;
-  * psi'(x) = sum (x + j)^-2: y^-2 below y = 16, scale |term|, then u^2;
-  * log Gamma(1 + a) + gamma a = sum_k kernel_r(k/a), all series terms.
+One routine sums the kernel series over y = x + j: at most one direct
+term, below y = 1, at scale |term| + 1 for its log factor, then the rest in
+numpy arrays by the kernels' series, then a tail enclosure.  It serves the
+digamma gap, sum kernel_r(x + j) = log x - psi(x), Binet's mu,
+sum kernel_w(x + j) (DLMF 5.11.1), and log Gamma(1 + a) + gamma a =
+sum_k kernel_r(k/a).  psi'(x) = sum (x + j)^-2 sums its at most ~560 terms
+as Python floats, to the same start, and adds its exact tail.
 
 The bulk is the package's only use of numpy, and numpy is imported there,
 at the first bulk sum: ``import psibounds`` and the CLI parser load no
@@ -59,16 +58,15 @@ A kernel sum is asked for a half-width ``target``: a quarter ulp of ~1/(2x)
 eighth of what the closed-form charges leave of eps for log Gamma, each
 floored at that quarter ulp; eps/16 for psi' and the log Gamma series.  Its
 tail starts where the enclosure width (~ scale / m^5) fits within the
-target and, for a double midpoint charged mid_rel = 4 ulps of itself
-(mu's, below mu(m) < 1/(12m)), where that charge fits too:
+target and, for mu's double midpoint charged mid_rel = 4 ulps of itself,
+below mu(m) < 1/(12m), where that charge fits too:
 m >= max(x + 16, 64, (scale/target)^0.2, min(mid_rel/(12 target), x + MAX_TERMS)).
-The gap series' exact midpoint has no such term, and psi''s, at eps/16,
-keeps it below 1.
+The exact midpoints of the gap series and psi' have no such term.
 
 Cost is bounded, not linear in x.  A sum of the gap series (the gap's,
 psi's or the log Gamma series') has at most max_x (8x/(60 eps))^0.2 - x,
 about 2650 terms (near x = 663), and from
-x ~ 4.9e3 on its tail starts at x + 16; psi's has at most ~420.  mu's
+x ~ 4.9e3 on its tail starts at x + 16; psi's has at most ~420, psi''s ~560.  mu's
 midpoint term is 8x/3 (to within its rounding) for the quarter-ulp target;
 it exceeds the enclosure's from x ~ 930, and mu then sums about 5x/3 terms.
 From x = 6e4 the cap x + ``MAX_TERMS`` (1e5) binds.  From x ~ 2.8e9 the
@@ -110,13 +108,12 @@ CACHE_SIZE = 4096
 #: shorter ones go to ``fsum`` as Python floats, which is faster there.
 SPLIT_MIN_TERMS = 600
 
-#: Relative charge on a double tail midpoint (mu's and psi''s): 4 ulps.  mu's
-#: midpoint (``tails.mu_tail``) rounds u = 1/y, the constant 1/12, the add of
-#: 1/12 and the product by u, each by at most 2^-53 relative, and the terms in
-#: u^2 <= 2^-12 add under 1e-4 of one such; the abscissa x + count rounds by 2^-53
-#: more, which moves mu(y) ~ 1/(12y) by as much: 2.5 ulps in all.  psi''s is
-#: calibrated.  Only mu's tail start depends on it (see ``_kernel_sum``), so a
-#: smaller charge would change mu's term counts.
+#: Relative charge on mu's double tail midpoint: 4 ulps.  It (``tails.mu_tail``)
+#: rounds u = 1/y, the constant 1/12, the add of 1/12 and the product by u,
+#: each by at most 2^-53 relative, and the terms in u^2 <= 2^-12 add under
+#: 1e-4 of one such; the abscissa x + count rounds by 2^-53 more, which moves
+#: mu(y) ~ 1/(12y) by as much: 2.5 ulps in all.  mu's tail start depends on it
+#: (see ``_tail_count``), so a smaller charge would change mu's term counts.
 _FLOAT_MID_REL = 4.0 * _EPS
 
 #: Terms per bulk chunk, 256 KiB of doubles: the fastest power of two from 8192 to 65536.
@@ -191,42 +188,31 @@ def _target(x: float, eps: float) -> float:
     return max(min(eps / 4.0, 0.25 * _EPS * magnitude), 1e-26)
 
 
-def _plus_one(term: float) -> float:
-    # The direct gap and mu terms round with their O(1) log factor, not with 1/y.
-    return abs(term) + 1.0
-
-
-def _inverse_square(y: float) -> float:
-    # psi''s terms; the bulk takes them as u*u at u = 1/y.
-    return y**-2.0
+def _tail_count(x: float, target: float, trunc_scale: float, mid_rel: float = 0.0) -> int:
+    # Terms before the tail.  It starts where the enclosure width
+    # (~ trunc_scale / m^5) fits the target and, for mu's double midpoint
+    # charged mid_rel of itself (mu(m) < 1/(12m)), where that charge fits
+    # too, or at x + MAX_TERMS.
+    m_tail = max(x + 16.0, 64.0, (trunc_scale / target) ** 0.2,
+                 min(mid_rel / (12.0 * target), x + MAX_TERMS))
+    return int(math.ceil(m_tail - x))
 
 
 def _kernel_sum(x: float, target: float, kernel, tail, trunc_scale: float,
-                mid_rel: float = 0.0, head_scale=_plus_one, head_end: float = 1.0,
-                a: float = 1.0):
+                mid_rel: float = 0.0, a: float = 1.0):
     """Parts and charges of sum_j kernel((x + j)/a) to about half-width ``target``.
 
-    Terms below ``head_end`` round at ``head_scale(term)``, the bulk at 2 ulps plus
-    ``_trunc_rel``.  ``tail(x, count, a)`` encloses sum_{j>=count}: it returns its
-    midpoint as parts, its half-width (~ trunc_scale / M^5) and the midpoint's
-    derived charge.  A midpoint charged ``mid_rel`` of itself instead (a double
-    one, see ``_float_tail``) moves the tail out until that charge fits too,
-    or to x + ``MAX_TERMS``.
+    A term at y = x < 1 takes the direct formula and rounds with its O(1) log
+    factor (the log Gamma series, with a <= 1, starts at y = 1/a >= 1); the bulk
+    rounds at 2 ulps plus ``_trunc_rel``.  ``tail(x, count, a)`` encloses
+    sum_{j>=count}: it returns its midpoint as parts, its half-width
+    (~ trunc_scale / M^5) and the midpoint's derived charge.  mu's double
+    midpoint is charged ``mid_rel`` of itself instead (see ``_tail_count``).
     """
-    # The fourth term sizes the midpoint as mu's tail, mu(m) < 1/(12m): no
-    # other double midpoint's charge can set a start (psi''s, at eps/16,
-    # keeps this term below 1, far under 64).
-    m_tail = max(x + 16.0, 64.0, (trunc_scale / target) ** 0.2,
-                 min(mid_rel / (12.0 * target), x + MAX_TERMS))
-    count = int(math.ceil(m_tail - x))
-
-    head_charges = 0.0
-    parts: list[float] = []
-    n_head = min(count, max(0, int(math.ceil(head_end - x))))
-    for j in range(n_head):
-        term = kernel((x + j) / a)
-        parts.append(term)
-        head_charges += 2.0 * _EPS * head_scale(term)
+    count = _tail_count(x, target, trunc_scale, mid_rel)
+    n_head = 1 if x < 1.0 else 0
+    parts = [kernel(x)] * n_head
+    head_charge = 2.0 * _EPS * (parts[0] + 1.0) if n_head else 0.0
     bulk_sum = 0.0
     for start in range(n_head, count, BLOCK_TERMS):
         terms = _bulk_terms(x, a, kernel, start, min(start + BLOCK_TERMS, count))
@@ -235,18 +221,13 @@ def _kernel_sum(x: float, target: float, kernel, tail, trunc_scale: float,
         del terms   # freed before the next chunk is built
     mid_parts, half_width, mid_charge = tail(x, count, a)
     parts.extend(mid_parts)
-    trunc_rel = 0.0 if kernel is _inverse_square else _trunc_rel(x + n_head, a)
-    return parts, [half_width, head_charges, (2.0 * _EPS + trunc_rel) * bulk_sum,
+    return parts, [half_width, head_charge, (2.0 * _EPS + _trunc_rel(x + n_head, a)) * bulk_sum,
                    mid_charge + mid_rel * abs(math.fsum(mid_parts))]
 
 
-def _float_tail(enclosure):
-    """A tail from a double (midpoint, half-width) pair at x + count: one part,
-    with no derived charge (its kernel sum charges it ``_FLOAT_MID_REL``)."""
-    def tail(x: float, count: int, a: float):
-        mid, half_width = enclosure(x + count)
-        return [mid], half_width, 0.0
-    return tail
+def _mu_tail(x: float, count: int, a: float):
+    mid, half_width = tails.mu_tail(x + count)
+    return [mid], half_width, 0.0   # the midpoint's charge is _FLOAT_MID_REL
 
 
 def _exact_gap_tail(x: float, count: int, a: float):
@@ -316,17 +297,12 @@ def _bulk_terms(x: float, a: float, kernel, start: int, stop: int):
 
     As in ``kernels``: terms over the K = 6 length's largest v (y < 16) take the
     kernels' longer W, the rest K = 6 in place, from (0 + c_6) v = c_6 v.
-    psi''s ``_inverse_square`` is u*u at u = 1/y, within its rounding charge.
     """
     import numpy as np   # imported at the first bulk sum (see the module docstring)
     y = np.arange(start, stop, dtype=np.float64)
     y += x
     if a != 1.0:
         y /= a
-    if kernel is _inverse_square:
-        np.divide(1.0, y, out=y)
-        y *= y
-        return y
     v = np.add(y, 0.5, out=y if kernel is kernels.kernel_w else None)
     np.divide(0.5, v, out=v)
     v *= v
@@ -393,8 +369,8 @@ def _gap_sum(x: float, eps: float, target: float, what: str) -> ErrorBoundedValu
 
 
 def _mu_sum(x: float, target: float) -> ErrorBoundedValue:
-    return _close(*_kernel_sum(x, target, kernels.kernel_w, _float_tail(tails.mu_tail),
-                               1.0 / 360.0, _FLOAT_MID_REL))
+    return _close(*_kernel_sum(x, target, kernels.kernel_w, _mu_tail, 1.0 / 360.0,
+                               _FLOAT_MID_REL))
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
@@ -466,20 +442,45 @@ def ref_digamma(x: float, eps: float = DEFAULT_EPS) -> ErrorBoundedValue:
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def ref_trigamma(x: float, eps: float = DEFAULT_EPS) -> ErrorBoundedValue:
-    """psi'(x) = sum_{k>=0} 1/(x+k)^2, a kernel sum with u^2 as its series.
+    """psi'(x) = sum_{j>=0} (x + j)^-2: terms as Python floats, then an exact tail.
 
-    Summed to half-width eps/16; the tail enclosure sits inside the
-    classical bracket 1/(x+K+1) < sum_{k>K} 1/(x+k)^2 < 1/(x+K).  Refused
-    before any sum where half an ulp of 1/x^2 < psi'(x) exceeds eps.
+    Summed to half-width eps/16, with the kernel sums' start at scale 1/30, the
+    tail's full width times y^5.  x + j rounds by 2^-53, which moves
+    (x + j)^-2 by 2^-52 of itself, and pow errs by under one ulp: each term is
+    charged 2 ulps.  Refused before any sum where half an ulp of
+    1/x^2 < psi'(x) exceeds eps.
     """
     x = _check_domain(x)
     eps = _check_eps(eps)
-    _ensure_above(1.0 / x / x, eps, f"ref_trigamma({x!r})")
-    out = _close(*_kernel_sum(x, eps / 16.0, _inverse_square,
-                              _float_tail(lambda y: tails.polygamma_tail(y, 1)), 1.0 / 30.0,
-                              _FLOAT_MID_REL, head_scale=abs, head_end=16.0))
-    _ensure(out.error_radius, eps, f"ref_trigamma({x!r})")
+    what = f"ref_trigamma({x!r})"
+    _ensure_above(1.0 / x / x, eps, what)
+    count = _tail_count(x, eps / 16.0, 1.0 / 30.0)
+    terms = [(x + j) ** -2.0 for j in range(count)]
+    mid_parts, half_width, mid_charge = _trigamma_tail(x, count)
+    out = _close([*terms, *mid_parts], [half_width, 2.0 * _EPS * math.fsum(terms), mid_charge])
+    _ensure(out.error_radius, eps, what)
     return out
+
+
+def _trigamma_tail(x: float, count: int):
+    """sum_{j>=count} (x + j)^-2 by its Euler-Maclaurin pair (DLMF 2.10(i)) at
+    the exact k = x + count = K/q: midpoint 1/k + 1/(2k^2) + 1/(6k^3) - 1/(60k^5),
+    half-width 1/(60k^5).  The terms are completely monotone, so the pair
+    envelopes, as the gap series' does (``tails``).
+
+    One integer rational, whose correctly rounded division gives hi and the
+    rest's gives lo; their charge is an ulp of lo, at least the least
+    subnormal.  The half-width is correctly rounded, then rounded up.
+    """
+    p, q = x.as_integer_ratio()
+    k = p + count * q
+    k2, q2 = k * k, q * q
+    den = 60 * k2 * k2 * k
+    num = 60 * q * k2 * k2 + 30 * q2 * k2 * k + 10 * q2 * q * k2 - q2 * q2 * q
+    hi = num / den
+    a, b = hi.as_integer_ratio()
+    lo = (num * b - a * den) / (den * b)
+    return [hi, lo], math.nextafter(q2 * q2 * q / den, math.inf), math.ulp(lo)
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)

@@ -1,19 +1,17 @@
-"""Enclosures of the tails of the series used in this package.
+"""Enclosures of the tails of the fast path's gap series and the oracle's mu.
 
-The gap and psi' tails are Euler-Maclaurin pairs.  Their terms f(k) are
-completely monotone (derivatives of alternating sign), so the
-Euler-Maclaurin correction sequence envelopes the true tail: truncating
-after the -f'/12 term leaves a remainder between f'''/720 and 0.  The tail
-lies between
+The gap tail is an Euler-Maclaurin pair.  Its terms f(k) are completely
+monotone (derivatives of alternating sign), so the Euler-Maclaurin
+correction sequence envelopes the true tail: truncating after the -f'/12
+term leaves a remainder between f'''/720 and 0.  The tail lies between
 
     lo = I + f(m)/2 - f'(m)/12 + f'''(m)/720
     hi = I + f(m)/2 - f'(m)/12
 
 where I is the exact integral of f over [m, inf), evaluated in closed,
-cancellation-free form.  Each helper returns the midpoint (lo + hi)/2 and
+cancellation-free form.  ``gap_tail`` returns the midpoint (lo + hi)/2 and
 the half-width -f'''(m)/1440 rounded up (hi - lo loses it below an ulp of
-hi).  The pair sits strictly inside the integral-test bracket (I, I + f(m)),
-which the test suite asserts.
+hi).
 
 mu's tail, sum_{j>=0} kernel_w(m + j), is mu(m) itself, and mu's Stirling
 series envelopes for real m (DLMF 5.11(ii)): mu(m) lies between
@@ -27,22 +25,14 @@ import math
 from . import kernels
 
 
-def _em2(integral: float, f0: float, d1: float, d3: float) -> tuple[float, float]:
-    # d1, d3 <= 0 for completely monotone terms; -d1/12 raises the center,
-    # d3/720 is the (negative) enveloped remainder.
-    hi = integral + 0.5 * f0 - d1 / 12.0
-    lo = hi + d3 / 720.0
-    return 0.5 * (lo + hi), math.nextafter(-d3 / 1440.0, math.inf)
-
-
 def gap_tail(y0: float) -> tuple[float, float]:
     """(midpoint, half-width) of sum_{j>=0} kernel_r(y0 + j)."""
-    return _em2(
-        kernels.kernel_s(y0),
-        kernels.kernel_r(y0),
-        kernels.kernel_r_d1(y0),
-        kernels.kernel_r_d3(y0),
-    )
+    # d1, d3 <= 0: -d1/12 raises the center, d3/720 is the (negative)
+    # enveloped remainder.
+    d3 = kernels.kernel_r_d3(y0)
+    hi = kernels.kernel_s(y0) + 0.5 * kernels.kernel_r(y0) - kernels.kernel_r_d1(y0) / 12.0
+    lo = hi + d3 / 720.0
+    return 0.5 * (lo + hi), math.nextafter(-d3 / 1440.0, math.inf)
 
 
 def mu_tail(y0: float) -> tuple[float, float]:
@@ -58,12 +48,3 @@ def mu_tail(y0: float) -> tuple[float, float]:
     p, q = y0.as_integer_ratio()
     return (((v / 2520.0 - 1.0 / 360.0) * v + 1.0 / 12.0) * u,
             math.nextafter(q**5 / (2520 * p**5), math.inf))
-
-
-def polygamma_tail(m: float, n: int) -> tuple[float, float]:
-    """(midpoint, half-width) of sum_{j>=0} (m + j)^-(n+1) for n >= 1."""
-    integral = m**-n / n
-    f0 = m ** -(n + 1)
-    d1 = -(n + 1) * m ** -(n + 2)
-    d3 = -(n + 1) * (n + 2) * (n + 3) * m ** -(n + 4)
-    return _em2(integral, f0, d1, d3)

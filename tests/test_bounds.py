@@ -10,6 +10,13 @@ from psibounds.errors import DomainError
 
 GRID = [10.0 ** (-2 + 6 * i / 79) for i in range(80)]
 
+_MAX = 1.7976931348623157e308
+
+
+def _log_points(lo: float, hi: float, n: int) -> list[float]:
+    a, b = math.log(lo), math.log(hi)
+    return [lo] + [math.exp(a + (b - a) * i / (n - 1)) for i in range(1, n - 1)] + [hi]
+
 
 def test_family_parse_and_domains():
     assert BoundFamily.parse("THM22") is BoundFamily.THM22
@@ -59,6 +66,67 @@ def test_gamma_arg_bounds():
     assert refined == pytest.approx(2.875, rel=1e-15)
 
 
+def test_refined_gamma_argument_does_not_cancel():
+    # x/2 + 1 - x^2/(12 + 2x) = 4(x + 3/2)/(x + 6): within 2 ulps of mpmath up
+    # to the largest double (the difference form was 0.0 from x ~ 1e17, -inf
+    # from 1.34e154), so thm24 has a finite lower bound at 1e17 and 1e20.
+    mpmath = pytest.importorskip("mpmath")
+    for x in _log_points(1e-300, _MAX, 400):
+        with mpmath.workdps(40 + 2 * max(0, math.ceil(math.log10(x)))):
+            m = mpmath.mpf(x)
+            truth = m / 2 + 1 - m * m / (12 + 2 * m)
+            got = bounds.gamma_arg_bounds(x)[2]
+            assert abs(got - truth) <= 2 * math.ulp(float(truth)), x
+    for x in (1e17, 1e20):
+        iv = bounds.gamma_bounds_log(x, BoundFamily.THM24)
+        assert 0.0 < iv.lower < iv.upper < math.inf, (x, iv)
+
+
+_ARGUMENT_FUNCTIONS = {"beta_refined": bounds.beta_refined,
+                       "stirling_arg_upper": bounds.stirling_arg_upper,
+                       "gamma_arg_bounds": bounds.gamma_arg_bounds}
+
+
+def _named(name):
+    return bounds.FUNCTIONS[name] if name in bounds.FUNCTIONS else _ARGUMENT_FUNCTIONS[name]
+
+
+def _all_finite(out):
+    # gamma_arg_bounds returns three arguments, every other function one value.
+    return all(math.isfinite(v) for v in (out if isinstance(out, tuple) else (out,)))
+
+
+@pytest.mark.parametrize("name", sorted(bounds.FUNCTIONS) + sorted(_ARGUMENT_FUNCTIONS))
+@given(x=st.floats(min_value=5e-324, max_value=_MAX))
+@settings(max_examples=60, deadline=None)
+def test_named_and_argument_functions_total_on_every_positive_double(name, x):
+    # A finite value, or DomainError where the value passes the largest
+    # double: never nan, inf or a raw error.
+    try:
+        out = _named(name)(x)
+    except DomainError:
+        return
+    assert _all_finite(out), (name, x, out)
+
+
+@pytest.mark.parametrize("name, x, finite", [
+    ("beta_refined", 4.5e307, True), ("beta_refined", _MAX, True),
+    ("stirling_arg_upper", 8.99e307, True), ("stirling_arg_upper", _MAX, True),
+    ("delta_star", _MAX, True), ("theta", 1e232, False), ("theta", _MAX, False),
+    ("H", 2e-155, False), ("H", 5e-324, False), ("P", 5e-324, False), ("P", 2e-309, True),
+    ("P", 1e-308, True), ("p", 1.35e154, True), ("p", 4.49e307, True), ("p", _MAX, True),
+    ("gamma_arg_bounds", 1.35e154, True), ("gamma_arg_bounds", _MAX, True)])
+def test_functions_at_the_ends_of_the_range(name, x, finite):
+    # Where these once returned nan or an infinity: the finite value, or
+    # DomainError where the value passes the largest double.
+    if not finite:
+        with pytest.raises(DomainError):
+            _named(name)(x)
+        return
+    out = _named(name)(x)
+    assert _all_finite(out), out
+
+
 @given(st.floats(min_value=1e-3, max_value=2e4))
 @settings(max_examples=80)
 def test_argument_ordering(x):
@@ -96,6 +164,35 @@ def test_tau_values_and_bracket():
         bounds.tau(0, 1.0)
     with pytest.raises(DomainError):
         bounds.tau(1, -1.0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 10])
+def test_tau_keeps_the_digits_of_small_x(k):
+    # tau(k, x) = beta(x + k - 1) - k with x + (k - 1) rounded once: at k = 1
+    # that is x itself, where (x + 1) - 1 kept none of its digits below 1e-16.
+    mpmath = pytest.importorskip("mpmath")
+    for x in _log_points(1e-300, 1e4, 300):
+        with mpmath.workdps(50):
+            y = mpmath.mpf(x) + (k - 1)
+            truth = 1 / mpmath.sqrt(2 * (1 / y - mpmath.log1p(1 / y))) - k
+            assert abs(bounds.tau(k, x) - truth) <= 4 * math.ulp(float(truth)), (k, x)
+
+
+def test_tau_refuses_k_past_the_double_range():
+    with pytest.raises(DomainError):
+        bounds.tau(2**1024 + 1, 1.0)
+
+
+def test_gap_via_tau_series_encloses_down_to_tiny_x():
+    # The partial sum takes k + tau(k, x) as beta(x + k - 1), which neither
+    # cancels nor loses x: the interval holds the 50-digit gap at every x.
+    mpmath = pytest.importorskip("mpmath")
+    for i, x in enumerate(_log_points(1e-300, 1e4, 300)):
+        iv = bounds.gap_via_tau_series(x, (1, 7, 60)[i % 3])
+        with mpmath.workdps(50):
+            m = mpmath.mpf(x)
+            gap = mpmath.log(m) - mpmath.digamma(m)
+            assert iv.lower <= gap <= iv.upper, (x, iv)
 
 
 def test_gap_via_tau_series():
@@ -185,8 +282,9 @@ _EVALUATORS = {"gap": bounds.digamma_gap_bounds, "ratio": bounds.stirling_ratio_
 
 
 def _interval_or_domain_error(family, x):
-    # An interval or DomainError, never a raw arithmetic error.  Sides that
-    # round together still raise the degenerate-interval ValueError.
+    # An interval with finite sides or DomainError, never a raw arithmetic
+    # error.  Sides that round together still raise the degenerate-interval
+    # ValueError.
     try:
         iv = _EVALUATORS[family.target](x, family)
     except DomainError:
@@ -194,7 +292,7 @@ def _interval_or_domain_error(family, x):
     except ValueError as exc:
         assert "degenerate interval" in str(exc), (family, x)
         return
-    assert not (math.isnan(iv.lower) or math.isnan(iv.upper)), (family, x)
+    assert math.isfinite(iv.lower) and math.isfinite(iv.upper), (family, x, iv)
 
 
 @pytest.mark.parametrize("family", list(BoundFamily))
@@ -321,14 +419,6 @@ def test_beta_f_and_tau_where_kernel_r_underflows(x):
         assert bounds.tau(3, x) == float(1 / mpmath.sqrt(2 * (1 / y - mpmath.log1p(1 / y))) - 3)
 
 
-_MAX = 1.7976931348623157e308
-
-
-def _log_points(lo: float, hi: float, n: int) -> list[float]:
-    a, b = math.log(lo), math.log(hi)
-    return [lo] + [math.exp(a + (b - a) * i / (n - 1)) for i in range(1, n - 1)] + [hi]
-
-
 @given(st.floats(min_value=16.0, max_value=_MAX))
 def test_f_and_beta_bracket_above_the_cutoff(x):
     f = bounds.aux_f(x)
@@ -406,10 +496,14 @@ def test_big_h_sign_and_relative_error():
     # H > 0 is proved.  From x = 1 it is written in t = 1/(2x + 1), which
     # does not cancel; below, the direct difference is used.  H is a normal
     # double on about [2.3e-155, 1.4e61]; past it, H is subnormal or 0
-    # (below, it passes the largest double).
+    # (below, it passes the largest double: DomainError).
     mpmath = pytest.importorskip("mpmath")
     for x in _log_points(1e-300, _MAX, 600):
-        h = bounds.aux_big_h(x)
+        try:
+            h = bounds.aux_big_h(x)
+        except DomainError:
+            assert x < 2.3e-155, x
+            continue
         assert h >= 0.0, x
         if x > 1e62:
             continue
@@ -486,10 +580,15 @@ def test_thm23_at_tiny_x():
 def test_theta_sign_and_relative_error():
     # theta < 0 after 0.  Up to t = 1/16 it is a series in t; above, the
     # direct difference cancels toward 1/16 (within 4.1e-12 measured).
-    # theta is a normal double on about [2.9e-77, 2.6e231].
+    # theta is a normal double on about [2.9e-77, 2.6e231] (above, it passes
+    # the largest double: DomainError).
     mpmath = pytest.importorskip("mpmath")
     for t in _log_points(1e-100, _MAX, 800) + [1 / 16, math.nextafter(1 / 16, 1.0), 1e-3, 1e-8]:
-        theta = bounds.aux_theta(t)
+        try:
+            theta = bounds.aux_theta(t)
+        except DomainError:
+            assert t > 2.6e231, t
+            continue
         assert theta <= 0.0, t
         # t - log1p(t) ~ t^2/2 and theta ~ t^4/36 cancel 3 log10(1/t) digits.
         with mpmath.workdps(30 + 3 * abs(math.ceil(math.log10(t)))):

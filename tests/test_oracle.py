@@ -165,9 +165,9 @@ def integral_test_bracket_trigamma(m):
 def test_em2_enclosure_inside_classical_integral_test():
     # the sharp trigamma tail must sit inside 1/(x+K+1) < tail < 1/(x+K)
     for m in (5.0, 64.0, 1000.0):
-        mid, half = tails.polygamma_tail(m, 1)
+        (hi, lo), half, _ = oracle._trigamma_tail(m, 0)
         coarse_lo, coarse_hi = integral_test_bracket_trigamma(m)
-        assert coarse_lo < mid - half < mid + half < coarse_hi
+        assert coarse_lo < hi - half < hi + half < coarse_hi
 
 
 def test_em2_brackets_contain_high_precision_tails():
@@ -185,18 +185,29 @@ def test_em2_brackets_contain_high_precision_tails():
 def test_em2_half_width_is_the_derived_one(y):
     # The half-width is -f'''(y)/1440 rounded up, also where it is far below
     # an ulp of the midpoint (at 1.1e5, where hi - lo is 0), and the midpoint
-    # is within it, plus the oracle's 4-ulp midpoint charge, of the 50-digit tail.
+    # is within it, plus 4 ulps of itself, of the 50-digit tail.
     with mpmath.workdps(50):
         m = mpmath.mpf(y)
-        cases = {
-            "gap": (tails.gap_tail(y), lambda z: 1 / z - mpmath.log1p(1 / z),
-                    mpmath.log(m) - mpmath.psi(0, m)),
-            "trigamma": (tails.polygamma_tail(y, 1), lambda z: z**-2, mpmath.psi(1, m)),
-        }
-        for name, ((mid, half), f, truth) in cases.items():
-            exact = -mpmath.diff(f, m, 3) / 1440
-            assert exact <= half <= exact * (1 + 2.0**-50), (name, y)
-            assert abs(mid - truth) <= half + 4 * 2.0**-52 * mid, (name, y)
+        mid, half = tails.gap_tail(y)
+        exact = -mpmath.diff(lambda z: 1 / z - mpmath.log1p(1 / z), m, 3) / 1440
+        assert exact <= half <= exact * (1 + 2.0**-50), y
+        assert abs(mid - (mpmath.log(m) - mpmath.psi(0, m))) <= half + 4 * 2.0**-52 * mid, y
+
+
+@pytest.mark.parametrize("y", [64.0, 84.0, 2240.0, 1.1e5, 1e20, 1e150])
+def test_trigamma_tail_is_its_exact_euler_maclaurin_pair(y):
+    # psi'(y) = sum_{j>=0} (y + j)^-2 lies within 1/(60y^5) of
+    # 1/y + 1/(2y^2) + 1/(6y^3) - 1/(60y^5).  The half-width is 1/(60y^5)
+    # correctly rounded, then rounded up (at 1e150 it underflows, to the least
+    # subnormal); a double -f'''(y)/1440 rounded up once fell below it at 84.
+    # hi + lo is within the half-width plus its charge of the 50-digit psi'.
+    (hi, lo), half, charge = oracle._trigamma_tail(y, 0)
+    with mpmath.workdps(50 + 5 * math.ceil(math.log10(y))):
+        m = mpmath.mpf(y)
+        exact = 1 / (60 * m**5)
+        assert exact <= half <= max(exact * (1 + 2.0**-50), 2.0**-1074), y
+        assert abs(mpmath.mpf(hi) + lo - mpmath.psi(1, m)) <= mpmath.mpf(half) + charge, y
+        assert charge <= max(2.0**-100 * hi, 2.0**-1074), y
 
 
 def _mp_binet_mu(m):
@@ -487,11 +498,11 @@ def test_mu_series_cost_is_bounded(monkeypatch):
     # itself.  At the quarter-ulp target eps/(8x) the tail starts at most at
     # max(x + 16, 64, (scale/target)^0.2, min(8x/3, x + MAX_TERMS)), and
     # where the cap does not bind, the charge fits the target there.  The
-    # gap, psi and psi' sums never take the fourth term.
+    # gap and psi sums never take the fourth term (nor does psi', below).
     sums = _record_kernel_sums(monkeypatch)
     xs = _GAP_X + [2e3, 6e4, 1e5, 2.78e9, _MU_FLOOR_START - 44999.0, _MU_FLOOR_START]
     for x in xs:
-        for name in ("ref_binet_mu", "ref_digamma_gap", "ref_digamma", "ref_trigamma"):
+        for name in ("ref_binet_mu", "ref_digamma_gap", "ref_digamma"):
             oracle.clear_caches()
             try:
                 getattr(oracle, name)(x)
@@ -499,7 +510,7 @@ def test_mu_series_cost_is_bounded(monkeypatch):
                 pass
     mu = [s for s in sums if s[2] is kernels.kernel_w]
     others = [s for s in sums if s[2] is not kernels.kernel_w]
-    assert len(mu) > 100 and len(others) > 300, (len(mu), len(others))
+    assert len(mu) > 100 and len(others) > 200, (len(mu), len(others))
     capped = 0
     for x, target, _, trunc_scale, count, mid in mu:
         assert target == oracle._target(x, 1e-12), x
@@ -515,6 +526,36 @@ def test_mu_series_cost_is_bounded(monkeypatch):
     assert capped >= 5, capped
     for x, target, _, trunc_scale, count, _ in others:
         assert count == math.ceil(_three_term_start(x, target, trunc_scale) - x), (x, count)
+
+
+@pytest.mark.parametrize("eps", [1e-14, 1e-12, 1e-9, 1e-6, 1e-3])
+def test_trigamma_sum_keeps_its_start_and_equals_fsum_over_its_terms(eps, monkeypatch):
+    # psi' sums (x + j)^-2 as Python floats up to the kernel sums' three-term
+    # start at scale 1/30 and target eps/16, then adds its exact tail: its
+    # value is fsum over those terms and the tail's two parts.
+    tails_taken = []
+    real_tail = oracle._trigamma_tail
+
+    def recording(x, count):
+        out = real_tail(x, count)
+        tails_taken.append((count, out[0]))
+        return out
+
+    monkeypatch.setattr(oracle, "_trigamma_tail", recording)
+    returned = 0
+    for x in _SERIES_X + _GAP_X + [1.5, 2.0, 2e3, 6e4, 1e5, 2.78e9]:
+        oracle.clear_caches()
+        tails_taken.clear()
+        try:
+            r = oracle.ref_trigamma(x, eps)
+        except ToleranceError:
+            continue
+        returned += 1
+        (count, mid_parts), = tails_taken
+        assert count == math.ceil(_three_term_start(x, eps / 16.0, 1.0 / 30.0) - x), (x, count)
+        terms = [(x + j) ** -2.0 for j in range(count)]
+        assert r.value.hex() == math.fsum([*terms, *mid_parts]).hex(), x
+    assert returned > 100, returned
 
 
 def mp_gap_tail(x, count, a):
@@ -578,8 +619,8 @@ def _neighbours(x):
 
 @pytest.mark.parametrize("eps", [1e-12, 1e-9, 1e-6])
 def test_trigamma_and_log_gamma_series_enclose_on_a_grid(eps):
-    # Both sum through the kernel sum: psi' at every x, log Gamma's series
-    # on (0, 2].  From 16 on, psi' has no direct-formula head terms.
+    # psi' sums its terms directly and adds its exact tail at every x; log
+    # Gamma's series goes through the kernel sum on (0, 2].
     xs = [float(v) for v in np.logspace(-3, 6, 200)]
     xs += _neighbours(1.0) + _neighbours(2.0) + _neighbours(16.0)
     returned = {"ref_trigamma": 0, "ref_log_gamma": 0}
@@ -650,10 +691,9 @@ _SERIES_X = [1e-3, 1.0, 15.9, 16.0, 100.0, 6.7e3, 1e4, 1e6, 1e20, 1e300]
 #: above SPLIT_MIN_TERMS (45000 terms, the last 12232) and below it (65700,
 #: the last 164).  The gap's exact tail keeps its sums within one chunk.
 _CHUNKED_X = [1e5, _MU_FLOOR_START - 44999.0, _MU_FLOOR_START - 65699.0]
-#: The refs whose kernel sums cover the four series: the gap (twice, at two
-#: targets), mu, psi' and, for x <= 2, the log Gamma series.
-_SERIES_REFS = ("ref_digamma_gap", "ref_digamma", "ref_binet_mu", "ref_trigamma",
-                "ref_log_gamma")
+#: The refs whose kernel sums cover the three series: the gap (twice, at two
+#: targets), mu and, for x <= 2, the log Gamma series.
+_SERIES_REFS = ("ref_digamma_gap", "ref_digamma", "ref_binet_mu", "ref_log_gamma")
 
 
 @pytest.mark.parametrize("split_min", [1, oracle.SPLIT_MIN_TERMS])
