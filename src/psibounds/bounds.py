@@ -13,7 +13,9 @@ the digamma gap, and ``FUNCTIONS``, the registry of every function that can
 be evaluated by name.  From x = 1, f, beta, H and P are written in
 t = 1/(2x + 1) through one series V and do not cancel: from 1 and from 16,
 f is within 1.0 and 0.9 ulps, beta 0.8 and 0.5, H 3.1 and 2.4, P 5.1 and 4.4
-(tests/test_bounds.py).  theta up to t = 1/16 takes its own series.
+(tests/test_bounds.py).  P takes it from x = 1/2 (5.2 ulps on [1/2, 1)), and
+p in t = x/(x + 2) up to x = 2 (6.7 on (1, 2]).  theta up to t = 1/16 takes
+its own series.
 """
 
 from __future__ import annotations
@@ -88,21 +90,22 @@ def alpha(x: float) -> float:
     return _check_domain(x) + 1.0 / 3.0
 
 
-_V_COEFFS = tuple(1.0 / (2 * k + 1) for k in range(19, 1, -1))   # 1/39, ..., 1/5
+_V_COEFFS = tuple(1.0 / (2 * k + 1) for k in range(31, 1, -1))   # 1/63, ..., 1/5
 
 
 def _shifted_atanh(v: float) -> float:
     # V(v) = sum_{j>=0} v^j/(2j + 5), so that atanh(t) = t (1 + v/3 + v^2 V) at
     # v = t^2 (DLMF 4.6(i)).  For v <= 1/9 (x >= 1) 18 terms leave it short by
-    # under v^18/(41(1 - v)), 2^-59 of V >= 1/5.
+    # under v^18/(41(1 - v)), 2^-59 of V >= 1/5; up to v = 1/4 (x >= 1/2) 30
+    # terms by under v^30/(65(1 - v)), 2^-62 of V.
     acc = 0.0
-    for c in _V_COEFFS:
+    for c in _V_COEFFS[-18:] if v <= 1.0 / 9.0 else _V_COEFFS:
         acc = acc * v + c
     return acc
 
 
 def _t_fifth(x: float) -> float:
-    # t^5 = (2x + 1)^-5 for x >= 1 by pow, which underflows gradually from
+    # t^5 = (2x + 1)^-5 for x >= 1/2 by pow, which underflows gradually from
     # x ~ 1e61.  s = x + 0.5 rounds, by e = (x + 0.5) - s, exact as computed;
     # (1 - 5e/s) keeps pow from raising that rounding to the fifth power.
     s = x + 0.5
@@ -409,11 +412,11 @@ def aux_big_h(x: float) -> float:
 def aux_big_p(x: float) -> float:
     """P(x) = log(1+1/x) - (1+12x+12x^2)/(6x(x+1)(2x+1)): negative, increasing.
 
-    From x = 1, as for H, exactly 2t^5 (V - 1/(3(1 - v))) at v = t^2, where
+    From x = 1/2, as for H, exactly 2t^5 (V - 1/(3(1 - v))) at v = t^2, where
     V < 1/(5(1 - v)): nothing cancels.
     """
     x = _check_domain(x)
-    if x >= 1.0:
+    if x >= 0.5:
         t = 0.5 / (x + 0.5)
         v = t * t
         return 2.0 * _t_fifth(x) * (_shifted_atanh(v) - 1.0 / (3.0 * (1.0 - v)))
@@ -428,13 +431,13 @@ def aux_p(x: float) -> float:
 
     The asserted sign is p < 0 on (0, inf), forced by p(0) = 0 together with
     p' = -x^3/((x+1)(2x+3)^2) < 0 (so p ~ -x^4/36); statements of the
-    opposite sign circulate but contradict that monotonicity.  Up to x = 1,
+    opposite sign circulate but contradict that monotonicity.  Up to x = 2,
     where the difference cancels, log(1+x) = 2 atanh(t) with t = x/(x+2) gives
     p = 2t^4 (t V(t^2) - (2+t)/(3(1-t)(3+t))) for V(v) = sum_{j>=0} v^j/(2j+5)
-    of ``_shifted_atanh`` (through t^34, as t^2 <= 1/9).
+    of ``_shifted_atanh`` (t^2 <= 1/4).
     """
     x = _check_nonnegative(x, "x")
-    if x <= 1.0:
+    if x <= 2.0:
         t = x / (2.0 + x)
         s = t * t
         rational = (2.0 + t) / (3.0 * (1.0 - t) * (3.0 + t))

@@ -48,32 +48,32 @@ a full 1e5-term block, peaks at 0.53 MB (3.7 MB with the terms as floats);
 no gap series sum leaves its first chunk.
 
 psi(x) = log x - gap(x) at every x, charging 1 ulp of log x on top of the
-gap.  Above 2, log Gamma(x) = mu(x) + (x - 1/2) log x - x + log(2 pi)/2,
-charging (x - 1/2) ulps of log x, the roundings of x - 1/2 and of the
-product and 1.7e-16 for log(2 pi)/2 on top of mu; on (0, 2] that form
-cancels near the zeros at 1 and 2, so the series at 1 + a serves there.
+gap, and gamma = gap(1).  Above 2, log Gamma(x) = mu(x) + (x - 1/2) log x -
+x + log(2 pi)/2, charging (x - 1/2) ulps of log x, the roundings of x - 1/2
+and of the product and 1.7e-16 for log(2 pi)/2 on top of mu; on (0, 2] that
+form cancels near the zeros at 1 and 2, so the series at 1 + a serves there.
+Each series is summed in one place: psi and gamma take the cached gap, log
+Gamma above 2 the cached mu.
 
 A kernel sum is asked for a half-width ``target``: a quarter ulp of ~1/(2x)
-(within [1e-26, eps/4]) for the gap and mu themselves; eps/8 for psi and an
-eighth of what the closed-form charges leave of eps for log Gamma, each
-floored at that quarter ulp; eps/16 for psi' and the log Gamma series.  Its
-tail starts where the enclosure width (~ scale / m^5) fits within the
-target and, for mu's double midpoint charged mid_rel = 4 ulps of itself,
-below mu(m) < 1/(12m), where that charge fits too:
+(within [1e-26, eps/4]) for the gap and mu, and eps/16 for the log Gamma
+series (as for psi').  Its tail starts where the enclosure width
+(~ scale / m^5) fits within the target and, for mu's double midpoint charged
+mid_rel = 4 ulps of itself, below mu(m) < 1/(12m), where that charge fits too:
 m >= max(x + 16, 64, (scale/target)^0.2, min(mid_rel/(12 target), x + MAX_TERMS)).
 The exact midpoints of the gap series and psi' have no such term.
 
-Cost is bounded, not linear in x.  A sum of the gap series (the gap's,
-psi's or the log Gamma series') has at most max_x (8x/(60 eps))^0.2 - x,
-about 2650 terms (near x = 663), and from
-x ~ 4.9e3 on its tail starts at x + 16; psi's has at most ~420, psi''s ~560.  mu's
-midpoint term is 8x/3 (to within its rounding) for the quarter-ulp target;
-it exceeds the enclosure's from x ~ 930, and mu then sums about 5x/3 terms.
-From x = 6e4 the cap x + ``MAX_TERMS`` (1e5) binds.  From x ~ 2.8e9 the
-target sits at its 1e-26 floor and the term is a constant 7.4e9, so the cap
-binds up to x ~ 7.4e9 - 1e5, and from x ~ 7.4e9 the term falls below x.
-Every tail starts at x + 16, rounded, from there, and past 2^53 at most 16
-bulk terms sit at abscissas that round together.
+Cost is bounded, not linear in x.  A sum of the gap series (the gap's or
+the log Gamma series') has at most max_x (8x/(60 eps))^0.2 - x, about 2650
+terms (near x = 663), and from x ~ 4.9e3 on its tail starts at x + 16;
+psi''s has at most ~560.  mu's midpoint term is 8x/3 (to within its rounding)
+for the quarter-ulp target; it exceeds the enclosure's from x ~ 930, and mu
+then sums about 5x/3 terms.  From x = 6e4 the cap x + ``MAX_TERMS`` (1e5)
+binds.  From x ~ 2.8e9 the target sits at its 1e-26 floor and the term is
+a constant 7.4e9, so the cap binds up to x ~ 7.4e9 - 1e5, and from
+x ~ 7.4e9 the term falls below x.  Every tail starts at x + 16, rounded,
+from there, and past 2^53 at most 16 bulk terms sit at abscissas that round
+together.
 
 Refusals known from the value's magnitude are decided before any sum: the
 radius charges half an ulp of the value, so where the value is known to
@@ -362,17 +362,6 @@ def _close(parts: list[float], charges: list[float]) -> ErrorBoundedValue:
     return ErrorBoundedValue(value, math.fsum(charges))
 
 
-def _gap_sum(x: float, eps: float, target: float, what: str) -> ErrorBoundedValue:
-    # sum_j kernel_r(x + j) = log x - psi(x) > 1/(2x).
-    _ensure_above(0.5 / x, eps, what)
-    return _close(*_kernel_sum(x, target, kernels.kernel_r, _exact_gap_tail, 1.0 / 60.0))
-
-
-def _mu_sum(x: float, target: float) -> ErrorBoundedValue:
-    return _close(*_kernel_sum(x, target, kernels.kernel_w, _mu_tail, 1.0 / 360.0,
-                               _FLOAT_MID_REL))
-
-
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def ref_digamma_gap(x: float, eps: float = DEFAULT_EPS) -> ErrorBoundedValue:
     """log(x) - psi(x) as a directly summed positive series.
@@ -383,7 +372,9 @@ def ref_digamma_gap(x: float, eps: float = DEFAULT_EPS) -> ErrorBoundedValue:
     x = _check_domain(x)
     eps = _check_eps(eps)
     what = f"ref_digamma_gap({x!r})"
-    out = _gap_sum(x, eps, _target(x, eps), what)
+    _ensure_above(0.5 / x, eps, what)   # the gap exceeds 1/(2x)
+    out = _close(*_kernel_sum(x, _target(x, eps), kernels.kernel_r, _exact_gap_tail,
+                              1.0 / 60.0))
     _ensure(out.error_radius, eps, what)
     return out
 
@@ -393,7 +384,8 @@ def ref_binet_mu(x: float, eps: float = DEFAULT_EPS) -> ErrorBoundedValue:
     """log of the Stirling ratio Gamma(x)/(sqrt(2 pi) x^(x-1/2) e^-x)."""
     x = _check_domain(x)
     eps = _check_eps(eps)
-    out = _mu_sum(x, _target(x, eps))
+    out = _close(*_kernel_sum(x, _target(x, eps), kernels.kernel_w, _mu_tail, 1.0 / 360.0,
+                              _FLOAT_MID_REL))
     _ensure(out.error_radius, eps, f"ref_binet_mu({x!r})")
     return out
 
@@ -415,28 +407,23 @@ def ref_stirling_target(x: float, eps: float = DEFAULT_EPS) -> ErrorBoundedValue
 
 
 def ref_euler_gamma(eps: float = DEFAULT_EPS) -> ErrorBoundedValue:
-    """The Euler-Mascheroni constant, -psi(1), with the digamma oracle's radius."""
+    """The Euler-Mascheroni constant, -psi(1) = gap(1), with the gap oracle's radius."""
     eps = _check_eps(eps)
     if eps < DEFAULT_EPS:
         raise ToleranceError(f"eps={eps!r} below the {DEFAULT_EPS} floor for the constant")
-    psi1 = ref_digamma(1.0, eps)
-    return ErrorBoundedValue(-psi1.value, psi1.error_radius)
+    return ref_digamma_gap(1.0, eps)
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def ref_digamma(x: float, eps: float = DEFAULT_EPS) -> ErrorBoundedValue:
-    """psi(x) = log x - gap(x) at every x (DLMF 5.11.1).
-
-    The gap is summed to half-width max(eps/8, its quarter-ulp target), not
-    through the cached ref_digamma_gap, which always sums to a quarter ulp.
-    """
+    """psi(x) = log x - gap(x) at every x (DLMF 5.11.1), with the cached
+    ref_digamma_gap."""
     x = _check_domain(x)
     eps = _check_eps(eps)
-    what = f"ref_digamma({x!r})"
-    gap = _gap_sum(x, eps, max(eps / 8.0, _target(x, eps)), what)
+    gap = ref_digamma_gap(x, eps)
     log_x = math.log(x)
     out = _close([log_x, -gap.value], [gap.error_radius, math.ulp(log_x)])
-    _ensure(out.error_radius, eps, what)
+    _ensure(out.error_radius, eps, f"ref_digamma({x!r})")
     return out
 
 
@@ -488,11 +475,10 @@ def ref_log_gamma(x: float, eps: float = DEFAULT_EPS) -> ErrorBoundedValue:
     """log Gamma(x): a series on (0, 2], Stirling's formula above 2.
 
     On (0, 2], the product-form series at 1 + a, a in (0, 1], less log x
-    for x <= 1.  Above 2, mu(x) + (x - 1/2) log x - x + log(2 pi)/2, with mu
-    summed to an eighth of what the closed-form charges leave of eps.
-    Refused before any sum where half an ulp of the Stirling part (mu > 0)
-    or the closed-form charges exceed eps; DomainError where
-    (x - 1/2) log x overflows.
+    for x <= 1.  Above 2, mu(x) + (x - 1/2) log x - x + log(2 pi)/2, with the
+    cached ref_binet_mu.  Refused before any sum where half an ulp of the
+    Stirling part (mu > 0) or the closed-form charges exceed eps; DomainError
+    where (x - 1/2) log x overflows.
     """
     x = _check_domain(x)
     eps = _check_eps(eps)
@@ -517,9 +503,8 @@ def _log_gamma_stirling(x: float, eps: float, what: str) -> ErrorBoundedValue:
         0.5 * math.ulp(product),
         1.7e-16,                    # _HALF_LOG_TWO_PI
     ]
-    closed_form = math.fsum(charges)
-    _ensure(closed_form, eps, what)
-    mu = _mu_sum(x, max((eps - closed_form) / 8.0, _target(x, eps)))
+    _ensure(math.fsum(charges), eps, what)
+    mu = ref_binet_mu(x, eps)
     return _close([mu.value, product, -x, _HALF_LOG_TWO_PI], [*charges, mu.error_radius])
 
 

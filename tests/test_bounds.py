@@ -459,10 +459,17 @@ def _mp_big_p(m, mp):
     return mp.log1p(1 / m) - (1 + 12 * m + 12 * m * m) / (6 * m * (m + 1) * (2 * m + 1))
 
 
+def _mp_p(m, mp):
+    return mp.log1p(m) - (m * m + 6 * m) / (4 * m + 6)
+
+
 # The accuracy table of f, beta, H and P, as the bounds module docstring
 # quotes it: most ulps off (40 + 6 log10 x)-digit mpmath (H ~ 1/x^5 cancels
 # five times log10 x digits of its ~1/x terms) on 1000 log points of [1, 16),
-# of [16, 1e60] and, for f, of [16, 1.8e308].
+# of [16, 1e60] and, for f, of [16, 1.8e308]; also P on [1/2, 1) and p on
+# (1, 2], where their t-series take V's 30 terms.
+_HALF_TO_ONE = _log_points(0.5, math.nextafter(1.0, 0.0), 1000)
+_ONE_TO_TWO = _log_points(math.nextafter(1.0, 2.0), 2.0, 1000)
 _ONE_TO_16 = _log_points(1.0, math.nextafter(16.0, 0.0), 1000)
 _FROM_16 = _log_points(16.0, 1e60, 1000)
 _TO_MAX = _log_points(16.0, _MAX, 1000)
@@ -476,6 +483,8 @@ _AUX_ACCURACY_TABLE = [
     ("aux_big_h", _mp_big_h, _FROM_16, 2.4),
     ("aux_big_p", _mp_big_p, _ONE_TO_16, 5.1),
     ("aux_big_p", _mp_big_p, _FROM_16, 4.4),
+    ("aux_big_p", _mp_big_p, _HALF_TO_ONE, 5.2),
+    ("aux_p", _mp_p, _ONE_TO_TWO, 6.7),
 ]
 
 
@@ -519,9 +528,9 @@ def test_big_h_sign_and_relative_error():
 
 
 def test_p_sign_and_relative_error():
-    # p < 0 on (0, inf), ~ -x^4/36 at 0.  Up to x = 1 it is written in
+    # p < 0 on (0, inf), ~ -x^4/36 at 0.  Up to x = 2 it is written in
     # t = x/(x+2) without cancellation; above, the direct difference is
-    # within 3e-14 (measured, worst just above 1).
+    # within 1e-14 (measured, worst just above 2).
     mpmath = pytest.importorskip("mpmath")
     for x in _log_points(1e-20, 1e3, 600) + [1.0, math.nextafter(1.0, 2.0), 1e-5, 1e-10]:
         p = bounds.aux_p(x)

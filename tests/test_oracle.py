@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import refs_frozen as refs
-from psibounds import kernels, oracle, tails
+from psibounds import kernels, oracle, specfun, tails
 from psibounds.errors import DomainError, ToleranceError
 
 mpmath = pytest.importorskip("mpmath")
@@ -68,6 +68,33 @@ def test_ref_euler_gamma():
     # self-consistency with the digamma oracle
     psi1 = oracle.ref_digamma(1.0, 1e-12)
     assert abs(psi1.value + tight.value) <= psi1.error_radius + tight.error_radius
+    # gamma = gap(1), summed to a quarter ulp: the nearest double, as specfun has it.
+    assert tight.value == specfun.EULER_GAMMA
+    assert tight.error_radius < 4.0 * math.ulp(tight.value)
+
+
+@pytest.mark.parametrize("name, args, x, summed", [
+    ("ref_digamma", (0.3,), 0.3, "ref_digamma_gap"),
+    ("ref_digamma", (7.5,), 7.5, "ref_digamma_gap"),
+    ("ref_euler_gamma", (), 1.0, "ref_digamma_gap"),
+    ("ref_log_gamma", (50.0,), 50.0, "ref_binet_mu"),
+])
+def test_psi_gamma_and_log_gamma_take_the_cached_sums(name, args, x, summed, monkeypatch):
+    # The gap and mu series are each summed in one place: psi and gamma read
+    # the gap's cache, log Gamma above 2 mu's, and no other sum runs.
+    oracle.clear_caches()
+    sums = []
+    kernel_sum = oracle._kernel_sum
+
+    def recording(y, *rest, **kwargs):
+        sums.append(y)
+        return kernel_sum(y, *rest, **kwargs)
+
+    monkeypatch.setattr(oracle, "_kernel_sum", recording)
+    getattr(oracle, name)(*args)
+    assert getattr(oracle, summed).cache_info().currsize == 1
+    assert sums == [x]
+    oracle.clear_caches()
 
 
 @pytest.mark.parametrize("eps", [1e-12, 1e-9, 1e-5])
@@ -425,8 +452,8 @@ _LOG_GAMMA_X = [0.01, 0.3, 1.0, 1.01, 1.3, 2.0]
 
 
 def _gap_series_calls():
-    # Every series summing kernel_r: the gap at its quarter-ulp target, psi's
-    # gap at eps/8 and, on (0, 2], the log Gamma series at step 1/a.
+    # Every series summing kernel_r: the gap at its quarter-ulp target (psi
+    # takes the same sum) and, on (0, 2], the log Gamma series at step 1/a.
     for x in _GAP_X:
         yield "ref_digamma_gap", x
         yield "ref_digamma", x
@@ -439,7 +466,7 @@ def test_gap_series_cost_is_bounded(monkeypatch):
     # max(x + 16, 64, (scale/target)^0.2); for the gap's quarter-ulp target
     # eps/(8x) that is at most max_x (8x/(60 eps))^0.2 - x = 4 x* terms past
     # x, at x* = (c/5)^1.25 (about 663), c = (8/(60 eps))^0.2: about 2650.
-    # psi's and the log Gamma series' looser targets stop sooner.
+    # The log Gamma series' looser target stops sooner.
     c = (8.0 / (60.0 * 2.0**-52)) ** 0.2
     bound = 4.0 * (c / 5.0) ** 1.25
     assert 2600 < bound < 2700
@@ -691,8 +718,9 @@ _SERIES_X = [1e-3, 1.0, 15.9, 16.0, 100.0, 6.7e3, 1e4, 1e6, 1e20, 1e300]
 #: above SPLIT_MIN_TERMS (45000 terms, the last 12232) and below it (65700,
 #: the last 164).  The gap's exact tail keeps its sums within one chunk.
 _CHUNKED_X = [1e5, _MU_FLOOR_START - 44999.0, _MU_FLOOR_START - 65699.0]
-#: The refs whose kernel sums cover the three series: the gap (twice, at two
-#: targets), mu and, for x <= 2, the log Gamma series.
+#: The refs whose kernel sums cover the three series: the gap (also through
+#: psi), mu (also through log Gamma above 2) and, for x <= 2, the log Gamma
+#: series.
 _SERIES_REFS = ("ref_digamma_gap", "ref_digamma", "ref_binet_mu", "ref_log_gamma")
 
 
