@@ -1,19 +1,25 @@
 """Slow, rigorous reference evaluations with explicit absolute-error radii.
 
 The oracle is deliberately independent of every library special-function
-implementation: it only sums the defining series and encloses their tails:
-Euler-Maclaurin pairs for the gap series and psi', mu's own enveloping
-Stirling series for mu (:mod:`psibounds.tails`).  Each result carries an
-``error_radius`` that accounts for
+implementation: it only sums the defining series and encloses their tails.
+The gap and psi' sum their terms while x + j < 16 and take the tail at the
+exact y = x + count as gap(y) or psi'(y), by that function's enveloping
+Bernoulli series (DLMF 5.11.2, 5.15.8; Section 5.11(ii)), with the B_2k
+derived here as integers (``_bernoulli``).  The log Gamma series' tail is an
+Euler-Maclaurin pair, and mu's tail mu's own enveloping Stirling series
+(:mod:`psibounds.tails`).  Each result carries an ``error_radius`` that
+accounts for
 
-  * the truncation enclosure (half the tail-bracket width) and the derived
-    truncation of the terms' positive series W (see ``kernels``),
-  * per-term floating-point evaluation: 2 ulps of each term's rounding
-    scale, calibrated for the kernel terms and derived for psi''s
-    (``ref_trigamma``); 4 ulps for mu's tail midpoint, a double (derived
-    below 2.5, see ``_FLOAT_MID_REL``), while the gap series' midpoint is
-    exact to about 2^-76 of itself and psi''s to an ulp of its second
-    double, each charged that (``_exact_gap_tail``, ``_trigamma_tail``), and
+  * the truncation enclosure (half the tail-bracket width, or half the first
+    omitted term) and the derived truncation of the terms' positive series W
+    (see ``kernels``),
+  * per-term floating-point evaluation: derived for the gap's and psi''s
+    head terms (``_gap_head_charges``, ``ref_trigamma``), 2 ulps of each
+    term's rounding scale, calibrated, for the bulk kernel terms of mu and
+    the log Gamma series; 4 ulps for mu's tail midpoint, a double (derived
+    below 2.5, see ``_FLOAT_MID_REL``), while the gap's and psi''s tails are
+    exact to about 2^-72 of themselves and the log Gamma series' to about
+    2^-76, each charged that (``_enveloped_tail``, ``_exact_gap_tail``), and
   * the final exactly-rounded summation (``math.fsum``), half an ulp.
 
 The calibrated bulk charge sits above the worst error observed against a
@@ -26,26 +32,24 @@ radius, as do requests that the argument's own representation cannot honour
 
 One routine sums the kernel series over y = x + j: at most one direct
 term, below y = 1, at scale |term| + 1 for its log factor, then the rest in
-numpy arrays by the kernels' series, then a tail enclosure.  It serves the
-digamma gap, sum kernel_r(x + j) = log x - psi(x), Binet's mu,
-sum kernel_w(x + j) (DLMF 5.11.1), and log Gamma(1 + a) + gamma a =
-sum_k kernel_r(k/a).  psi'(x) = sum (x + j)^-2 sums its at most ~560 terms
-as Python floats, to the same start, and adds its exact tail.
+numpy arrays by the kernels' series, then a tail enclosure.  It serves
+Binet's mu, sum kernel_w(x + j) (DLMF 5.11.1), and log Gamma(1 + a) +
+gamma a = sum_k kernel_r(k/a).
 
 The bulk is the package's only use of numpy, and numpy is imported there,
 at the first bulk sum: ``import psibounds`` and the CLI parser load no
-numeric layer, and the fast path (``kernels``, ``specfun``, ``bounds``, all
-standard library only) never loads numpy.  The bulk terms are built and
-reduced ``BLOCK_TERMS`` (32768) at a time, in place on at most three
-arrays, each equal to its scalar kernel bit for bit.  A chunk of
-``SPLIT_MIN_TERMS`` (600) terms or more never becomes Python floats:
-``_exact_split`` reduces it in numpy to two or three doubles with the same
-exact sum (Rump, Ogita and Oishi's error-free vector transformation), and
-the one ``fsum`` rounds those, the head terms and the tail midpoint's
-parts to the same double as the whole term list would give.  Shorter
-chunks, where ``fsum`` is faster, go to it as floats.  ``ref_binet_mu(6e4)``,
-a full 1e5-term block, peaks at 0.53 MB (3.7 MB with the terms as floats);
-no gap series sum leaves its first chunk.
+numeric layer, the fast path (``kernels``, ``specfun``, ``bounds``, all
+standard library only) never loads numpy, and nor do the gap, psi, psi' and
+gamma.  The bulk terms are built and reduced ``BLOCK_TERMS`` (32768) at a
+time, in place on at most three arrays, each equal to its scalar kernel bit
+for bit.  A chunk of ``SPLIT_MIN_TERMS`` (600) terms or more never becomes
+Python floats: ``_exact_split`` reduces it in numpy to two or three doubles
+with the same exact sum (Rump, Ogita and Oishi's error-free vector
+transformation), and the one ``fsum`` rounds those, the head terms and the
+tail midpoint's parts to the same double as the whole term list would give.
+Shorter chunks, where ``fsum`` is faster, go to it as floats.
+``ref_binet_mu(6e4)``, a full 1e5-term block, peaks at 0.53 MB (3.7 MB with
+the terms as floats); no log Gamma series sum leaves its first chunk.
 
 psi(x) = log x - gap(x) at every x, charging 1 ulp of log x on top of the
 gap, and gamma = gap(1).  Above 2, log Gamma(x) = mu(x) + (x - 1/2) log x -
@@ -55,25 +59,26 @@ form cancels near the zeros at 1 and 2, so the series at 1 + a serves there.
 Each series is summed in one place: psi and gamma take the cached gap, log
 Gamma above 2 the cached mu.
 
-A kernel sum is asked for a half-width ``target``: a quarter ulp of ~1/(2x)
-(within [1e-26, eps/4]) for the gap and mu, and eps/16 for the log Gamma
-series (as for psi').  Its tail starts where the enclosure width
+The gap and psi' are computed once per x, whatever eps: eps only decides
+whether the radius is refused.  A kernel sum is asked for a half-width
+``target``: a quarter ulp of ~1/(2x) (within [1e-26, eps/4]) for mu, and
+eps/16 for the log Gamma series.  Its tail starts where the enclosure width
 (~ scale / m^5) fits within the target and, for mu's double midpoint charged
 mid_rel = 4 ulps of itself, below mu(m) < 1/(12m), where that charge fits too:
 m >= max(x + 16, 64, (scale/target)^0.2, min(mid_rel/(12 target), x + MAX_TERMS)).
-The exact midpoints of the gap series and psi' have no such term.
+The log Gamma series' exact midpoint has no such term.
 
-Cost is bounded, not linear in x.  A sum of the gap series (the gap's or
-the log Gamma series') has at most max_x (8x/(60 eps))^0.2 - x, about 2650
-terms (near x = 663), and from x ~ 4.9e3 on its tail starts at x + 16;
-psi''s has at most ~560.  mu's midpoint term is 8x/3 (to within its rounding)
-for the quarter-ulp target; it exceeds the enclosure's from x ~ 930, and mu
-then sums about 5x/3 terms.  From x = 6e4 the cap x + ``MAX_TERMS`` (1e5)
-binds.  From x ~ 2.8e9 the target sits at its 1e-26 floor and the term is
-a constant 7.4e9, so the cap binds up to x ~ 7.4e9 - 1e5, and from
-x ~ 7.4e9 the term falls below x.  Every tail starts at x + 16, rounded,
-from there, and past 2^53 at most 16 bulk terms sit at abscissas that round
-together.
+Cost is bounded, not linear in x.  The gap and psi' sum at most 16 head
+terms, none from x = 16, and at most 11 terms of their tail series (at
+y = 16; 5 at y = 100), so each takes tens of microseconds at any x.
+The log Gamma series, at step 1/a, has at most (16/(60 eps))^0.2 terms, 193
+at eps = 1e-12.  mu's midpoint term is 8x/3 (to within its rounding) for
+the quarter-ulp target; it exceeds the enclosure's from x ~ 930, and mu then
+sums about 5x/3 terms.  From x = 6e4 the cap x + ``MAX_TERMS`` (1e5) binds.
+From x ~ 2.8e9 the target sits at its 1e-26 floor and the term is a constant
+7.4e9, so the cap binds up to x ~ 7.4e9 - 1e5, and from x ~ 7.4e9 the term
+falls below x.  mu's tail starts at x + 16, rounded, from there, and past
+2^53 at most 16 bulk terms sit at abscissas that round together.
 
 Refusals known from the value's magnitude are decided before any sum: the
 radius charges half an ulp of the value, so where the value is known to
@@ -168,22 +173,23 @@ def _check_eps(eps: float) -> float:
     return eps
 
 
-def _ensure(radius: float, eps: float, what: str) -> None:
+def _ensure(radius: float, eps: float, what: str, x: float) -> None:
+    # The message names what(x), formatted only when it is raised.
     if radius > eps:
         raise ToleranceError(
-            f"{what}: achievable radius {radius:.3e} exceeds requested eps {eps:.3e}"
+            f"{what}({x!r}): achievable radius {radius:.3e} exceeds requested eps {eps:.3e}"
         )
 
 
-def _ensure_above(floor: float, eps: float, what: str) -> None:
+def _ensure_above(floor: float, eps: float, what: str, x: float) -> None:
     # Refusal before any sum for a value known to exceed ``floor``, which is
     # computed within a few ulps (hence the 2^-48 slack); ulp(inf) = inf.
-    _ensure(0.5 * math.ulp(floor * (1.0 - 2.0**-48)), eps, what)
+    _ensure(0.5 * math.ulp(floor * (1.0 - 2.0**-48)), eps, what, x)
 
 
 def _target(x: float, eps: float) -> float:
-    # A quarter ulp of the gap's magnitude (~1/(2x)), capped at eps/4: no
-    # sum needs to be tighter than the value it feeds.
+    # A quarter ulp of ~1/(2x) (mu is below it), capped at eps/4: no sum
+    # needs to be tighter than the value it feeds.
     magnitude = max(0.5 / x, 1e-10)
     return max(min(eps / 4.0, 0.25 * _EPS * magnitude), 1e-26)
 
@@ -273,15 +279,95 @@ def _exact_gap_tail(x: float, count: int, a: float):
     # under 0.34 once a power floors to 0); the three terms of em_hi under
     # 3.4 + 1.36n, 1.1 + 0.02n and 1.2; half under 1.1.  So mid is under
     # 7 + 2n = 6 + d units off.
-    mid = em_hi - half
-    # Both true divisions round correctly, subnormals included, and leave
-    # hi and lo whole numbers of units.
+    mid, rest = _two_doubles(em_hi - half, b)
+    return (mid, math.nextafter((half + 2) / one, math.inf),
+            math.nextafter((6 + d + rest) / one, math.inf))
+
+
+def _bernoulli(n: int) -> list[tuple[int, int]]:
+    """B_2, B_4, ..., B_2n as reduced integer pairs, from the tangent numbers
+    T_k by Brent and Harvey's integer recurrence (arXiv:1108.0286, Algorithm
+    2): B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))."""
+    t = [0, 1] + [0] * (n - 1)
+    for k in range(2, n + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    pairs = [((-1) ** (k - 1) * 2 * k * t[k], 4**k * (4**k - 1)) for k in range(1, n + 1)]
+    return [(a // math.gcd(a, b), b // math.gcd(a, b)) for a, b in pairs]
+
+
+def _series(lead: list[tuple[int, int, int]], coefficients: list[tuple[int, int]], e: int):
+    # sum of the lead terms a/(c y^k) and of c_k y^-(2k + e - 2), k >= 1, with
+    # c_k = a_k/b_k alternating in sign from c_1 > 0: c_1's magnitude and each
+    # |c_(k+1)/c_k| as reduced integer pairs.
+    ratios = []
+    for (a0, b0), (a1, b1) in zip(coefficients, coefficients[1:]):
+        a, b = abs(a1) * b0, b1 * abs(a0)
+        ratios.append((a // math.gcd(a, b), b // math.gcd(a, b)))
+    return lead, coefficients[0], e, ratios
+
+
+#: B_2 ... B_32: the tails below stop at B_24 at y = 16, where they need most.
+_B2K = _bernoulli(16)
+#: gap(y) ~ 1/(2y) + sum_k B_2k/(2k y^2k) (DLMF 5.11.2) and
+#: psi'(y) ~ 1/y + 1/(2y^2) + sum_k B_2k/y^(2k+1) (DLMF 5.15.8).
+_GAP_SERIES = _series([(1, 2, 1)], [(a, 2 * k * b) for k, (a, b) in enumerate(_B2K, 1)], 2)
+_TRIGAMMA_SERIES = _series([(1, 1, 1), (1, 2, 2)], _B2K, 3)
+
+
+def _enveloped_tail(x: float, count: int, series):
+    """sum_{j>=count} f(x + j) = F(y) at the exact y = x + count >= 16, for the
+    gap or psi', by F's asymptotic series, in binary fixed point: Python
+    integers in units of 2^-b, 1/y being about 2^80 of them at y = 16 and
+    4 bits more per binade of y, up to 2^110 from y = 2^11 (each term gains
+    2 log2 y bits on the last, so the deeper units take a term or two more
+    only where the terms fall fast).
+
+    Past its lead terms the series envelopes (DLMF 5.11(ii); checked for
+    both on [16, 1e300] in the tests): what the terms kept leave has the sign
+    of the first omitted term and is smaller.  So the midpoint is the partial
+    sum plus half the first term under 4 units, with half that term as the
+    half-width.  Returns the midpoint as two doubles, hi + lo, the half-width
+    and the midpoint's charge, each rounded up to a double.
+    """
+    lead, (c_num, c_den), e, ratios = series
+    p, q = x.as_integer_ratio()
+    num, den = p + count * q, q                      # y = num/den
+    e_y = num.bit_length() - den.bit_length()        # 2^(e_y - 1) < y < 2^(e_y + 1)
+    b = e_y + min(110, 64 + 4 * e_y)
+    num2, den2 = num * num, den * den
+    total = sum((a * den**k << b) // (c * num**k) for a, c, k in lead)
+    term = (c_num * den**e << b) // (c_den * num**e)
+    kept = []
+    for r_num, r_den in ratios:
+        if term < 4:
+            break
+        kept.append(term)
+        term = term * r_num * den2 // (r_den * num2)
+    # Each term after the first is the floor of the last one times its ratio,
+    # below 1 here (the terms fall under 4 units, 2^-77 of 1/y or less, long
+    # before their smallest, near k = pi y, at y >= 16), so term k is under k
+    # units low, and the lead terms under 1: the midpoint and the half-width
+    # together are under len(lead) + (m + 1)(m + 2)/2 units off, m = len(kept).
+    omitted = -term if len(kept) % 2 else term
+    mid, rest = _two_doubles(2 * (total + sum(kept[::2]) - sum(kept[1::2])) + omitted, b + 1)
+    m = len(kept)
+    return (mid, math.nextafter(term / (2 << b), math.inf),
+            math.nextafter((2 * len(lead) + (m + 1) * (m + 2) + rest) / (2 << b), math.inf))
+
+
+def _two_doubles(mid: int, b: int) -> tuple[list[float], int]:
+    # mid 2^-b as hi + lo and the units they leave (none unless subnormal):
+    # both true divisions round correctly, subnormals included, and leave hi
+    # and lo whole numbers of units, mid being at least 2^57 of them.
+    one = 1 << b
     hi = mid / one
     rest = mid - int(math.ldexp(hi, b))
     lo = rest / one
     rest -= int(math.ldexp(lo, b))
-    return ([hi, lo], math.nextafter((half + 2) / one, math.inf),
-            math.nextafter((6 + d + abs(rest)) / one, math.inf))
+    return [hi, lo], abs(rest)
 
 
 def _trunc_rel(y: float, a: float) -> float:
@@ -362,20 +448,48 @@ def _close(parts: list[float], charges: list[float]) -> ErrorBoundedValue:
     return ErrorBoundedValue(value, math.fsum(charges))
 
 
+def _head_count(x: float) -> int:
+    # The j >= 0 with x + j < 16, exactly: 16 - floor(x) below 16, none from 16.
+    return 16 - math.floor(x) if x < 16.0 else 0
+
+
+def _gap_head_charges(x: float, terms: list[float]) -> list[float]:
+    # With u = 2^-53 and each operation of kernel_r off by at most u, from
+    # y = 1 (s = y + 1/2, t = 1/(2s), v = t^2, W/v by Horner, W = (W/v) v,
+    # 1/(2y), the difference d = 1/(2y) - W and d/s): s's rounding moves the
+    # term by (1 - 2vW'/d) u, t's by 2vW'/d u, v's and W's by vW'/d u and W/d u,
+    # W/v's by 2.2 W/d u (W/v = 1/3 + v(...) with every part positive and
+    # v (...) under 1/8 of it, so each Horner level errs by 2u plus 1/8 of the
+    # next), 1/(2y)'s by (1 + W/d) u, the difference and d/s by u each.  With
+    # vW' < 1.08 W and W/d < 0.087 (y = 1), that is (4 + 5.28 W/d) u < 4.46u,
+    # and W's truncation adds under 0.01u: 4.5u in all (3.5u measured).
+    # x + j rounds by u relative unless x is a multiple of 2^-49, and moves
+    # kernel_r(y) by y|r'|/r = 1/(y(y + 1) r) < 2 of that (r > 1/(2y(y + 1))).
+    # The direct form below y = 1, at y = x exactly, is U - log1p(U), U = 1/x
+    # rounded: U's rounding costs under U u = (r + L) u, log1p's (at most one
+    # ulp) 2Lu and the difference ru, with L = log1p(U) = 1/x - r: under 3u/x.
+    rel = (4.5 + 2.0 * (not (x * 2.0**49).is_integer())) * 0.5 * _EPS
+    if x < 1.0:
+        return [rel * math.fsum(terms[1:]), 1.5 * _EPS / x]
+    return [rel * math.fsum(terms), 0.0]
+
+
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def ref_digamma_gap(x: float, eps: float = DEFAULT_EPS) -> ErrorBoundedValue:
-    """log(x) - psi(x) as a directly summed positive series.
+    """log(x) - psi(x) = sum_{j>=0} kernel_r(x + j): the terms while x + j < 16,
+    then the tail, gap(y) at y = x + count, by its enveloping series.
 
     The target quantity of the digamma-gap bound families; also the source
     of the Euler-Mascheroni constant (the series at x = 1 sums to it).
     """
     x = _check_domain(x)
     eps = _check_eps(eps)
-    what = f"ref_digamma_gap({x!r})"
-    _ensure_above(0.5 / x, eps, what)   # the gap exceeds 1/(2x)
-    out = _close(*_kernel_sum(x, _target(x, eps), kernels.kernel_r, _exact_gap_tail,
-                              1.0 / 60.0))
-    _ensure(out.error_radius, eps, what)
+    _ensure_above(0.5 / x, eps, "ref_digamma_gap", x)   # the gap exceeds 1/(2x)
+    count = _head_count(x)
+    terms = kernels.kernel_r_terms(x, count)
+    mid_parts, half_width, mid_charge = _enveloped_tail(x, count, _GAP_SERIES)
+    out = _close([*terms, *mid_parts], [half_width, mid_charge, *_gap_head_charges(x, terms)])
+    _ensure(out.error_radius, eps, "ref_digamma_gap", x)
     return out
 
 
@@ -386,7 +500,7 @@ def ref_binet_mu(x: float, eps: float = DEFAULT_EPS) -> ErrorBoundedValue:
     eps = _check_eps(eps)
     out = _close(*_kernel_sum(x, _target(x, eps), kernels.kernel_w, _mu_tail, 1.0 / 360.0,
                               _FLOAT_MID_REL))
-    _ensure(out.error_radius, eps, f"ref_binet_mu({x!r})")
+    _ensure(out.error_radius, eps, "ref_binet_mu", x)
     return out
 
 
@@ -402,7 +516,7 @@ def ref_stirling_target(x: float, eps: float = DEFAULT_EPS) -> ErrorBoundedValue
     mu = ref_binet_mu(x, eps)
     value = math.exp(mu.value) / math.sqrt(x)
     radius = value * (mu.error_radius + 3.0 * _EPS)
-    _ensure(radius, eps, f"ref_stirling_target({x!r})")
+    _ensure(radius, eps, "ref_stirling_target", x)
     return ErrorBoundedValue(value, radius)
 
 
@@ -423,51 +537,28 @@ def ref_digamma(x: float, eps: float = DEFAULT_EPS) -> ErrorBoundedValue:
     gap = ref_digamma_gap(x, eps)
     log_x = math.log(x)
     out = _close([log_x, -gap.value], [gap.error_radius, math.ulp(log_x)])
-    _ensure(out.error_radius, eps, f"ref_digamma({x!r})")
+    _ensure(out.error_radius, eps, "ref_digamma", x)
     return out
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def ref_trigamma(x: float, eps: float = DEFAULT_EPS) -> ErrorBoundedValue:
-    """psi'(x) = sum_{j>=0} (x + j)^-2: terms as Python floats, then an exact tail.
+    """psi'(x) = sum_{j>=0} (x + j)^-2: the terms while x + j < 16, as Python
+    floats, then the tail, psi'(y) at y = x + count, by its enveloping series.
 
-    Summed to half-width eps/16, with the kernel sums' start at scale 1/30, the
-    tail's full width times y^5.  x + j rounds by 2^-53, which moves
-    (x + j)^-2 by 2^-52 of itself, and pow errs by under one ulp: each term is
-    charged 2 ulps.  Refused before any sum where half an ulp of
-    1/x^2 < psi'(x) exceeds eps.
+    x + j rounds by 2^-53, which moves (x + j)^-2 by 2^-52 of itself, and pow
+    errs by under one ulp: each term is charged 2 ulps.  Refused before any
+    sum where half an ulp of 1/x^2 < psi'(x) exceeds eps.
     """
     x = _check_domain(x)
     eps = _check_eps(eps)
-    what = f"ref_trigamma({x!r})"
-    _ensure_above(1.0 / x / x, eps, what)
-    count = _tail_count(x, eps / 16.0, 1.0 / 30.0)
+    _ensure_above(1.0 / x / x, eps, "ref_trigamma", x)
+    count = _head_count(x)
     terms = [(x + j) ** -2.0 for j in range(count)]
-    mid_parts, half_width, mid_charge = _trigamma_tail(x, count)
+    mid_parts, half_width, mid_charge = _enveloped_tail(x, count, _TRIGAMMA_SERIES)
     out = _close([*terms, *mid_parts], [half_width, 2.0 * _EPS * math.fsum(terms), mid_charge])
-    _ensure(out.error_radius, eps, what)
+    _ensure(out.error_radius, eps, "ref_trigamma", x)
     return out
-
-
-def _trigamma_tail(x: float, count: int):
-    """sum_{j>=count} (x + j)^-2 by its Euler-Maclaurin pair (DLMF 2.10(i)) at
-    the exact k = x + count = K/q: midpoint 1/k + 1/(2k^2) + 1/(6k^3) - 1/(60k^5),
-    half-width 1/(60k^5).  The terms are completely monotone, so the pair
-    envelopes, as the gap series' does (``tails``).
-
-    One integer rational, whose correctly rounded division gives hi and the
-    rest's gives lo; their charge is an ulp of lo, at least the least
-    subnormal.  The half-width is correctly rounded, then rounded up.
-    """
-    p, q = x.as_integer_ratio()
-    k = p + count * q
-    k2, q2 = k * k, q * q
-    den = 60 * k2 * k2 * k
-    num = 60 * q * k2 * k2 + 30 * q2 * k2 * k + 10 * q2 * q * k2 - q2 * q2 * q
-    hi = num / den
-    a, b = hi.as_integer_ratio()
-    lo = (num * b - a * den) / (den * b)
-    return [hi, lo], math.nextafter(q2 * q2 * q / den, math.inf), math.ulp(lo)
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
@@ -482,9 +573,8 @@ def ref_log_gamma(x: float, eps: float = DEFAULT_EPS) -> ErrorBoundedValue:
     """
     x = _check_domain(x)
     eps = _check_eps(eps)
-    what = f"ref_log_gamma({x!r})"
-    out = _log_gamma_series(x, eps) if x <= 2.0 else _log_gamma_stirling(x, eps, what)
-    _ensure(out.error_radius, eps, what)
+    out = _log_gamma_series(x, eps) if x <= 2.0 else _log_gamma_stirling(x, eps, "ref_log_gamma")
+    _ensure(out.error_radius, eps, "ref_log_gamma", x)
     return out
 
 
@@ -493,17 +583,17 @@ def _log_gamma_stirling(x: float, eps: float, what: str) -> ErrorBoundedValue:
     product = h * log_x
     stirling = product - x + _HALF_LOG_TWO_PI
     if not math.isfinite(stirling):
-        raise DomainError(f"{what}: (x - 1/2) log x overflows binary64")
+        raise DomainError(f"{what}({x!r}): (x - 1/2) log x overflows binary64")
     # Where this can fire (eps >= EPS_FLOOR, so s >= 128 and x > 45), s is
     # within 2^-50 relative of the exact part.
-    _ensure_above(stirling, eps, what)
+    _ensure_above(stirling, eps, what, x)
     charges = [
         abs(x - h - 0.5) * log_x,   # x - h is exact, so this is h's rounding
         h * math.ulp(log_x),
         0.5 * math.ulp(product),
         1.7e-16,                    # _HALF_LOG_TWO_PI
     ]
-    _ensure(math.fsum(charges), eps, what)
+    _ensure(math.fsum(charges), eps, what, x)
     mu = ref_binet_mu(x, eps)
     return _close([mu.value, product, -x, _HALF_LOG_TWO_PI], [*charges, mu.error_radius])
 

@@ -73,27 +73,31 @@ def test_ref_euler_gamma():
     assert tight.error_radius < 4.0 * math.ulp(tight.value)
 
 
-@pytest.mark.parametrize("name, args, x, summed", [
-    ("ref_digamma", (0.3,), 0.3, "ref_digamma_gap"),
-    ("ref_digamma", (7.5,), 7.5, "ref_digamma_gap"),
-    ("ref_euler_gamma", (), 1.0, "ref_digamma_gap"),
-    ("ref_log_gamma", (50.0,), 50.0, "ref_binet_mu"),
+@pytest.mark.parametrize("name, args, x, summed, summing", [
+    ("ref_digamma", (0.3,), 0.3, "ref_digamma_gap", "_enveloped_tail"),
+    ("ref_digamma", (7.5,), 7.5, "ref_digamma_gap", "_enveloped_tail"),
+    ("ref_euler_gamma", (), 1.0, "ref_digamma_gap", "_enveloped_tail"),
+    ("ref_log_gamma", (50.0,), 50.0, "ref_binet_mu", "_kernel_sum"),
 ])
-def test_psi_gamma_and_log_gamma_take_the_cached_sums(name, args, x, summed, monkeypatch):
+def test_psi_gamma_and_log_gamma_take_the_cached_sums(name, args, x, summed, summing,
+                                                      monkeypatch):
     # The gap and mu series are each summed in one place: psi and gamma read
     # the gap's cache, log Gamma above 2 mu's, and no other sum runs.
     oracle.clear_caches()
     sums = []
-    kernel_sum = oracle._kernel_sum
+    real = {fn: getattr(oracle, fn) for fn in ("_enveloped_tail", "_kernel_sum")}
 
-    def recording(y, *rest, **kwargs):
-        sums.append(y)
-        return kernel_sum(y, *rest, **kwargs)
+    def recording(fn):
+        def run(y, *rest, **kwargs):
+            sums.append((fn, y))
+            return real[fn](y, *rest, **kwargs)
+        return run
 
-    monkeypatch.setattr(oracle, "_kernel_sum", recording)
+    for fn in real:
+        monkeypatch.setattr(oracle, fn, recording(fn))
     getattr(oracle, name)(*args)
     assert getattr(oracle, summed).cache_info().currsize == 1
-    assert sums == [x]
+    assert sums == [(summing, x)]
     oracle.clear_caches()
 
 
@@ -189,12 +193,14 @@ def integral_test_bracket_trigamma(m):
     return 1.0 / m, 1.0 / m + 1.0 / (m * m)
 
 
-def test_em2_enclosure_inside_classical_integral_test():
+def test_trigamma_tail_inside_classical_integral_test():
     # the sharp trigamma tail must sit inside 1/(x+K+1) < tail < 1/(x+K)
-    for m in (5.0, 64.0, 1000.0):
-        (hi, lo), half, _ = oracle._trigamma_tail(m, 0)
+    for m in (16.0, 64.0, 1000.0):
+        (hi, lo), half, _ = oracle._enveloped_tail(m, 0, oracle._TRIGAMMA_SERIES)
         coarse_lo, coarse_hi = integral_test_bracket_trigamma(m)
-        assert coarse_lo < hi - half < hi + half < coarse_hi
+        with mpmath.workdps(400):   # the half-width is a subnormal from m = 64
+            mid = mpmath.mpf(hi) + lo
+            assert coarse_lo < mid - half < mid + half < coarse_hi
 
 
 def test_em2_brackets_contain_high_precision_tails():
@@ -221,20 +227,77 @@ def test_em2_half_width_is_the_derived_one(y):
         assert abs(mid - (mpmath.log(m) - mpmath.psi(0, m))) <= half + 4 * 2.0**-52 * mid, y
 
 
-@pytest.mark.parametrize("y", [64.0, 84.0, 2240.0, 1.1e5, 1e20, 1e150])
-def test_trigamma_tail_is_its_exact_euler_maclaurin_pair(y):
-    # psi'(y) = sum_{j>=0} (y + j)^-2 lies within 1/(60y^5) of
-    # 1/y + 1/(2y^2) + 1/(6y^3) - 1/(60y^5).  The half-width is 1/(60y^5)
-    # correctly rounded, then rounded up (at 1e150 it underflows, to the least
-    # subnormal); a double -f'''(y)/1440 rounded up once fell below it at 84.
-    # hi + lo is within the half-width plus its charge of the 50-digit psi'.
-    (hi, lo), half, charge = oracle._trigamma_tail(y, 0)
-    with mpmath.workdps(50 + 5 * math.ceil(math.log10(y))):
+#: Where the tails start: y = 16 (the most terms), just above it, and up to the
+#: largest double, where the gap and psi' are subnormal.
+_TAIL_Y = [16.0, math.nextafter(16.0, math.inf), 16.5, 31.99, 64.0, 84.0, 2240.0, 1.1e5,
+           2.0**53 + 2.0, 1e20, 1e150, 1e300, 1.7976931348623157e308]
+_TAIL_SERIES = {
+    "gap": ("_GAP_SERIES", lambda m: mpmath.log(m) - mpmath.digamma(m)),
+    "trigamma": ("_TRIGAMMA_SERIES", lambda m: mpmath.psi(1, m)),
+}
+
+
+@pytest.mark.parametrize("series", sorted(_TAIL_SERIES))
+@pytest.mark.parametrize("y", _TAIL_Y)
+def test_enveloped_tail_encloses_its_function(series, y):
+    # gap(y) and psi'(y) lie within the half-width plus the charge of hi + lo.
+    # The half-width is half the first omitted term, under 2^-78 of 1/y, and
+    # the charge, for the floors and what hi + lo leave, under 2^-70 of it
+    # (both underflow to the least subnormal near the largest double).
+    name, exact = _TAIL_SERIES[series]
+    (hi, lo), half, charge = oracle._enveloped_tail(y, 0, getattr(oracle, name))
+    with mpmath.workdps(50 + 2 * math.ceil(math.log10(y))):
         m = mpmath.mpf(y)
-        exact = 1 / (60 * m**5)
-        assert exact <= half <= max(exact * (1 + 2.0**-50), 2.0**-1074), y
-        assert abs(mpmath.mpf(hi) + lo - mpmath.psi(1, m)) <= mpmath.mpf(half) + charge, y
-        assert charge <= max(2.0**-100 * hi, 2.0**-1074), y
+        assert abs(mpmath.mpf(hi) + lo - exact(m)) <= mpmath.mpf(half) + charge, y
+        assert max(half, charge) <= max(2.0**-70 / y, 2.0**-1074), (y, half, charge)
+
+
+def test_oracle_bernoulli_numbers_are_sympys():
+    sympy = pytest.importorskip("sympy")
+    assert len(oracle._B2K) == 16
+    for k, b in enumerate(oracle._B2K, 1):
+        assert b == sympy.fraction(sympy.bernoulli(2 * k)), k
+
+
+def _tail_terms(series, y, n):
+    # The lead terms and the first n others of the oracle's gap or psi'
+    # series at y, rebuilt from its integer pairs.
+    lead, (c_num, c_den), e, ratios = series
+    terms = [mpmath.mpf(a) / c / y**k for a, c, k in lead]
+    magnitude = mpmath.mpf(c_num) / c_den / y**e
+    for k in range(n):
+        terms.append(-magnitude if k % 2 else magnitude)
+        if k < len(ratios):
+            magnitude = magnitude * ratios[k][0] / ratios[k][1] / y**2
+    return terms
+
+
+@pytest.mark.parametrize("series", sorted(_TAIL_SERIES))
+def test_oracle_tail_series_envelope(series):
+    # What _enveloped_tail's half-width rests on (DLMF 5.11(ii); psi' once
+    # its two leading terms are summed): what the kept terms leave lies
+    # strictly between 0 and the first omitted term, on y in [16, 1e300], for
+    # every truncation down to terms of 2^-115 of 1/y or to the end of the
+    # oracle's table (2^-92 at y = 16), past where the tail stops (under 4
+    # units: 2^-77 of 1/y at y = 16, 2^-107 from y = 2^11).
+    name, exact = _TAIL_SERIES[series]
+    oracle_series = getattr(oracle, name)
+    lead = len(oracle_series[0])
+    for i in range(31):
+        y = 16.0 * (1e300 / 16.0) ** (i / 30)
+        with mpmath.workdps(40):
+            terms = _tail_terms(oracle_series, mpmath.mpf(y), len(oracle_series[3]) + 1)
+            stop = next((n for n in range(lead, len(terms)) if abs(terms[n]) * y < 2.0**-115),
+                        len(terms) - 1)
+        # The remainder is about y^-2 of the term it is compared with, which is
+        # down to y^-(2n + 1) of the value: so many digits, and 30 more.
+        with mpmath.workdps(30 + (2 * stop + 4) * math.ceil(math.log10(y))):
+            m = mpmath.mpf(y)
+            terms = _tail_terms(oracle_series, m, stop + 1 - lead)
+            value = exact(m)
+            for n in range(lead, stop + 1):
+                ratio = (value - mpmath.fsum(terms[:n])) / terms[n]
+                assert 0 < ratio < 1, (series, y, n)
 
 
 def _mp_binet_mu(m):
@@ -383,9 +446,10 @@ def test_full_bulk_block_stays_small_in_memory(name, x):
 
 
 def test_no_bulk_terms_at_abscissas_that_round_together(monkeypatch):
-    # Past 2^53, x + j repeats a few doubles; at 1e19 the tail enclosure at
-    # x itself is already far below an ulp of the gap, so terms summed in
-    # bulk there would be wasted work.
+    # Past 2^53, x + j repeats a few doubles; at 1e19 mu's tail enclosure at
+    # x itself is already far below an ulp of mu, so terms summed in bulk
+    # there would be wasted work: its tail starts at x + 16, rounded.  (The
+    # gap sums no bulk term at any x.)
     lengths = []
     arange = np.arange
 
@@ -396,9 +460,9 @@ def test_no_bulk_terms_at_abscissas_that_round_together(monkeypatch):
 
     oracle.clear_caches()
     monkeypatch.setattr(np, "arange", recording_arange)
-    r = oracle.ref_digamma_gap(1e19)
-    assert sum(lengths) < 64
-    assert encloses(r, mp_reference(HUGE_TARGETS["ref_digamma_gap"], 1e19))
+    r = oracle.ref_binet_mu(1e19)
+    assert sum(lengths) <= 16
+    assert encloses(r, mp_reference(HUGE_TARGETS["ref_binet_mu"], 1e19))
 
 
 @pytest.mark.filterwarnings("error")
@@ -462,14 +526,11 @@ def _gap_series_calls():
 
 
 def test_gap_series_cost_is_bounded(monkeypatch):
-    # With no midpoint charge to fit, the tail starts at
-    # max(x + 16, 64, (scale/target)^0.2); for the gap's quarter-ulp target
-    # eps/(8x) that is at most max_x (8x/(60 eps))^0.2 - x = 4 x* terms past
-    # x, at x* = (c/5)^1.25 (about 663), c = (8/(60 eps))^0.2: about 2650.
-    # The log Gamma series' looser target stops sooner.
-    c = (8.0 / (60.0 * 2.0**-52)) ** 0.2
-    bound = 4.0 * (c / 5.0) ** 1.25
-    assert 2600 < bound < 2700
+    # The log Gamma series (kernel_r at step 1/a) starts its tail at
+    # max(x + 16, 64, (scale/target)^0.2) with scale a^2/60 <= 1/60 and target
+    # eps/16: at most (16/(60 eps))^0.2 terms, 193 at the default 1e-12.
+    bound = (16.0 / (60.0 * 1e-12)) ** 0.2
+    assert 192 < bound < 193
     calls = []
     bulk_terms = oracle._bulk_terms
 
@@ -484,11 +545,77 @@ def test_gap_series_cost_is_bounded(monkeypatch):
             getattr(oracle, name)(x)
         except ToleranceError:
             pass
-    # The bound is nearly reached at x = 640 (2650 terms).
-    assert 2600 < max(stop - start for _, _, start, stop in calls) <= math.ceil(bound)
+    # The bound is nearly reached at a = 1 (x = 1 and x = 2).
+    assert 185 < max(stop - start for _, _, start, stop in calls) <= math.ceil(bound)
     for x, a, start, stop in calls:
         # One chunk per sum: none crosses a BLOCK_TERMS boundary.
-        assert start <= 1 and stop <= oracle.BLOCK_TERMS, (x, a, start, stop)
+        assert start == 0 and stop <= oracle.BLOCK_TERMS and a <= 1.0, (x, a, start, stop)
+
+
+@pytest.mark.parametrize("name", ["ref_digamma_gap", "ref_digamma", "ref_euler_gamma",
+                                  "ref_trigamma"])
+def test_gap_and_trigamma_sum_at_most_16_head_terms(name, monkeypatch):
+    # The gap and psi' sum their terms while x + j < 16, none from x = 16, and
+    # add the tail at y = x + count >= 16; no bulk sum runs.  Their value is
+    # fsum over the head terms and the tail's two parts.
+    def boom(*args, **kwargs):
+        raise AssertionError("summed in bulk")
+
+    tails_taken = []
+    real_tail = oracle._enveloped_tail
+
+    def recording(x, count, series):
+        out = real_tail(x, count, series)
+        tails_taken.append((x, count, out[0]))
+        return out
+
+    monkeypatch.setattr(oracle, "_bulk_terms", boom)
+    monkeypatch.setattr(oracle, "_enveloped_tail", recording)
+    returned = 0
+    xs = _GAP_X + [0.3, 1.0, 1.5, 2.0, 7.5, 15.9, 15.999999999999998, 16.0, 6e4, 1e6]
+    for x in ([1.0] if name == "ref_euler_gamma" else xs):
+        for eps in (1e-12, 1e-6, 1.0):
+            oracle.clear_caches()
+            tails_taken.clear()
+            try:
+                r = (oracle.ref_euler_gamma(eps) if name == "ref_euler_gamma"
+                     else getattr(oracle, name)(x, eps))
+            except ToleranceError:
+                continue
+            returned += 1
+            (tail_x, count, mid_parts), = tails_taken
+            assert tail_x == x and count == (16 - math.floor(x) if x < 16 else 0), (x, count)
+            assert 16 <= mpmath.mpf(x) + count and count <= 16, (x, count)
+            if name == "ref_trigamma":
+                terms = [(x + j) ** -2.0 for j in range(count)]
+                assert r.value.hex() == math.fsum([*terms, *mid_parts]).hex(), x
+            elif name == "ref_digamma_gap":
+                terms = [kernels.kernel_r(x + j) for j in range(count)]   # bit for bit
+                assert r.value.hex() == math.fsum([*terms, *mid_parts]).hex(), x
+    assert returned >= (1 if name == "ref_euler_gamma" else 200), returned
+
+
+def test_gap_head_terms_within_their_charges():
+    # Each head term kernel_r(x + j), x + j rounded, against 50-digit kernel_r
+    # at the exact x + j, on a dense grid of [1e-3, 16) that takes in
+    # y ~ 1.72, abscissas that do and do not round, and the direct form below
+    # 1 (here at most 3.03, 3.93 and 1.79/x of the 4.5, 6.5 and 3/x units of
+    # 2^-53 charged; 3.47 and 4.06 on denser grids).
+    xs = [10.0 ** (-3 + math.log10(16e3) * i / 3000) for i in range(3000)]
+    xs += [1.72 + k * 1e-4 for k in range(-50, 51)] + [0.5, 1.0, 1.5, 7.5, 15.0]
+    xs += [math.nextafter(v, 0.0) for v in (1.0, 2.0, 16.0)]
+    with mpmath.workdps(50):
+        for x in xs:
+            terms = [kernels.kernel_r(x + j) for j in range(16 - math.floor(x))]
+            for j, term in enumerate(terms):
+                # The charges of a term alone: the direct one below 1, else
+                # one at y >= 1 (after the direct term, if any).
+                if x < 1.0 and j == 0:
+                    charge = oracle._gap_head_charges(x, [term])[1]
+                else:
+                    charge = oracle._gap_head_charges(x, [*terms[:x < 1.0], term])[0]
+                y = mpmath.mpf(x) + j
+                assert abs(term - (1 / y - mpmath.log1p(1 / y))) <= charge, (x, j)
 
 
 # -- mu: a double midpoint, so its start also fits the midpoint's charge -------
@@ -524,20 +651,14 @@ def test_mu_series_cost_is_bounded(monkeypatch):
     # mu's double midpoint, below mu(m) < 1/(12m), is charged 4 ulps of
     # itself.  At the quarter-ulp target eps/(8x) the tail starts at most at
     # max(x + 16, 64, (scale/target)^0.2, min(8x/3, x + MAX_TERMS)), and
-    # where the cap does not bind, the charge fits the target there.  The
-    # gap and psi sums never take the fourth term (nor does psi', below).
+    # where the cap does not bind, the charge fits the target there.
     sums = _record_kernel_sums(monkeypatch)
     xs = _GAP_X + [2e3, 6e4, 1e5, 2.78e9, _MU_FLOOR_START - 44999.0, _MU_FLOOR_START]
     for x in xs:
-        for name in ("ref_binet_mu", "ref_digamma_gap", "ref_digamma"):
-            oracle.clear_caches()
-            try:
-                getattr(oracle, name)(x)
-            except ToleranceError:
-                pass
+        oracle.clear_caches()
+        oracle.ref_binet_mu(x)
     mu = [s for s in sums if s[2] is kernels.kernel_w]
-    others = [s for s in sums if s[2] is not kernels.kernel_w]
-    assert len(mu) > 100 and len(others) > 200, (len(mu), len(others))
+    assert len(mu) == len(sums) == len(xs), (len(mu), len(sums))
     capped = 0
     for x, target, _, trunc_scale, count, mid in mu:
         assert target == oracle._target(x, 1e-12), x
@@ -551,38 +672,6 @@ def test_mu_series_cost_is_bounded(monkeypatch):
             capped += 1
     # The cap binds from x = 6e4 to just below _MU_FLOOR_START.
     assert capped >= 5, capped
-    for x, target, _, trunc_scale, count, _ in others:
-        assert count == math.ceil(_three_term_start(x, target, trunc_scale) - x), (x, count)
-
-
-@pytest.mark.parametrize("eps", [1e-14, 1e-12, 1e-9, 1e-6, 1e-3])
-def test_trigamma_sum_keeps_its_start_and_equals_fsum_over_its_terms(eps, monkeypatch):
-    # psi' sums (x + j)^-2 as Python floats up to the kernel sums' three-term
-    # start at scale 1/30 and target eps/16, then adds its exact tail: its
-    # value is fsum over those terms and the tail's two parts.
-    tails_taken = []
-    real_tail = oracle._trigamma_tail
-
-    def recording(x, count):
-        out = real_tail(x, count)
-        tails_taken.append((count, out[0]))
-        return out
-
-    monkeypatch.setattr(oracle, "_trigamma_tail", recording)
-    returned = 0
-    for x in _SERIES_X + _GAP_X + [1.5, 2.0, 2e3, 6e4, 1e5, 2.78e9]:
-        oracle.clear_caches()
-        tails_taken.clear()
-        try:
-            r = oracle.ref_trigamma(x, eps)
-        except ToleranceError:
-            continue
-        returned += 1
-        (count, mid_parts), = tails_taken
-        assert count == math.ceil(_three_term_start(x, eps / 16.0, 1.0 / 30.0) - x), (x, count)
-        terms = [(x + j) ** -2.0 for j in range(count)]
-        assert r.value.hex() == math.fsum([*terms, *mid_parts]).hex(), x
-    assert returned > 100, returned
 
 
 def mp_gap_tail(x, count, a):
@@ -625,7 +714,7 @@ def test_exact_gap_tail_is_within_its_charge(monkeypatch):
         assert charge <= max(2.0**-60 * hi, 2.0**-1070), (x, count, a, charge)
 
 
-@pytest.mark.parametrize("name", ["ref_digamma_gap", "ref_digamma"])
+@pytest.mark.parametrize("name", ["ref_digamma_gap", "ref_digamma", "ref_trigamma"])
 def test_gap_series_values_enclose_on_a_log_grid(name):
     # Up to the largest double, with the (60 + 2 log10 x)-digit reference.
     returned = 0
@@ -712,16 +801,17 @@ def test_exact_split_checks_its_invariant(bad):
         oracle._exact_split(np.array([0.1, bad]))
 
 
-_SERIES_X = [1e-3, 1.0, 15.9, 16.0, 100.0, 6.7e3, 1e4, 1e6, 1e20, 1e300]
+_SERIES_X = [1e-3, 1.0, 15.9, 16.0, 100.0, 2e3, 5e3, 6.7e3, 1e4, 3e4, 5e4, 2e5, 1e6, 1e20,
+             1e300]
 #: mu's blocks here are a full one (1e5) and two just below _MU_FLOOR_START
 #: that span two and three chunks and end in one shorter than BLOCK_TERMS:
 #: above SPLIT_MIN_TERMS (45000 terms, the last 12232) and below it (65700,
-#: the last 164).  The gap's exact tail keeps its sums within one chunk.
+#: the last 164).  The log Gamma series' exact tail keeps its sums within one
+#: chunk.
 _CHUNKED_X = [1e5, _MU_FLOOR_START - 44999.0, _MU_FLOOR_START - 65699.0]
-#: The refs whose kernel sums cover the three series: the gap (also through
-#: psi), mu (also through log Gamma above 2) and, for x <= 2, the log Gamma
-#: series.
-_SERIES_REFS = ("ref_digamma_gap", "ref_digamma", "ref_binet_mu", "ref_log_gamma")
+#: The refs whose kernel sums cover the two series: mu (also through log
+#: Gamma above 2) and, for x <= 2, the log Gamma series.
+_SERIES_REFS = ("ref_binet_mu", "ref_log_gamma")
 
 
 @pytest.mark.parametrize("split_min", [1, oracle.SPLIT_MIN_TERMS])
