@@ -63,7 +63,7 @@ class BoundFamily(enum.Enum):
             raise KeyError(f"unknown bound family {tag!r}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interval:
     """A two-sided enclosure (lower, upper) of a target quantity."""
 

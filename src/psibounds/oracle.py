@@ -10,46 +10,35 @@ Euler-Maclaurin pair, and mu's tail mu's own enveloping Stirling series
 (:mod:`psibounds.tails`).  Each result carries an ``error_radius`` that
 accounts for
 
-  * the truncation enclosure (half the tail-bracket width, or half the first
-    omitted term) and the derived truncation of the terms' positive series W
-    (see ``kernels``),
-  * per-term floating-point evaluation: derived for the gap's and psi''s
-    head terms (``_gap_head_charges``, ``ref_trigamma``), 2 ulps of each
-    term's rounding scale, calibrated, for the bulk kernel terms of mu and
-    the log Gamma series; 4 ulps for mu's tail midpoint, a double (derived
-    below 2.5, see ``_FLOAT_MID_REL``), while the gap's and psi''s tails are
-    exact to about 2^-72 of themselves and the log Gamma series' to about
-    2^-76, each charged that (``_enveloped_tail``, ``_exact_gap_tail``), and
+  * the tail's truncation enclosure (half the tail-bracket width, or half
+    the first omitted term),
+  * per-term rounding and W's truncation (see ``kernels``), derived once per
+    kernel operation sequence (Higham 3.1) and charged on its terms' sum:
+    kernel_r from y = 1 (the gap's head and the log Gamma series) and its
+    direct form below 1, kernel_w's W from y = 1/2 and its direct form below
+    1/2 (mu), and psi''s (x + j)^-2; 4 ulps for mu's tail midpoint, a double
+    (``_FLOAT_MID_REL``), while the gap's and psi''s tails are exact to about
+    2^-72 of themselves and the log Gamma series' to about 2^-76, each
+    charged that (``_enveloped_tail``, ``_exact_gap_tail``), and
   * the final exactly-rounded summation (``math.fsum``), half an ulp.
 
-The calibrated bulk charge sits above the worst error observed against a
-50-digit reference across the verification grids; the test suite checks
-``|value - reference| <= error_radius`` directly.
+The tests check ``|value - reference| <= error_radius``, and each per-term
+charge on single terms, against 50-digit references.
 
 Requests below ``EPS_FLOOR`` fail loudly instead of returning an optimistic
 radius, as do requests that the argument's own representation cannot honour
 (e.g. an absolute 1e-12 on trigamma near 0, where the value is ~1e6).
 
-One routine sums the kernel series over y = x + j: at most one direct
-term, below y = 1, at scale |term| + 1 for its log factor, then the rest in
-numpy arrays by the kernels' series, then a tail enclosure.  It serves
-Binet's mu, sum kernel_w(x + j) (DLMF 5.11.1), and log Gamma(1 + a) +
-gamma a = sum_k kernel_r(k/a).
-
-The bulk is the package's only use of numpy, and numpy is imported there,
-at the first bulk sum: ``import psibounds`` and the CLI parser load no
-numeric layer, the fast path (``kernels``, ``specfun``, ``bounds``, all
-standard library only) never loads numpy, and nor do the gap, psi, psi' and
-gamma.  The bulk terms are built and reduced ``BLOCK_TERMS`` (32768) at a
-time, in place on at most three arrays, each equal to its scalar kernel bit
-for bit.  A chunk of ``SPLIT_MIN_TERMS`` (600) terms or more never becomes
-Python floats: ``_exact_split`` reduces it in numpy to two or three doubles
-with the same exact sum (Rump, Ogita and Oishi's error-free vector
-transformation), and the one ``fsum`` rounds those, the head terms and the
-tail midpoint's parts to the same double as the whole term list would give.
-Shorter chunks, where ``fsum`` is faster, go to it as floats.
-``ref_binet_mu(6e4)``, a full 1e5-term block, peaks at 0.53 MB (3.7 MB with
-the terms as floats); no log Gamma series sum leaves its first chunk.
+mu, sum kernel_w(x + j) (DLMF 5.11.1), sums its terms while x + j <= 16 as
+Python floats, then its bulk from y > 16 (W's K = 6) in numpy, the package's
+only use of numpy, imported at the first bulk sum; log Gamma(1 + a) + gamma a =
+sum_k kernel_r(k/a) sums its terms as Python floats.  The bulk is built
+``BLOCK_TERMS`` (32768) terms at a time on two arrays that every chunk
+reuses, each term the scalar ``kernel_w``'s bit for bit; ``_exact_split``
+reduces a chunk of ``SPLIT_MIN_TERMS`` (600) or more to two or three doubles
+with its exact sum (Rump, Ogita and Oishi), shorter ones go to ``fsum`` as
+floats, and the one ``fsum`` gives the double of the whole term list.
+``ref_binet_mu(6e4)``, a full 1e5-term block, peaks at 0.53 MB.
 
 psi(x) = log x - gap(x) at every x, charging 1 ulp of log x on top of the
 gap, and gamma = gap(1).  Above 2, log Gamma(x) = mu(x) + (x - 1/2) log x -
@@ -60,7 +49,7 @@ Each series is summed in one place: psi and gamma take the cached gap, log
 Gamma above 2 the cached mu.
 
 The gap and psi' are computed once per x, whatever eps: eps only decides
-whether the radius is refused.  A kernel sum is asked for a half-width
+whether the radius is refused.  Each kernel series is summed to a half-width
 ``target``: a quarter ulp of ~1/(2x) (within [1e-26, eps/4]) for mu, and
 eps/16 for the log Gamma series.  Its tail starts where the enclosure width
 (~ scale / m^5) fits within the target and, for mu's double midpoint charged
@@ -98,6 +87,7 @@ from .errors import DEFAULT_EPS, DomainError, ToleranceError
 from .kernels import _check_domain
 
 _EPS = 2.0**-52
+_U = 2.0**-53   # each correctly rounded operation errs by at most _U relative
 
 #: Smallest honest absolute tolerance at working precision.
 EPS_FLOOR = 1e-14
@@ -124,10 +114,9 @@ _FLOAT_MID_REL = 4.0 * _EPS
 #: Terms per bulk chunk, 256 KiB of doubles: the fastest power of two from 8192 to 65536.
 BLOCK_TERMS = 32_768
 
-#: W(v) = sum_{k>=1} v^k/(2k + 1) (see ``kernels``): the bulk's K = 6
-#: coefficients, and each K the kernels take with the largest v it serves.
+#: W(v) = sum_{k>=1} v^k/(2k + 1) (see ``kernels``): the coefficients of the
+#: K = 6 that kernel_w takes at every bulk term (y > 16, where v <= 1/1089).
 _W_COEFFS = tuple(1.0 / (2 * k + 1) for k in range(1, 7))
-_W_LENGTHS = ((1 / 9, 18), (1 / 81, 9), (1 / 1089, 6))
 
 #: log(2 pi)/2 to within 1.7e-16: 2 pi rounds by at most 2^-53 relative and
 #: log by at most 1 ulp; the halving is exact.
@@ -139,7 +128,7 @@ _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _SUBNORMAL_CHARGE = 4.0 * 2.0**-1074
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ErrorBoundedValue:
     """A value with a rigorous absolute-error radius."""
 
@@ -204,36 +193,29 @@ def _tail_count(x: float, target: float, trunc_scale: float, mid_rel: float = 0.
     return int(math.ceil(m_tail - x))
 
 
-def _kernel_sum(x: float, target: float, kernel, tail, trunc_scale: float,
-                mid_rel: float = 0.0, a: float = 1.0):
-    """Parts and charges of sum_j kernel((x + j)/a) to about half-width ``target``.
+def _kernel_sum(x: float, target: float):
+    """Parts and charges of mu(x) = sum_j kernel_w(x + j) to about half-width ``target``.
 
-    A term at y = x < 1 takes the direct formula and rounds with its O(1) log
-    factor (the log Gamma series, with a <= 1, starts at y = 1/a >= 1); the bulk
-    rounds at 2 ulps plus ``_trunc_rel``.  ``tail(x, count, a)`` encloses
-    sum_{j>=count}: it returns its midpoint as parts, its half-width
-    (~ trunc_scale / M^5) and the midpoint's derived charge.  mu's double
-    midpoint is charged ``mid_rel`` of itself instead (see ``_tail_count``).
+    The head terms while x + j <= 16 come from the scalar ``kernel_w`` (y = 16.0
+    itself takes K = 9: v = (0.5/16.5)^2 rounds above the double 1/1089), the
+    bulk from y > 16 in numpy, and the tail mu(x + count) from ``tails.mu_tail``,
+    its double midpoint charged ``_FLOAT_MID_REL`` of itself (see ``_tail_count``).
     """
-    count = _tail_count(x, target, trunc_scale, mid_rel)
-    n_head = 1 if x < 1.0 else 0
-    parts = [kernel(x)] * n_head
-    head_charge = 2.0 * _EPS * (parts[0] + 1.0) if n_head else 0.0
-    bulk_sum = 0.0
-    for start in range(n_head, count, BLOCK_TERMS):
-        terms = _bulk_terms(x, a, kernel, start, min(start + BLOCK_TERMS, count))
-        bulk_sum += float(terms.sum())   # every bulk term is positive
-        parts.extend(terms.tolist() if terms.size < SPLIT_MIN_TERMS else _exact_split(terms))
-        del terms   # freed before the next chunk is built
-    mid_parts, half_width, mid_charge = tail(x, count, a)
-    parts.extend(mid_parts)
-    return parts, [half_width, head_charge, (2.0 * _EPS + _trunc_rel(x + n_head, a)) * bulk_sum,
-                   mid_charge + mid_rel * abs(math.fsum(mid_parts))]
-
-
-def _mu_tail(x: float, count: int, a: float):
+    count = _tail_count(x, target, 1.0 / 360.0, _FLOAT_MID_REL)
+    parts: list[float] = []
+    while (y := x + len(parts)) <= 16.0:
+        parts.append(kernels.kernel_w(y))
+    direct = parts[:x < 0.5]   # kernel_w's direct form, at y = x < 1/2
+    w_sum = math.fsum(parts[len(direct):])
+    for terms, scratch in _bulk_terms(x, len(parts), count):
+        w_sum += float(terms.sum())   # every bulk term is positive
+        parts.extend(terms.tolist() if terms.size < SPLIT_MIN_TERMS
+                     else _exact_split(terms, scratch))
+        del terms, scratch   # so that the next chunk's abscissas take their memory
     mid, half_width = tails.mu_tail(x + count)
-    return [mid], half_width, 0.0   # the midpoint's charge is _FLOAT_MID_REL
+    parts.append(mid)
+    return parts, [half_width, _FLOAT_MID_REL * mid, _W_REL * w_sum,
+                   *(_W_DIRECT_REL * (w + 1.0) for w in direct)]
 
 
 def _exact_gap_tail(x: float, count: int, a: float):
@@ -245,7 +227,7 @@ def _exact_gap_tail(x: float, count: int, a: float):
     Returns the midpoint as two doubles, hi + lo, the half-width rounded up to
     a double, and the midpoint's derived charge: the floors' errors and what
     hi + lo leave of the midpoint (nothing, unless they are subnormal).
-    Requires k >= 64 and a <= 1, as every kernel sum's tail has.
+    Requires k >= 64 and a <= 1, as the log Gamma series' tail has.
     """
     p, q = x.as_integer_ratio()
     pa, qa = a.as_integer_ratio()
@@ -370,46 +352,32 @@ def _two_doubles(mid: int, b: int) -> tuple[list[float], int]:
     return [hi, lo], abs(rest)
 
 
-def _trunc_rel(y: float, a: float) -> float:
-    # W cut after K terms is short by < v^(K+1)/((2K + 3)(1 - v)), W > v/3, and no more
-    # relative to kernel_r (4W < 1/y); from y on, v <= t^2 (2^-50 up), t = a/(2y + a).
-    v = (a / (2.0 * y + a)) ** 2 * (1.0 + 2.0**-50)
-    return max(3.0 * w**k / ((2 * k + 3) * (1.0 - w))
-               for w, k in ((min(v, top), k) for top, k in _W_LENGTHS))
-
-
-def _bulk_terms(x: float, a: float, kernel, start: int, stop: int):
-    """kernel((x + j)/a) for j in [start, stop), bit for bit, on at most three arrays.
-
-    As in ``kernels``: terms over the K = 6 length's largest v (y < 16) take the
-    kernels' longer W, the rest K = 6 in place, from (0 + c_6) v = c_6 v.
+def _bulk_terms(x: float, start: int, stop: int):
+    """kernel_w(x + j) for j in [start, stop), all at y > 16 (where W takes K = 6
+    terms, as in ``kernels``, by Horner from (0 + c_6) v = c_6 v), bit for bit:
+    yields each chunk of at most ``BLOCK_TERMS`` and a scratch array of its
+    length.  The terms reuse one buffer, and each chunk's abscissas the memory
+    the last chunk's left: a fresh array's first writes cost page faults.
     """
     import numpy as np   # imported at the first bulk sum (see the module docstring)
-    y = np.arange(start, stop, dtype=np.float64)
-    y += x
-    if a != 1.0:
-        y /= a
-    v = np.add(y, 0.5, out=y if kernel is kernels.kernel_w else None)
-    np.divide(0.5, v, out=v)
-    v *= v
-    n = v.size - int(np.searchsorted(v[::-1], _W_LENGTHS[-1][0], side="right"))
-    w = np.empty_like(v)
-    w[:n] = [kernels._w_over_v(s) * s for s in v[:n].tolist()]
-    w_6, v_6 = w[n:], v[n:]
-    np.multiply(v_6, _W_COEFFS[-1], out=w_6)
-    for c in _W_COEFFS[-2::-1]:
-        w_6 += c
-        w_6 *= v_6
-    if kernel is kernels.kernel_w:
-        return w
-    np.divide(0.5, y, out=v)
-    np.subtract(v, w, out=w)
-    y += 0.5
-    w /= y
-    return w
+    w_all = None
+    for first in range(start, stop, BLOCK_TERMS):
+        v = np.arange(first, min(first + BLOCK_TERMS, stop), dtype=np.float64)
+        v += x
+        v += 0.5
+        np.divide(0.5, v, out=v)
+        v *= v
+        if w_all is None:   # after the first v, so that no later v is fresh
+            w_all = np.empty(v.size)
+        w = np.multiply(v, _W_COEFFS[-1], out=w_all[:v.size])
+        for c in _W_COEFFS[-2::-1]:
+            w += c
+            w *= v
+        yield w, v   # v is scratch once w is built
+        del v, w
 
 
-def _exact_split(p) -> list[float]:
+def _exact_split(p, q) -> list[float]:
     """A few doubles whose exact sum is the exact sum of the array ``p``.
 
     Rump, Ogita and Oishi's error-free vector transformation (SIAM J. Sci.
@@ -418,13 +386,13 @@ def _exact_split(p) -> list[float]:
     exact, and so is sum(q) in any order, since every q is a multiple of
     2^-53 sigma and their total stays below sigma.  Each round strips at
     least 53 - k - 1 bits off the largest residual; it repeats until the
-    residual is all zero.  ``p`` is consumed.  Requires finite |p| <= 1/2,
-    so that sigma stays far from overflow: no bulk term of the four series
-    exceeds kernel_r(1) = 1 - log 2 < 0.31.
+    residual is all zero.  ``p`` is consumed and ``q``, of its length, is
+    scratch.  Requires finite |p| <= 1/2, so that sigma stays far from
+    overflow: no bulk term, kernel_w(y) at y > 16, exceeds 1/(12 y^2) < 4e-4.
     """
     import numpy as np
     k = (p.size + 1).bit_length()   # 2^k >= n + 2
-    q = np.abs(p)
+    np.abs(p, out=q)
     top = float(q.max())
     if not top <= 0.5:
         raise ValueError(f"bulk terms must be finite and at most 1/2, got {top!r}")
@@ -453,24 +421,52 @@ def _head_count(x: float) -> int:
     return 16 - math.floor(x) if x < 16.0 else 0
 
 
+# Per-term charges: first-order forward error bounds, one per kernel
+# operation sequence (Higham 3.1).  Each operation is correctly rounded, so off
+# by at most u = 2^-53 relative; the second-order rest is far below the slack.
+
+#: An abscissa x + j or k/a rounds by u relative, which moves kernel_r(y) by
+#: y|r'|/r = 1/(y(y + 1) r) < 2 of that (r > 1/(2y(y + 1))) and kernel_w(y) by
+#: y|w'|/w = 2q(1 - sqrt v) < 2 (q as for ``_W_REL``).
+_ABSCISSA_REL = 2.0 * _U
+#: kernel_r from y = 1 (s = y + 1/2, t = 1/(2s), v = t^2, W/v by Horner,
+#: W = (W/v) v, 1/(2y), the difference d = 1/(2y) - W and d/s): s's rounding
+#: moves the term by (1 - 2vW'/d) u, t's by 2vW'/d u, v's and W's by vW'/d u
+#: and W/d u, W/v's by 2.3 W/d u (W/v = 1/3 + v(...) with every part positive
+#: and v(...) under 1/8 of it, so each Horner level errs by 2u plus 1/8 of the
+#: next), 1/(2y)'s by (1 + W/d) u, the difference and d/s by u each.  With
+#: vW' < 1.08 W and W/d < 0.087 (y = 1), that is (4 + 5.4 W/d) u < 4.47u,
+#: and W's truncation adds under 0.01u: 4.5u in all (3.5u measured).
+_R_REL = 4.5 * _U
+#: kernel_w from y = 1/2 is W = (W/v) v, with s = y + 1/2, t = 0.5/s and
+#: v = t^2.  With q = vW'/W, W's change per relative change of v: s's and t's
+#: roundings move v by 2u each and so W by 2qu, v's by qu; the Horner levels
+#: B_k = c_k + v B_(k+1) of W/v (each rounds c_k, a product and a sum) err by
+#: e_k <= 2u + rho_k e_(k+1), rho_k = v B_(k+1)/B_k, e_K <= u; the product
+#: (W/v) v by u.  All grow with v: at v = 1/4 (y = 1/2) q = 1.191, every
+#: rho_k < 0.239 and e_1 < 2.381u, and W cut after its 26 terms is short by
+#: 0.123u of itself (under 0.01u for the other K at their largest v): under
+#: 5q + 2.381 + 1 + 0.123 < 9.46 units (8.01 from y = 16, where K = 6), and
+#: 11.5u with the abscissa's rounding (5.2u measured, near y = 15.7).
+_W_REL = 9.5 * _U + _ABSCISSA_REL
+#: kernel_w below y = 1/2, at y = x exactly, is (x + 1/2) log1p(U) - 1 with
+#: U = 1/x rounded: U's rounding moves log1p(U) by under u, log1p errs by an
+#: ulp (2u relative), x + 1/2 <= 1 and the product round by u each, so
+#: (x + 1/2) log1p(U) = w + 1 is off by under 4(w + 1)u + u, and the
+#: difference rounds by wu: under 5(w + 1)u.  Below x ~ 5.6e-309, where U
+#: overflows, -log x takes log1p(U)'s place, off by an ulp and log1p(x) < u.
+_W_DIRECT_REL = 5.0 * _U
+
+
 def _gap_head_charges(x: float, terms: list[float]) -> list[float]:
-    # With u = 2^-53 and each operation of kernel_r off by at most u, from
-    # y = 1 (s = y + 1/2, t = 1/(2s), v = t^2, W/v by Horner, W = (W/v) v,
-    # 1/(2y), the difference d = 1/(2y) - W and d/s): s's rounding moves the
-    # term by (1 - 2vW'/d) u, t's by 2vW'/d u, v's and W's by vW'/d u and W/d u,
-    # W/v's by 2.2 W/d u (W/v = 1/3 + v(...) with every part positive and
-    # v (...) under 1/8 of it, so each Horner level errs by 2u plus 1/8 of the
-    # next), 1/(2y)'s by (1 + W/d) u, the difference and d/s by u each.  With
-    # vW' < 1.08 W and W/d < 0.087 (y = 1), that is (4 + 5.28 W/d) u < 4.46u,
-    # and W's truncation adds under 0.01u: 4.5u in all (3.5u measured).
-    # x + j rounds by u relative unless x is a multiple of 2^-49, and moves
-    # kernel_r(y) by y|r'|/r = 1/(y(y + 1) r) < 2 of that (r > 1/(2y(y + 1))).
-    # The direct form below y = 1, at y = x exactly, is U - log1p(U), U = 1/x
-    # rounded: U's rounding costs under U u = (r + L) u, log1p's (at most one
-    # ulp) 2Lu and the difference ru, with L = log1p(U) = 1/x - r: under 3u/x.
-    rel = (4.5 + 2.0 * (not (x * 2.0**49).is_integer())) * 0.5 * _EPS
+    # kernel_r at y = x + j from y = 1, where x + j rounds unless x is a
+    # multiple of 2^-49, and below y = 1 its direct form at y = x exactly,
+    # U - log1p(U), U = 1/x rounded: U's rounding costs under U u = (r + L) u,
+    # log1p's (at most one ulp) 2Lu and the difference ru, with
+    # L = log1p(U) = 1/x - r: under 3u/x.
+    rel = _R_REL + _ABSCISSA_REL * (not (x * 2.0**49).is_integer())
     if x < 1.0:
-        return [rel * math.fsum(terms[1:]), 1.5 * _EPS / x]
+        return [rel * math.fsum(terms[1:]), 3.0 * _U / x]
     return [rel * math.fsum(terms), 0.0]
 
 
@@ -498,8 +494,7 @@ def ref_binet_mu(x: float, eps: float = DEFAULT_EPS) -> ErrorBoundedValue:
     """log of the Stirling ratio Gamma(x)/(sqrt(2 pi) x^(x-1/2) e^-x)."""
     x = _check_domain(x)
     eps = _check_eps(eps)
-    out = _close(*_kernel_sum(x, _target(x, eps), kernels.kernel_w, _mu_tail, 1.0 / 360.0,
-                              _FLOAT_MID_REL))
+    out = _close(*_kernel_sum(x, _target(x, eps)))
     _ensure(out.error_radius, eps, "ref_binet_mu", x)
     return out
 
@@ -604,11 +599,15 @@ def _log_gamma_series(x: float, eps: float) -> ErrorBoundedValue:
     # log Gamma(x) = log Gamma(x+1) - log x) and z0 = x on (1, 2].
     z0 = x + 1.0 if x <= 1.0 else x
     a = z0 - 1.0
-    parts: list[float] = []
-    charges: list[float] = []
+    parts, charges = [], []
     if a > 0.0:
-        parts, charges = _kernel_sum(   # a/k - log(1 + a/k) = kernel_r(k/a)
-            1.0, eps / 16.0, kernels.kernel_r, _exact_gap_tail, a * a / 60.0, a=a)
+        count = _tail_count(1.0, eps / 16.0, a * a / 60.0)
+        # a/k - log(1 + a/k) = kernel_r(k/a), k/a >= 1, exact for a power of two.
+        parts = [kernels.kernel_r(k / a) for k in range(1, count + 1)]
+        rel = _R_REL + _ABSCISSA_REL * (math.frexp(a)[0] != 0.5)
+        mid_parts, half_width, mid_charge = _exact_gap_tail(1.0, count, a)
+        charges = [half_width, mid_charge, rel * math.fsum(parts)]
+        parts.extend(mid_parts)
         gam = ref_digamma_gap(1.0)   # the series at 1 sums to gamma
         parts.append(-gam.value * a)
         charges.append(gam.error_radius * a + 0.5 * math.ulp(gam.value * a))

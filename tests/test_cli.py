@@ -304,7 +304,7 @@ _COLD_STARTS = [
 
 @pytest.mark.parametrize("args", _COLD_STARTS)
 def test_cold_start_does_not_import_numpy(args):
-    # Only the oracle's bulk sums use numpy, and they import it themselves.
+    # Only mu's bulk sums in the oracle use numpy, and they import it themselves.
     # -X importtime lists every module imported, one per line.
     proc = _python("-X", "importtime", *args)
     assert proc.returncode in (0, 2), proc.stderr
@@ -342,3 +342,14 @@ def test_commands_that_sum_in_bulk_print_as_before(argv, expected):
     proc = _python("-m", "psibounds", *argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected
+
+
+def test_oracle_up_to_mu_bulk_does_not_import_numpy():
+    # numpy serves only mu's bulk past y = 16: psi, psi', gamma and log Gamma
+    # up to 2 (its series and the gap at 1) sum as Python floats.
+    proc = _python("-c", "import sys; from psibounds import oracle; "
+                         "oracle.ref_digamma(3.0); oracle.ref_trigamma(3.0); "
+                         "oracle.ref_euler_gamma(); oracle.ref_log_gamma(0.5); "
+                         "oracle.ref_log_gamma(1.5); print('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

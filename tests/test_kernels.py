@@ -53,54 +53,34 @@ def test_series_matches_direct_formulas(y):
 
 
 def test_poly_eval_on_arrays_matches_scalar_kernels(monkeypatch):
-    # The oracle builds its bulk terms in place, BLOCK_TERMS at a time, from
-    # W's coefficient tuple.  Each term must equal the scalar kernel at x + j
-    # exactly, in every chunk: both paths take the same IEEE operations.
+    # mu's bulk terms, kernel_w at y > 16, are built in place, BLOCK_TERMS at
+    # a time on buffers every chunk reuses, from W's K = 6 coefficient tuple.
+    # Each term must equal the scalar kernel_w at x + j exactly, in every
+    # chunk: both paths take the same IEEE operations.
     chunks = []
     bulk_terms = oracle._bulk_terms
 
-    def recording(x, a, kernel, start, stop):
-        terms = bulk_terms(x, a, kernel, start, stop)
-        chunks.append((x, a, kernel, start, terms.tolist()))
-        return terms
+    def recording(x, start, stop):
+        for k, (terms, scratch) in enumerate(bulk_terms(x, start, stop)):
+            chunks.append((x, start + k * oracle.BLOCK_TERMS, terms.tolist()))
+            yield terms, scratch
 
     monkeypatch.setattr(oracle, "_bulk_terms", recording)
-    # The gap's sums stay within one chunk; from x = 6e4 each of mu's is a
-    # full MAX_TERMS block, which crosses 3 boundaries.
-    for x in (16.0, 17.3, 6e4, 65536.37, 2.5e5, 1e6):
+    # From x = 6e4 each of mu's sums is a full MAX_TERMS block, which crosses
+    # 3 boundaries; below 16 the bulk starts after the head, at x + j > 16.
+    for x in (0.3, 15.5, 16.0, 17.3, 6e4, 65536.37, 2.5e5, 1e6):
         oracle.clear_caches()
-        oracle.ref_digamma_gap(x)
         oracle.ref_binet_mu(x)
     oracle.clear_caches()
-    oracle.ref_log_gamma(1.7)   # the r-series at k/a, a = 0.7
-    for x, a, kernel, start, terms in chunks:
-        if a == 1.0:
-            expected = [kernel(x + j) for j in range(start, start + len(terms))]
-        else:
-            expected = [kernels.kernel_r((x + j) / a)
-                        for j in range(start, start + len(terms))]
-        assert terms == expected, (x, a, start)
-    # Chunk boundaries were crossed, and the log Gamma series was summed.
-    assert sum(start > 0 and start % oracle.BLOCK_TERMS == 0 for _, _, _, start, _ in chunks) >= 10
-    assert any(a != 1.0 for _, a, _, _, _ in chunks)
-    # A dense set of fractional parts of x + j, from y = 16 on.
-    for x in (16.0 + np.geomspace(1e-9, 1e7, 2001)).tolist():
-        for kernel in (kernels.kernel_r, kernels.kernel_w):
-            terms = oracle._bulk_terms(x, 1.0, kernel, 0, 3).tolist()
-            assert terms == [kernel(x + j) for j in range(3)], x
-
-
-def test_bulk_terms_change_length_where_the_kernels_do():
-    # Below y = 16 one bulk array holds terms of all three lengths of W
-    # (K = 18 below y = 4, 9 below 16); each must still equal its scalar.
-    for x in np.linspace(1.0, 17.0, 1601).tolist() + [math.nextafter(4.0, 0.0),
-                                                       math.nextafter(16.0, 0.0)]:
-        for kernel in (kernels.kernel_r, kernels.kernel_w):
-            terms = oracle._bulk_terms(x, 1.0, kernel, 0, 20).tolist()
-            assert terms == [kernel(x + j) for j in range(20)], (kernel.__name__, x)
-    for a in np.linspace(0.01, 1.0, 100).tolist():
-        terms = oracle._bulk_terms(1.0, a, kernels.kernel_r, 0, 40).tolist()
-        assert terms == [kernels.kernel_r((1.0 + k) / a) for k in range(40)], a
+    for x, start, terms in chunks:
+        assert x + start > 16.0, (x, start)
+        assert terms == [kernels.kernel_w(x + j) for j in range(start, start + len(terms))], (x, start)
+    # Chunk boundaries were crossed.
+    assert sum(start > 0 and start % oracle.BLOCK_TERMS == 0 for _, start, _ in chunks) >= 10
+    # A dense set of fractional parts of x + j, from just above y = 16 on.
+    for x in [math.nextafter(16.0, 17.0)] + (16.0 + np.geomspace(1e-9, 1e7, 2001)).tolist():
+        terms = next(oracle._bulk_terms(x, 0, 3))[0].tolist()
+        assert terms == [kernels.kernel_w(x + j) for j in range(3)], x
 
 
 # The kernels' accuracy table, as their module docstring quotes it: most ulps
@@ -218,7 +198,7 @@ def test_w_series_takes_the_exact_coefficients_bit_for_bit():
     # W(v) = sum_{k<=K} v^k/(2k + 1), K = 26 above v = 1/9, 18 above 1/81,
     # 9 above 1/1089, else 6, by the plain Horner loop from 0: the scalar
     # straight-line stages take its operations.  The oracle's K = 6
-    # coefficients are W's (its terms equal the scalars':
+    # coefficients are W's (its bulk terms equal the scalar kernel_w's:
     # test_poly_eval_on_arrays_matches_scalar_kernels).
     def horner_loop(v):
         acc = 0.0

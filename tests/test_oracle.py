@@ -78,11 +78,13 @@ def test_ref_euler_gamma():
     ("ref_digamma", (7.5,), 7.5, "ref_digamma_gap", "_enveloped_tail"),
     ("ref_euler_gamma", (), 1.0, "ref_digamma_gap", "_enveloped_tail"),
     ("ref_log_gamma", (50.0,), 50.0, "ref_binet_mu", "_kernel_sum"),
+    ("ref_log_gamma", (1.5,), 1.0, "ref_digamma_gap", "_enveloped_tail"),
 ])
 def test_psi_gamma_and_log_gamma_take_the_cached_sums(name, args, x, summed, summing,
                                                       monkeypatch):
     # The gap and mu series are each summed in one place: psi and gamma read
-    # the gap's cache, log Gamma above 2 mu's, and no other sum runs.
+    # the gap's cache, log Gamma above 2 mu's and on (0, 2] gamma's, and no
+    # other gap or mu sum runs.
     oracle.clear_caches()
     sums = []
     real = {fn: getattr(oracle, fn) for fn in ("_enveloped_tail", "_kernel_sum")}
@@ -448,8 +450,8 @@ def test_full_bulk_block_stays_small_in_memory(name, x):
 def test_no_bulk_terms_at_abscissas_that_round_together(monkeypatch):
     # Past 2^53, x + j repeats a few doubles; at 1e19 mu's tail enclosure at
     # x itself is already far below an ulp of mu, so terms summed in bulk
-    # there would be wasted work: its tail starts at x + 16, rounded.  (The
-    # gap sums no bulk term at any x.)
+    # there would be wasted work: its tail starts at x + 16, rounded.  (Only
+    # mu sums in bulk.)
     lengths = []
     arange = np.arange
 
@@ -528,17 +530,22 @@ def _gap_series_calls():
 def test_gap_series_cost_is_bounded(monkeypatch):
     # The log Gamma series (kernel_r at step 1/a) starts its tail at
     # max(x + 16, 64, (scale/target)^0.2) with scale a^2/60 <= 1/60 and target
-    # eps/16: at most (16/(60 eps))^0.2 terms, 193 at the default 1e-12.
+    # eps/16: at most (16/(60 eps))^0.2 terms, 193 at the default 1e-12.  None
+    # of these series sums in bulk.
     bound = (16.0 / (60.0 * 1e-12)) ** 0.2
     assert 192 < bound < 193
-    calls = []
-    bulk_terms = oracle._bulk_terms
+    counts = []
+    exact_tail = oracle._exact_gap_tail
 
-    def recording(x, a, kernel, start, stop):
-        calls.append((x, a, start, stop))
-        return bulk_terms(x, a, kernel, start, stop)
+    def recording(x, count, a):
+        counts.append((a, count))
+        return exact_tail(x, count, a)
 
-    monkeypatch.setattr(oracle, "_bulk_terms", recording)
+    def boom(*args):
+        raise AssertionError("summed in bulk")
+
+    monkeypatch.setattr(oracle, "_exact_gap_tail", recording)
+    monkeypatch.setattr(oracle, "_bulk_terms", boom)
     for name, x in _gap_series_calls():
         oracle.clear_caches()
         try:
@@ -546,10 +553,8 @@ def test_gap_series_cost_is_bounded(monkeypatch):
         except ToleranceError:
             pass
     # The bound is nearly reached at a = 1 (x = 1 and x = 2).
-    assert 185 < max(stop - start for _, _, start, stop in calls) <= math.ceil(bound)
-    for x, a, start, stop in calls:
-        # One chunk per sum: none crosses a BLOCK_TERMS boundary.
-        assert start == 0 and stop <= oracle.BLOCK_TERMS and a <= 1.0, (x, a, start, stop)
+    assert 185 < max(count for _, count in counts) <= math.ceil(bound)
+    assert all(a <= 1.0 for a, _ in counts), counts
 
 
 @pytest.mark.parametrize("name", ["ref_digamma_gap", "ref_digamma", "ref_euler_gamma",
@@ -595,15 +600,31 @@ def test_gap_and_trigamma_sum_at_most_16_head_terms(name, monkeypatch):
     assert returned >= (1 if name == "ref_euler_gamma" else 200), returned
 
 
+def _mp_kernel_r(y):
+    return 1 / y - mpmath.log1p(1 / y)
+
+
+def _mp_kernel_w(y):
+    return (y + mpmath.mpf(1) / 2) * mpmath.log1p(1 / y) - 1
+
+
 def test_gap_head_terms_within_their_charges():
-    # Each head term kernel_r(x + j), x + j rounded, against 50-digit kernel_r
-    # at the exact x + j, on a dense grid of [1e-3, 16) that takes in
-    # y ~ 1.72, abscissas that do and do not round, and the direct form below
-    # 1 (here at most 3.03, 3.93 and 1.79/x of the 4.5, 6.5 and 3/x units of
-    # 2^-53 charged; 3.47 and 4.06 on denser grids).
-    xs = [10.0 ** (-3 + math.log10(16e3) * i / 3000) for i in range(3000)]
-    xs += [1.72 + k * 1e-4 for k in range(-50, 51)] + [0.5, 1.0, 1.5, 7.5, 15.0]
-    xs += [math.nextafter(v, 0.0) for v in (1.0, 2.0, 16.0)]
+    # Each term an oracle sum takes, its abscissa rounded, against 50-digit
+    # kernel_r or kernel_w at the exact abscissa, within its derived charge
+    # (the worst seen here, in units of 2^-53, against the charge):
+    #  - the gap's head, kernel_r(x + j) while x + j < 16: 3.03, 3.93 and
+    #    1.79/x against 4.5, 6.5 and 3/x (3.47 and 4.06 on denser grids);
+    #  - mu's head, kernel_w(x + j) while x + j <= 16: 5.19 against 11.5,
+    #    and 2.46 (w + 1) against 5 (w + 1) for the direct form below 1/2;
+    #  - the log Gamma series' kernel_r(k/a): 2.97 against 6.5 (4.5 where a
+    #    is a power of two and k/a exact);
+    #  - mu's bulk, kernel_w(x + j) at y > 16: 4.12 against 11.5.
+    # The grid of [1e-3, 16] takes in y ~ 1.72, y = 1/2, 1, 4 and 16, abscissas
+    # that do and do not round (x + 16 rounds to 16 at x = 2^-50), and the
+    # direct forms.
+    xs = [10.0 ** (-3 + math.log10(16e3) * i / 3000) for i in range(3001)]
+    xs += [1.72 + k * 1e-4 for k in range(-50, 51)] + [0.5, 1.0, 1.5, 4.0, 7.5, 15.0, 16.0, 2.0**-50]
+    xs += [math.nextafter(v, 0.0) for v in (0.5, 1.0, 2.0, 16.0)]
     with mpmath.workdps(50):
         for x in xs:
             terms = [kernels.kernel_r(x + j) for j in range(16 - math.floor(x))]
@@ -615,7 +636,26 @@ def test_gap_head_terms_within_their_charges():
                 else:
                     charge = oracle._gap_head_charges(x, [*terms[:x < 1.0], term])[0]
                 y = mpmath.mpf(x) + j
-                assert abs(term - (1 / y - mpmath.log1p(1 / y))) <= charge, (x, j)
+                assert abs(term - _mp_kernel_r(y)) <= charge, ("gap", x, j)
+            j = 0
+            while x + j <= 16.0:
+                term = kernels.kernel_w(x + j)
+                charge = (oracle._W_DIRECT_REL * (term + 1.0) if x + j < 0.5
+                          else oracle._W_REL * term)
+                assert abs(term - _mp_kernel_w(mpmath.mpf(x) + j)) <= charge, ("mu", x, j)
+                j += 1
+    for a in (2.0**-52, 1e-3, 0.3, 0.5, 0.999, 1.0):
+        count = oracle._tail_count(1.0, 1e-12 / 16.0, a * a / 60.0)
+        rel = oracle._R_REL + (oracle._ABSCISSA_REL if a in (0.3, 1e-3, 0.999) else 0.0)
+        for k in range(1, count + 1):
+            term = kernels.kernel_r(k / a)
+            with mpmath.workdps(50 + 2 * math.ceil(math.log10(k / a))):
+                exact = _mp_kernel_r(mpmath.mpf(k) / mpmath.mpf(a))
+            assert abs(term - exact) <= rel * term, ("log Gamma", a, k)
+    with mpmath.workdps(62):
+        for x in [math.nextafter(16.0, 17.0)] + [16.0 * 62500.0 ** (i / 1000) for i in range(1, 1001)]:
+            for j, term in enumerate(next(oracle._bulk_terms(x, 0, 3))[0].tolist()):
+                assert abs(term - _mp_kernel_w(mpmath.mpf(x) + j)) <= oracle._W_REL * term, ("bulk", x, j)
 
 
 # -- mu: a double midpoint, so its start also fits the midpoint's charge -------
@@ -628,18 +668,27 @@ _MU_FLOOR_START = math.floor(oracle._FLOAT_MID_REL / (12.0 * 1e-26))
 
 
 def _record_kernel_sums(monkeypatch):
-    # (x, target, kernel, trunc_scale, count, tail midpoint) of every kernel sum.
+    # [x, target, count, tail midpoint] of every mu sum.
     sums = []
-    kernel_sum = oracle._kernel_sum
+    kernel_sum, tail_count, mu_tail = oracle._kernel_sum, oracle._tail_count, tails.mu_tail
 
-    def recording(x, target, kernel, tail, trunc_scale, *args, **kwargs):
-        def recording_tail(x_, count, a):
-            out = tail(x_, count, a)
-            sums.append((x, target, kernel, trunc_scale, count, math.fsum(out[0])))
-            return out
-        return kernel_sum(x, target, kernel, recording_tail, trunc_scale, *args, **kwargs)
+    def recording(x, target):
+        sums.append([x, target])
+        return kernel_sum(x, target)
+
+    def recording_count(*args):
+        count = tail_count(*args)
+        sums[-1].append(count)
+        return count
+
+    def recording_tail(y):
+        out = mu_tail(y)
+        sums[-1].append(out[0])
+        return out
 
     monkeypatch.setattr(oracle, "_kernel_sum", recording)
+    monkeypatch.setattr(oracle, "_tail_count", recording_count)
+    monkeypatch.setattr(tails, "mu_tail", recording_tail)
     return sums
 
 
@@ -657,12 +706,11 @@ def test_mu_series_cost_is_bounded(monkeypatch):
     for x in xs:
         oracle.clear_caches()
         oracle.ref_binet_mu(x)
-    mu = [s for s in sums if s[2] is kernels.kernel_w]
-    assert len(mu) == len(sums) == len(xs), (len(mu), len(sums))
+    assert len(sums) == len(xs), len(sums)
     capped = 0
-    for x, target, _, trunc_scale, count, mid in mu:
+    for x, target, count, mid in sums:
         assert target == oracle._target(x, 1e-12), x
-        start = max(_three_term_start(x, target, trunc_scale),
+        start = max(_three_term_start(x, target, 1.0 / 360.0),
                     min(8.0 * x / 3.0, x + oracle.MAX_TERMS))
         # 2^-50 covers the roundings of the target and of the fourth term.
         assert count <= math.ceil((start - x) * (1.0 + 2.0**-50)), (x, count)
@@ -781,7 +829,7 @@ def test_exact_split_keeps_the_correctly_rounded_sum(n, seed, top, span, zeros, 
         terms[rng.random(n) < 0.5] *= -1.0
     assert np.all(np.abs(terms) <= 0.5)
     expected = math.fsum(terms.tolist())
-    assert _same_float(math.fsum(oracle._exact_split(terms.copy())), expected)
+    assert _same_float(math.fsum(oracle._exact_split(terms.copy(), np.empty(n))), expected)
 
 
 def test_exact_split_edge_values():
@@ -790,15 +838,16 @@ def test_exact_split_edge_values():
              [0.5 - 2.0**-54, 2.0**-55, 2.0**-108]]
     for values in cases:
         arr = np.array(values)
-        assert _same_float(math.fsum(oracle._exact_split(arr)), math.fsum(values)), values
-    assert oracle._exact_split(np.zeros(3)) == []
+        assert _same_float(math.fsum(oracle._exact_split(arr, np.empty_like(arr))),
+                           math.fsum(values)), values
+    assert oracle._exact_split(np.zeros(3), np.empty(3)) == []
 
 
 @pytest.mark.parametrize("bad", [0.75, -1.0, math.inf, math.nan])
 def test_exact_split_checks_its_invariant(bad):
     # Beyond |p| <= 1/2 sigma could overflow; the bulk terms never get there.
     with pytest.raises(ValueError):
-        oracle._exact_split(np.array([0.1, bad]))
+        oracle._exact_split(np.array([0.1, bad]), np.empty(2))
 
 
 _SERIES_X = [1e-3, 1.0, 15.9, 16.0, 100.0, 2e3, 5e3, 6.7e3, 1e4, 3e4, 5e4, 2e5, 1e6, 1e20,
@@ -806,52 +855,50 @@ _SERIES_X = [1e-3, 1.0, 15.9, 16.0, 100.0, 2e3, 5e3, 6.7e3, 1e4, 3e4, 5e4, 2e5, 
 #: mu's blocks here are a full one (1e5) and two just below _MU_FLOOR_START
 #: that span two and three chunks and end in one shorter than BLOCK_TERMS:
 #: above SPLIT_MIN_TERMS (45000 terms, the last 12232) and below it (65700,
-#: the last 164).  The log Gamma series' exact tail keeps its sums within one
-#: chunk.
+#: the last 164).
 _CHUNKED_X = [1e5, _MU_FLOOR_START - 44999.0, _MU_FLOOR_START - 65699.0]
-#: The refs whose kernel sums cover the two series: mu (also through log
-#: Gamma above 2) and, for x <= 2, the log Gamma series.
+#: The refs that sum mu: itself and log Gamma above 2.
 _SERIES_REFS = ("ref_binet_mu", "ref_log_gamma")
 
 
 @pytest.mark.parametrize("split_min", [1, oracle.SPLIT_MIN_TERMS])
 def test_kernel_sums_equal_fsum_over_the_full_term_list(split_min, monkeypatch):
-    # Each kernel sum's value against fsum over its head terms, all its bulk
-    # chunks as Python floats and its tail midpoint's parts; with
-    # split_min = 1 every bulk chunk goes through the split.
+    # Each mu sum's value against fsum over its head terms, all its bulk
+    # chunks as Python floats and its tail midpoint; with split_min = 1 every
+    # bulk chunk goes through the split.
     sums = []
-    real_split, real_bulk_terms, real_kernel_sum = (
-        oracle._exact_split, oracle._bulk_terms, oracle._kernel_sum)
+    real_split, real_bulk_terms, real_kernel_sum, real_tail = (
+        oracle._exact_split, oracle._bulk_terms, oracle._kernel_sum, tails.mu_tail)
 
     def recording_bulk_terms(*args):
-        terms = real_bulk_terms(*args)
-        sums[-1]["bulk"].extend(terms.tolist())
-        sums[-1]["chunks"].append(terms.size)
-        return terms
+        for terms, scratch in real_bulk_terms(*args):
+            sums[-1]["bulk"].extend(terms.tolist())
+            sums[-1]["chunks"].append(terms.size)
+            yield terms, scratch
 
-    def recording_split(arr):
+    def recording_split(arr, scratch):
         sums[-1]["split_terms"] += arr.size
-        taus = real_split(arr)
+        taus = real_split(arr, scratch)
         sums[-1]["taus"] += len(taus)
         return taus
 
-    def recording_kernel_sum(x, target, kernel, tail, *args, **kwargs):
+    def recording_tail(y):
+        out = real_tail(y)
+        sums[-1]["tail"] = [out[0]]
+        return out
+
+    def recording_kernel_sum(x, target):
         record = {"bulk": [], "chunks": [], "split_terms": 0, "taus": 0}
         sums.append(record)
-
-        def recording_tail(*tail_args):
-            out = tail(*tail_args)
-            record["tail"] = list(out[0])
-            return out
-
-        parts, charges = real_kernel_sum(x, target, kernel, recording_tail, *args, **kwargs)
-        record["out"] = list(parts), list(charges)   # callers extend them
+        parts, charges = real_kernel_sum(x, target)
+        record["out"] = list(parts), list(charges)
         return parts, charges
 
     monkeypatch.setattr(oracle, "SPLIT_MIN_TERMS", split_min)
     monkeypatch.setattr(oracle, "_exact_split", recording_split)
     monkeypatch.setattr(oracle, "_bulk_terms", recording_bulk_terms)
     monkeypatch.setattr(oracle, "_kernel_sum", recording_kernel_sum)
+    monkeypatch.setattr(tails, "mu_tail", recording_tail)
     split_sums = full_length = 0
     for x in _SERIES_X + _CHUNKED_X + [1.5, 2.0]:
         for name in _SERIES_REFS:
