@@ -15,7 +15,8 @@ t = 1/(2x + 1) through one series V and do not cancel: from 1 and from 16,
 f is within 1.0 and 0.9 ulps, beta 0.8 and 0.5, H 3.1 and 2.4, P 5.1 and 4.4
 (tests/test_bounds.py).  P takes it from x = 1/2 (5.2 ulps on [1/2, 1)), and
 p in t = x/(x + 2) up to x = 2 (6.7 on (1, 2]).  theta up to t = 1/16 takes
-its own series.
+its own series, and up to 4 a form in z = ((1 + t)^(1/3) - 1)/((1 + t)^(1/3) + 1)
+that does not cancel.
 """
 
 from __future__ import annotations
@@ -379,7 +380,10 @@ def aux_theta(t: float) -> float:
     """theta(t) = h(t) - t^2 / (2 (t+1)^(2/3)): equals 0 at 0, negative after.
 
     Up to t = 1/16, where the difference cancels, its series -t^4/36 + ...
-    through t^17 (exact coefficients; truncated below 5e-17 relative).
+    through t^17 (exact coefficients; truncated below 5e-17 relative).  Up to
+    4, with s = (1 + t)^(1/3), d = s - 1 = t/(s^2 + s + 1) and z = d/(s + 1),
+    exactly -d^4 ((s + 1)/s)^2 (z^2 + 3) c/32 - 6z^5 V(z^2) (V of ``_shifted_atanh``),
+    c = z^3 - 2z^2 - z + 6 in [4, 6]: no cancellation.  Then the direct form.
     """
     t = _check_nonnegative(t)
     if t <= 0.0625:
@@ -388,6 +392,13 @@ def aux_theta(t: float) -> float:
                 + 16311749/186535791) * t - 1648631/19131876) * t + 1480892/17537553) * t
                 - 24238/295245) * t + 1553/19683) * t - 3911/52488) * t + 349/5103) * t
                 - 29/486) * t + 19/405) * t - 1/36) * t**4.0 + 0.0)   # + 0.0: theta(0) = +0
+    if t <= 4.0:
+        s = (1.0 + t) ** (1.0 / 3.0)
+        d = t / ((s + 1.0) * s + 1.0)
+        z = d / (s + 1.0)
+        v = z * z
+        return (-(d * d) ** 2 * ((s + 1.0) / s) ** 2 * (v + 3.0)
+                * (((z - 2.0) * z - 1.0) * z + 6.0) / 32.0 - 6.0 * v * v * z * _shifted_atanh(v))
     # t * (t / ...), as t^2 / ... overflows from t ~ 1.3e154; theta from 2.6e231.
     return _finite(aux_h(t) - t * (0.5 * t / (t + 1.0) ** (2.0 / 3.0)), f"theta({t!r})")
 

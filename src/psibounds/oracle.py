@@ -5,8 +5,9 @@ implementation: it only sums the defining series and encloses their tails.
 The gap and psi' sum their terms while x + j < 16 and take the tail at the
 exact y = x + count as gap(y) or psi'(y), by that function's enveloping
 Bernoulli series (DLMF 5.11.2, 5.15.8; Section 5.11(ii)), with the B_2k
-derived here as integers (``_bernoulli``).  The log Gamma series' tail is an
-Euler-Maclaurin pair, and mu's tail mu's own enveloping Stirling series
+derived here as integers (``_bernoulli``).  The log Gamma series' tail is
+its complete Euler-Maclaurin series, which envelopes too, with the same
+B_2k, and mu's tail mu's own enveloping Stirling series
 (:mod:`psibounds.tails`).  Each result carries an ``error_radius`` that
 accounts for
 
@@ -18,16 +19,12 @@ accounts for
     direct form below 1, kernel_w's W from y = 1/2 and its direct form below
     1/2 (mu), and psi''s (x + j)^-2; 4 ulps for mu's tail midpoint, a double
     (``_FLOAT_MID_REL``), while the gap's and psi''s tails are exact to about
-    2^-72 of themselves and the log Gamma series' to about 2^-76, each
+    2^-72 of themselves and the log Gamma series' to about 2^-74, each
     charged that (``_enveloped_tail``, ``_exact_gap_tail``), and
   * the final exactly-rounded summation (``math.fsum``), half an ulp.
 
 The tests check ``|value - reference| <= error_radius``, and each per-term
 charge on single terms, against 50-digit references.
-
-Requests below ``EPS_FLOOR`` fail loudly instead of returning an optimistic
-radius, as do requests that the argument's own representation cannot honour
-(e.g. an absolute 1e-12 on trigamma near 0, where the value is ~1e6).
 
 mu, sum kernel_w(x + j) (DLMF 5.11.1), sums its terms while x + j <= 16 as
 Python floats, then its bulk from y > 16 (W's K = 6) in numpy, the package's
@@ -48,32 +45,29 @@ form cancels near the zeros at 1 and 2, so the series at 1 + a serves there.
 Each series is summed in one place: psi and gamma take the cached gap, log
 Gamma above 2 the cached mu.
 
-The gap and psi' are computed once per x, whatever eps: eps only decides
-whether the radius is refused.  Each kernel series is summed to a half-width
-``target``: a quarter ulp of ~1/(2x) (within [1e-26, eps/4]) for mu, and
-eps/16 for the log Gamma series.  Its tail starts where the enclosure width
-(~ scale / m^5) fits within the target and, for mu's double midpoint charged
-mid_rel = 4 ulps of itself, below mu(m) < 1/(12m), where that charge fits too:
-m >= max(x + 16, 64, (scale/target)^0.2, min(mid_rel/(12 target), x + MAX_TERMS)).
-The log Gamma series' exact midpoint has no such term.
+Every value and radius is a function of x alone, and eps only decides a
+refusal (``ToleranceError``): below ``EPS_FLOOR``, where the radius exceeds
+eps (as an absolute 1e-12 does on trigamma near 0, where the value is ~1e6)
+and, before any sum, where half an ulp of a known lower bound of the value
+does: 1/(2x) for the gap (it overflows for subnormal x), 1/x^2 for trigamma
+and the Stirling part (mu > 0) for log Gamma.  mu is summed to a half-width
+``_target(x)``, a quarter ulp of ~1/(2x) within [1e-26, EPS_FLOOR/4] (the
+tightest any accepted eps asks for): its tail starts at the m where the
+enclosure (~ 1/(360 m^5)) and its double midpoint's charge (4 ulps of
+mu(m) < 1/(12m)) fit that, or at x + MAX_TERMS (``_tail_count``).
 
 Cost is bounded, not linear in x.  The gap and psi' sum at most 16 head
 terms, none from x = 16, and at most 11 terms of their tail series (at
-y = 16; 5 at y = 100), so each takes tens of microseconds at any x.
-The log Gamma series, at step 1/a, has at most (16/(60 eps))^0.2 terms, 193
-at eps = 1e-12.  mu's midpoint term is 8x/3 (to within its rounding) for
-the quarter-ulp target; it exceeds the enclosure's from x ~ 930, and mu then
-sums about 5x/3 terms.  From x = 6e4 the cap x + ``MAX_TERMS`` (1e5) binds.
-From x ~ 2.8e9 the target sits at its 1e-26 floor and the term is a constant
-7.4e9, so the cap binds up to x ~ 7.4e9 - 1e5, and from x ~ 7.4e9 the term
-falls below x.  mu's tail starts at x + 16, rounded, from there, and past
-2^53 at most 16 bulk terms sit at abscissas that round together.
-
-Refusals known from the value's magnitude are decided before any sum: the
-radius charges half an ulp of the value, so where the value is known to
-exceed some v with half an ulp of v above eps, no sum could help.  The gap
-exceeds 1/(2x) (which overflows for subnormal x), trigamma 1/x^2 and
-log Gamma its Stirling part (mu > 0).
+y = 16; 5 at y = 100), so each takes tens of microseconds at any x.  The
+log Gamma series, at step 1/a, sums its terms k = 1 ... 15 and 11
+Euler-Maclaurin corrections of its tail at every a.  mu's midpoint term is
+8x/3 (to within its rounding) for the quarter-ulp target; it exceeds the
+enclosure's from x ~ 930, and mu then sums about 5x/3 terms.  From x = 6e4
+the cap x + ``MAX_TERMS`` (1e5) binds.  From x ~ 2.8e9 the target sits at
+its 1e-26 floor and the term is a constant 7.4e9, so the cap binds up to
+x ~ 7.4e9 - 1e5, and from x ~ 7.4e9 the term falls below x.  mu's tail
+starts at x + 16, rounded, from there, and past 2^53 at most 16 bulk terms
+sit at abscissas that round together.
 """
 
 from __future__ import annotations
@@ -176,32 +170,33 @@ def _ensure_above(floor: float, eps: float, what: str, x: float) -> None:
     _ensure(0.5 * math.ulp(floor * (1.0 - 2.0**-48)), eps, what, x)
 
 
-def _target(x: float, eps: float) -> float:
-    # A quarter ulp of ~1/(2x) (mu is below it), capped at eps/4: no sum
-    # needs to be tighter than the value it feeds.
+def _target(x: float) -> float:
+    # A quarter ulp of ~1/(2x) (mu is below it), capped at EPS_FLOOR/4: no
+    # accepted eps asks for a tighter sum than that.
     magnitude = max(0.5 / x, 1e-10)
-    return max(min(eps / 4.0, 0.25 * _EPS * magnitude), 1e-26)
+    return max(min(EPS_FLOOR / 4.0, 0.25 * _EPS * magnitude), 1e-26)
 
 
-def _tail_count(x: float, target: float, trunc_scale: float, mid_rel: float = 0.0) -> int:
-    # Terms before the tail.  It starts where the enclosure width
-    # (~ trunc_scale / m^5) fits the target and, for mu's double midpoint
-    # charged mid_rel of itself (mu(m) < 1/(12m)), where that charge fits
-    # too, or at x + MAX_TERMS.
-    m_tail = max(x + 16.0, 64.0, (trunc_scale / target) ** 0.2,
-                 min(mid_rel / (12.0 * target), x + MAX_TERMS))
+def _tail_count(x: float) -> int:
+    # Terms of mu before its tail.  It starts where the enclosure width
+    # (~ 1/(360 m^5)) fits the target and, for the double midpoint charged
+    # _FLOAT_MID_REL of itself (mu(m) < 1/(12m)), where that charge fits too,
+    # or at x + MAX_TERMS.
+    target = _target(x)
+    m_tail = max(x + 16.0, 64.0, (1.0 / 360.0 / target) ** 0.2,
+                 min(_FLOAT_MID_REL / (12.0 * target), x + MAX_TERMS))
     return int(math.ceil(m_tail - x))
 
 
-def _kernel_sum(x: float, target: float):
-    """Parts and charges of mu(x) = sum_j kernel_w(x + j) to about half-width ``target``.
+def _kernel_sum(x: float):
+    """Parts and charges of mu(x) = sum_j kernel_w(x + j) to about half-width ``_target(x)``.
 
     The head terms while x + j <= 16 come from the scalar ``kernel_w`` (y = 16.0
     itself takes K = 9: v = (0.5/16.5)^2 rounds above the double 1/1089), the
     bulk from y > 16 in numpy, and the tail mu(x + count) from ``tails.mu_tail``,
     its double midpoint charged ``_FLOAT_MID_REL`` of itself (see ``_tail_count``).
     """
-    count = _tail_count(x, target, 1.0 / 360.0, _FLOAT_MID_REL)
+    count = _tail_count(x)
     parts: list[float] = []
     while (y := x + len(parts)) <= 16.0:
         parts.append(kernels.kernel_w(y))
@@ -216,54 +211,6 @@ def _kernel_sum(x: float, target: float):
     parts.append(mid)
     return parts, [half_width, _FLOAT_MID_REL * mid, _W_REL * w_sum,
                    *(_W_DIRECT_REL * (w + 1.0) for w in direct)]
-
-
-def _exact_gap_tail(x: float, count: int, a: float):
-    """sum_{j>=count} kernel_r((x + j)/a) by ``tails``' Euler-Maclaurin pair
-    (step h = 1/a), evaluated at the exact y = k/a, k = x + count, in binary
-    fixed point: Python integers in units of 2^-b, with the midpoint over
-    2^76 units.
-
-    Returns the midpoint as two doubles, hi + lo, the half-width rounded up to
-    a double, and the midpoint's derived charge: the floors' errors and what
-    hi + lo leave of the midpoint (nothing, unless they are subnormal).
-    Requires k >= 64 and a <= 1, as the log Gamma series' tail has.
-    """
-    p, q = x.as_integer_ratio()
-    pa, qa = a.as_integer_ratio()
-    kq = p + count * q                               # (x + count) q
-    num, den = kq * qa, q * pa                       # y = num/den
-    b = 80 + num.bit_length() - den.bit_length() + qa.bit_length() - pa.bit_length()
-    one = 1 << b
-    t = (den << b) // (2 * num + den)                # t = 1/(2y + 1)
-    r = (den << b) // num                            # r = 1/y
-    rho = (q << b) // kq                             # rho = 1/k = r/h
-    v = t * t >> b
-    w, power, d = 0, v, 1
-    while power:                                     # W(v) = sum v^j/(2j + 1)
-        d += 2
-        w += power // d
-        power = power * v >> b
-    rho2 = rho * rho >> b
-    rho3 = rho2 * rho >> b
-    q1 = one + r
-    a2_num, a2_den = pa * pa, qa * qa
-    em_hi = ((t + w + (t * w >> b)) * pa // qa       # a kernel_s(y) = a((W + t) + tW)
-             + (t * (r - 2 * w) >> (b + 1))          # kernel_r(y)/2 = t(1/y - 2W)/2
-             # h |f'(y)|/12 = h r^3/(12(1 + r)) = a^2 rho^3/(12(1 + r))
-             + (rho3 << b) // q1 * a2_num // (12 * a2_den))
-    # h^3 |f'''(y)|/1440 = h^3 r^5 (6 + 8r + 3r^2)/(720 (1 + r)^3), with h^3 r^5 = a^2 rho^5
-    half = ((rho3 * rho2 >> b) * (3 * (r * r >> b) + 8 * r + 6 * one)
-            // (q1 * q1 * q1 >> 2 * b) * a2_num // (720 * a2_den))
-    # Each floor errs by under one unit.  With t <= 1/129 and r, rho <= 1/64
-    # the errors carried are: v and each power of v under 1.02, so W under
-    # 1.34n + 0.34 for its n = (d - 1)/2 terms (the rest of the series is
-    # under 0.34 once a power floors to 0); the three terms of em_hi under
-    # 3.4 + 1.36n, 1.1 + 0.02n and 1.2; half under 1.1.  So mid is under
-    # 7 + 2n = 6 + d units off.
-    mid, rest = _two_doubles(em_hi - half, b)
-    return (mid, math.nextafter((half + 2) / one, math.inf),
-            math.nextafter((6 + d + rest) / one, math.inf))
 
 
 def _bernoulli(n: int) -> list[tuple[int, int]]:
@@ -338,6 +285,56 @@ def _enveloped_tail(x: float, count: int, series):
     m = len(kept)
     return (mid, math.nextafter(term / (2 << b), math.inf),
             math.nextafter((2 * len(lead) + (m + 1) * (m + 2) + rest) / (2 << b), math.inf))
+
+
+def _exact_gap_tail(a: float):
+    """sum_{k>=16} kernel_r(k/a), a in (0, 1], by its complete Euler-Maclaurin
+    series at the exact y = 16/a >= 16, in binary fixed point: Python integers
+    in units of 2^-b, the midpoint over 2^76 units.
+
+    That is a kernel_s(y) + kernel_r(y)/2 plus the corrections
+    T_j = B_2j/(2j)! a^(1-2j) |r^(2j-1)(y)| (r = kernel_r), each exact as
+    B_2j/(2j(2j - 1)) [(2j - 1) a/16^2j + (16 + a)^(1-2j) - 16^(1-2j)] and floored
+    once.  r is completely monotone, so they envelope (DLMF 2.10(i); checked
+    in the tests), and as in ``_enveloped_tail`` the tail stops at the first
+    under 4 units (or the last of ``_B2K``): returns hi + lo, the half-width
+    and the midpoint's charge.
+    """
+    pa, qa = a.as_integer_ratio()
+    num, big_k = 16 * qa, 16 * qa + pa               # y = num/pa, 16 + a = big_k/qa
+    b = 80 + num.bit_length() - pa.bit_length() + qa.bit_length() - pa.bit_length()
+    t = (pa << b) // (2 * num + pa)                  # t = 1/(2y + 1)
+    r = (pa << b) // num                             # r = 1/y
+    v = t * t >> b
+    w, power, d = 0, v, 1
+    while power:                                     # W(v) = sum v^j/(2j + 1)
+        d += 2
+        w += power // d
+        power = power * v >> b
+    total = ((t + w + (t * w >> b)) * pa // qa       # a kernel_s(y) = a((W + t) + tW)
+             + (t * (r - 2 * w) >> (b + 1)))         # kernel_r(y)/2 = t(1/y - 2W)/2
+    # With n = 2j - 1 and K = 16 qa + pa,
+    # T_j = B_2j ((n pa - 16 qa) K^n + (16 qa)^(n+1))/(2j n qa 16^(n+1) K^n).
+    kept, big_k_n = [], big_k
+    for j, (b_num, b_den) in enumerate(_B2K, 1):
+        n = 2 * j - 1
+        term = ((abs(b_num) * ((n * pa - num) * big_k_n + num ** (n + 1)) << b)
+                // (b_den * 2 * j * n * qa * 16 ** (n + 1) * big_k_n))
+        if term < 4 or j == len(_B2K):
+            break
+        kept.append(term)
+        big_k_n *= big_k * big_k
+    # Each floor errs by under one unit.  With t <= 1/33, r <= 1/16 and
+    # v <= 1/1089 at y >= 16: v and each power of v are under 1.07 off, so W is
+    # under 1.36n + 0.36 off for its n = (d - 1)/2 terms (the rest of the series
+    # is under 0.36 once a power floors to 0); a kernel_s(y) under
+    # 3.38 + 1.41n, kernel_r(y)/2 under 1.06 + 0.05n; each T_j kept under 1,
+    # and the omitted one under 1 between the midpoint and the half-width.
+    # So the two are under 5 + d + m units off, m = len(kept).
+    omitted = -term if len(kept) % 2 else term
+    mid, rest = _two_doubles(2 * (total + sum(kept[::2]) - sum(kept[1::2])) + omitted, b + 1)
+    return (mid, math.nextafter(term / (2 << b), math.inf),
+            math.nextafter((10 + 2 * (d + len(kept)) + rest) / (2 << b), math.inf))
 
 
 def _two_doubles(mid: int, b: int) -> tuple[list[float], int]:
@@ -494,7 +491,7 @@ def ref_binet_mu(x: float, eps: float = DEFAULT_EPS) -> ErrorBoundedValue:
     """log of the Stirling ratio Gamma(x)/(sqrt(2 pi) x^(x-1/2) e^-x)."""
     x = _check_domain(x)
     eps = _check_eps(eps)
-    out = _close(*_kernel_sum(x, _target(x, eps)))
+    out = _close(*_kernel_sum(x))
     _ensure(out.error_radius, eps, "ref_binet_mu", x)
     return out
 
@@ -568,7 +565,7 @@ def ref_log_gamma(x: float, eps: float = DEFAULT_EPS) -> ErrorBoundedValue:
     """
     x = _check_domain(x)
     eps = _check_eps(eps)
-    out = _log_gamma_series(x, eps) if x <= 2.0 else _log_gamma_stirling(x, eps, "ref_log_gamma")
+    out = _log_gamma_series(x) if x <= 2.0 else _log_gamma_stirling(x, eps, "ref_log_gamma")
     _ensure(out.error_radius, eps, "ref_log_gamma", x)
     return out
 
@@ -593,7 +590,7 @@ def _log_gamma_stirling(x: float, eps: float, what: str) -> ErrorBoundedValue:
     return _close([mu.value, product, -x, _HALF_LOG_TWO_PI], [*charges, mu.error_radius])
 
 
-def _log_gamma_series(x: float, eps: float) -> ErrorBoundedValue:
+def _log_gamma_series(x: float) -> ErrorBoundedValue:
     # log Gamma(1+a) = -gamma a + sum_{k>=1} [a/k - log(1+a/k)] for
     # a = z0 - 1 in (0, 1], with z0 = x + 1 for x <= 1 (then
     # log Gamma(x) = log Gamma(x+1) - log x) and z0 = x on (1, 2].
@@ -601,11 +598,10 @@ def _log_gamma_series(x: float, eps: float) -> ErrorBoundedValue:
     a = z0 - 1.0
     parts, charges = [], []
     if a > 0.0:
-        count = _tail_count(1.0, eps / 16.0, a * a / 60.0)
         # a/k - log(1 + a/k) = kernel_r(k/a), k/a >= 1, exact for a power of two.
-        parts = [kernels.kernel_r(k / a) for k in range(1, count + 1)]
+        parts = [kernels.kernel_r(k / a) for k in range(1, 16)]
         rel = _R_REL + _ABSCISSA_REL * (math.frexp(a)[0] != 0.5)
-        mid_parts, half_width, mid_charge = _exact_gap_tail(1.0, count, a)
+        mid_parts, half_width, mid_charge = _exact_gap_tail(a)
         charges = [half_width, mid_charge, rel * math.fsum(parts)]
         parts.extend(mid_parts)
         gam = ref_digamma_gap(1.0)   # the series at 1 sums to gamma

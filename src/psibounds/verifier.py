@@ -19,7 +19,7 @@ from typing import Callable
 
 from . import bounds, oracle, specfun
 from .bounds import BoundFamily, Interval
-from .errors import DEFAULT_EPS, DomainError, ToleranceError, UndecidedComparisonError
+from .errors import DEFAULT_EPS, DomainError, UndecidedComparisonError
 
 STRICTNESS_FACTOR = 10.0
 BOUND_ULPS = 4.0
@@ -153,8 +153,7 @@ def _log_gamma_plus_one(x: float, eps: float) -> oracle.ErrorBoundedValue:
         return out
     radius = math.nextafter(
         out.error_radius + abs(e) * max(0.5773, math.log(s + 1.0)), math.inf)
-    if radius > eps:
-        raise ToleranceError(f"log Gamma({x!r} + 1): radius {radius:.3e} exceeds {eps:.3e}")
+    oracle._ensure(radius, eps, "log_gamma_plus_one", x)
     return oracle.ErrorBoundedValue(out.value, radius)
 
 
@@ -174,16 +173,12 @@ _TARGET_ROWS = {
 
 def _oracle_target(row: _TargetRow, x: float, eps: float) -> oracle.ErrorBoundedValue:
     # Large arguments can have representation floors above eps (log-gamma at
-    # 1e4 occupies ~1.5e-11 per ulp); relax in decades and keep the honest
-    # radius, which is what the strictness rule consumes.
-    current = eps
-    while True:
-        try:
-            return row.oracle(x, current)
-        except ToleranceError:
-            current *= 10.0
-            if current > 1e-3:
-                raise
+    # 1e4 occupies ~1.5e-11 per ulp).  An oracle value and radius do not depend
+    # on eps, so ask once, at the loosest decade eps 10^k <= 1e-3, and keep the
+    # honest radius, which is what the strictness rule consumes.
+    while 0.0 < eps * 10.0 <= 1e-3:   # eps <= 0 goes on to the oracle's DomainError
+        eps *= 10.0
+    return row.oracle(x, eps)
 
 
 def _check_grid_domain(grid: GridSpec, families) -> None:
@@ -248,15 +243,12 @@ def compare(grid: GridSpec, families: list[BoundFamily], side: str,
     row = _TARGET_ROWS[kinds.pop()]
     rows = []
     for x in grid.abscissae():
+        target = None if side == "width" else _oracle_target(row, x, eps).value
         gaps = {}
         for f in families:
             interval = row.bounds(x, f)
-            if side == "width":
-                gaps[f] = interval.width
-            else:
-                target = _oracle_target(row, x, eps)
-                bound = interval.lower if side == "lower" else interval.upper
-                gaps[f] = abs(bound - target.value)
+            gaps[f] = (interval.width if target is None else
+                       abs((interval.lower if side == "lower" else interval.upper) - target))
         rows.append(ComparisonRow(x=x, gap_by_family=gaps))
     return rows
 

@@ -463,11 +463,19 @@ def _mp_p(m, mp):
     return mp.log1p(m) - (m * m + 6 * m) / (4 * m + 6)
 
 
+def _mp_theta(m, mp):
+    # theta ~ t^4/36 cancels its ~t^2/2 parts below t = 1: 3 log10(1/t) digits.
+    with mp.extradps(30 + 3 * max(0, -math.floor(math.log10(m)))):
+        return m - mp.log1p(m) - m * m / (2 * (m + 1) ** (mp.mpf(2) / 3))
+
+
 # The accuracy table of f, beta, H and P, as the bounds module docstring
 # quotes it: most ulps off (40 + 6 log10 x)-digit mpmath (H ~ 1/x^5 cancels
 # five times log10 x digits of its ~1/x terms) on 1000 log points of [1, 16),
 # of [16, 1e60] and, for f, of [16, 1.8e308]; also P on [1/2, 1) and p on
-# (1, 2], where their t-series take V's 30 terms.
+# (1, 2], where their t-series take V's 30 terms; and theta on each of its
+# forms: the series up to 1/16, the z-form on (1/16, 1] and [1, 4], and the
+# direct form on (4, 26] and [26, 1e6].
 _HALF_TO_ONE = _log_points(0.5, math.nextafter(1.0, 0.0), 1000)
 _ONE_TO_TWO = _log_points(math.nextafter(1.0, 2.0), 2.0, 1000)
 _ONE_TO_16 = _log_points(1.0, math.nextafter(16.0, 0.0), 1000)
@@ -485,6 +493,11 @@ _AUX_ACCURACY_TABLE = [
     ("aux_big_p", _mp_big_p, _FROM_16, 4.4),
     ("aux_big_p", _mp_big_p, _HALF_TO_ONE, 5.2),
     ("aux_p", _mp_p, _ONE_TO_TWO, 6.7),
+    ("aux_theta", _mp_theta, _log_points(1e-3, 1.0 / 16.0, 1000), 2.4),
+    ("aux_theta", _mp_theta, _log_points(math.nextafter(1.0 / 16.0, 1.0), 1.0, 1000), 11.2),
+    ("aux_theta", _mp_theta, _log_points(1.0, 4.0, 1000), 9.0),
+    ("aux_theta", _mp_theta, _log_points(math.nextafter(4.0, 5.0), 26.0, 1000), 14.3),
+    ("aux_theta", _mp_theta, _log_points(26.0, 1e6, 1000), 6.1),
 ]
 
 
@@ -587,8 +600,9 @@ def test_thm23_at_tiny_x():
 
 
 def test_theta_sign_and_relative_error():
-    # theta < 0 after 0.  Up to t = 1/16 it is a series in t; above, the
-    # direct difference cancels toward 1/16 (within 4.1e-12 measured).
+    # theta < 0 after 0.  Up to t = 1/16 it is a series in t, up to 4 a form
+    # in z that does not cancel, and above that the direct difference (the
+    # accuracy table pins each in ulps).
     # theta is a normal double on about [2.9e-77, 2.6e231] (above, it passes
     # the largest double: DomainError).
     mpmath = pytest.importorskip("mpmath")

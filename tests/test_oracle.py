@@ -336,18 +336,57 @@ def test_mu_stirling_remainder_is_enveloped():
             assert 0 < r < 1, y
 
 
-@pytest.mark.parametrize("a", [2.0**-52, 1e-9, 1e-3, 0.25, 0.5, 0.999, 1.0])
+#: Steps of the log Gamma series: down to 2^-52 (x + 1 - 1 at the least x
+#: that does not round to 1), powers of two and not, a = 1 (x = 1 and 2),
+#: and the a = (x + 1) - 1 that x = 1e-3, 0.01, 0.3 and 0.41 take.
+_LOG_GAMMA_A = ([2.0**-52, 1e-9, 1e-3, 0.25, 0.3, 0.5, 0.999, 1.0]
+                + [(x + 1.0) - 1.0 for x in (1e-3, 0.01, 0.3, 0.41)])
+
+
+def _mp_log_gamma_tail(a):
+    # sum_{k>=16} [a/k - log(1 + a/k)] = log Gamma(16 + a) - log Gamma(16) - a psi(16),
+    # the log Gamma series' tail: the gap tail at 16/a with step 1/a.
+    aa, kk = mpmath.mpf(a), mpmath.mpf(16)
+    return mpmath.loggamma(kk + aa) - mpmath.loggamma(kk) - aa * mpmath.psi(0, kk)
+
+
+@pytest.mark.parametrize("a", _LOG_GAMMA_A)
 def test_log_gamma_series_tail_encloses_a_50_digit_sum(a):
-    # sum_{k>=m} [a/k - log(1 + a/k)] = log Gamma(m + a) - log Gamma(m) - a psi(m)
-    # is the gap tail at m/a with step 1/a.  Its exact midpoint is within the
-    # half-width plus its derived charge.
-    for m in (64, 100, 470, 1000, 12345):
-        # The closed form cancels up to ~21 digits at a = 2^-52.
-        with mpmath.workdps(80):
-            aa, mm = mpmath.mpf(a), mpmath.mpf(m)
-            truth = mpmath.loggamma(mm + aa) - mpmath.loggamma(mm) - aa * mpmath.psi(0, mm)
-            (hi, lo), half, charge = oracle._exact_gap_tail(float(m), 0, a)
-            assert abs(mpmath.mpf(hi) + lo - truth) <= mpmath.mpf(half) + charge, (a, m)
+    # The tail from k = 16, after the 15 head terms: its exact midpoint is
+    # within the half-width plus its derived charge, both under 2^-70 of it,
+    # far below the 4 ulps a double midpoint is charged.  The closed form
+    # cancels up to ~35 digits at a = 2^-52.
+    with mpmath.workdps(90):
+        truth = _mp_log_gamma_tail(a)
+        (hi, lo), half, charge = oracle._exact_gap_tail(a)
+        assert abs(mpmath.mpf(hi) + lo - truth) <= mpmath.mpf(half) + charge, a
+        assert max(half, charge) <= 2.0**-70 * hi, (a, half, charge)
+
+
+@pytest.mark.parametrize("a", _LOG_GAMMA_A)
+def test_log_gamma_tail_corrections_envelope(a):
+    # What _exact_gap_tail's half-width rests on: with k = 16 and y = k/a, the
+    # tail less a kernel_s(y) + kernel_r(y)/2 and its first j - 1 corrections
+    # lies strictly between 0 and the j-th, T_j = B_2j/(2j)! a^(1-2j)
+    # |r^(2j-1)(y)|, for every j up to the end of the oracle's table, past
+    # where the tail stops (T_16 is about 2^-94 of the tail; the closed forms
+    # cancel up to ~35 digits at a = 2^-52).
+    with mpmath.workdps(120):
+        aa, k = mpmath.mpf(a), mpmath.mpf(16)
+        y = k / aa
+        rest = (_mp_log_gamma_tail(a) - aa * ((y + 1) * mpmath.log1p(1 / y) - 1)
+                - _mp_kernel_r(y) / 2)
+        for j in range(1, len(oracle._B2K) + 1):
+            n = 2 * j - 1
+            term = (mpmath.bernoulli(2 * j) / (2 * j * n)
+                    * (n * aa / k ** (2 * j) + (k + aa) ** -n - k ** -n))
+            if a == 0.3 and j <= 3:   # the closed form is the derivative's
+                with mpmath.workdps(40):
+                    d = mpmath.diff(_mp_kernel_r, y, n)
+                    assert mpmath.almosteq(term, -mpmath.bernoulli(2 * j) / mpmath.factorial(2 * j)
+                                           * aa ** -n * d, 1e-30), j
+            assert 0 < rest / term < 1, (a, j)
+            rest -= term
 
 
 def test_error_bounded_value_validation():
@@ -406,7 +445,7 @@ def test_log_gamma_refusal_known_before_any_sum(monkeypatch):
 @pytest.mark.parametrize("x", [math.nextafter(2.0, 0.0), 2.0, math.nextafter(2.0, math.inf)])
 def test_series_and_closed_form_agree_at_the_switch(x):
     # log Gamma's series serves (0, 2], the closed form around mu above 2.
-    series = oracle._log_gamma_series(x, 1e-12)
+    series = oracle._log_gamma_series(x)
     closed = oracle._log_gamma_stirling(x, 1e-12, "closed form")
     ref = mp_reference(mpmath.loggamma, x)
     assert encloses(series, ref) and encloses(closed, ref)
@@ -414,13 +453,12 @@ def test_series_and_closed_form_agree_at_the_switch(x):
 
 
 @pytest.mark.parametrize("eps", [1e-12, 1e-9, 1e-6])
-def test_early_log_gamma_refusal_only_where_the_full_sum_refuses(eps, monkeypatch):
+def test_early_log_gamma_refusal_only_where_the_full_sum_refuses(eps):
+    # The radius does not depend on eps, so the one at eps = 1 (which refuses
+    # nothing here) is the full sum's: a refusal before the sum must agree.
     for x in np.logspace(np.log10(2.5), 5, 40):
         x = float(x)
-        with monkeypatch.context() as m:
-            # The closed form evaluated in full: mu summed, no refusal.
-            m.setattr(oracle, "_ensure", lambda *args: None)
-            full = oracle._log_gamma_stirling(x, eps, "full")
+        full = oracle.ref_log_gamma(x, 1.0)
         oracle.clear_caches()
         try:
             oracle.ref_log_gamma(x, eps)
@@ -528,33 +566,37 @@ def _gap_series_calls():
 
 
 def test_gap_series_cost_is_bounded(monkeypatch):
-    # The log Gamma series (kernel_r at step 1/a) starts its tail at
-    # max(x + 16, 64, (scale/target)^0.2) with scale a^2/60 <= 1/60 and target
-    # eps/16: at most (16/(60 eps))^0.2 terms, 193 at the default 1e-12.  None
-    # of these series sums in bulk.
-    bound = (16.0 / (60.0 * 1e-12)) ** 0.2
-    assert 192 < bound < 193
+    # The log Gamma series (kernel_r at step 1/a) sums the 15 head terms
+    # kernel_r(k/a) and takes its tail from k = 16 at every a and eps.  None of
+    # these series sums in bulk.
     counts = []
     exact_tail = oracle._exact_gap_tail
+    kernel_r = kernels.kernel_r
 
-    def recording(x, count, a):
-        counts.append((a, count))
-        return exact_tail(x, count, a)
+    def recording(a):
+        counts.append((a, len(heads)))
+        return exact_tail(a)
+
+    def recording_kernel_r(y):
+        heads.append(y)
+        return kernel_r(y)
 
     def boom(*args):
         raise AssertionError("summed in bulk")
 
     monkeypatch.setattr(oracle, "_exact_gap_tail", recording)
     monkeypatch.setattr(oracle, "_bulk_terms", boom)
+    monkeypatch.setattr(kernels, "kernel_r", recording_kernel_r)
     for name, x in _gap_series_calls():
-        oracle.clear_caches()
-        try:
-            getattr(oracle, name)(x)
-        except ToleranceError:
-            pass
-    # The bound is nearly reached at a = 1 (x = 1 and x = 2).
-    assert 185 < max(count for _, count in counts) <= math.ceil(bound)
-    assert all(a <= 1.0 for a, _ in counts), counts
+        for eps in (1e-14, 1e-12, 1e-6, 1.0):
+            oracle.clear_caches()
+            heads = []
+            try:
+                getattr(oracle, name)(x, eps)
+            except ToleranceError:
+                pass
+    assert len(counts) >= 30 and 1.0 in {a for a, _ in counts}, counts
+    assert all(n_heads == 15 and 0.0 < a <= 1.0 for a, n_heads in counts), counts
 
 
 @pytest.mark.parametrize("name", ["ref_digamma_gap", "ref_digamma", "ref_euler_gamma",
@@ -645,9 +687,8 @@ def test_gap_head_terms_within_their_charges():
                 assert abs(term - _mp_kernel_w(mpmath.mpf(x) + j)) <= charge, ("mu", x, j)
                 j += 1
     for a in (2.0**-52, 1e-3, 0.3, 0.5, 0.999, 1.0):
-        count = oracle._tail_count(1.0, 1e-12 / 16.0, a * a / 60.0)
         rel = oracle._R_REL + (oracle._ABSCISSA_REL if a in (0.3, 1e-3, 0.999) else 0.0)
-        for k in range(1, count + 1):
+        for k in range(1, 16):
             term = kernels.kernel_r(k / a)
             with mpmath.workdps(50 + 2 * math.ceil(math.log10(k / a))):
                 exact = _mp_kernel_r(mpmath.mpf(k) / mpmath.mpf(a))
@@ -672,12 +713,12 @@ def _record_kernel_sums(monkeypatch):
     sums = []
     kernel_sum, tail_count, mu_tail = oracle._kernel_sum, oracle._tail_count, tails.mu_tail
 
-    def recording(x, target):
-        sums.append([x, target])
-        return kernel_sum(x, target)
+    def recording(x):
+        sums.append([x, oracle._target(x)])
+        return kernel_sum(x)
 
-    def recording_count(*args):
-        count = tail_count(*args)
+    def recording_count(x):
+        count = tail_count(x)
         sums[-1].append(count)
         return count
 
@@ -692,13 +733,14 @@ def _record_kernel_sums(monkeypatch):
     return sums
 
 
-def _three_term_start(x, target, trunc_scale):
-    return max(x + 16.0, 64.0, (trunc_scale / target) ** 0.2)
+def _three_term_start(x, target):
+    return max(x + 16.0, 64.0, (1.0 / 360.0 / target) ** 0.2)
 
 
 def test_mu_series_cost_is_bounded(monkeypatch):
     # mu's double midpoint, below mu(m) < 1/(12m), is charged 4 ulps of
-    # itself.  At the quarter-ulp target eps/(8x) the tail starts at most at
+    # itself.  At the quarter-ulp target eps/(8x) (from x = 0.0111, where it
+    # falls below EPS_FLOOR/4) the tail starts at most at
     # max(x + 16, 64, (scale/target)^0.2, min(8x/3, x + MAX_TERMS)), and
     # where the cap does not bind, the charge fits the target there.
     sums = _record_kernel_sums(monkeypatch)
@@ -709,8 +751,7 @@ def test_mu_series_cost_is_bounded(monkeypatch):
     assert len(sums) == len(xs), len(sums)
     capped = 0
     for x, target, count, mid in sums:
-        assert target == oracle._target(x, 1e-12), x
-        start = max(_three_term_start(x, target, 1.0 / 360.0),
+        start = max(_three_term_start(x, target),
                     min(8.0 * x / 3.0, x + oracle.MAX_TERMS))
         # 2^-50 covers the roundings of the target and of the fourth term.
         assert count <= math.ceil((start - x) * (1.0 + 2.0**-50)), (x, count)
@@ -720,46 +761,6 @@ def test_mu_series_cost_is_bounded(monkeypatch):
             capped += 1
     # The cap binds from x = 6e4 to just below _MU_FLOOR_START.
     assert capped >= 5, capped
-
-
-def mp_gap_tail(x, count, a):
-    """sum_{j>=0} kernel_r((x + count + j)/a) to 80 digits: for a = 1 the gap
-    at x + count, else log Gamma(k + a) - log Gamma(k) - a psi(k) at k = x + count."""
-    y = (x + count) / a
-    with mpmath.workdps(80 + 2 * max(0, math.ceil(math.log10(y)))):
-        k = mpmath.mpf(x) + count
-        if a == 1.0:
-            return mpmath.log(k) - mpmath.digamma(k)
-        aa = mpmath.mpf(a)
-        return mpmath.loggamma(k + aa) - mpmath.loggamma(k) - aa * mpmath.digamma(k)
-
-
-def test_exact_gap_tail_is_within_its_charge(monkeypatch):
-    # Each tail the gap series take: |hi + lo - tail| <= half-width + charge,
-    # and the charge is far below the 4 ulps a double midpoint is charged.
-    tails_taken = []
-    exact_tail = oracle._exact_gap_tail
-
-    def recording(x, count, a):
-        out = exact_tail(x, count, a)
-        tails_taken.append((x, count, a, out))
-        return out
-
-    monkeypatch.setattr(oracle, "_exact_gap_tail", recording)
-    for name, x in _gap_series_calls():
-        oracle.clear_caches()
-        try:
-            getattr(oracle, name)(x)
-        except ToleranceError:
-            pass
-    steps = {a for _, _, a, _ in tails_taken}
-    assert 1.0 in steps and min(steps) < 0.02 and len(steps) >= 4, steps
-    for x, count, a, ((hi, lo), half, charge) in tails_taken:
-        truth = mp_gap_tail(x, count, a)
-        with mpmath.workdps(80):
-            miss = abs(mpmath.mpf(hi) + mpmath.mpf(lo) - truth)
-        assert miss <= mpmath.mpf(half) + mpmath.mpf(charge), (x, count, a)
-        assert charge <= max(2.0**-60 * hi, 2.0**-1070), (x, count, a, charge)
 
 
 @pytest.mark.parametrize("name", ["ref_digamma_gap", "ref_digamma", "ref_trigamma"])
@@ -887,10 +888,10 @@ def test_kernel_sums_equal_fsum_over_the_full_term_list(split_min, monkeypatch):
         sums[-1]["tail"] = [out[0]]
         return out
 
-    def recording_kernel_sum(x, target):
+    def recording_kernel_sum(x):
         record = {"bulk": [], "chunks": [], "split_terms": 0, "taus": 0}
         sums.append(record)
-        parts, charges = real_kernel_sum(x, target)
+        parts, charges = real_kernel_sum(x)
         record["out"] = list(parts), list(charges)
         return parts, charges
 
@@ -931,6 +932,30 @@ def test_kernel_sums_equal_fsum_over_the_full_term_list(split_min, monkeypatch):
 
 _REFS = ("ref_digamma_gap", "ref_binet_mu", "ref_stirling_target", "ref_digamma",
          "ref_trigamma", "ref_log_gamma")
+
+
+#: 401 log points of [1e-3, 1e9] and four up to the largest double.
+_EPS_CHECK_X = [10.0 ** (-3 + 12 * i / 400) for i in range(401)] + [1e20, 1e100, 1e300, 1.7e308]
+
+
+@pytest.mark.parametrize("name", _REFS)
+def test_eps_only_decides_a_refusal(name):
+    # Every value and radius is a function of x alone: at each eps that does
+    # not refuse, the same doubles, and no larger eps refuses.
+    fn = getattr(oracle, name)
+    returned = 0
+    for x in _EPS_CHECK_X:
+        seen = []
+        for eps in (1e-14, 1e-12, 1e-9, 1e-6, 1.0):
+            try:
+                r = fn(x, eps)
+            except (ToleranceError, DomainError):   # log Gamma overflows past ~1e306
+                assert not seen, (x, eps)
+                continue
+            seen.append((r.value.hex(), r.error_radius.hex()))
+        assert len(set(seen)) <= 1, (x, seen)
+        returned += bool(seen)
+    assert returned >= 400, returned
 
 
 @pytest.mark.parametrize("name", _REFS)

@@ -219,3 +219,23 @@ def test_gamma_target_encloses_log_gamma_at_x_plus_one():
     oracle.ref_log_gamma(x + 1.0, eps)
     with pytest.raises(ToleranceError):
         verifier._TARGET_ROWS["gamma"].oracle(x, eps)
+
+
+def test_sweep_sums_each_series_once_per_point():
+    # An oracle value does not depend on eps, so a sweep asks once per point:
+    # on the criterion-1 grid eq4's target sums mu once at each of 500 x.
+    oracle.clear_caches()
+    verifier.sweep(GridSpec(1e-3, 1e4, 500), BoundFamily.EQ4)
+    assert oracle.ref_binet_mu.cache_info().misses == 500
+    # compare asks once per point, whatever the number of families.
+    oracle.clear_caches()
+    verifier.compare(GridSpec(1e-3, 1e4, 50), [BoundFamily.EQ4, BoundFamily.EQ7,
+                                              BoundFamily.THM23], "upper")
+    assert oracle.ref_stirling_target.cache_info()[:2] == (0, 50)
+    oracle.clear_caches()
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-12, math.nan])
+def test_oracle_target_rejects_a_non_positive_eps(eps):
+    with pytest.raises(DomainError):
+        verifier.sweep(GridSpec(1.0, 2.0, 3), BoundFamily.EQ4, eps=eps)
