@@ -514,9 +514,6 @@ def ref_stirling_target(x: float, eps: float = DEFAULT_EPS) -> ErrorBoundedValue
 
 def ref_euler_gamma(eps: float = DEFAULT_EPS) -> ErrorBoundedValue:
     """The Euler-Mascheroni constant, -psi(1) = gap(1), with the gap oracle's radius."""
-    eps = _check_eps(eps)
-    if eps < DEFAULT_EPS:
-        raise ToleranceError(f"eps={eps!r} below the {DEFAULT_EPS} floor for the constant")
     return ref_digamma_gap(1.0, eps)
 
 

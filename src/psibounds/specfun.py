@@ -7,24 +7,31 @@ mu, the log of the Stirling ratio, and the polygamma series
 S(x) = sum_k (x + k)^-(n+1) shift the argument instead: they sum kernel_w(x + j)
 while x + j < 7, or (x + k)^-(n+1) while x + k < n + 8, then add a
 fixed-length Stirling/Bernoulli expansion in 1/y (DLMF 5.11.1, 5.15.8;
-Bernardo, Appl. Statist. AS 103, 1976).  Both functions are completely
-monotone, so each expansion envelopes: its remainder has the sign of the
-first omitted term and is smaller.  Measured against 60-digit mpmath on 601
-log points in [1e-3, 1e6]:
+Bernardo, Appl. Statist. AS 103, 1976).  Both expansions take their
+coefficients from one table of exact B_2k pairs, each coefficient the exact
+ratio rounded once: mu's 16 once at import, polygamma's 12 once per order n,
+scaled by (n + 8)^-2k so that they are finite for every n and the polynomial
+runs in w = ((n + 8)/y)^2 <= 1.  Each is one straight-line Horner expression.
+Both functions are completely monotone, so each expansion envelopes: its
+remainder has the sign of the first omitted term and is smaller.  Measured
+against 60-digit mpmath on 601 log points in [1e-3, 1e6]:
 
     digamma_gap     within 1.9 ulps
     binet_mu        within 1.5 ulps from x = 7 (the expansion alone); below,
                     6.1 ulps (10.7 at x = 0.305 on a dense grid), from the
                     first kernel_w term below 1/2, a direct form that cancels
     digamma         within 11 ulps, away from its zero at 1.4616
-    polygamma       within 2.4 ulps for n in {1, 2, 3, 5, 10} (1000 log
-                    points in the same range)
+    polygamma       within 2.1 ulps for n in {1, 2, 3, 5, 10} (1000 log
+                    points in the same range; 2.4 from starts just below
+                    powers of two, where the abscissas x + k round the most)
 
-All functions are pure; there is no shared mutable state.
+All functions are pure; the only shared state is polygamma's cache of its
+coefficients per order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 
@@ -65,11 +72,22 @@ def digamma_gap(x: float) -> float:
     return math.fsum(terms)
 
 
-def _shift(term, x: float, x0: float) -> tuple[list[float], float]:
-    """[term(x + j) for x + j < x0], at most ceil(x0) of them, and y = x + j >= x0."""
+def _shift(x: float, x0: float) -> tuple[int, float]:
+    """(count, y): count = #{j : x + j < x0} <= ceil(x0), and y = x + count >= x0."""
     count = math.ceil(x0 - x) if x < x0 else 0
-    return [term(x + j) for j in range(count)], x + count
+    return count, x + count
 
+
+#: The Bernoulli numbers B_2k, k = 1..16, as exact (numerator, denominator)
+#: pairs: mu's expansion takes all 16, polygamma's the first 12.
+_BERNOULLI = (
+    (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510),
+    (43867, 798), (-174611, 330), (854513, 138), (-236364091, 2730), (8553103, 6),
+    (-23749461029, 870), (8615841276005, 14322), (-7709321041217, 510))
+
+#: B_2k / (2k(2k-1)), k = 1..16, each the exact ratio rounded once.
+_MU_COEFFICIENTS = tuple(num / (den * 2 * k * (2 * k - 1))
+                         for k, (num, den) in enumerate(_BERNOULLI, 1))
 
 # mu's shift point: from y = 7 the first term the expansion below omits is
 # under 2^-57 of mu(y).
@@ -78,14 +96,13 @@ _MU_X0 = 7.0
 
 def _mu_expansion(y: float) -> float:
     # mu(y) = sum_{k=1..16} B_2k / (2k(2k-1) y^(2k-1)) (DLMF 5.11.1), as a
-    # polynomial in v = 1/y^2 divided by y: exact coefficients, and the
-    # remainder has the sign of the first omitted term and is below it.
+    # polynomial in v = 1/y^2 divided by y: correctly rounded coefficients,
+    # and the remainder has the sign of the first omitted term and is below it.
     v = 1.0 / (y * y)   # 0 once y*y overflows, leaving 1/(12y)
-    return (((((((((((((((-7709321041217/505920 * v + 1723168255201/2492028) * v
-            - 3392780147/93960) * v + 657931/300) * v - 236364091/1506960) * v
-            + 77683/5796) * v - 174611/125400) * v + 43867/244188) * v - 3617/122400) * v
-            + 1/156) * v - 691/360360) * v + 1/1188) * v - 1/1680) * v + 1/1260) * v
-            - 1/360) * v + 1/12) / y
+    c = _MU_COEFFICIENTS
+    return (((((((((((((((c[15] * v + c[14]) * v + c[13]) * v + c[12]) * v + c[11]) * v
+            + c[10]) * v + c[9]) * v + c[8]) * v + c[7]) * v + c[6]) * v + c[5]) * v
+            + c[4]) * v + c[3]) * v + c[2]) * v + c[1]) * v + c[0]) / y
 
 
 def binet_mu(x: float) -> float:
@@ -94,7 +111,8 @@ def binet_mu(x: float) -> float:
     Positive, strictly decreasing, ~1/(12x) for large x.
     """
     x = _check_domain(x)
-    terms, y = _shift(kernels.kernel_w, x, _MU_X0)
+    count, y = _shift(x, _MU_X0)
+    terms = [kernels.kernel_w(x + j) for j in range(count)]
     terms.append(_mu_expansion(y))
     return math.fsum(terms)
 
@@ -111,17 +129,20 @@ def _add_error(a: float, b: float, s: float) -> float:
     return (a - (s - z)) + (b - z)
 
 
-#: B_2k / (2k)!, k = 1..12: the expansion of polygamma divides out n!.
-_BERNOULLI_OVER_FACTORIAL = (
-    1/12, -1/720, 1/30240, -1/1209600, 1/47900160, -691/1307674368000,
-    1/74724249600, -3617/10670622842880000, 43867/5109094217170944000,
-    -174611/802857662698291200000, 77683/14101100039391805440000,
-    -236364091/1693824136731743669452800000)
-
 # psi^(n)'s shift point is n + _PSI_X0: from there the expansion's terms
 # shrink by about (n + 2k)^2 / (2 pi y)^2 each, and the first omitted one is
 # below 2^-60 relative for every n.
-_PSI_X0 = 8.0
+_PSI_X0 = 8
+
+
+@functools.lru_cache(maxsize=64)
+def _psi_coefficients(n: int) -> tuple[float, ...]:
+    """c_k(n) (n + _PSI_X0)^-2k, k = 1..12, c_k(n) = B_2k (n + 2k - 1)! / ((2k)! n!):
+    each the exact ratio rounded once, and finite for every n."""
+    x0 = n + _PSI_X0
+    return tuple(num * math.perm(n + 2 * k - 1, 2 * k - 1)
+                 / (den * math.factorial(2 * k) * x0 ** (2 * k))
+                 for k, (num, den) in enumerate(_BERNOULLI[:12], 1))
 
 
 def _power_sum(n: int, x: float, d: float) -> float:
@@ -129,20 +150,20 @@ def _power_sum(n: int, x: float, d: float) -> float:
 
     d = 1 is the series itself; d = x starts the terms at 1, so they cannot
     underflow where the value does not.  From y >= n + _PSI_X0 on,
-    y^n S(y) = 1/n + 1/(2y) + sum_k B_2k (2k+n-1)! / ((2k)! n!) y^-2k, its
-    coefficients built by their running ratio, so no factorial is formed.
+    y^n S(y) = 1/n + 1/(2y) + sum_{k=1..12} c_k(n) y^-2k, evaluated in
+    w = ((n + _PSI_X0)/y)^2 <= 1 on the coefficients of ``_psi_coefficients``.
     """
     power = -(n + 1)
-    terms, y = _shift(lambda t: (t / d) ** power, x, n + _PSI_X0)
-    count = len(terms)
-    v = 1.0 / (y * y)
-    acc, m = 0.0, float(n + 2 * len(_BERNOULLI_OVER_FACTORIAL))
-    for b in reversed(_BERNOULLI_OVER_FACTORIAL):
-        m -= 2.0   # n + 2k - 2 for k = K, ..., 1
-        acc = (b + acc) * (m * (m + 1.0) * v)
+    count, y = _shift(x, n + _PSI_X0)
+    terms = [((x + j) / d) ** power for j in range(count)]
+    w = (n + _PSI_X0) / y
+    w *= w
+    c = _psi_coefficients(n)
+    acc = (((((((((((c[11] * w + c[10]) * w + c[9]) * w + c[8]) * w + c[7]) * w + c[6]) * w
+            + c[5]) * w + c[4]) * w + c[3]) * w + c[2]) * w + c[1]) * w + c[0]) * w
     # y^-n d^(n+1) / n apart, so that only its own roundings reach the value.
     lead = (y / d) ** -n * d
-    terms += [lead / n, lead * (0.5 / y + acc / n)]
+    terms += [lead / n, lead * (0.5 / y + acc)]
     if n > 1:
         # Each abscissa y = x + k rounds, and a term carries that error n + 1
         # times over: without this, psi^(10) is 3.2 ulps off at x = 15.8.

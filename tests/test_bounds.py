@@ -475,7 +475,8 @@ def _mp_theta(m, mp):
 # of [16, 1e60] and, for f, of [16, 1.8e308]; also P on [1/2, 1) and p on
 # (1, 2], where their t-series take V's 30 terms; and theta on each of its
 # forms: the series up to 1/16, the z-form on (1/16, 1] and [1, 4], and the
-# direct form on (4, 26] and [26, 1e6].
+# direct form on (4, 26], [26, 1e6] and, with its Newton-refined cube root,
+# [1e6, 1e200].
 _HALF_TO_ONE = _log_points(0.5, math.nextafter(1.0, 0.0), 1000)
 _ONE_TO_TWO = _log_points(math.nextafter(1.0, 2.0), 2.0, 1000)
 _ONE_TO_16 = _log_points(1.0, math.nextafter(16.0, 0.0), 1000)
@@ -498,6 +499,7 @@ _AUX_ACCURACY_TABLE = [
     ("aux_theta", _mp_theta, _log_points(1.0, 4.0, 1000), 9.0),
     ("aux_theta", _mp_theta, _log_points(math.nextafter(4.0, 5.0), 26.0, 1000), 14.3),
     ("aux_theta", _mp_theta, _log_points(26.0, 1e6, 1000), 6.1),
+    ("aux_theta", _mp_theta, _log_points(1e6, 1e200, 1000), 2.8),
 ]
 
 

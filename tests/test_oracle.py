@@ -118,7 +118,9 @@ def test_eps_floor_fails_loudly():
     with pytest.raises(ToleranceError):
         oracle.ref_digamma(1.0, 9e-15)
     with pytest.raises(ToleranceError):
-        oracle.ref_euler_gamma(9e-13)
+        oracle.ref_euler_gamma(9e-15)
+    # gamma = gap(1): refused below the floor only, as the gap itself.
+    assert oracle.ref_euler_gamma(oracle.EPS_FLOOR) == oracle.ref_digamma_gap(1.0, oracle.EPS_FLOOR)
     with pytest.raises(DomainError):
         oracle.ref_digamma(1.0, -1e-10)
 

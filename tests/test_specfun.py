@@ -103,21 +103,29 @@ def test_shift_then_expand_does_bounded_work(monkeypatch):
     # tails once took thousands.  The scaled polygamma path sums twice.
     counts, shift = [], specfun._shift
 
-    def counting_shift(term, x, x0):
-        counts.append(0)
+    def counting_shift(x, x0):
+        count, y = shift(x, x0)
+        counts.append((count, x0))
+        return count, y
 
-        def counted(t):
-            counts[-1] += 1
-            return term(t)
-        return shift(counted, x, x0)
+    # mu's head is counted where its work is done, in kernel_w's calls.
+    kernel_w, w_calls = specfun.kernels.kernel_w, []
+
+    def counting_kernel_w(y):
+        w_calls.append(y)
+        return kernel_w(y)
 
     monkeypatch.setattr(specfun, "_shift", counting_shift)
+    monkeypatch.setattr(specfun.kernels, "kernel_w", counting_kernel_w)
     xs = [5e-324, 1e-300, 1e-3, 0.5, 1.0, 6.99, 7.0, 100.0, 1e4, 1e300,
           1.7976931348623157e308]
     for x in xs:
         counts.clear()
+        w_calls.clear()
         specfun.binet_mu(x)
-        assert len(counts) == 1 and counts[0] <= specfun._MU_X0 + 1, (x, counts)
+        (count, x0), = counts
+        assert x0 == specfun._MU_X0 and count <= x0 + 1, (x, counts)
+        assert len(w_calls) == count, (x, count, len(w_calls))
         for n in (1, 2, 3, 10, 200):
             counts.clear()
             try:
@@ -125,7 +133,38 @@ def test_shift_then_expand_does_bounded_work(monkeypatch):
             except DomainError:
                 pass
             x0 = n + specfun._PSI_X0
-            assert len(counts) <= 2 and all(c <= x0 + 1 for c in counts), (n, x, counts)
+            assert 1 <= len(counts) <= 2, (n, x, counts)
+            assert all(c <= x0 + 1 and a == x0 for c, a in counts), (n, x, counts)
+
+
+#: mu's 16 expansion coefficients B_2k / (2k(2k-1)), k = 1..16, as the
+#: literals they once were in specfun (highest first, in its Horner order).
+_MU_LITERALS = (-7709321041217/505920, 1723168255201/2492028, -3392780147/93960,
+                657931/300, -236364091/1506960, 77683/5796, -174611/125400,
+                43867/244188, -3617/122400, 1/156, -691/360360, 1/1188, -1/1680,
+                1/1260, -1/360, 1/12)
+
+
+def test_bernoulli_table_and_the_coefficients_it_derives():
+    mpmath = pytest.importorskip("mpmath")
+    from fractions import Fraction
+    bernoulli = [Fraction(num, den) for num, den in specfun._BERNOULLI]
+    for k, b in enumerate(bernoulli, 1):
+        # bernfrac is mpmath's exact B_n, the one its bernoulli rounds.
+        assert b == Fraction(*mpmath.bernfrac(2 * k)), k
+    # Bit for bit what the literal coefficients gave, so mu is unchanged.
+    assert specfun._MU_COEFFICIENTS == _MU_LITERALS[::-1]
+    # polygamma's: B_2k (n + 2k - 1)! / ((2k)! n! (n + 8)^2k), each the exact
+    # ratio rounded once, and below 1 in magnitude at any order.
+    for n in (1, 2, 3, 10, 200, 10**6):
+        coefficients = specfun._psi_coefficients(n)
+        assert len(coefficients) == 12 and all(abs(c) < 1 for c in coefficients), n
+        if n > 200:
+            continue
+        for k, (b, c) in enumerate(zip(bernoulli, coefficients), 1):
+            exact = (b * math.factorial(n + 2 * k - 1)
+                     / (math.factorial(2 * k) * math.factorial(n) * (n + 8) ** (2 * k)))
+            assert c == float(exact), (n, k)
 
 
 def _stirling_terms(mpmath, y, count):
@@ -161,7 +200,7 @@ def test_expansions_envelope():
     mpmath = pytest.importorskip("mpmath")
     # The omitted terms fall like y^-(2K+2) against the value: 50 digits,
     # plus 35 per decade of y, keep them resolved.
-    kept_psi = len(specfun._BERNOULLI_OVER_FACTORIAL)
+    kept_psi = len(specfun._psi_coefficients(1))
     for i in range(40):
         with mpmath.workdps(50 + 35 * i // 8):
             y = mpmath.mpf(specfun._MU_X0) * mpmath.mpf(10) ** (mpmath.mpf(i) / 8)
