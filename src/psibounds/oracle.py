@@ -2,7 +2,7 @@
 
 The oracle is deliberately independent of every library special-function
 implementation: it only sums the defining series and encloses their tails.
-The gap and psi' sum their terms while x + j < 16 and take the tail at the
+The gap and psi' sum their terms while x + j < 10 and take the tail at the
 exact y = x + count as gap(y) or psi'(y), by that function's enveloping
 Bernoulli series (DLMF 5.11.2, 5.15.8; Section 5.11(ii)), with the B_2k
 derived here as integers (``_bernoulli``).  The log Gamma series' tail is
@@ -19,8 +19,9 @@ accounts for
     direct form below 1, kernel_w's W from y = 1/2 and its direct form below
     1/2 (mu), and psi''s (x + j)^-2; 4 ulps for mu's tail midpoint, a double
     (``_FLOAT_MID_REL``), while the gap's and psi''s tails are exact to about
-    2^-72 of themselves and the log Gamma series' to about 2^-74, each
-    charged that (``_enveloped_tail``, ``_exact_gap_tail``), and
+    2^-70 of themselves at y = 10 (2^-105 from y = 2^12) and the log Gamma
+    series' to about 2^-74, each charged that (``_enveloped_tail``,
+    ``_exact_gap_tail``), and
   * the final exactly-rounded summation (``math.fsum``), half an ulp.
 
 The tests check ``|value - reference| <= error_radius``, and each per-term
@@ -56,9 +57,11 @@ tightest any accepted eps asks for): its tail starts at the m where the
 enclosure (~ 1/(360 m^5)) and its double midpoint's charge (4 ulps of
 mu(m) < 1/(12m)) fit that, or at x + MAX_TERMS (``_tail_count``).
 
-Cost is bounded, not linear in x.  The gap and psi' sum at most 16 head
-terms, none from x = 16, and at most 11 terms of their tail series (at
-y = 16; 5 at y = 100), so each takes tens of microseconds at any x.  The
+Cost is bounded, not linear in x.  The gap and psi' sum at most 10 head
+terms, none from x = 10, and at most 16 terms of their tail series (at
+y = 10; 6 at y = 100), each a multiply and a shift on Python integers, 1/y
+being 2^76 units at y = 10 and up to 2^110: a cold call of the gap, psi or
+psi' takes 6-17 microseconds at any x.  The
 log Gamma series, at step 1/a, sums its terms k = 1 ... 15 and 11
 Euler-Maclaurin corrections of its tail at every a.  mu's midpoint term is
 8x/3 (to within its rounding) for the quarter-ulp target; it exceeds the
@@ -227,64 +230,92 @@ def _bernoulli(n: int) -> list[tuple[int, int]]:
     return [(a // math.gcd(a, b), b // math.gcd(a, b)) for a, b in pairs]
 
 
-def _series(lead: list[tuple[int, int, int]], coefficients: list[tuple[int, int]], e: int):
-    # sum of the lead terms a/(c y^k) and of c_k y^-(2k + e - 2), k >= 1, with
-    # c_k = a_k/b_k alternating in sign from c_1 > 0: c_1's magnitude and each
-    # |c_(k+1)/c_k| as reduced integer pairs.
-    ratios = []
-    for (a0, b0), (a1, b1) in zip(coefficients, coefficients[1:]):
-        a, b = abs(a1) * b0, b1 * abs(a0)
-        ratios.append((a // math.gcd(a, b), b // math.gcd(a, b)))
+#: Fixed-point bits of the tail series' coefficient ratios (``_series``).
+_RATIO_BITS = 128
+
+
+def _series(lead: list[tuple[int, int]], coefficients: list[tuple[int, int]], e: int):
+    # sum of the lead terms 2^-h y^-k, k = 1 or 2, and of c_k y^-(2k + e - 2),
+    # k >= 1 and e = 2 or 3, with c_k = a_k/b_k alternating in sign from
+    # c_1 > 0: c_1's magnitude as an integer pair and each |c_(k+1)/c_k| in
+    # units of 2^-_RATIO_BITS, floored.
+    ratios = [(abs(a1) * b0 << _RATIO_BITS) // (b1 * abs(a0))
+              for (a0, b0), (a1, b1) in zip(coefficients, coefficients[1:])]
     return lead, coefficients[0], e, ratios
 
 
-#: B_2 ... B_32: the tails below stop at B_24 at y = 16, where they need most.
-_B2K = _bernoulli(16)
+#: B_2 ... B_34: the tails below stop at B_34 at y = 10, where they need most.
+_B2K = _bernoulli(17)
 #: gap(y) ~ 1/(2y) + sum_k B_2k/(2k y^2k) (DLMF 5.11.2) and
 #: psi'(y) ~ 1/y + 1/(2y^2) + sum_k B_2k/y^(2k+1) (DLMF 5.15.8).
-_GAP_SERIES = _series([(1, 2, 1)], [(a, 2 * k * b) for k, (a, b) in enumerate(_B2K, 1)], 2)
-_TRIGAMMA_SERIES = _series([(1, 1, 1), (1, 2, 2)], _B2K, 3)
+_GAP_SERIES = _series([(1, 1)], [(a, 2 * k * b) for k, (a, b) in enumerate(_B2K, 1)], 2)
+_TRIGAMMA_SERIES = _series([(1, 0), (2, 1)], _B2K, 3)
 
 
 def _enveloped_tail(x: float, count: int, series):
-    """sum_{j>=count} f(x + j) = F(y) at the exact y = x + count >= 16, for the
+    """sum_{j>=count} f(x + j) = F(y) at the exact y = x + count >= 10, for the
     gap or psi', by F's asymptotic series, in binary fixed point: Python
-    integers in units of 2^-b, 1/y being about 2^80 of them at y = 16 and
-    4 bits more per binade of y, up to 2^110 from y = 2^11 (each term gains
-    2 log2 y bits on the last, so the deeper units take a term or two more
-    only where the terms fall fast).
+    integers in units of 2^-b, 1/y being about 2^76 of them at y = 10, 2^80
+    at y = 16 and 4 bits more per binade of y, up to 2^110 from y = 2^12
+    (each term gains 2 log2 y bits on the last, so the deeper units take a
+    term or two more only where the terms fall fast).  1/y and 1/y^2 are
+    taken once, in units of 2^-s, 1/y^2 being about 2^130 of them (the one
+    division), and each term is the last one times 1/y^2 and the ratio of
+    their coefficients: a multiply and a shift.
 
     Past its lead terms the series envelopes (DLMF 5.11(ii); checked for
-    both on [16, 1e300] in the tests): what the terms kept leave has the sign
+    both on [10, 1e300] in the tests): what the terms kept leave has the sign
     of the first omitted term and is smaller.  So the midpoint is the partial
     sum plus half the first term under 4 units, with half that term as the
-    half-width.  Returns the midpoint as two doubles, hi + lo, the half-width
-    and the midpoint's charge, each rounded up to a double.
+    half-width (``_enveloped``).
     """
     lead, (c_num, c_den), e, ratios = series
     p, q = x.as_integer_ratio()
     num, den = p + count * q, q                      # y = num/den
     e_y = num.bit_length() - den.bit_length()        # 2^(e_y - 1) < y < 2^(e_y + 1)
-    b = e_y + min(110, 64 + 4 * e_y)
-    num2, den2 = num * num, den * den
-    total = sum((a * den**k << b) // (c * num**k) for a, c, k in lead)
-    term = (c_num * den**e << b) // (c_den * num**e)
+    b = e_y + (110 if e_y > 11 else 64 + 4 * e_y)
+    s = 2 * e_y + 130
+    r = (den << s) // num                            # 1/y in units of 2^-s
+    r2 = r * r >> s                                  # 1/y^2
+    total = 0
+    for k, h in lead:
+        total += (r if k == 1 else r2) >> s - b + h
+    term = (c_num * r2 >> s - b if e == 2 else c_num * r * r2 >> 2 * s - b) // c_den
+    shift = s + _RATIO_BITS
     kept = []
-    for r_num, r_den in ratios:
+    for ratio in ratios:
         if term < 4:
             break
         kept.append(term)
-        term = term * r_num * den2 // (r_den * num2)
-    # Each term after the first is the floor of the last one times its ratio,
-    # below 1 here (the terms fall under 4 units, 2^-77 of 1/y or less, long
-    # before their smallest, near k = pi y, at y >= 16), so term k is under k
-    # units low, and the lead terms under 1: the midpoint and the half-width
-    # together are under len(lead) + (m + 1)(m + 2)/2 units off, m = len(kept).
-    omitted = -term if len(kept) % 2 else term
-    mid, rest = _two_doubles(2 * (total + sum(kept[::2]) - sum(kept[1::2])) + omitted, b + 1)
+        term = term * ratio * r2 >> shift
+    # r is 2^s/y floored and r2 is low by under 1.2 units of 2^-s, 2^(e_y + 20)
+    # or more times finer than 2^-b: each lead term and the first term is one
+    # floor of a product of those, under 1 + 2^-16 units low (1/y's exactly
+    # the floor of 2^(b - h)/y).  Each later term is one floor of the last one
+    # times its ratio and r2, each low by under 2^-124 of itself (the ratios
+    # are 1/10 or more, r2 2^128 units or more), which costs a term (under
+    # 2^105 units) under 2^-18 units.  Those factors come to under 2/5 here
+    # (0.29 at most, at y = 10; the terms are smallest near k = pi y), so
+    # term k > 1 is under (1 + 2^-16)/(1 - 2/5) < 5/3 + 2^-15 units low.
+    # The midpoint and the half-width together are under
+    # len(lead) + 1 + 2m units off, m = len(kept): for m >= 1 the m/3 to
+    # spare covers the 2^-16 parts; m = 0 only from y ~ 2^53 (2^104 for the
+    # gap), where they are under 2^-72 units, and the ulp ``_enveloped``
+    # rounds the charge up by (2^-52 units or more) covers them.
     m = len(kept)
-    return (mid, math.nextafter(term / (2 << b), math.inf),
-            math.nextafter((2 * len(lead) + (m + 1) * (m + 2) + rest) / (2 << b), math.inf))
+    return _enveloped(total + sum(kept[::2]) - sum(kept[1::2]), -term if m % 2 else term, b,
+                      2 * len(lead) + 2 + 4 * m)
+
+
+def _enveloped(partial: int, omitted: int, b: int, floor_charge: int):
+    """The enveloping tail whose kept terms sum to ``partial`` units of 2^-b
+    and whose first omitted term is ``omitted`` (signed): its midpoint,
+    partial + omitted/2, as two doubles hi + lo, its half-width |omitted|/2
+    and the midpoint's charge, ``floor_charge`` half-units for the floors
+    plus what hi + lo leave, the last two each rounded up to a double."""
+    mid, rest = _two_doubles(2 * partial + omitted, b + 1)
+    return (mid, math.nextafter(math.ldexp(abs(omitted), -b - 1), math.inf),
+            math.nextafter(math.ldexp(floor_charge + rest, -b - 1), math.inf))
 
 
 def _exact_gap_tail(a: float):
@@ -297,8 +328,7 @@ def _exact_gap_tail(a: float):
     B_2j/(2j(2j - 1)) [(2j - 1) a/16^2j + (16 + a)^(1-2j) - 16^(1-2j)] and floored
     once.  r is completely monotone, so they envelope (DLMF 2.10(i); checked
     in the tests), and as in ``_enveloped_tail`` the tail stops at the first
-    under 4 units (or the last of ``_B2K``): returns hi + lo, the half-width
-    and the midpoint's charge.
+    under 4 units (or the last of ``_B2K``).
     """
     pa, qa = a.as_integer_ratio()
     num, big_k = 16 * qa, 16 * qa + pa               # y = num/pa, 16 + a = big_k/qa
@@ -331,16 +361,20 @@ def _exact_gap_tail(a: float):
     # 3.38 + 1.41n, kernel_r(y)/2 under 1.06 + 0.05n; each T_j kept under 1,
     # and the omitted one under 1 between the midpoint and the half-width.
     # So the two are under 5 + d + m units off, m = len(kept).
-    omitted = -term if len(kept) % 2 else term
-    mid, rest = _two_doubles(2 * (total + sum(kept[::2]) - sum(kept[1::2])) + omitted, b + 1)
-    return (mid, math.nextafter(term / (2 << b), math.inf),
-            math.nextafter((10 + 2 * (d + len(kept)) + rest) / (2 << b), math.inf))
+    return _enveloped(total + sum(kept[::2]) - sum(kept[1::2]),
+                      -term if len(kept) % 2 else term, b, 10 + 2 * (d + len(kept)))
 
 
 def _two_doubles(mid: int, b: int) -> tuple[list[float], int]:
-    # mid 2^-b as hi + lo and the units they leave (none unless subnormal):
-    # both true divisions round correctly, subnormals included, and leave hi
-    # and lo whole numbers of units, mid being at least 2^57 of them.
+    # mid 2^-b as hi + lo and the units they leave.  While 2^-b is a normal
+    # double, float(int) rounds correctly and ldexp is exact; below that the
+    # true divisions round once, subnormals included.  Either way hi and lo
+    # are whole numbers of units, mid being at least 2^57 of them.
+    if b <= 1022:
+        hi = float(mid)
+        rest = mid - int(hi)
+        lo = float(rest)
+        return [math.ldexp(hi, -b), math.ldexp(lo, -b)], abs(rest - int(lo))
     one = 1 << b
     hi = mid / one
     rest = mid - int(math.ldexp(hi, b))
@@ -413,9 +447,13 @@ def _close(parts: list[float], charges: list[float]) -> ErrorBoundedValue:
     return ErrorBoundedValue(value, math.fsum(charges))
 
 
+#: The gap and psi' sum their terms while x + j < _SHIFT, then take the tail.
+_SHIFT = 10
+
+
 def _head_count(x: float) -> int:
-    # The j >= 0 with x + j < 16, exactly: 16 - floor(x) below 16, none from 16.
-    return 16 - math.floor(x) if x < 16.0 else 0
+    # The j >= 0 with x + j < _SHIFT, exactly: _SHIFT - floor(x) below it.
+    return _SHIFT - math.floor(x) if x < _SHIFT else 0
 
 
 # Per-term charges: first-order forward error bounds, one per kernel
@@ -469,7 +507,7 @@ def _gap_head_charges(x: float, terms: list[float]) -> list[float]:
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def ref_digamma_gap(x: float, eps: float = DEFAULT_EPS) -> ErrorBoundedValue:
-    """log(x) - psi(x) = sum_{j>=0} kernel_r(x + j): the terms while x + j < 16,
+    """log(x) - psi(x) = sum_{j>=0} kernel_r(x + j): the terms while x + j < 10,
     then the tail, gap(y) at y = x + count, by its enveloping series.
 
     The target quantity of the digamma-gap bound families; also the source
@@ -532,7 +570,7 @@ def ref_digamma(x: float, eps: float = DEFAULT_EPS) -> ErrorBoundedValue:
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def ref_trigamma(x: float, eps: float = DEFAULT_EPS) -> ErrorBoundedValue:
-    """psi'(x) = sum_{j>=0} (x + j)^-2: the terms while x + j < 16, as Python
+    """psi'(x) = sum_{j>=0} (x + j)^-2: the terms while x + j < 10, as Python
     floats, then the tail, psi'(y) at y = x + count, by its enveloping series.
 
     x + j rounds by 2^-53, which moves (x + j)^-2 by 2^-52 of itself, and pow

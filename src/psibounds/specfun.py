@@ -169,11 +169,20 @@ def _power_sum(n: int, x: float, d: float) -> float:
         # times over: without this, psi^(10) is 3.2 ulps off at x = 15.8.
         # To first order, the exact error e = x + k - y moves a term t by
         # -(n + 1) t e / y and the expansion (~ y^-n / n) by -n e / y of it.
-        drift = n * _add_error(x, count, y) / y * terms[count]
-        for k in range(1, count):
-            y = x + k
-            drift += (n + 1) * _add_error(x, k, y) / y * terms[k]
-        terms.append(-drift)
+        # Each e is exact by Fast2Sum (Dekker), the larger of x and k first.
+        # Where x + count is exact, x is a multiple of its ulp, so every
+        # x + k below it is exact too and the drift is 0.
+        e = count - (y - x) if x >= count else x - (y - count)
+        if e:
+            drift = n * e / y * terms[count]
+            n1, split = n + 1, min(count, math.floor(x) + 1)
+            for k in range(1, split):   # k <= x
+                y = x + k
+                drift += n1 * (k - (y - x)) / y * terms[k]
+            for k in range(split, count):   # k > x
+                y = x + k
+                drift += n1 * (x - (y - k)) / y * terms[k]
+            terms.append(-drift)
     return math.fsum(terms)
 
 

@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -199,7 +200,7 @@ def integral_test_bracket_trigamma(m):
 
 def test_trigamma_tail_inside_classical_integral_test():
     # the sharp trigamma tail must sit inside 1/(x+K+1) < tail < 1/(x+K)
-    for m in (16.0, 64.0, 1000.0):
+    for m in (10.0, 16.0, 64.0, 1000.0):
         (hi, lo), half, _ = oracle._enveloped_tail(m, 0, oracle._TRIGAMMA_SERIES)
         coarse_lo, coarse_hi = integral_test_bracket_trigamma(m)
         with mpmath.workdps(400):   # the half-width is a subnormal from m = 64
@@ -231,13 +232,14 @@ def test_em2_half_width_is_the_derived_one(y):
         assert abs(mid - (mpmath.log(m) - mpmath.psi(0, m))) <= half + 4 * 2.0**-52 * mid, y
 
 
-#: Where the tails start: y = 16 (the most terms), just above it, and up to the
-#: largest double, where the gap and psi' are subnormal.
-_TAIL_Y = [16.0, math.nextafter(16.0, math.inf), 16.5, 31.99, 64.0, 84.0, 2240.0, 1.1e5,
-           2.0**53 + 2.0, 1e20, 1e150, 1e300, 1.7976931348623157e308]
-_TAIL_SERIES = {
-    "gap": ("_GAP_SERIES", lambda m: mpmath.log(m) - mpmath.digamma(m)),
-    "trigamma": ("_TRIGAMMA_SERIES", lambda m: mpmath.psi(1, m)),
+#: Where the tails start: y = 10 (the most terms), just above it, y = 16, and up
+#: to the largest double, where the gap and psi' are subnormal.
+_TAIL_Y = [10.0, math.nextafter(10.0, math.inf), 10.5, 15.99, 16.0, math.nextafter(16.0, math.inf),
+           16.5, 31.99, 64.0, 84.0, 2240.0, 1.1e5, 2.0**53 + 2.0, 1e20, 1e150, 1e300,
+           1.7976931348623157e308]
+_TAIL_SERIES = {   # the oracle's series, F, and the divisor of B_2k in its k-th coefficient
+    "gap": ("_GAP_SERIES", lambda m: mpmath.log(m) - mpmath.digamma(m), lambda k: 2 * k),
+    "trigamma": ("_TRIGAMMA_SERIES", lambda m: mpmath.psi(1, m), lambda k: 1),
 }
 
 
@@ -245,10 +247,10 @@ _TAIL_SERIES = {
 @pytest.mark.parametrize("y", _TAIL_Y)
 def test_enveloped_tail_encloses_its_function(series, y):
     # gap(y) and psi'(y) lie within the half-width plus the charge of hi + lo.
-    # The half-width is half the first omitted term, under 2^-78 of 1/y, and
+    # The half-width is half the first omitted term, under 2^-74 of 1/y, and
     # the charge, for the floors and what hi + lo leave, under 2^-70 of it
     # (both underflow to the least subnormal near the largest double).
-    name, exact = _TAIL_SERIES[series]
+    name, exact, _ = _TAIL_SERIES[series]
     (hi, lo), half, charge = oracle._enveloped_tail(y, 0, getattr(oracle, name))
     with mpmath.workdps(50 + 2 * math.ceil(math.log10(y))):
         m = mpmath.mpf(y)
@@ -256,52 +258,91 @@ def test_enveloped_tail_encloses_its_function(series, y):
         assert max(half, charge) <= max(2.0**-70 / y, 2.0**-1074), (y, half, charge)
 
 
+def _tail_terms(series, y, n):
+    # The lead terms and the first n <= len(_B2K) others of the oracle's gap
+    # or psi' series at y, an mpf or a Fraction: the lead terms from the
+    # oracle's (k, h) pairs, the others from the exact B_2k.
+    lead, _, e, _ = getattr(oracle, _TAIL_SERIES[series][0])
+    divisor = _TAIL_SERIES[series][2]
+    terms = [1 / (2**h * y**k) for k, h in lead]
+    for k, (a, b) in enumerate(oracle._B2K[:n], 1):
+        terms.append(a / (b * divisor(k) * y ** (2 * k + e - 2)))
+    return terms
+
+
+@pytest.mark.parametrize("series", sorted(_TAIL_SERIES))
+@pytest.mark.parametrize("y", [10.0, 10.5, 16.0, 1e3, 2.0**53, 1e300])
+def test_enveloped_tail_is_its_truncated_series(series, y):
+    # The fixed-point tail against the same series summed exactly: for some
+    # truncation, after the lead and m terms, the half-width is half the next
+    # term, never above it by more than the ulp it is rounded up by, and the
+    # midpoint hi + lo the exact partial sum plus half that term; the two
+    # are off by no more than the charge together (its floors' share is
+    # derived beside the code).  Then the enclosure holds wherever the series
+    # envelopes.
+    name = _TAIL_SERIES[series][0]
+    lead = len(getattr(oracle, name)[0])
+    (hi, lo), half, charge = oracle._enveloped_tail(y, 0, getattr(oracle, name))
+    terms = _tail_terms(series, Fraction(y), len(oracle._B2K))
+    mid, half_ulp = Fraction(hi) + Fraction(lo), Fraction(math.ulp(half))
+    half, charge = Fraction(half), Fraction(charge)
+    offs = []
+    for m in range(len(oracle._B2K)):
+        omitted = terms[lead + m]
+        if half <= abs(omitted) / 2 + half_ulp:
+            offs.append(abs(mid - sum(terms[:lead + m]) - omitted / 2)
+                        + max(abs(omitted) / 2 - half, 0))
+    assert offs and min(offs) <= charge, (y, offs and min(offs), charge)
+
+
 def test_oracle_bernoulli_numbers_are_sympys():
     sympy = pytest.importorskip("sympy")
-    assert len(oracle._B2K) == 16
+    assert len(oracle._B2K) == 17
     for k, b in enumerate(oracle._B2K, 1):
         assert b == sympy.fraction(sympy.bernoulli(2 * k)), k
 
 
-def _tail_terms(series, y, n):
-    # The lead terms and the first n others of the oracle's gap or psi'
-    # series at y, rebuilt from its integer pairs.
-    lead, (c_num, c_den), e, ratios = series
-    terms = [mpmath.mpf(a) / c / y**k for a, c, k in lead]
-    magnitude = mpmath.mpf(c_num) / c_den / y**e
-    for k in range(n):
-        terms.append(-magnitude if k % 2 else magnitude)
-        if k < len(ratios):
-            magnitude = magnitude * ratios[k][0] / ratios[k][1] / y**2
-    return terms
+def test_tail_steps_fall_and_lose_no_more_than_derived():
+    # What _enveloped_tail's floor charge rests on: from y = 10 on, each step
+    # multiplies a term by its coefficient ratio over y^2, under 2/5, and the
+    # fixed-point ratios are within 2^-124 of the exact ones, 1/10 or more.
+    for series in _TAIL_SERIES:
+        ratios = getattr(oracle, _TAIL_SERIES[series][0])[3]
+        divisor = _TAIL_SERIES[series][2]
+        coefficients = [Fraction(a, b * divisor(k)) for k, (a, b) in enumerate(oracle._B2K, 1)]
+        assert len(ratios) == len(coefficients) - 1
+        for k, ratio in enumerate(ratios):
+            exact = abs(coefficients[k + 1] / coefficients[k])
+            assert Fraction(1, 10) <= exact < Fraction(2, 5) * 100, (series, k)
+            assert 0 <= exact - Fraction(ratio, 2**oracle._RATIO_BITS) < exact * 2.0**-124
 
 
 @pytest.mark.parametrize("series", sorted(_TAIL_SERIES))
 def test_oracle_tail_series_envelope(series):
     # What _enveloped_tail's half-width rests on (DLMF 5.11(ii); psi' once
     # its two leading terms are summed): what the kept terms leave lies
-    # strictly between 0 and the first omitted term, on y in [16, 1e300], for
+    # strictly between 0 and the first omitted term, on y in [10, 1e300], for
     # every truncation down to terms of 2^-115 of 1/y or to the end of the
-    # oracle's table (2^-92 at y = 16), past where the tail stops (under 4
-    # units: 2^-77 of 1/y at y = 16, 2^-107 from y = 2^11).
-    name, exact = _TAIL_SERIES[series]
-    oracle_series = getattr(oracle, name)
-    lead = len(oracle_series[0])
+    # oracle's table (2^-74 of 1/y at y = 10), as far as the tail goes
+    # (under 4 units: 2^-73 of 1/y at y = 10, 2^-107 from y = 2^12).
+    name, exact, _ = _TAIL_SERIES[series]
+    lead = len(getattr(oracle, name)[0])
+    n = len(oracle._B2K)
     for i in range(31):
-        y = 16.0 * (1e300 / 16.0) ** (i / 30)
+        y = 10.0 * (1e300 / 10.0) ** (i / 30)
         with mpmath.workdps(40):
-            terms = _tail_terms(oracle_series, mpmath.mpf(y), len(oracle_series[3]) + 1)
-            stop = next((n for n in range(lead, len(terms)) if abs(terms[n]) * y < 2.0**-115),
+            terms = _tail_terms(series, mpmath.mpf(y), n)
+            stop = next((k for k in range(lead, len(terms)) if abs(terms[k]) * y < 2.0**-115),
                         len(terms) - 1)
         # The remainder is about y^-2 of the term it is compared with, which is
         # down to y^-(2n + 1) of the value: so many digits, and 30 more.
         with mpmath.workdps(30 + (2 * stop + 4) * math.ceil(math.log10(y))):
             m = mpmath.mpf(y)
-            terms = _tail_terms(oracle_series, m, stop + 1 - lead)
+            terms = _tail_terms(series, m, stop + 1 - lead)
             value = exact(m)
-            for n in range(lead, stop + 1):
-                ratio = (value - mpmath.fsum(terms[:n])) / terms[n]
-                assert 0 < ratio < 1, (series, y, n)
+            for k in range(lead, stop + 1):
+                ratio = (value - mpmath.fsum(terms[:k])) / terms[k]
+                assert 0 < ratio < 1, (series, y, k)
 
 
 def _mp_binet_mu(m):
@@ -604,9 +645,10 @@ def test_gap_series_cost_is_bounded(monkeypatch):
 @pytest.mark.parametrize("name", ["ref_digamma_gap", "ref_digamma", "ref_euler_gamma",
                                   "ref_trigamma"])
 def test_gap_and_trigamma_sum_at_most_16_head_terms(name, monkeypatch):
-    # The gap and psi' sum their terms while x + j < 16, none from x = 16, and
-    # add the tail at y = x + count >= 16; no bulk sum runs.  Their value is
-    # fsum over the head terms and the tail's two parts.
+    # The gap and psi' sum their terms while x + j < 10 (at most 10, well
+    # within the 16 of the name), none from x = 10, and add the tail at
+    # y = x + count >= 10; no bulk sum runs.  Their value is fsum over the
+    # head terms and the tail's two parts.
     def boom(*args, **kwargs):
         raise AssertionError("summed in bulk")
 
@@ -621,7 +663,7 @@ def test_gap_and_trigamma_sum_at_most_16_head_terms(name, monkeypatch):
     monkeypatch.setattr(oracle, "_bulk_terms", boom)
     monkeypatch.setattr(oracle, "_enveloped_tail", recording)
     returned = 0
-    xs = _GAP_X + [0.3, 1.0, 1.5, 2.0, 7.5, 15.9, 15.999999999999998, 16.0, 6e4, 1e6]
+    xs = _GAP_X + [0.3, 1.0, 1.5, 2.0, 7.5, 9.9, 9.999999999999998, 10.0, 15.9, 16.0, 6e4, 1e6]
     for x in ([1.0] if name == "ref_euler_gamma" else xs):
         for eps in (1e-12, 1e-6, 1.0):
             oracle.clear_caches()
@@ -633,8 +675,8 @@ def test_gap_and_trigamma_sum_at_most_16_head_terms(name, monkeypatch):
                 continue
             returned += 1
             (tail_x, count, mid_parts), = tails_taken
-            assert tail_x == x and count == (16 - math.floor(x) if x < 16 else 0), (x, count)
-            assert 16 <= mpmath.mpf(x) + count and count <= 16, (x, count)
+            assert tail_x == x and count == (10 - math.floor(x) if x < 10 else 0), (x, count)
+            assert 10 <= mpmath.mpf(x) + count and count <= 10, (x, count)
             if name == "ref_trigamma":
                 terms = [(x + j) ** -2.0 for j in range(count)]
                 assert r.value.hex() == math.fsum([*terms, *mid_parts]).hex(), x
