@@ -1,7 +1,7 @@
 """Command-line front end: evaluate functions, run sweeps, emit tables.
 
-Exit codes: 0 success / all-pass, 1 verification failure, 2 usage or domain
-error, 3 unknown function or family name.
+Exit codes: 0 success / all-pass, 1 verification failure, 2 usage, domain or
+output-file error, 3 unknown function or family name.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ def _fmt(value: float, precision: float) -> str:
 
 
 def _precision(text: str) -> float:
-    # argparse type of --precision: _fmt takes its log10, and every oracle
+    # argparse type of eval's --precision: _fmt takes its log10, and an oracle
     # tolerance must be a positive number.
     try:
         value = float(text)
@@ -145,7 +145,7 @@ def cmd_verify(args) -> int:
     from .bounds import BoundFamily
     family = BoundFamily.parse(args.family)
     grid = _grid_from_args(args, [family])
-    report = verifier.sweep(grid, family, eps=args.precision)
+    report = verifier.sweep(grid, family)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "verify",
@@ -167,7 +167,7 @@ def cmd_compare(args) -> int:
     if len(families) < 2:
         raise DomainError("compare needs at least two families")
     grid = _grid_from_args(args, families)
-    rows_raw = verifier.compare(grid, families, args.side, eps=args.precision)
+    rows_raw = verifier.compare(grid, families, args.side)
     rows = [
         {"x": row.x, **{f.value: row.gap_by_family[f] for f in families}}
         for row in rows_raw
@@ -197,7 +197,7 @@ def cmd_compare(args) -> int:
 
 def cmd_constants(args) -> int:
     from . import oracle, specfun
-    gam = oracle.ref_euler_gamma(args.precision)
+    gam = oracle.ref_euler_gamma()
     log_two_pi = specfun.LOG_TWO_PI
     rows = [
         {"name": "euler_gamma", "value": gam.value, "error_radius": gam.error_radius},
@@ -211,8 +211,7 @@ def cmd_constants(args) -> int:
             doc = {"schema_version": SCHEMA_VERSION, "command": "constants"}
             _emit(doc, rows, args.format, stream)
         else:
-            # Shortest round-trip representation: --precision tunes how tightly
-            # the constant is derived, not how many digits survive printing.
+            # Shortest round-trip representation, with the radius beside it.
             for row in rows:
                 stream.write(f"{row['name']} = {row['value']!r} ± {row['error_radius']:.1e}\n")
     return EXIT_OK
@@ -242,7 +241,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--xmax", type=float, default=1e4)
     p.add_argument("--points", type=int, default=500)
     p.add_argument("--scale", choices=("log", "linear"), default="log")
-    p.add_argument("--precision", type=_precision, default=DEFAULT_EPS)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", help="write the artifact here instead of stdout")
 
@@ -277,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(run=cmd_compare)
 
     p_const = sub.add_parser("constants", help="print the library constants")
-    p_const.add_argument("--precision", type=_precision, default=DEFAULT_EPS)
     p_const.add_argument("--format", choices=("csv", "json", "text"), default="text")
     p_const.add_argument("--output")
     p_const.set_defaults(run=cmd_constants)
@@ -293,7 +290,7 @@ def main(argv: list[str] | None = None) -> int:
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_UNKNOWN_NAME
-    except (DomainError, ToleranceError, OverflowError, ValueError) as exc:
+    except (DomainError, ToleranceError, OverflowError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

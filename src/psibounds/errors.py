@@ -1,7 +1,7 @@
 """Exception types and the default tolerance shared across the package."""
 
 #: Absolute tolerance of the oracle's reference values unless a caller asks
-#: for another; the CLI's ``--precision`` default.
+#: for another; the default of ``eval``'s ``--precision``, its one CLI use.
 DEFAULT_EPS = 1e-12
 
 

@@ -50,12 +50,16 @@ Every value and radius is a function of x alone, and eps only decides a
 refusal (``ToleranceError``): below ``EPS_FLOOR``, where the radius exceeds
 eps (as an absolute 1e-12 does on trigamma near 0, where the value is ~1e6)
 and, before any sum, where half an ulp of a known lower bound of the value
-does: 1/(2x) for the gap (it overflows for subnormal x), 1/x^2 for trigamma
-and the Stirling part (mu > 0) for log Gamma.  mu is summed to a half-width
-``_target(x)``, a quarter ulp of ~1/(2x) within [1e-26, EPS_FLOOR/4] (the
-tightest any accepted eps asks for): its tail starts at the m where the
-enclosure (~ 1/(360 m^5)) and its double midpoint's charge (4 ulps of
-mu(m) < 1/(12m)) fit that, or at x + MAX_TERMS (``_tail_count``).
+does: 1/(2x) for the gap, 1/x^2 for trigamma and the Stirling part (mu > 0)
+for log Gamma; eps = inf refuses nothing.  A value past the largest double
+is a ``DomainError`` at every eps: the gap and psi below x ~ 5.6e-309, where
+1/x overflows, psi' below ~7.5e-155, where 1/x^2 does, the Stirling target
+below ~2.2e-309, and log Gamma where (x - 1/2) log x overflows.  mu is
+summed to a half-width ``_target(x)``, a quarter ulp of ~1/(2x) within
+[1e-26, EPS_FLOOR/4] (the tightest any accepted eps asks for): its tail
+starts at the m where the enclosure (~ 1/(360 m^5)) and its double
+midpoint's charge (4 ulps of mu(m) < 1/(12m)) fit that, or at x + MAX_TERMS
+(``_tail_count``).
 
 Cost is bounded, not linear in x.  The gap and psi' sum at most 10 head
 terms, none from x = 10, and at most 16 terms of their tail series (at
@@ -169,7 +173,10 @@ def _ensure(radius: float, eps: float, what: str, x: float) -> None:
 
 def _ensure_above(floor: float, eps: float, what: str, x: float) -> None:
     # Refusal before any sum for a value known to exceed ``floor``, which is
-    # computed within a few ulps (hence the 2^-48 slack); ulp(inf) = inf.
+    # computed within a few ulps (hence the 2^-48 slack).  A floor that
+    # overflows is a value past the largest double: DomainError at every eps.
+    if floor == math.inf:
+        raise DomainError(f"{what}({x!r}) passes the largest double")
     _ensure(0.5 * math.ulp(floor * (1.0 - 2.0**-48)), eps, what, x)
 
 
@@ -515,7 +522,8 @@ def ref_digamma_gap(x: float, eps: float = DEFAULT_EPS) -> ErrorBoundedValue:
     """
     x = _check_domain(x)
     eps = _check_eps(eps)
-    _ensure_above(0.5 / x, eps, "ref_digamma_gap", x)   # the gap exceeds 1/(2x)
+    # The gap exceeds 1/(2x) and overflows where 1/x does: halve 1/x, not 0.5/x.
+    _ensure_above(1.0 / x * 0.5, eps, "ref_digamma_gap", x)
     count = _head_count(x)
     terms = kernels.kernel_r_terms(x, count)
     mid_parts, half_width, mid_charge = _enveloped_tail(x, count, _GAP_SERIES)
@@ -543,8 +551,10 @@ def ref_stirling_target(x: float, eps: float = DEFAULT_EPS) -> ErrorBoundedValue
     """
     x = _check_domain(x)
     eps = _check_eps(eps)
-    mu = ref_binet_mu(x, eps)
+    mu = ref_binet_mu(x, math.inf)   # eps judges the target's radius, below
     value = math.exp(mu.value) / math.sqrt(x)
+    if value == math.inf:
+        raise DomainError(f"ref_stirling_target({x!r}) passes the largest double")
     radius = value * (mu.error_radius + 3.0 * _EPS)
     _ensure(radius, eps, "ref_stirling_target", x)
     return ErrorBoundedValue(value, radius)
@@ -600,28 +610,28 @@ def ref_log_gamma(x: float, eps: float = DEFAULT_EPS) -> ErrorBoundedValue:
     """
     x = _check_domain(x)
     eps = _check_eps(eps)
-    out = _log_gamma_series(x) if x <= 2.0 else _log_gamma_stirling(x, eps, "ref_log_gamma")
+    out = _log_gamma_series(x) if x <= 2.0 else _log_gamma_stirling(x, eps)
     _ensure(out.error_radius, eps, "ref_log_gamma", x)
     return out
 
 
-def _log_gamma_stirling(x: float, eps: float, what: str) -> ErrorBoundedValue:
+def _log_gamma_stirling(x: float, eps: float) -> ErrorBoundedValue:
     h, log_x = x - 0.5, math.log(x)
     product = h * log_x
     stirling = product - x + _HALF_LOG_TWO_PI
     if not math.isfinite(stirling):
-        raise DomainError(f"{what}({x!r}): (x - 1/2) log x overflows binary64")
+        raise DomainError(f"ref_log_gamma({x!r}): (x - 1/2) log x overflows binary64")
     # Where this can fire (eps >= EPS_FLOOR, so s >= 128 and x > 45), s is
     # within 2^-50 relative of the exact part.
-    _ensure_above(stirling, eps, what, x)
+    _ensure_above(stirling, eps, "ref_log_gamma", x)
     charges = [
         abs(x - h - 0.5) * log_x,   # x - h is exact, so this is h's rounding
         h * math.ulp(log_x),
         0.5 * math.ulp(product),
         1.7e-16,                    # _HALF_LOG_TWO_PI
     ]
-    _ensure(math.fsum(charges), eps, what, x)
-    mu = ref_binet_mu(x, eps)
+    _ensure(math.fsum(charges), eps, "ref_log_gamma", x)
+    mu = ref_binet_mu(x, math.inf)   # eps judges the total radius
     return _close([mu.value, product, -x, _HALF_LOG_TWO_PI], [*charges, mu.error_radius])
 
 

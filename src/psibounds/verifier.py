@@ -19,7 +19,7 @@ from typing import Callable
 
 from . import bounds, oracle, specfun
 from .bounds import BoundFamily, Interval
-from .errors import DEFAULT_EPS, DomainError, UndecidedComparisonError
+from .errors import DomainError, UndecidedComparisonError
 
 STRICTNESS_FACTOR = 10.0
 BOUND_ULPS = 4.0
@@ -136,49 +136,39 @@ class ComparisonRow:
 
 @dataclass(frozen=True)
 class _TargetRow:
-    oracle: Callable[[float, float], oracle.ErrorBoundedValue]  # (x, eps)
+    oracle: Callable[[float], oracle.ErrorBoundedValue]  # (x)
     bounds: Callable[[float, BoundFamily], Interval]  # (x, family)
     scale: str
     notes: tuple[str, ...] = ()
 
 
-def _log_gamma_plus_one(x: float, eps: float) -> oracle.ErrorBoundedValue:
+def _log_gamma_plus_one(x: float) -> oracle.ErrorBoundedValue:
     # log Gamma at the rounded s = x + 1, charged for e = (x + 1) - s exactly:
     # the two differ by |psi(y) e| for some y between them, so y < s + 1, and
     # -gamma < psi(y) < log y for y > 1 (gamma < 0.5773).
     s = x + 1.0
-    out = oracle.ref_log_gamma(s, eps)
+    out = oracle.ref_log_gamma(s, math.inf)
     e = specfun._add_error(x, 1.0, s)
     if e == 0.0:
         return out
-    radius = math.nextafter(
-        out.error_radius + abs(e) * max(0.5773, math.log(s + 1.0)), math.inf)
-    oracle._ensure(radius, eps, "log_gamma_plus_one", x)
-    return oracle.ErrorBoundedValue(out.value, radius)
+    return oracle.ErrorBoundedValue(out.value, math.nextafter(
+        out.error_radius + abs(e) * max(0.5773, math.log(s + 1.0)), math.inf))
 
 
-#: One row per target quantity.  The entries look their functions up at
-#: call time, so a patched module attribute sees every call.
+#: One row per target quantity.  A sweep takes each oracle radius as it is,
+#: at eps = inf, and only the strictness rule judges it.  The entries look
+#: their functions up at call time, so a patched module attribute sees every
+#: call.
 _TARGET_ROWS = {
-    "gap": _TargetRow(lambda x, e: oracle.ref_digamma_gap(x, e),
+    "gap": _TargetRow(lambda x: oracle.ref_digamma_gap(x, math.inf),
                       lambda x, f: bounds.digamma_gap_bounds(x, f), "abs"),
-    "ratio": _TargetRow(lambda x, e: oracle.ref_stirling_target(x, e),
+    "ratio": _TargetRow(lambda x: oracle.ref_stirling_target(x, math.inf),
                         lambda x, f: bounds.stirling_ratio_bounds(x, f), "ratio"),
-    "gamma": _TargetRow(lambda x, e: _log_gamma_plus_one(x, e),
+    "gamma": _TargetRow(lambda x: _log_gamma_plus_one(x),
                         lambda x, f: bounds.gamma_bounds_log(x, f), "log",
                         ("target and bounds reported on the log scale: "
                          "Gamma(x+1) overflows doubles for x beyond ~170",)),
 }
-
-
-def _oracle_target(row: _TargetRow, x: float, eps: float) -> oracle.ErrorBoundedValue:
-    # Large arguments can have representation floors above eps (log-gamma at
-    # 1e4 occupies ~1.5e-11 per ulp).  An oracle value and radius do not depend
-    # on eps, so ask once, at the loosest decade eps 10^k <= 1e-3, and keep the
-    # honest radius, which is what the strictness rule consumes.
-    while 0.0 < eps * 10.0 <= 1e-3:   # eps <= 0 goes on to the oracle's DomainError
-        eps *= 10.0
-    return row.oracle(x, eps)
 
 
 def _check_grid_domain(grid: GridSpec, families) -> None:
@@ -190,13 +180,13 @@ def _check_grid_domain(grid: GridSpec, families) -> None:
             )
 
 
-def sweep(grid: GridSpec, family: BoundFamily, eps: float = DEFAULT_EPS) -> InequalityReport:
+def sweep(grid: GridSpec, family: BoundFamily) -> InequalityReport:
     """Certify one family over a grid; every abscissa must be in-domain."""
     _check_grid_domain(grid, [family])
     row = _TARGET_ROWS[family.target]
     records = []
     for x in grid.abscissae():
-        target = _oracle_target(row, x, eps)
+        target = row.oracle(x)
         interval = row.bounds(x, family)
         lower_margin = target.value - interval.lower
         upper_margin = interval.upper - target.value
@@ -222,8 +212,7 @@ def sweep(grid: GridSpec, family: BoundFamily, eps: float = DEFAULT_EPS) -> Ineq
                             records=records, notes=row.notes)
 
 
-def compare(grid: GridSpec, families: list[BoundFamily], side: str,
-            eps: float = DEFAULT_EPS) -> list[ComparisonRow]:
+def compare(grid: GridSpec, families: list[BoundFamily], side: str) -> list[ComparisonRow]:
     """Per-family gap metrics on a shared grid; no direction is asserted.
 
     side='width' reports upper - lower; side='lower'/'upper' reports the
@@ -243,7 +232,7 @@ def compare(grid: GridSpec, families: list[BoundFamily], side: str,
     row = _TARGET_ROWS[kinds.pop()]
     rows = []
     for x in grid.abscissae():
-        target = None if side == "width" else _oracle_target(row, x, eps).value
+        target = None if side == "width" else row.oracle(x).value
         gaps = {}
         for f in families:
             interval = row.bounds(x, f)
@@ -353,7 +342,7 @@ def identity_check(grid: GridSpec, tau_terms: int = 100,
             return False
         if abs(specfun.log_gamma(x + 1.0) - specfun.log_gamma(x) - math.log(x)) > tolerance:
             return False
-        gap = oracle.ref_digamma_gap(x, DEFAULT_EPS)
+        gap = oracle.ref_digamma_gap(x)
         iv = bounds.gap_via_tau_series(x, tau_terms)
         if not (iv.lower <= gap.lower and gap.upper <= iv.upper):
             return False

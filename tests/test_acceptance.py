@@ -1,8 +1,8 @@
 """Acceptance gate: every criterion at its stated tolerance.
 
 Each test prints one ``[criterion N] PASS/FAIL`` line.  Criterion 1 runs the
-full default grids at eps = 1e-12 under the unchanged 10x strictness-margin
-rule.  Ten families certify at every point.  eq6 and eq9r2 are asymptotically
+full default grids, each oracle radius taken as it is, under the unchanged
+10x strictness-margin rule.  Ten families certify at every point.  eq6 and eq9r2 are asymptotically
 exact to such high order that near the top of the grid their true margins sink
 below the rule's fixed floor of 40 ulps of the bound value, so no binary64
 evaluation can certify them there.  For those two the criterion asserts that

@@ -86,9 +86,6 @@ def test_eval_domain_error_exit_2(capsys):
     ["eval", "f", "1", "--precision=-1e-3"],
     ["eval", "f", "1", "--precision", "nan"],
     ["eval", "f", "1", "--precision", "tight"],
-    ["verify", "--family", "eq4", "--precision", "0"],
-    ["compare", "--families", "eq4,eq5", "--precision=-inf"],
-    ["constants", "--precision", "inf"],
 ])
 def test_precision_must_be_positive_and_finite(capsys, argv):
     # Rejected by the parser with a plain message, before any layer runs.
@@ -97,6 +94,20 @@ def test_precision_must_be_positive_and_finite(capsys, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "argument --precision: must be a positive finite number" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--family", "eq4", "--precision", "1e-6"],
+    ["compare", "--families", "eq4,eq5", "--precision", "1e-6"],
+    ["constants", "--precision", "1e-6"],
+])
+def test_only_eval_takes_a_precision(capsys, argv):
+    # A sweep takes each oracle radius as it is and the strictness rule
+    # judges it, so verify, compare and constants have no tolerance to set.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --precision" in capsys.readouterr().err
 
 
 def test_eval_unknown_function_exit_3(capsys):
@@ -227,15 +238,6 @@ def test_constants_text(capsys):
     assert "log_two_pi" in out and "half_log_two_pi" in out
 
 
-def test_constants_five_digit_precision(capsys):
-    code, out, _ = run(capsys, "constants", "--precision", "1e-5")
-    assert code == 0
-    gamma_line = out.splitlines()[0]
-    printed = gamma_line.split("=")[1].split("±")[0].strip()
-    assert printed.startswith("0.57721")
-    assert abs(float(printed) - 0.5772156649015329) < 1e-5
-
-
 def test_constants_json_has_radius(capsys):
     code, out, _ = run(capsys, "constants", "--format", "json")
     assert code == 0
@@ -275,6 +277,20 @@ def test_output_file_is_closed(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "ResourceWarning" not in proc.stderr
     assert (tmp_path / "f").read_text().startswith("x,target,")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--family", "eq9", "--xmin", "1", "--xmax", "2", "--points", "3"],
+    ["compare", "--families", "eq9,eq5", "--xmin", "1", "--xmax", "2", "--points", "3"],
+    ["constants"],
+])
+def test_unwritable_output_exit_2(tmp_path, capsys, argv):
+    # Exit 1 means a certification failure: a file that cannot be opened is
+    # a usage error, reported on one line.
+    code, _, err = run(capsys, *argv, "--output", str(tmp_path / "missing" / "r.csv"))
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert len(err.splitlines()) == 1
 
 
 def test_verify_exit_1_on_certification_failure(capsys):

@@ -489,7 +489,7 @@ def test_log_gamma_refusal_known_before_any_sum(monkeypatch):
 def test_series_and_closed_form_agree_at_the_switch(x):
     # log Gamma's series serves (0, 2], the closed form around mu above 2.
     series = oracle._log_gamma_series(x)
-    closed = oracle._log_gamma_stirling(x, 1e-12, "closed form")
+    closed = oracle._log_gamma_stirling(x, 1e-12)
     ref = mp_reference(mpmath.loggamma, x)
     assert encloses(series, ref) and encloses(closed, ref)
     assert max(series.lower, closed.lower) <= min(series.upper, closed.upper)
@@ -551,10 +551,18 @@ def test_no_bulk_terms_at_abscissas_that_round_together(monkeypatch):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("x", [1e-300, 1e-310, 5e-324])
 def test_trigamma_refuses_tiny_x_before_summing(x):
-    # psi'(x) > 1/x^2, whose half ulp exceeds eps long before 1/x^2
-    # overflows: ToleranceError, with no overflow warning from the sum.
-    with pytest.raises(ToleranceError):
-        oracle.ref_trigamma(x, 1e-3)
+    # psi'(x) > 1/x^2, which overflows at these x: DomainError at every eps,
+    # no ToleranceError, and no overflow warning from a sum.  Below 1/x's
+    # overflow (~5.6e-309) the gap and the Stirling target (~0.4/x) pass the
+    # largest double too.
+    names = ["ref_trigamma"]
+    if x < 5.6e-309:
+        names += ["ref_digamma_gap", "ref_digamma", "ref_stirling_target"]
+    for name in names:
+        for eps in (oracle.EPS_FLOOR, 1e-3, math.inf):
+            oracle.clear_caches()
+            with pytest.raises(DomainError, match="passes the largest double"):
+                getattr(oracle, name)(x, eps)
 
 
 HUGE_TARGETS = {
@@ -564,6 +572,8 @@ HUGE_TARGETS = {
     "ref_digamma": mpmath.digamma,
     "ref_log_gamma": mpmath.loggamma,
     "ref_trigamma": lambda m: mpmath.polygamma(1, m),
+    "ref_stirling_target": lambda m: mpmath.exp(mpmath.loggamma(m) - m * mpmath.log(m) + m
+                                                - mpmath.log(2 * mpmath.pi) / 2),
 }
 
 
@@ -571,21 +581,47 @@ HUGE_TARGETS = {
 def test_huge_x_encloses_or_refuses(name):
     # Up to the largest double, including the subnormal results of the gap
     # and mu past ~1e306, and at subnormal x: a true enclosure or a
-    # documented refusal.
+    # documented refusal.  eps = inf refuses nothing, so there only a value
+    # past the largest double may raise (DomainError).
     xs = [float(v) for v in np.logspace(5, 308, 60)]
     xs += [1e55, 1e80, 1e200, 1e300, 3e307, 1e308, 1.7976931348623157e308]
     xs += [1e-310, 5e-324]  # subnormal x, where 1/x overflows
     returned = 0
     for x in xs:
-        for eps in (1e-12, 1e-3):
+        for eps in (1e-12, 1e-3, math.inf):
             oracle.clear_caches()
             try:
                 r = getattr(oracle, name)(x, eps)
-            except (ToleranceError, DomainError):
+            except DomainError:
+                continue
+            except ToleranceError:
+                assert eps < math.inf, x
                 continue
             returned += 1
+            assert math.isfinite(r.error_radius), (x, eps, r)
             assert encloses(r, mp_reference(HUGE_TARGETS[name], x)), (x, eps, r)
     assert returned > 0
+
+
+def test_infinite_eps_returns_a_finite_value_or_a_domain_error():
+    # On 400 log points of the positive doubles, eps = inf refuses nothing:
+    # each ref_* returns a finite value and radius or raises DomainError, the
+    # latter only where a value overflows: below ~7.5e-155 for psi', below
+    # ~5.6e-309 for the gap, psi and the Stirling target, and above ~2.5e305
+    # for log Gamma, whose (x - 1/2) log x overflows.
+    lo, hi = math.log(5e-324), math.log(1.7976931348623157e308)
+    xs = [5e-324] + [math.exp(lo + (hi - lo) * i / 399) for i in range(1, 399)]
+    xs.append(1.7976931348623157e308)
+    for name in ("ref_digamma_gap", "ref_binet_mu", "ref_stirling_target",
+                 "ref_digamma", "ref_trigamma", "ref_log_gamma"):
+        for x in xs:
+            oracle.clear_caches()
+            try:
+                r = getattr(oracle, name)(x, math.inf)
+            except DomainError:
+                assert not 1e-154 < x < 1e305, (name, x)
+                continue
+            assert math.isfinite(r.value) and math.isfinite(r.error_radius), (name, x, r)
 
 
 # -- the gap series: an exact tail midpoint, so its tail starts near x + 16 ----

@@ -4,7 +4,7 @@ import pytest
 
 from psibounds import bounds, oracle, verifier
 from psibounds.bounds import BoundFamily
-from psibounds.errors import DomainError, ToleranceError, UndecidedComparisonError
+from psibounds.errors import DomainError, UndecidedComparisonError
 from psibounds.verifier import GridSpec
 
 
@@ -212,17 +212,10 @@ def test_gamma_target_encloses_log_gamma_at_x_plus_one():
             if abs(mpmath.mpf(r.target.value) - truth) > mpmath.mpf(r.target.error_radius):
                 misses.append(r.x)
     assert not misses, misses
-    # Where the charge takes the radius past eps, the target refuses, so a
-    # sweep relaxes eps as for any other oracle refusal.
-    x = math.nextafter(1023.3, math.inf)   # x + 1 rounds by 2^-43
-    eps = oracle.ref_log_gamma(x + 1.0, 1e-10).error_radius * 1.001
-    oracle.ref_log_gamma(x + 1.0, eps)
-    with pytest.raises(ToleranceError):
-        verifier._TARGET_ROWS["gamma"].oracle(x, eps)
 
 
 def test_sweep_sums_each_series_once_per_point():
-    # An oracle value does not depend on eps, so a sweep asks once per point:
+    # A sweep takes each oracle radius as it is, so it asks once per point:
     # on the criterion-1 grid eq4's target sums mu once at each of 500 x.
     oracle.clear_caches()
     verifier.sweep(GridSpec(1e-3, 1e4, 500), BoundFamily.EQ4)
@@ -235,7 +228,20 @@ def test_sweep_sums_each_series_once_per_point():
     oracle.clear_caches()
 
 
-@pytest.mark.parametrize("eps", [0.0, -1e-12, math.nan])
-def test_oracle_target_rejects_a_non_positive_eps(eps):
-    with pytest.raises(DomainError):
-        verifier.sweep(GridSpec(1.0, 2.0, 3), BoundFamily.EQ4, eps=eps)
+@pytest.mark.parametrize("family, x_min, x_max", [
+    (BoundFamily.EQ8, 1e10, 1e13), (BoundFamily.THM24, 1e10, 1e13),
+    (BoundFamily.EQ5, 1e-20, 1e-13), (BoundFamily.EQ9R1, 1e-20, 1e-13),
+])
+def test_sweep_certifies_where_the_radius_is_large(family, x_min, x_max):
+    # log Gamma(1e12 + 1) ~ 2.7e13 has a radius of 2e-3 and the gap at 1e-20
+    # one of 4e3: no absolute tolerance bounds them, and the strictness rule
+    # still certifies every point, each target enclosing the truth.
+    mpmath = pytest.importorskip("mpmath")
+    truth = {"gap": lambda m: mpmath.log(m) - mpmath.digamma(m),
+             "gamma": lambda m: mpmath.loggamma(m + 1)}[family.target]
+    rep = verifier.sweep(GridSpec(x_min, x_max, 4), family)
+    assert [r.passed for r in rep.records] == [True] * 4
+    for r in rep.records:
+        with mpmath.workdps(60 + 2 * math.ceil(abs(math.log10(r.x)))):
+            error = abs(mpmath.mpf(r.target.value) - truth(mpmath.mpf(r.x)))
+            assert error <= r.target.error_radius, r.x
