@@ -95,11 +95,15 @@ def kernel_s(x: float) -> float:
         v = t * t
         w = _w_over_v(v) * v
         return (w + t) + t * w
-    # Below ~5.56e-309, u = 1/x overflows; there log(1 + 1/x) is
-    # -log x + log1p(x), and log1p(x) < 6e-309 is far below an ulp of
-    # -log x > 708.  kernel_w does the same, inline.
+    return _direct(x, 1.0)
+
+
+def _direct(x: float, c: float) -> float:
+    # (x + c) log(1 + 1/x) - 1 as written, below the series' range.  Below
+    # ~5.56e-309, u = 1/x overflows; there log(1 + 1/x) is -log x + log1p(x),
+    # and log1p(x) < 6e-309 is far below an ulp of -log x > 708.
     u = 1.0 / x
-    return (x + 1.0) * (math.log1p(u) if u <= 1.7976931348623157e308 else -math.log(x)) - 1.0
+    return (x + c) * (math.log1p(u) if u <= 1.7976931348623157e308 else -math.log(x)) - 1.0
 
 
 def kernel_w(x: float) -> float:
@@ -107,13 +111,16 @@ def kernel_w(x: float) -> float:
 
     Positive, decreasing, ~1/(12 x^2) for large x.
     """
-    x = _check_domain(x)
+    return _kernel_w(_check_domain(x))
+
+
+def _kernel_w(x: float) -> float:
+    # kernel_w for an x already checked: mu's head terms x + j share one check.
     if x >= 0.5:
         t = 0.5 / (x + 0.5)
         v = t * t
         return _w_over_v(v) * v
-    u = 1.0 / x
-    return (x + 0.5) * (math.log1p(u) if u <= 1.7976931348623157e308 else -math.log(x)) - 1.0
+    return _direct(x, 0.5)
 
 
 def kernel_r_terms(x: float, count: int) -> list[float]:

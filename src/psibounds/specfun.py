@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 
 from . import kernels, tails
 from .errors import DomainError
@@ -72,12 +71,6 @@ def digamma_gap(x: float) -> float:
     return math.fsum(terms)
 
 
-def _shift(x: float, x0: float) -> tuple[int, float]:
-    """(count, y): count = #{j : x + j < x0} <= ceil(x0), and y = x + count >= x0."""
-    count = math.ceil(x0 - x) if x < x0 else 0
-    return count, x + count
-
-
 #: The Bernoulli numbers B_2k, k = 1..16, as exact (numerator, denominator)
 #: pairs: mu's expansion takes all 16, polygamma's the first 12.
 _BERNOULLI = (
@@ -111,9 +104,11 @@ def binet_mu(x: float) -> float:
     Positive, strictly decreasing, ~1/(12x) for large x.
     """
     x = _check_domain(x)
-    count, y = _shift(x, _MU_X0)
-    terms = [kernels.kernel_w(x + j) for j in range(count)]
-    terms.append(_mu_expansion(y))
+    count = math.ceil(_MU_X0 - x) if x < _MU_X0 else 0   # the shift: #{j : x + j < x0}
+    kernel_w, terms = kernels._kernel_w, []   # x is checked once, here
+    for j in range(count):
+        terms.append(kernel_w(x + j))
+    terms.append(_mu_expansion(x + count))
     return math.fsum(terms)
 
 
@@ -154,9 +149,13 @@ def _power_sum(n: int, x: float, d: float) -> float:
     w = ((n + _PSI_X0)/y)^2 <= 1 on the coefficients of ``_psi_coefficients``.
     """
     power = -(n + 1)
-    count, y = _shift(x, n + _PSI_X0)
-    terms = [((x + j) / d) ** power for j in range(count)]
-    w = (n + _PSI_X0) / y
+    x0 = n + _PSI_X0
+    count = math.ceil(x0 - x) if x < x0 else 0   # the shift, as binet_mu's
+    y = x + count
+    terms = []
+    for j in range(count):   # a loop, not a comprehension: no frame per call
+        terms.append(((x + j) / d) ** power)
+    w = x0 / y
     w *= w
     c = _psi_coefficients(n)
     acc = (((((((((((c[11] * w + c[10]) * w + c[9]) * w + c[8]) * w + c[7]) * w + c[6]) * w
@@ -195,10 +194,14 @@ def polygamma(n: int, x: float) -> float:
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise DomainError(f"polygamma order must be an integer >= 1, got {n!r}")
-    x = _check_domain(x)
+    return _polygamma(n, _check_domain(x))
+
+
+def _polygamma(n: int, x: float) -> float:
+    # polygamma past its checks, for trigamma and the bounds' closed forms.
     try:
         total = _power_sum(n, x, 1.0)   # its first term overflows where the value does
-        if n > 1 and total < sys.float_info.min:
+        if n > 1 and total < 2.2250738585072014e-308:   # the least normal double
             # The terms underflow: sum them over x^-(n+1), then divide that out.
             from fractions import Fraction
             magnitude = float(math.factorial(n) * Fraction(_power_sum(n, x, x))
@@ -213,14 +216,14 @@ def polygamma(n: int, x: float) -> float:
             magnitude = float(math.factorial(n) * Fraction(total))
     except OverflowError:
         magnitude = math.inf
-    if magnitude == math.inf:
+    if magnitude > 1.7976931348623157e308:
         raise DomainError(f"|polygamma({n}, {x!r})| exceeds the largest double")
     return magnitude if n % 2 == 1 else -magnitude
 
 
 def trigamma(x: float) -> float:
     """psi'(x), the first derivative of digamma."""
-    return polygamma(1, x)
+    return _polygamma(1, _check_domain(x))
 
 
 def log_gamma(x: float) -> float:
@@ -230,11 +233,11 @@ def log_gamma(x: float) -> float:
     DomainError where (x - 1/2) log x overflows (from x ~ 2.5e305), as in
     the oracle.
     """
-    x = _check_domain(x)
+    mu, x = binet_mu(x), float(x)   # binet_mu checks x
     product = (x - 0.5) * math.log(x)
     if product == math.inf:
         raise DomainError(f"log_gamma({x!r}): (x - 1/2) log x overflows binary64")
-    return math.fsum([binet_mu(x), product, -x, HALF_LOG_TWO_PI])
+    return math.fsum([mu, product, -x, HALF_LOG_TWO_PI])
 
 
 def stirling_ratio(x: float) -> float:
@@ -243,4 +246,4 @@ def stirling_ratio(x: float) -> float:
     Greater than 1, strictly decreasing, -> 1 as x -> inf.  Evaluated in log
     space, so there is no overflow even at x = 1e6 and beyond.
     """
-    return math.exp(binet_mu(_check_domain(x)))
+    return math.exp(binet_mu(x))

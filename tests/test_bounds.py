@@ -1,10 +1,12 @@
+import functools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import refs_frozen as refs
-from psibounds import bounds, oracle
+from psibounds import bounds, oracle, specfun
 from psibounds.bounds import BoundFamily, Interval
 from psibounds.errors import DomainError
 
@@ -33,6 +35,62 @@ def test_interval_invariant():
     iv = Interval(0.25, 0.5)
     assert iv.width == 0.25
     assert iv.contains(0.3) and not iv.contains(0.25)
+    # A value: equal sides compare and hash equal, and nothing else is equal.
+    assert iv == Interval(0.25, 0.5) and hash(iv) == hash(Interval(0.25, 0.5))
+    assert iv != Interval(0.25, 0.75) and iv != (0.25, 0.5)
+    assert len({iv, Interval(0.25, 0.5), Interval(0.0, 0.5)}) == 2
+    assert repr(iv) == "Interval(lower=0.25, upper=0.5)"
+    for name in ("lower", "upper"):
+        with pytest.raises(AttributeError):
+            setattr(iv, name, 0.0)
+    assert (iv.lower, iv.upper) == (0.25, 0.5)
+    # Only two finite sides are checked: an infinite side is accepted.
+    assert Interval(0.5, math.inf).upper == math.inf
+    assert Interval(-math.inf, 0.5).lower == -math.inf
+
+
+#: The series V of _shifted_atanh, 1/63, ..., 1/5 in Horner order: its
+#: reference, the plain loop, takes the last 18 up to v = 1/9 and all 30 above.
+_V_COEFFS = tuple(1.0 / (2 * k + 1) for k in range(31, 1, -1))
+
+
+def test_shifted_atanh_is_the_horner_loop_bit_for_bit():
+    def loop(v):
+        acc = 0.0
+        for c in _V_COEFFS[-18:] if v <= 1.0 / 9.0 else _V_COEFFS:
+            acc = acc * v + c
+        return acc
+
+    rng = random.Random(20181)
+    ninth = 1.0 / 9.0
+    vs = [rng.uniform(0.0, 0.25) for _ in range(10_000)]
+    vs += [0.0, 0.25, ninth, math.nextafter(ninth, 0.0), math.nextafter(ninth, 1.0)]
+    for v in vs:
+        assert bounds._shifted_atanh(v) == loop(v), v
+
+
+def _fast_path_calls():
+    evaluator = {"gap": bounds.digamma_gap_bounds, "ratio": bounds.stirling_ratio_bounds,
+                 "gamma": bounds.gamma_bounds_log}
+    calls = {f.value: functools.partial(evaluator[f.target], family=f) for f in BoundFamily}
+    calls.update(digamma_gap=specfun.digamma_gap, binet_mu=specfun.binet_mu,
+                 digamma=specfun.digamma, trigamma=specfun.trigamma,
+                 log_gamma=specfun.log_gamma, stirling_ratio=specfun.stirling_ratio,
+                 polygamma2=functools.partial(specfun.polygamma, 2))
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(refs.FAST_PATH_REPRS))
+def test_fast_path_outputs_are_frozen(name):
+    # Bit identity of the 12 family intervals and of the specfun fast path
+    # against their frozen outputs: a repr, or the class of what was raised.
+    fn = _fast_path_calls()[name]
+    for x, frozen in zip(refs.FAST_PATH_XS, refs.FAST_PATH_REPRS[name], strict=True):
+        try:
+            got = repr(fn(x))
+        except Exception as exc:  # the frozen outputs include what was raised
+            got = type(exc).__name__
+        assert got == frozen, (name, x)
 
 
 def test_closed_form_arguments():

@@ -100,41 +100,50 @@ def test_polygamma_within_four_ulps(n):
 def test_shift_then_expand_does_bounded_work(monkeypatch):
     # Each sum evaluates its terms below the shift point x0 (ceil(x0) of them
     # at most), then one expansion: a few terms at any x, where the summed
-    # tails once took thousands.  The scaled polygamma path sums twice.
-    counts, shift = [], specfun._shift
+    # tails once took thousands.  The scaled polygamma path sums twice.  The
+    # terms are counted where they are summed, in specfun's math.fsum.
+    sums, fsum = [], math.fsum
 
-    def counting_shift(x, x0):
-        count, y = shift(x, x0)
-        counts.append((count, x0))
-        return count, y
+    class RecordingMath:
+        def __getattr__(self, name):
+            return getattr(math, name)
 
-    # mu's head is counted where its work is done, in kernel_w's calls.
-    kernel_w, w_calls = specfun.kernels.kernel_w, []
+        @staticmethod
+        def fsum(terms):
+            terms = list(terms)
+            sums.append(len(terms))
+            return fsum(terms)
+
+    # mu's head is also counted where its work is done, in kernel_w's calls.
+    kernel_w, w_calls = kernels._kernel_w, []
 
     def counting_kernel_w(y):
         w_calls.append(y)
         return kernel_w(y)
 
-    monkeypatch.setattr(specfun, "_shift", counting_shift)
-    monkeypatch.setattr(specfun.kernels, "kernel_w", counting_kernel_w)
+    monkeypatch.setattr(specfun, "math", RecordingMath())
+    monkeypatch.setattr(kernels, "_kernel_w", counting_kernel_w)
     xs = [5e-324, 1e-300, 1e-3, 0.5, 1.0, 6.99, 7.0, 100.0, 1e4, 1e300,
           1.7976931348623157e308]
     for x in xs:
-        counts.clear()
+        sums.clear()
         w_calls.clear()
         specfun.binet_mu(x)
-        (count, x0), = counts
-        assert x0 == specfun._MU_X0 and count <= x0 + 1, (x, counts)
+        (summed,) = sums
+        count = summed - 1   # the head terms, then the expansion
+        assert count <= specfun._MU_X0 + 1, (x, count)
         assert len(w_calls) == count, (x, count, len(w_calls))
         for n in (1, 2, 3, 10, 200):
-            counts.clear()
+            sums.clear()
             try:
                 specfun.polygamma(n, x)
             except DomainError:
-                pass
+                assert len(sums) <= 2, (n, x, sums)   # a first term that overflows sums nothing
+            else:
+                assert 1 <= len(sums) <= 2, (n, x, sums)
+            # The head, the expansion's two parts and the rounding drift.
             x0 = n + specfun._PSI_X0
-            assert 1 <= len(counts) <= 2, (n, x, counts)
-            assert all(c <= x0 + 1 and a == x0 for c, a in counts), (n, x, counts)
+            assert all(c <= x0 + 1 + 3 for c in sums), (n, x, sums)
 
 
 #: mu's 16 expansion coefficients B_2k / (2k(2k-1)), k = 1..16, as the
