@@ -128,9 +128,11 @@ def _report_rows(report) -> list[dict]:
 
 def _emit(doc: dict, rows: list[dict], fmt: str, stream) -> None:
     if fmt == "json":
+        # A row a line: json.dumps without an indent takes the C encoder.
         import json
-        json.dump({**doc, "rows": rows}, stream, indent=1)
-        stream.write("\n")
+        stream.write(f'{json.dumps(doc)[:-1]}, "rows": [\n')
+        stream.write(",\n".join(map(json.dumps, rows)))
+        stream.write("\n]}\n")
         return
     import csv
     writer = csv.DictWriter(stream, fieldnames=list(rows[0].keys()))

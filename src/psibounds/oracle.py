@@ -4,15 +4,16 @@ The oracle is deliberately independent of every library special-function
 implementation: it only sums the defining series and encloses their tails.
 The gap and psi' sum their terms while x + j < 10 and take the tail at the
 exact y = x + count as gap(y) or psi'(y), by that function's enveloping
-Bernoulli series (DLMF 5.11.2, 5.15.8; Section 5.11(ii)), with the B_2k
+Bernoulli series (DLMF 5.11.2, 5.15.8; Section 5.11(ii)), one Horner pass
+over the coefficients that y's binade keeps (``_binade``), with the B_2k
 derived here as integers (``_bernoulli``).  The log Gamma series' tail is
 its complete Euler-Maclaurin series, which envelopes too, with the same
 B_2k, and mu's tail mu's own enveloping Stirling series
 (:mod:`psibounds.tails`).  Each result carries an ``error_radius`` that
 accounts for
 
-  * the tail's truncation enclosure (half the tail-bracket width, or half
-    the first omitted term),
+  * the tail's truncation enclosure (half the tail-bracket width or the first
+    omitted term, or 2 units of the gap's and psi''s fixed point),
   * per-term rounding and W's truncation (see ``kernels``), derived once per
     kernel operation sequence (Higham 3.1) and charged on its terms' sum:
     kernel_r from y = 1 (the gap's head and the log Gamma series) and its
@@ -38,13 +39,13 @@ with its exact sum (Rump, Ogita and Oishi), shorter ones go to ``fsum`` as
 floats, and the one ``fsum`` gives the double of the whole term list.
 ``ref_binet_mu(6e4)``, a full 1e5-term block, peaks at 0.53 MB.
 
-psi(x) = log x - gap(x) at every x, charging 1 ulp of log x on top of the
-gap, and gamma = gap(1).  Above 2, log Gamma(x) = mu(x) + (x - 1/2) log x -
-x + log(2 pi)/2, charging (x - 1/2) ulps of log x, the roundings of x - 1/2
-and of the product and 1.7e-16 for log(2 pi)/2 on top of mu; on (0, 2] that
-form cancels near the zeros at 1 and 2, so the series at 1 + a serves there.
-Each series is summed in one place: psi and gamma take the cached gap, log
-Gamma above 2 the cached mu.
+psi(x) = log x less the gap's parts, rounded once, at every x, charging
+1 ulp of log x on top, and gamma = gap(1).  Above 2, log Gamma(x) = mu(x) +
+(x - 1/2) log x - x + log(2 pi)/2, charging (x - 1/2) ulps of log x, the
+roundings of x - 1/2 and of the product and 1.7e-16 for log(2 pi)/2 on top
+of mu; on (0, 2] that form cancels near the zeros at 1 and 2, so the series
+at 1 + a serves there.  Each series is summed once per call: gamma takes the
+cached gap, log Gamma above 2 the cached mu.
 
 Every value and radius is a function of x alone, and eps only decides a
 refusal (``ToleranceError``): below ``EPS_FLOOR``, where the radius exceeds
@@ -62,19 +63,18 @@ midpoint's charge (4 ulps of mu(m) < 1/(12m)) fit that, or at x + MAX_TERMS
 (``_tail_count``).
 
 Cost is bounded, not linear in x.  The gap and psi' sum at most 10 head
-terms, none from x = 10, and at most 16 terms of their tail series (at
-y = 10; 6 at y = 100), each a multiply and a shift on Python integers, 1/y
-being 2^76 units at y = 10 and up to 2^110: a cold call of the gap, psi or
-psi' takes 6-17 microseconds at any x.  The
-log Gamma series, at step 1/a, sums its terms k = 1 ... 15 and 11
-Euler-Maclaurin corrections of its tail at every a.  mu's midpoint term is
-8x/3 (to within its rounding) for the quarter-ulp target; it exceeds the
-enclosure's from x ~ 930, and mu then sums about 5x/3 terms.  From x = 6e4
-the cap x + ``MAX_TERMS`` (1e5) binds.  From x ~ 2.8e9 the target sits at
-its 1e-26 floor and the term is a constant 7.4e9, so the cap binds up to
-x ~ 7.4e9 - 1e5, and from x ~ 7.4e9 the term falls below x.  mu's tail
-starts at x + 16, rounded, from there, and past 2^53 at most 16 bulk terms
-sit at abscissas that round together.
+terms, none from x = 10, and take their tail in one Horner pass over at most
+16 coefficients (7 at y ~ 100, none from y = 2^53 for psi', 2^105 for the
+gap), a multiply and a shift on Python integers each: a cold call of the
+gap, psi or psi' takes 5-13 microseconds at any x.  The log Gamma series, at
+step 1/a, sums its terms k = 1 ... 15 and 11 Euler-Maclaurin corrections of
+its tail at every a.  mu's midpoint term is 8x/3 (to within its rounding)
+for the quarter-ulp target; it exceeds the enclosure's from x ~ 930, and mu
+then sums about 5x/3 terms.  From x = 6e4 the cap x + ``MAX_TERMS`` (1e5)
+binds.  From x ~ 2.8e9 the target sits at its 1e-26 floor and the term is a
+constant 7.4e9, so the cap binds up to x ~ 7.4e9 - 1e5, and from x ~ 7.4e9
+the term falls below x.  mu's tail starts at x + 16, rounded, from there,
+and past 2^53 at most 16 bulk terms sit at abscissas that round together.
 """
 
 from __future__ import annotations
@@ -129,16 +129,19 @@ _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _SUBNORMAL_CHARGE = 4.0 * 2.0**-1074
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ErrorBoundedValue:
     """A value with a rigorous absolute-error radius."""
 
     value: float
     error_radius: float
 
-    def __post_init__(self) -> None:
-        if self.error_radius < 0.0 or math.isnan(self.error_radius):
-            raise ValueError(f"invalid error radius {self.error_radius!r}")
+    def __init__(self, value: float, error_radius: float) -> None:
+        # One check (negative and nan alike), two stores by the slots' own setters.
+        if not error_radius >= 0.0:
+            raise ValueError(f"invalid error radius {error_radius!r}")
+        _set_value(self, value)
+        _set_radius(self, error_radius)
 
     @property
     def lower(self) -> float:
@@ -150,6 +153,9 @@ class ErrorBoundedValue:
 
     def __str__(self) -> str:
         return f"{self.value!r} ± {self.error_radius:.2e}"
+
+
+_set_value, _set_radius = ErrorBoundedValue.value.__set__, ErrorBoundedValue.error_radius.__set__
 
 
 def _check_eps(eps: float) -> float:
@@ -237,18 +243,23 @@ def _bernoulli(n: int) -> list[tuple[int, int]]:
     return [(a // math.gcd(a, b), b // math.gcd(a, b)) for a, b in pairs]
 
 
-#: Fixed-point bits of the tail series' coefficient ratios (``_series``).
-_RATIO_BITS = 128
+def _binade(coefficients: list[tuple[int, int]], e: int, e_y: int):
+    """A tail series' entry for y in [2^e_y, 2^(e_y + 1)), y >= 10: its units
+    2^-b; the m coefficients whose term at y_lo = max(10, 2^e_y) is 4 units or
+    more, floored in units, last first; the sign of the first omitted one,
+    whose term is under 4 units at every y of the binade, as terms fall with y."""
+    b = e_y + (110 if e_y > 11 else 64 + 4 * e_y)
+    y_lo = max(10, 1 << e_y)
+    m = next(k for k, (a, d) in enumerate(coefficients)
+             if abs(a) << b < 4 * d * y_lo ** (2 * k + e))
+    return (b, tuple((a << b) // d for a, d in reversed(coefficients[:m])),
+            1 if coefficients[m][0] > 0 else -1)
 
 
 def _series(lead: list[tuple[int, int]], coefficients: list[tuple[int, int]], e: int):
-    # sum of the lead terms 2^-h y^-k, k = 1 or 2, and of c_k y^-(2k + e - 2),
-    # k >= 1 and e = 2 or 3, with c_k = a_k/b_k alternating in sign from
-    # c_1 > 0: c_1's magnitude as an integer pair and each |c_(k+1)/c_k| in
-    # units of 2^-_RATIO_BITS, floored.
-    ratios = [(abs(a1) * b0 << _RATIO_BITS) // (b1 * abs(a0))
-              for (a0, b0), (a1, b1) in zip(coefficients, coefficients[1:])]
-    return lead, coefficients[0], e, ratios
+    # The sum of the lead terms 2^-h y^-k, as (k, h), and of c_k y^-(2k + e - 2),
+    # k >= 1, as (a_k, b_k): the lead, e and the ``_binade`` of each e_y = floor(log2 y).
+    return lead, e, [_binade(coefficients, e, e_y) for e_y in range(1024)]
 
 
 #: B_2 ... B_34: the tails below stop at B_34 at y = 10, where they need most.
@@ -263,55 +274,47 @@ def _enveloped_tail(x: float, count: int, series):
     """sum_{j>=count} f(x + j) = F(y) at the exact y = x + count >= 10, for the
     gap or psi', by F's asymptotic series, in binary fixed point: Python
     integers in units of 2^-b, 1/y being about 2^76 of them at y = 10, 2^80
-    at y = 16 and 4 bits more per binade of y, up to 2^110 from y = 2^12
-    (each term gains 2 log2 y bits on the last, so the deeper units take a
-    term or two more only where the terms fall fast).  1/y and 1/y^2 are
-    taken once, in units of 2^-s, 1/y^2 being about 2^130 of them (the one
-    division), and each term is the last one times 1/y^2 and the ratio of
-    their coefficients: a multiply and a shift.
+    at y = 16 and 4 bits more per binade of y, up to 2^110 from y = 2^12.
+    1/y and 1/y^2 are taken once, in units of 2^-s, 1/y^2 being about 2^130
+    of them (the one division); the lead terms are shifts of those, and the
+    rest one Horner pass over the binade's floored coefficients
+    (``_binade``), a multiply by 1/y^2 and a shift each (then one by 1/y for
+    psi').
 
     Past its lead terms the series envelopes (DLMF 5.11(ii); checked for
     both on [10, 1e300] in the tests): what the terms kept leave has the sign
-    of the first omitted term and is smaller.  So the midpoint is the partial
-    sum plus half the first term under 4 units, with half that term as the
-    half-width (``_enveloped``).
+    of the first omitted term and is smaller, under 4 units.  So the
+    midpoint is the partial sum plus 2 units of that sign, with 2 units as
+    the half-width (``_enveloped``).
     """
-    lead, (c_num, c_den), e, ratios = series
+    lead, e, table = series
     p, q = x.as_integer_ratio()
-    num, den = p + count * q, q                      # y = num/den
-    e_y = num.bit_length() - den.bit_length()        # 2^(e_y - 1) < y < 2^(e_y + 1)
-    b = e_y + (110 if e_y > 11 else 64 + 4 * e_y)
+    num, den = p + count * q, q                      # y = num/den, den a power of two
+    e_y = num.bit_length() - den.bit_length()        # 2^e_y <= y < 2^(e_y + 1)
+    b, coefficients, sign = table[e_y]
     s = 2 * e_y + 130
     r = (den << s) // num                            # 1/y in units of 2^-s
     r2 = r * r >> s                                  # 1/y^2
     total = 0
     for k, h in lead:
         total += (r if k == 1 else r2) >> s - b + h
-    term = (c_num * r2 >> s - b if e == 2 else c_num * r * r2 >> 2 * s - b) // c_den
-    shift = s + _RATIO_BITS
-    kept = []
-    for ratio in ratios:
-        if term < 4:
-            break
-        kept.append(term)
-        term = term * ratio * r2 >> shift
-    # r is 2^s/y floored and r2 is low by under 1.2 units of 2^-s, 2^(e_y + 20)
-    # or more times finer than 2^-b: each lead term and the first term is one
-    # floor of a product of those, under 1 + 2^-16 units low (1/y's exactly
-    # the floor of 2^(b - h)/y).  Each later term is one floor of the last one
-    # times its ratio and r2, each low by under 2^-124 of itself (the ratios
-    # are 1/10 or more, r2 2^128 units or more), which costs a term (under
-    # 2^105 units) under 2^-18 units.  Those factors come to under 2/5 here
-    # (0.29 at most, at y = 10; the terms are smallest near k = pi y), so
-    # term k > 1 is under (1 + 2^-16)/(1 - 2/5) < 5/3 + 2^-15 units low.
-    # The midpoint and the half-width together are under
-    # len(lead) + 1 + 2m units off, m = len(kept): for m >= 1 the m/3 to
-    # spare covers the 2^-16 parts; m = 0 only from y ~ 2^53 (2^104 for the
-    # gap), where they are under 2^-72 units, and the ulp ``_enveloped``
-    # rounds the charge up by (2^-52 units or more) covers them.
-    m = len(kept)
-    return _enveloped(total + sum(kept[::2]) - sum(kept[1::2]), -term if m % 2 else term, b,
-                      2 * len(lead) + 2 + 4 * m)
+    acc = 0
+    for c in coefficients:
+        acc = (acc + c) * r2 >> s
+    if e == 3:
+        acc = acc * r >> s
+    # r is 2^s/y floored and r2 is low by under 1.2 units of 2^-s, 2^32 or
+    # more times finer than 2^-b: each lead term is one floor of one of them,
+    # under 1 + 2^-32 units low (1/y's exactly the floor of 2^(b - h)/y).
+    # Each coefficient and each Horner step floors once, under 1 unit each;
+    # r2, under 2^-127 of itself low (it is 2^128 units or more), costs each
+    # step under 2^-127 of its product, under 2^-20 units over all steps (the
+    # terms are under 2^(b - 2 e_y) units, each under 0.29 of the last).
+    # Each step carries the error before it times 1/y^2 <= 1/100: from
+    # E <= (E + 1)/100 + 1, under 1.03 units in all, and after psi''s product
+    # by 1/y, 1.03/10 + 1 < 1.11.  So the floors cost under len(lead) + 1.5
+    # units, 2 len(lead) + 3 half-units.
+    return _enveloped(total + acc, 4 * sign, b, 2 * len(lead) + 3)
 
 
 def _enveloped(partial: int, omitted: int, b: int, floor_charge: int):
@@ -512,22 +515,27 @@ def _gap_head_charges(x: float, terms: list[float]) -> list[float]:
     return [rel * math.fsum(terms), 0.0]
 
 
+def _gap_parts(x: float, eps: float, what: str):
+    # gap(x) = sum_{j>=0} kernel_r(x + j): the terms while x + j < 10, then the
+    # tail gap(x + count).  The gap (and |psi| where this refuses) exceeds 1/(2x),
+    # which overflows where 1/x does: halve 1/x, not 0.5/x.
+    _ensure_above(1.0 / x * 0.5, eps, what, x)
+    count = _head_count(x)
+    terms = kernels.kernel_r_terms(x, count)
+    mid_parts, half_width, mid_charge = _enveloped_tail(x, count, _GAP_SERIES)
+    return [*terms, *mid_parts], [half_width, mid_charge, *_gap_head_charges(x, terms)]
+
+
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def ref_digamma_gap(x: float, eps: float = DEFAULT_EPS) -> ErrorBoundedValue:
-    """log(x) - psi(x) = sum_{j>=0} kernel_r(x + j): the terms while x + j < 10,
-    then the tail, gap(y) at y = x + count, by its enveloping series.
+    """log(x) - psi(x) = sum_{j>=0} kernel_r(x + j) (``_gap_parts``).
 
     The target quantity of the digamma-gap bound families; also the source
     of the Euler-Mascheroni constant (the series at x = 1 sums to it).
     """
     x = _check_domain(x)
     eps = _check_eps(eps)
-    # The gap exceeds 1/(2x) and overflows where 1/x does: halve 1/x, not 0.5/x.
-    _ensure_above(1.0 / x * 0.5, eps, "ref_digamma_gap", x)
-    count = _head_count(x)
-    terms = kernels.kernel_r_terms(x, count)
-    mid_parts, half_width, mid_charge = _enveloped_tail(x, count, _GAP_SERIES)
-    out = _close([*terms, *mid_parts], [half_width, mid_charge, *_gap_head_charges(x, terms)])
+    out = _close(*_gap_parts(x, eps, "ref_digamma_gap"))
     _ensure(out.error_radius, eps, "ref_digamma_gap", x)
     return out
 
@@ -567,13 +575,13 @@ def ref_euler_gamma(eps: float = DEFAULT_EPS) -> ErrorBoundedValue:
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def ref_digamma(x: float, eps: float = DEFAULT_EPS) -> ErrorBoundedValue:
-    """psi(x) = log x - gap(x) at every x (DLMF 5.11.1), with the cached
-    ref_digamma_gap."""
+    """psi(x) = log x - gap(x) at every x (DLMF 5.11.1): log x less the gap's
+    parts, rounded once, with the gap's charges and an ulp of log x."""
     x = _check_domain(x)
     eps = _check_eps(eps)
-    gap = ref_digamma_gap(x, eps)
+    parts, charges = _gap_parts(x, eps, "ref_digamma")
     log_x = math.log(x)
-    out = _close([log_x, -gap.value], [gap.error_radius, math.ulp(log_x)])
+    out = _close([log_x, *[-part for part in parts]], [*charges, math.ulp(log_x)])
     _ensure(out.error_radius, eps, "ref_digamma", x)
     return out
 

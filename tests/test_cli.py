@@ -158,6 +158,31 @@ def test_verify_json_document(capsys):
     assert {"x", "target", "lower", "upper", "pass"} <= set(doc["rows"][0])
 
 
+def test_verify_json_rows_one_a_line_parse_as_the_indented_layout(capsys, monkeypatch):
+    # The report is the header, then one row a line: it parses to the same
+    # object, with the same key order, as json.dump's indent=1 layout of the
+    # document and rows that _emit is handed.
+    handed = []
+    emit = cli._emit
+
+    def recording(doc, rows, fmt, stream):
+        handed.append((doc, rows))
+        emit(doc, rows, fmt, stream)
+
+    monkeypatch.setattr(cli, "_emit", recording)
+    code, out, _ = run(capsys, "verify", "--family", "eq5", "--points", "40",
+                       "--format", "json")
+    assert code == 0
+    (doc, rows), = handed
+    indented = json.loads(json.dumps({**doc, "rows": rows}, indent=1))
+    parsed = json.loads(out)
+    assert parsed == indented and list(parsed) == list(indented)
+    lines = out.splitlines()
+    assert lines[0].endswith('"rows": [') and lines[-1] == "]}" and len(lines) == len(rows) + 2
+    for line, row in zip(lines[1:-1], indented["rows"]):
+        assert json.loads(line.removesuffix(",")) == row
+
+
 def test_verify_explicit_domain_violation_exit_2(capsys):
     code, _, err = run(capsys, "verify", "--family", "eq6", "--xmin", "1")
     assert code == 2
@@ -352,7 +377,7 @@ def test_cold_start_loads_only_what_it_runs(args):
     (["constants"], "euler_gamma = 0.5772156649015329 ± 3.2e-16\n"
                     "log_two_pi = 1.8378770664093453 ± 4.4e-16\n"
                     "half_log_two_pi = 0.9189385332046727 ± 2.2e-16\n"),
-    (["eval", "digamma", "1"], "-0.577215664902 ± 3.7e-16\n"),
+    (["eval", "digamma", "1"], "-0.577215664902 ± 3.2e-16\n"),
 ])
 def test_commands_that_sum_in_bulk_print_as_before(argv, expected):
     proc = _python("-m", "psibounds", *argv)

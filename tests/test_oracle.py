@@ -1,4 +1,5 @@
 import math
+import random
 import time
 import tracemalloc
 from fractions import Fraction
@@ -83,9 +84,10 @@ def test_ref_euler_gamma():
 ])
 def test_psi_gamma_and_log_gamma_take_the_cached_sums(name, args, x, summed, summing,
                                                       monkeypatch):
-    # The gap and mu series are each summed in one place: psi and gamma read
-    # the gap's cache, log Gamma above 2 mu's and on (0, 2] gamma's, and no
-    # other gap or mu sum runs.
+    # The gap and mu series are each summed once per call: gamma reads the
+    # gap's cache, log Gamma above 2 mu's and on (0, 2] gamma's, and no other
+    # gap or mu sum runs.  psi sums the gap's parts itself, to round once, and
+    # leaves the gap's cache empty.
     oracle.clear_caches()
     sums = []
     real = {fn: getattr(oracle, fn) for fn in ("_enveloped_tail", "_kernel_sum")}
@@ -99,7 +101,7 @@ def test_psi_gamma_and_log_gamma_take_the_cached_sums(name, args, x, summed, sum
     for fn in real:
         monkeypatch.setattr(oracle, fn, recording(fn))
     getattr(oracle, name)(*args)
-    assert getattr(oracle, summed).cache_info().currsize == 1
+    assert getattr(oracle, summed).cache_info().currsize == (name != "ref_digamma")
     assert sums == [(summing, x)]
     oracle.clear_caches()
 
@@ -179,8 +181,6 @@ def test_bracket_nesting_under_tightening(x, eps):
 
 
 def test_recurrence_closure_within_combined_radii():
-    import random
-
     rng = random.Random(7)
     for _ in range(100):
         x = rng.uniform(0.05, 50.0)
@@ -262,7 +262,7 @@ def _tail_terms(series, y, n):
     # The lead terms and the first n <= len(_B2K) others of the oracle's gap
     # or psi' series at y, an mpf or a Fraction: the lead terms from the
     # oracle's (k, h) pairs, the others from the exact B_2k.
-    lead, _, e, _ = getattr(oracle, _TAIL_SERIES[series][0])
+    lead, e, _ = getattr(oracle, _TAIL_SERIES[series][0])
     divisor = _TAIL_SERIES[series][2]
     terms = [1 / (2**h * y**k) for k, h in lead]
     for k, (a, b) in enumerate(oracle._B2K[:n], 1):
@@ -274,24 +274,22 @@ def _tail_terms(series, y, n):
 @pytest.mark.parametrize("y", [10.0, 10.5, 16.0, 1e3, 2.0**53, 1e300])
 def test_enveloped_tail_is_its_truncated_series(series, y):
     # The fixed-point tail against the same series summed exactly: for some
-    # truncation, after the lead and m terms, the half-width is half the next
-    # term, never above it by more than the ulp it is rounded up by, and the
-    # midpoint hi + lo the exact partial sum plus half that term; the two
-    # are off by no more than the charge together (its floors' share is
-    # derived beside the code).  Then the enclosure holds wherever the series
-    # envelopes.
+    # truncation, after the lead and m terms, whose next term spans no more
+    # than the enclosure's width, hi + lo plus or minus the half-width covers
+    # the exact partial sum and that sum plus the next term, to within the
+    # charge (its floors' share is derived beside the code).  Then the
+    # enclosure holds wherever the series envelopes.
     name = _TAIL_SERIES[series][0]
     lead = len(getattr(oracle, name)[0])
     (hi, lo), half, charge = oracle._enveloped_tail(y, 0, getattr(oracle, name))
     terms = _tail_terms(series, Fraction(y), len(oracle._B2K))
-    mid, half_ulp = Fraction(hi) + Fraction(lo), Fraction(math.ulp(half))
+    mid = Fraction(hi) + Fraction(lo)
     half, charge = Fraction(half), Fraction(charge)
     offs = []
     for m in range(len(oracle._B2K)):
-        omitted = terms[lead + m]
-        if half <= abs(omitted) / 2 + half_ulp:
-            offs.append(abs(mid - sum(terms[:lead + m]) - omitted / 2)
-                        + max(abs(omitted) / 2 - half, 0))
+        omitted, partial = terms[lead + m], sum(terms[:lead + m])
+        if abs(omitted) <= 2 * half:
+            offs.append(max(abs(mid - partial), abs(mid - partial - omitted)) - half)
     assert offs and min(offs) <= charge, (y, offs and min(offs), charge)
 
 
@@ -302,19 +300,62 @@ def test_oracle_bernoulli_numbers_are_sympys():
         assert b == sympy.fraction(sympy.bernoulli(2 * k)), k
 
 
-def test_tail_steps_fall_and_lose_no_more_than_derived():
-    # What _enveloped_tail's floor charge rests on: from y = 10 on, each step
-    # multiplies a term by its coefficient ratio over y^2, under 2/5, and the
-    # fixed-point ratios are within 2^-124 of the exact ones, 1/10 or more.
+def test_tail_tables_keep_each_term_of_4_units_or_more():
+    # What _enveloped_tail's half-width rests on: in each binade
+    # [2^e_y, 2^(e_y + 1)) that a tail at y >= 10 can start in, the table
+    # keeps the coefficients whose term at y_lo = max(10, 2^e_y) is 4 units
+    # or more, each the exact one floored, and the first omitted one is in
+    # the B_2k table, with its term at y_lo under 4 units (so at every y of
+    # the binade, as terms fall with y) and its sign recorded.
     for series in _TAIL_SERIES:
-        ratios = getattr(oracle, _TAIL_SERIES[series][0])[3]
-        divisor = _TAIL_SERIES[series][2]
+        name, _, divisor = _TAIL_SERIES[series]
+        _, e, table = getattr(oracle, name)
         coefficients = [Fraction(a, b * divisor(k)) for k, (a, b) in enumerate(oracle._B2K, 1)]
-        assert len(ratios) == len(coefficients) - 1
-        for k, ratio in enumerate(ratios):
-            exact = abs(coefficients[k + 1] / coefficients[k])
-            assert Fraction(1, 10) <= exact < Fraction(2, 5) * 100, (series, k)
-            assert 0 <= exact - Fraction(ratio, 2**oracle._RATIO_BITS) < exact * 2.0**-124
+        assert len(table) == 1024   # e_y up to 1023: y < 2^1024
+        for e_y in range(3, 1024):
+            b, kept, sign = table[e_y]
+            m, y_lo = len(kept), max(10, 2**e_y)
+            assert m + 1 <= len(oracle._B2K), (series, e_y)
+            for c, floored in zip(coefficients, kept[::-1]):
+                assert 0 <= c * 2**b - floored < 1, (series, e_y)
+            for k, c in enumerate(coefficients[:m]):
+                assert abs(c) * 2**b >= 4 * y_lo ** (2 * k + e), (series, e_y, k)
+            omitted = coefficients[m]
+            assert abs(omitted) * 2**b < 4 * y_lo ** (2 * m + e), (series, e_y)
+            assert sign == (1 if omitted > 0 else -1), (series, e_y)
+    # The gap keeps 15 coefficients at y = 10 and psi' 16, and none from
+    # y = 2^105 and 2^53, where their first is under 4 units.
+    for name, at_ten, none_from in (("_GAP_SERIES", 15, 105), ("_TRIGAMMA_SERIES", 16, 53)):
+        sizes = [len(kept) for _, kept, _ in getattr(oracle, name)[2][3:]]
+        assert sizes[0] == at_ten and sizes.index(0) + 3 == none_from, name
+
+
+@pytest.mark.parametrize("series", sorted(_TAIL_SERIES))
+def test_tail_horner_sum_is_within_its_floor_charge(series, monkeypatch):
+    # What _enveloped_tail's floor charge rests on: the integer partial sum it
+    # hands on, the lead terms plus one Horner pass over the binade's floored
+    # coefficients, is within the derived units of the exact sum of the same
+    # terms: each lead term under 1 + 2^-32, the Horner pass under 1.03
+    # (1.11 after psi''s product by 1/y), r2's share under 2^-20.  The first
+    # omitted term is under 4 units, handed on as 4 units of its sign.
+    name = _TAIL_SERIES[series][0]
+    lead, e, table = getattr(oracle, name)
+    handed = []
+    monkeypatch.setattr(oracle, "_enveloped", lambda *args: handed.append(args))
+    rng = random.Random(28)
+    ys = ([10.0, 10.5, 16.0, 1e3, 2.0**53, 1e300, 1.7e308]
+          + [rng.uniform(10.0, 1e3) for _ in range(100)]
+          + [math.exp(rng.uniform(math.log(10.0), math.log(1.7e308))) for _ in range(100)])
+    bound = (len(lead) * (1 + Fraction(1, 2**32)) + Fraction(103 if e == 2 else 111, 100)
+             + Fraction(1, 2**20))
+    for y in ys:
+        oracle._enveloped_tail(y, 0, getattr(oracle, name))
+        (partial, omitted, b, floor_charge), = handed
+        handed.clear()
+        m = len(table[math.frexp(y)[1] - 1][1])
+        terms = _tail_terms(series, Fraction(y), m + 1)
+        assert abs(partial - sum(terms[:-1]) * 2**b) < bound <= Fraction(floor_charge, 2), y
+        assert 0 < terms[-1] * 2**b * (omitted // 4) < 4 and abs(omitted) == 4, (series, y)
 
 
 @pytest.mark.parametrize("series", sorted(_TAIL_SERIES))
