@@ -80,7 +80,7 @@ class Interval:
 
     def __init__(self, lower: float, upper: float) -> None:
         # One check, two stores: the slots' own setters pass the frozen __setattr__.
-        if not lower < upper and math.isfinite(lower) and math.isfinite(upper):
+        if not lower < upper:
             raise ValueError(f"degenerate interval [{lower}, {upper}]")
         _set_lower(self, lower)
         _set_upper(self, upper)

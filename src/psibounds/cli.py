@@ -12,7 +12,7 @@ import math
 import re
 import sys
 
-from .errors import DEFAULT_EPS, DomainError, ToleranceError
+from .errors import DEFAULT_EPS, DomainError
 
 SCHEMA_VERSION = "1"
 
@@ -28,8 +28,7 @@ def _fmt(value: float, precision: float) -> str:
 
 
 def _precision(text: str) -> float:
-    # argparse type of eval's --precision: _fmt takes its log10, and an oracle
-    # tolerance must be a positive number.
+    # argparse type of eval's --precision: _fmt takes its log10.
     try:
         value = float(text)
     except ValueError:
@@ -48,15 +47,16 @@ def _with_radius(r):
     return r.value, r.error_radius
 
 
-# Names the oracle evaluates with a rigorous radius; every other name of
-# bounds.FUNCTIONS is printed without one.  The lambdas here and below read
-# the layers from the module globals that _eval_target binds.
+# Names the oracle evaluates with a rigorous radius, at eps = inf as sweeps
+# do (the radius is printed); every other name of bounds.FUNCTIONS is printed
+# without one.  The lambdas here and below read the layers from the module
+# globals that _eval_target binds.
 _ORACLE_EVAL = {
-    "gamma": lambda x, eps: _exp_radius(oracle.ref_log_gamma(x, eps), bounds.gamma_from_log),
-    "log_gamma": lambda x, eps: _with_radius(oracle.ref_log_gamma(x, eps)),
-    "digamma": lambda x, eps: _with_radius(oracle.ref_digamma(x, eps)),
-    "trigamma": lambda x, eps: _with_radius(oracle.ref_trigamma(x, eps)),
-    "stirling_ratio": lambda x, eps: _exp_radius(oracle.ref_binet_mu(x, eps)),
+    "gamma": lambda x: _exp_radius(oracle.ref_log_gamma(x, math.inf), bounds.gamma_from_log),
+    "log_gamma": lambda x: _with_radius(oracle.ref_log_gamma(x, math.inf)),
+    "digamma": lambda x: _with_radius(oracle.ref_digamma(x, math.inf)),
+    "trigamma": lambda x: _with_radius(oracle.ref_trigamma(x, math.inf)),
+    "stirling_ratio": lambda x: _exp_radius(oracle.ref_binet_mu(x, math.inf)),
 }
 
 # 'name:<parameter>' forms: (parameter letter, fn(parameter text, x)).
@@ -67,13 +67,13 @@ _PARAMETRISED = {
 }
 
 
-def _eval_target(name: str, x: float, eps: float):
+def _eval_target(name: str, x: float):
     """Resolve an eval function name to (value, radius-or-None)."""
     global bounds, oracle, specfun
     from . import bounds, specfun
     if name in _ORACLE_EVAL:
         from . import oracle
-        return _ORACLE_EVAL[name](x, eps)
+        return _ORACLE_EVAL[name](x)
     head, colon, param = name.partition(":")
     if colon and head in _PARAMETRISED:
         return _PARAMETRISED[head][1](param, x), None
@@ -81,7 +81,7 @@ def _eval_target(name: str, x: float, eps: float):
 
 
 def cmd_eval(args) -> int:
-    value, radius = _eval_target(args.fn, args.x, args.precision)
+    value, radius = _eval_target(args.fn, args.x)
     if radius is None:
         print(_fmt(value, args.precision))
     else:
@@ -292,7 +292,7 @@ def main(argv: list[str] | None = None) -> int:
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_UNKNOWN_NAME
-    except (DomainError, ToleranceError, OverflowError, ValueError, OSError) as exc:
+    except (DomainError, OverflowError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,7 +1,8 @@
 """Exception types and the default tolerance shared across the package."""
 
 #: Absolute tolerance of the oracle's reference values unless a caller asks
-#: for another; the default of ``eval``'s ``--precision``, its one CLI use.
+#: for another (``constants`` takes it for gamma); also the default of
+#: ``eval``'s ``--precision``, which sets only the digits it prints.
 DEFAULT_EPS = 1e-12
 
 

@@ -7,10 +7,10 @@ exact y = x + count as gap(y) or psi'(y), by that function's enveloping
 Bernoulli series (DLMF 5.11.2, 5.15.8; Section 5.11(ii)), one Horner pass
 over the coefficients that y's binade keeps (``_binade``), with the B_2k
 derived here as integers (``_bernoulli``).  The log Gamma series' tail is
-its complete Euler-Maclaurin series, which envelopes too, with the same
-B_2k, and mu's tail mu's own enveloping Stirling series
-(:mod:`psibounds.tails`).  Each result carries an ``error_radius`` that
-accounts for
+its Maclaurin series in a with Hurwitz zeta(m, 16) coefficients (DLMF 5.7.3,
+25.11.1), alternating, one Horner pass over a table built from the same B_2k,
+and mu's tail mu's own enveloping Stirling series (:mod:`psibounds.tails`).
+Each result carries an ``error_radius`` that accounts for
 
   * the tail's truncation enclosure (half the tail-bracket width or the first
     omitted term, or 2 units of the gap's and psi''s fixed point),
@@ -21,8 +21,8 @@ accounts for
     1/2 (mu), and psi''s (x + j)^-2; 4 ulps for mu's tail midpoint, a double
     (``_FLOAT_MID_REL``), while the gap's and psi''s tails are exact to about
     2^-70 of themselves at y = 10 (2^-105 from y = 2^12) and the log Gamma
-    series' to about 2^-74, each charged that (``_enveloped_tail``,
-    ``_exact_gap_tail``), and
+    series' to about 2^-79 (2^-74 at the least a), each charged that
+    (``_enveloped_tail``, ``_log_gamma_tail``), and
   * the final exactly-rounded summation (``math.fsum``), half an ulp.
 
 The tests check ``|value - reference| <= error_radius``, and each per-term
@@ -67,8 +67,8 @@ terms, none from x = 10, and take their tail in one Horner pass over at most
 16 coefficients (7 at y ~ 100, none from y = 2^53 for psi', 2^105 for the
 gap), a multiply and a shift on Python integers each: a cold call of the
 gap, psi or psi' takes 5-13 microseconds at any x.  The log Gamma series, at
-step 1/a, sums its terms k = 1 ... 15 and 11 Euler-Maclaurin corrections of
-its tail at every a.  mu's midpoint term is 8x/3 (to within its rounding)
+step 1/a, sums its terms k = 1 ... 15 and its tail's 18 coefficients at
+every a.  mu's midpoint term is 8x/3 (to within its rounding)
 for the quarter-ulp target; it exceeds the enclosure's from x ~ 930, and mu
 then sums about 5x/3 terms.  From x = 6e4 the cap x + ``MAX_TERMS`` (1e5)
 binds.  From x ~ 2.8e9 the target sits at its 1e-26 floor and the term is a
@@ -270,6 +270,32 @@ _GAP_SERIES = _series([(1, 1)], [(a, 2 * k * b) for k, (a, b) in enumerate(_B2K,
 _TRIGAMMA_SERIES = _series([(1, 0), (2, 1)], _B2K, 3)
 
 
+def _zeta_16(m: int) -> int:
+    """zeta(m, 16)/m, m >= 2, floored in units of 2^-90.  zeta(m, 16) is summed
+    in units of 2^-114: its terms k = 16 ... 63 and its Euler-Maclaurin tail at
+    64 = 2^6, 64^(1-m)/(m - 1) + 64^-m/2 plus the corrections B_2j/(2j)!
+    (m)_(2j-1) 64^(1-m-2j), each floored, to the first that floors to 0.  k^-m
+    is completely monotone, so they envelope (DLMF 2.10(i)) and that one, under
+    a unit, bounds what they leave: the sum is under 48 + 2 + 16 + 1 < 70 units
+    low, and the result under 1 + 2^-17 units low."""
+    z = sum((1 << 114) // k**m for k in range(16, 64))
+    z += (1 << 114) // ((m - 1) << 6 * (m - 1)) + (1 << 114) // (2 << 6 * m)
+    rising, factorial = m, 2                         # (m)_(2j-1) and (2j)!
+    for j, (num, den) in enumerate(_B2K, 1):
+        term = (num * rising << 114) // (den * factorial << 6 * (m + 2 * j - 1))
+        if not term:
+            break
+        z += term
+        rising *= (m + 2 * j - 1) * (m + 2 * j)
+        factorial *= (2 * j + 1) * (2 * j + 2)
+    return z // m >> 24
+
+
+#: (-1)^m c_m, m = 19 ... 2, and c_20 + 2 units, above c_20 (``_log_gamma_tail``).
+_LOG_GAMMA_TAIL = tuple((-1) ** m * _zeta_16(m) for m in range(19, 1, -1))
+_LOG_GAMMA_OMITTED = _zeta_16(20) + 2
+
+
 def _enveloped_tail(x: float, count: int, series):
     """sum_{j>=count} f(x + j) = F(y) at the exact y = x + count >= 10, for the
     gap or psi', by F's asymptotic series, in binary fixed point: Python
@@ -328,51 +354,24 @@ def _enveloped(partial: int, omitted: int, b: int, floor_charge: int):
             math.nextafter(math.ldexp(floor_charge + rest, -b - 1), math.inf))
 
 
-def _exact_gap_tail(a: float):
-    """sum_{k>=16} kernel_r(k/a), a in (0, 1], by its complete Euler-Maclaurin
-    series at the exact y = 16/a >= 16, in binary fixed point: Python integers
-    in units of 2^-b, the midpoint over 2^76 units.
-
-    That is a kernel_s(y) + kernel_r(y)/2 plus the corrections
-    T_j = B_2j/(2j)! a^(1-2j) |r^(2j-1)(y)| (r = kernel_r), each exact as
-    B_2j/(2j(2j - 1)) [(2j - 1) a/16^2j + (16 + a)^(1-2j) - 16^(1-2j)] and floored
-    once.  r is completely monotone, so they envelope (DLMF 2.10(i); checked
-    in the tests), and as in ``_enveloped_tail`` the tail stops at the first
-    under 4 units (or the last of ``_B2K``).
+def _log_gamma_tail(a: float):
+    """sum_{k>=16} [a/k - log(1 + a/k)] = sum_{m>=2} (-1)^m c_m a^m, a in (0, 1],
+    c_m = zeta(m, 16)/m, as a^2 S(a): with a = pa/2^e exactly, S by one Horner
+    pass in a over ``_LOG_GAMMA_TAIL`` in units of 2^-90, then times pa^2 in
+    units of 2^-(90 + 2e).  S's terms alternate and fall (c_(m+1) < c_m/16 and
+    a <= 1), so by Leibniz's rule what the kept terms leave lies between 0 and
+    the first omitted one, c_20 a^20 <= ``_LOG_GAMMA_OMITTED`` a^2 units.
     """
     pa, qa = a.as_integer_ratio()
-    num, big_k = 16 * qa, 16 * qa + pa               # y = num/pa, 16 + a = big_k/qa
-    b = 80 + num.bit_length() - pa.bit_length() + qa.bit_length() - pa.bit_length()
-    t = (pa << b) // (2 * num + pa)                  # t = 1/(2y + 1)
-    r = (pa << b) // num                             # r = 1/y
-    v = t * t >> b
-    w, power, d = 0, v, 1
-    while power:                                     # W(v) = sum v^j/(2j + 1)
-        d += 2
-        w += power // d
-        power = power * v >> b
-    total = ((t + w + (t * w >> b)) * pa // qa       # a kernel_s(y) = a((W + t) + tW)
-             + (t * (r - 2 * w) >> (b + 1)))         # kernel_r(y)/2 = t(1/y - 2W)/2
-    # With n = 2j - 1 and K = 16 qa + pa,
-    # T_j = B_2j ((n pa - 16 qa) K^n + (16 qa)^(n+1))/(2j n qa 16^(n+1) K^n).
-    kept, big_k_n = [], big_k
-    for j, (b_num, b_den) in enumerate(_B2K, 1):
-        n = 2 * j - 1
-        term = ((abs(b_num) * ((n * pa - num) * big_k_n + num ** (n + 1)) << b)
-                // (b_den * 2 * j * n * qa * 16 ** (n + 1) * big_k_n))
-        if term < 4 or j == len(_B2K):
-            break
-        kept.append(term)
-        big_k_n *= big_k * big_k
-    # Each floor errs by under one unit.  With t <= 1/33, r <= 1/16 and
-    # v <= 1/1089 at y >= 16: v and each power of v are under 1.07 off, so W is
-    # under 1.36n + 0.36 off for its n = (d - 1)/2 terms (the rest of the series
-    # is under 0.36 once a power floors to 0); a kernel_s(y) under
-    # 3.38 + 1.41n, kernel_r(y)/2 under 1.06 + 0.05n; each T_j kept under 1,
-    # and the omitted one under 1 between the midpoint and the half-width.
-    # So the two are under 5 + d + m units off, m = len(kept).
-    return _enveloped(total + sum(kept[::2]) - sum(kept[1::2]),
-                      -term if len(kept) % 2 else term, b, 10 + 2 * (d + len(kept)))
+    e = qa.bit_length() - 1
+    acc = 0
+    for c in _LOG_GAMMA_TAIL:
+        acc = c + (acc * pa >> e)
+    # The 18 coefficients are each under 1 + 2^-17 units off (``_zeta_16``) and
+    # the 17 Horner floors under 1, each carried on times a <= 1: S is under 36
+    # units off, and its exact product by pa^2 under 36 pa^2, 72 pa^2 half-units.
+    pa2 = pa * pa
+    return _enveloped(acc * pa2, _LOG_GAMMA_OMITTED * pa2, 90 + 2 * e, 72 * pa2)
 
 
 def _two_doubles(mid: int, b: int) -> tuple[list[float], int]:
@@ -654,7 +653,7 @@ def _log_gamma_series(x: float) -> ErrorBoundedValue:
         # a/k - log(1 + a/k) = kernel_r(k/a), k/a >= 1, exact for a power of two.
         parts = [kernels.kernel_r(k / a) for k in range(1, 16)]
         rel = _R_REL + _ABSCISSA_REL * (math.frexp(a)[0] != 0.5)
-        mid_parts, half_width, mid_charge = _exact_gap_tail(a)
+        mid_parts, half_width, mid_charge = _log_gamma_tail(a)
         charges = [half_width, mid_charge, rel * math.fsum(parts)]
         parts.extend(mid_parts)
         gam = ref_digamma_gap(1.0)   # the series at 1 sums to gamma

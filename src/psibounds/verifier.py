@@ -342,7 +342,7 @@ def identity_check(grid: GridSpec, tau_terms: int = 100,
             return False
         if abs(specfun.log_gamma(x + 1.0) - specfun.log_gamma(x) - math.log(x)) > tolerance:
             return False
-        gap = oracle.ref_digamma_gap(x)
+        gap = oracle.ref_digamma_gap(x, math.inf)
         iv = bounds.gap_via_tau_series(x, tau_terms)
         if not (iv.lower <= gap.lower and gap.upper <= iv.upper):
             return False

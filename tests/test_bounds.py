@@ -44,9 +44,13 @@ def test_interval_invariant():
         with pytest.raises(AttributeError):
             setattr(iv, name, 0.0)
     assert (iv.lower, iv.upper) == (0.25, 0.5)
-    # Only two finite sides are checked: an infinite side is accepted.
+    # The one check is lower < upper: an infinite side above or below is
+    # accepted, and a nan side or an infinite lower side above is not.
     assert Interval(0.5, math.inf).upper == math.inf
     assert Interval(-math.inf, 0.5).lower == -math.inf
+    for lower, upper in ((math.nan, 1.0), (0.0, math.nan), (math.inf, 0.5)):
+        with pytest.raises(ValueError):
+            Interval(lower, upper)
 
 
 #: The series V of _shifted_atanh, 1/63, ..., 1/5 in Horner order: its

@@ -74,6 +74,18 @@ def test_eval_where_the_direct_forms_cancel(capsys, name, x, expected):
     assert code == 0 and out.strip() == expected
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["trigamma", "1e-3"], "1000001.64253 ± 5.0e-10"),
+    (["log_gamma", "1e5"], "1051287.70897 ± 4.1e-10"),
+    (["digamma", "1", "--precision", "1e-15"], "-0.577215664901533 ± 3.2e-16"),
+])
+def test_eval_prints_the_oracle_radius_at_any_precision(capsys, argv, expected):
+    # --precision sets the printed digits only: the oracle is asked at
+    # eps = inf, so a radius above the digits (or below the eps floor) prints.
+    code, out, _ = run(capsys, "eval", *argv)
+    assert code == 0 and out.strip() == expected
+
+
 def test_eval_domain_error_exit_2(capsys):
     code, _, err = run(capsys, "eval", "digamma", "-1")
     assert code == 2

@@ -442,35 +442,41 @@ def test_log_gamma_series_tail_encloses_a_50_digit_sum(a):
     # cancels up to ~35 digits at a = 2^-52.
     with mpmath.workdps(90):
         truth = _mp_log_gamma_tail(a)
-        (hi, lo), half, charge = oracle._exact_gap_tail(a)
+        (hi, lo), half, charge = oracle._log_gamma_tail(a)
         assert abs(mpmath.mpf(hi) + lo - truth) <= mpmath.mpf(half) + charge, a
         assert max(half, charge) <= 2.0**-70 * hi, (a, half, charge)
 
 
 @pytest.mark.parametrize("a", _LOG_GAMMA_A)
 def test_log_gamma_tail_corrections_envelope(a):
-    # What _exact_gap_tail's half-width rests on: with k = 16 and y = k/a, the
-    # tail less a kernel_s(y) + kernel_r(y)/2 and its first j - 1 corrections
-    # lies strictly between 0 and the j-th, T_j = B_2j/(2j)! a^(1-2j)
-    # |r^(2j-1)(y)|, for every j up to the end of the oracle's table, past
-    # where the tail stops (T_16 is about 2^-94 of the tail; the closed forms
-    # cancel up to ~35 digits at a = 2^-52).
-    with mpmath.workdps(120):
-        aa, k = mpmath.mpf(a), mpmath.mpf(16)
-        y = k / aa
-        rest = (_mp_log_gamma_tail(a) - aa * ((y + 1) * mpmath.log1p(1 / y) - 1)
-                - _mp_kernel_r(y) / 2)
-        for j in range(1, len(oracle._B2K) + 1):
-            n = 2 * j - 1
-            term = (mpmath.bernoulli(2 * j) / (2 * j * n)
-                    * (n * aa / k ** (2 * j) + (k + aa) ** -n - k ** -n))
-            if a == 0.3 and j <= 3:   # the closed form is the derivative's
-                with mpmath.workdps(40):
-                    d = mpmath.diff(_mp_kernel_r, y, n)
-                    assert mpmath.almosteq(term, -mpmath.bernoulli(2 * j) / mpmath.factorial(2 * j)
-                                           * aa ** -n * d, 1e-30), j
-            assert 0 < rest / term < 1, (a, j)
+    # What _log_gamma_tail's half-width rests on: the tail less its terms
+    # (-1)^m zeta(m, 16) a^m/m before the m-th lies strictly between 0 and the
+    # m-th, for every m up to the first omitted one (m = 20) and past it.  The
+    # digits grow with the powers of a that the rest falls to.
+    with mpmath.workdps(60 + 22 * math.ceil(-math.log10(a))):
+        aa = mpmath.mpf(a)
+        rest = _mp_log_gamma_tail(a)
+        for m in range(2, 23):
+            term = (-1) ** m * mpmath.zeta(m, 16) * aa**m / m
+            assert 0 < rest / term < 1, (a, m)
             rest -= term
+
+
+def test_log_gamma_tail_table():
+    # The coefficients (-1)^m c_m, c_m = zeta(m, 16)/m in units of 2^-90,
+    # m = 19 ... 2, are each the exact c_m floored, to within the 2^-17 that
+    # _zeta_16's sum charges; they alternate and fall by more than 16 a step,
+    # as Leibniz's rule at every a <= 1 needs, and the omitted bound covers c_20.
+    with mpmath.workdps(60):
+        exact = {m: mpmath.zeta(m, 16) / m * mpmath.mpf(2) ** 90 for m in range(2, 21)}
+    table = dict(zip(range(19, 1, -1), oracle._LOG_GAMMA_TAIL))
+    assert sorted(table) == list(range(2, 20))
+    for m, c in table.items():
+        assert c * (-1) ** m > 0, m
+        assert 0 <= exact[m] - abs(c) < 1 + 2.0**-17, m
+        if m < 19:
+            assert 16 * abs(table[m + 1]) < abs(c), m
+    assert 16 * exact[20] < abs(table[19]) and oracle._LOG_GAMMA_OMITTED >= exact[20]
 
 
 def test_error_bounded_value_validation():
@@ -690,12 +696,12 @@ def test_gap_series_cost_is_bounded(monkeypatch):
     # kernel_r(k/a) and takes its tail from k = 16 at every a and eps.  None of
     # these series sums in bulk.
     counts = []
-    exact_tail = oracle._exact_gap_tail
+    log_gamma_tail = oracle._log_gamma_tail
     kernel_r = kernels.kernel_r
 
     def recording(a):
         counts.append((a, len(heads)))
-        return exact_tail(a)
+        return log_gamma_tail(a)
 
     def recording_kernel_r(y):
         heads.append(y)
@@ -704,7 +710,7 @@ def test_gap_series_cost_is_bounded(monkeypatch):
     def boom(*args):
         raise AssertionError("summed in bulk")
 
-    monkeypatch.setattr(oracle, "_exact_gap_tail", recording)
+    monkeypatch.setattr(oracle, "_log_gamma_tail", recording)
     monkeypatch.setattr(oracle, "_bulk_terms", boom)
     monkeypatch.setattr(kernels, "kernel_r", recording_kernel_r)
     for name, x in _gap_series_calls():

@@ -167,6 +167,9 @@ def test_limit_schedules_improve_monotonically():
 
 def test_identity_check():
     assert verifier.identity_check(GridSpec(0.5, 50.0, 12))
+    # The gap is asked at eps = inf, as sweep asks it: near 0 its radius
+    # (1.3e-12 at 3e-4) passes the default eps, and the enclosure judges it.
+    assert verifier.identity_check(GridSpec(3e-4, 3.1e-4, 2))
     with pytest.raises(DomainError):
         verifier.identity_check(GridSpec(1.0, 2.0, 1))
 
