@@ -29,8 +29,8 @@ _NAMES = {
               "gap_via_tau_series stirling_arg_upper stirling_ratio_bounds tau",
     "errors": "DomainError ToleranceError UndecidedComparisonError",
     "kernels": "kernel_r kernel_s",
-    "oracle": "EPS_FLOOR ErrorBoundedValue ref_binet_mu ref_digamma ref_digamma_gap "
-              "ref_euler_gamma ref_log_gamma ref_stirling_target ref_trigamma",
+    "oracle": "ErrorBoundedValue ref_binet_mu ref_digamma ref_digamma_gap ref_euler_gamma "
+              "ref_log_gamma ref_stirling_target ref_trigamma",
     "specfun": "EULER_GAMMA HALF_LOG_TWO_PI LOG_TWO_PI digamma digamma_gap log_gamma "
                "polygamma stirling_ratio trigamma",
     "verifier": "GridSpec InequalityReport compare identity_check limit_check "

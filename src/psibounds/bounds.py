@@ -132,9 +132,13 @@ def beta(x: float) -> float:
     Strictly above x, approaches x + 1/3 from below as x grows; x + f(x)
     from x = 1, so it neither cancels nor underflows.
     """
-    x = _check_domain(x)
+    return _beta(_check_domain(x))
+
+
+def _beta(x: float) -> float:
+    # beta for an x already checked; with _aux_f, x's one check serves both.
     if x >= 1.0:
-        return x + aux_f(x)
+        return x + _aux_f(x)
     return 1.0 / math.sqrt(2.0 * kernels.kernel_r(x))
 
 
@@ -178,18 +182,20 @@ def tau(k: int, x: float) -> float:
     """[2/(x+k-1) - 2 log(1+1/(x+k-1))]^(-1/2) - k.
 
     Strictly increasing in k with x - 1 < tau(k, x) < x - 2/3; tau(1, x)
-    equals beta(x) - 1.  DomainError where k - 1 passes the largest double.
+    equals beta(x) - 1.  DomainError where x + k - 1 passes the largest double.
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise DomainError(f"k must be an integer >= 1, got {k!r}")
     x = _check_domain(x)
     try:
         y = x + (k - 1)   # one rounding; (x + k) - 1 would lose x's digits at k = 1
-    except OverflowError:
-        raise DomainError("tau: k - 1 passes the largest double") from None
+    except OverflowError:   # k - 1 itself passes the largest double
+        y = math.inf
+    if y == math.inf:
+        raise DomainError("tau: x + k - 1 passes the largest double")
     # beta(y) - y is evaluated as the stable f auxiliary to dodge the large-y
     # cancellation in (beta(y)) - (k).
-    return aux_f(y) + (x - 1.0)
+    return _aux_f(y) + (x - 1.0)
 
 
 # -- bound evaluators --------------------------------------------------------
@@ -225,7 +231,8 @@ class _FamilyRow:
 #: One row per family.  Only the eq6 refinement is proved from 2 upward;
 #: every other family holds on all of (0, inf).  The closed forms look their
 #: helpers up at call time, so a patched module attribute sees every call; psi'
-#: is taken past its checks, as its arguments are positive and finite.
+#: and beta are taken past their checks, as their arguments are positive and
+#: finite.
 FAMILIES = {
     BoundFamily.EQ4: _FamilyRow("ratio", 0.0, lambda x: (
         _exp_neg_half_digamma(x + 1.0 / 3.0), _exp_neg_half_digamma(x))),
@@ -243,7 +250,7 @@ FAMILIES = {
         0.5 / x + 1.0 / (12.0 * x * x) - 1.0 / (12.0 * x**4),
         0.5 / x + 1.0 / (12.0 * x * x) - 1.0 / (120.0 * (x + 0.125) ** 4))),
     BoundFamily.THM21: _FamilyRow("gap", 0.0, lambda x: (
-        0.5 * specfun._polygamma(1, x + 1.0 / 3.0), 0.5 * specfun._polygamma(1, beta(x)))),
+        0.5 * specfun._polygamma(1, x + 1.0 / 3.0), 0.5 * specfun._polygamma(1, _beta(x)))),
     BoundFamily.THM22: _FamilyRow("gap", 0.0, lambda x: (
         0.5 * specfun._polygamma(1, x + 1.0 / 3.0),
         0.5 * specfun._polygamma(1, beta_refined(x)))),
@@ -371,9 +378,13 @@ def aux_f(u: float) -> float:
     (t^2 V + 1/3) and s = sqrt(1 - t g), beta = (1 - t)/(2ts) and f is
     (1 - t) g/(2s(1 + s)): 1/3 less an O(t) part, which does not cancel.
     """
-    u = _check_domain(u, "u")
+    return _aux_f(_check_domain(u, "u"))
+
+
+def _aux_f(u: float) -> float:
+    # f for a u already checked.
     if u < 1.0:
-        return beta(u) - u
+        return _beta(u) - u
     t = 0.5 / (u + 0.5)
     big_v = _shifted_atanh(t * t)
     g = 1.0 + (1.0 - t) ** 2 * (t * t * big_v + 1.0 / 3.0)

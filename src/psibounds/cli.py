@@ -12,7 +12,7 @@ import math
 import re
 import sys
 
-from .errors import DEFAULT_EPS, DomainError
+from .errors import DomainError
 
 SCHEMA_VERSION = "1"
 
@@ -22,20 +22,9 @@ EXIT_USAGE = 2
 EXIT_UNKNOWN_NAME = 3
 
 
-def _fmt(value: float, precision: float) -> str:
-    digits = max(1, min(17, int(round(-math.log10(precision)))))
-    return f"{value:.{digits}g}"
-
-
-def _precision(text: str) -> float:
-    # argparse type of eval's --precision: _fmt takes its log10.
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
-    return value
+def _value_text(value: float, radius: float | None) -> str:
+    # The shortest round-trip representation, with the radius beside it if any.
+    return repr(value) if radius is None else f"{value!r} ± {radius:.1e}"
 
 
 def _exp_radius(log_value, exp=math.exp):
@@ -81,11 +70,7 @@ def _eval_target(name: str, x: float):
 
 
 def cmd_eval(args) -> int:
-    value, radius = _eval_target(args.fn, args.x)
-    if radius is None:
-        print(_fmt(value, args.precision))
-    else:
-        print(f"{_fmt(value, args.precision)} ± {radius:.1e}")
+    print(_value_text(*_eval_target(args.fn, args.x)))
     return EXIT_OK
 
 
@@ -213,9 +198,8 @@ def cmd_constants(args) -> int:
             doc = {"schema_version": SCHEMA_VERSION, "command": "constants"}
             _emit(doc, rows, args.format, stream)
         else:
-            # Shortest round-trip representation, with the radius beside it.
             for row in rows:
-                stream.write(f"{row['name']} = {row['value']!r} ± {row['error_radius']:.1e}\n")
+                stream.write(f"{row['name']} = {_value_text(row['value'], row['error_radius'])}\n")
     return EXIT_OK
 
 
@@ -260,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("x", type=float)
     # argparse's own negative-number pattern has no exponent: "-1e-3" was an option.
     p_eval._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
-    p_eval.add_argument("--precision", type=_precision, default=DEFAULT_EPS)
     p_eval.set_defaults(run=cmd_eval)
 
     p_verify = sub.add_parser("verify", help="sweep one bound family over a grid")

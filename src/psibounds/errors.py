@@ -1,9 +1,4 @@
-"""Exception types and the default tolerance shared across the package."""
-
-#: Absolute tolerance of the oracle's reference values unless a caller asks
-#: for another (``constants`` takes it for gamma); also the default of
-#: ``eval``'s ``--precision``, which sets only the digits it prints.
-DEFAULT_EPS = 1e-12
+"""Exception types shared across the package."""
 
 
 class DomainError(ValueError):
@@ -11,7 +6,7 @@ class DomainError(ValueError):
 
 
 class ToleranceError(ArithmeticError):
-    """Requested absolute tolerance cannot be certified at working precision."""
+    """The value's rigorous radius exceeds the requested absolute tolerance."""
 
 
 class UndecidedComparisonError(ArithmeticError):

@@ -40,26 +40,27 @@ floats, and the one ``fsum`` gives the double of the whole term list.
 ``ref_binet_mu(6e4)``, a full 1e5-term block, peaks at 0.53 MB.
 
 psi(x) = log x less the gap's parts, rounded once, at every x, charging
-1 ulp of log x on top, and gamma = gap(1).  Above 2, log Gamma(x) = mu(x) +
-(x - 1/2) log x - x + log(2 pi)/2, charging (x - 1/2) ulps of log x, the
-roundings of x - 1/2 and of the product and 1.7e-16 for log(2 pi)/2 on top
-of mu; on (0, 2] that form cancels near the zeros at 1 and 2, so the series
-at 1 + a serves there.  Each series is summed once per call: gamma takes the
-cached gap, log Gamma above 2 the cached mu.
+1 ulp of log x on top, and gamma = gap(1), enclosed once at import.  Above
+2, log Gamma(x) = mu(x) + (x - 1/2) log x - x + log(2 pi)/2, charging
+(x - 1/2) ulps of log x, the roundings of x - 1/2 and of the product and
+1.7e-16 for log(2 pi)/2 on top of mu; on (0, 2] that form cancels near the
+zeros at 1 and 2, so the series at 1 + a serves there, with gamma's
+enclosure.  Each series is summed at most once per call: log Gamma above 2
+takes the cached mu.
 
 Every value and radius is a function of x alone, and eps only decides a
-refusal (``ToleranceError``): below ``EPS_FLOOR``, where the radius exceeds
-eps (as an absolute 1e-12 does on trigamma near 0, where the value is ~1e6)
-and, before any sum, where half an ulp of a known lower bound of the value
-does: 1/(2x) for the gap, 1/x^2 for trigamma and the Stirling part (mu > 0)
-for log Gamma; eps = inf refuses nothing.  A value past the largest double
-is a ``DomainError`` at every eps: the gap and psi below x ~ 5.6e-309, where
-1/x overflows, psi' below ~7.5e-155, where 1/x^2 does, the Stirling target
-below ~2.2e-309, and log Gamma where (x - 1/2) log x overflows.  mu is
-summed to a half-width ``_target(x)``, a quarter ulp of ~1/(2x) within
-[1e-26, EPS_FLOOR/4] (the tightest any accepted eps asks for): its tail
-starts at the m where the enclosure (~ 1/(360 m^5)) and its double
-midpoint's charge (4 ulps of mu(m) < 1/(12m)) fit that, or at x + MAX_TERMS
+refusal (``ToleranceError``), exactly where the radius exceeds eps (as an
+absolute 1e-12 does on trigamma near 0, where the value is ~1e6); where half
+an ulp of a known lower bound of the value does, the radius does too, and
+the refusal comes before any sum: 1/(2x) for the gap, 1/x^2 for trigamma
+and the Stirling part (mu > 0) for log Gamma; eps = inf refuses nothing.  A
+value past the largest double is a ``DomainError`` at every eps: the gap and
+psi below x ~ 5.6e-309, where 1/x overflows, psi' below ~7.5e-155, where
+1/x^2 does, the Stirling target below ~2.2e-309, and log Gamma where
+(x - 1/2) log x overflows.  mu is summed to a half-width ``_target(x)``, a
+quarter ulp of ~1/(2x) within [1e-26, ``_MU_TARGET_MAX``]: its tail starts
+at the m where the enclosure (~ 1/(360 m^5)) and its double midpoint's
+charge (4 ulps of mu(m) < 1/(12m)) fit that, or at x + MAX_TERMS
 (``_tail_count``).
 
 Cost is bounded, not linear in x.  The gap and psi' sum at most 10 head
@@ -84,14 +85,14 @@ import math
 from dataclasses import dataclass
 
 from . import kernels, tails
-from .errors import DEFAULT_EPS, DomainError, ToleranceError
+from .errors import DomainError, ToleranceError
 from .kernels import _check_domain
 
 _EPS = 2.0**-52
 _U = 2.0**-53   # each correctly rounded operation errs by at most _U relative
 
-#: Smallest honest absolute tolerance at working precision.
-EPS_FLOOR = 1e-14
+#: Absolute tolerance of each ``ref_*`` unless the caller asks for another.
+DEFAULT_EPS = 1e-12
 
 #: About the most terms one evaluation sums (see the module docstring).
 MAX_TERMS = 100_000
@@ -99,6 +100,9 @@ MAX_TERMS = 100_000
 #: Entries each ``ref_*`` cache keeps: twice the most any one of them holds
 #: after one certify pass (1048, ``ref_binet_mu``), rounded up.
 CACHE_SIZE = 4096
+
+#: ``_target``'s cap, which binds from x ~ 0.011 down.
+_MU_TARGET_MAX = 2.5e-15
 
 #: Bulk chunks of at least this many terms are reduced by ``_exact_split``;
 #: shorter ones go to ``fsum`` as Python floats, which is faster there.
@@ -162,10 +166,6 @@ def _check_eps(eps: float) -> float:
     eps = float(eps)
     if not eps > 0.0:
         raise DomainError(f"eps must be positive, got {eps!r}")
-    if eps < EPS_FLOOR:
-        raise ToleranceError(
-            f"eps={eps!r} below the {EPS_FLOOR} floor of working precision"
-        )
     return eps
 
 
@@ -187,10 +187,9 @@ def _ensure_above(floor: float, eps: float, what: str, x: float) -> None:
 
 
 def _target(x: float) -> float:
-    # A quarter ulp of ~1/(2x) (mu is below it), capped at EPS_FLOOR/4: no
-    # accepted eps asks for a tighter sum than that.
+    # A quarter ulp of ~1/(2x) (mu is below it), within [1e-26, _MU_TARGET_MAX].
     magnitude = max(0.5 / x, 1e-10)
-    return max(min(EPS_FLOOR / 4.0, 0.25 * _EPS * magnitude), 1e-26)
+    return max(min(_MU_TARGET_MAX, 0.25 * _EPS * magnitude), 1e-26)
 
 
 def _tail_count(x: float) -> int:
@@ -516,13 +515,18 @@ def _gap_head_charges(x: float, terms: list[float]) -> list[float]:
 
 def _gap_parts(x: float, eps: float, what: str):
     # gap(x) = sum_{j>=0} kernel_r(x + j): the terms while x + j < 10, then the
-    # tail gap(x + count).  The gap (and |psi| where this refuses) exceeds 1/(2x),
-    # which overflows where 1/x does: halve 1/x, not 0.5/x.
+    # tail gap(x + count).  The gap exceeds 1/(2x), and |psi| does but on about
+    # (1.07, 1.79), where psi's radius is over 7 half ulps of 1/(2x).  1/(2x)
+    # overflows where 1/x does: halve 1/x, not 0.5/x.
     _ensure_above(1.0 / x * 0.5, eps, what, x)
     count = _head_count(x)
     terms = kernels.kernel_r_terms(x, count)
     mid_parts, half_width, mid_charge = _enveloped_tail(x, count, _GAP_SERIES)
     return [*terms, *mid_parts], [half_width, mid_charge, *_gap_head_charges(x, terms)]
+
+
+#: gamma = gap(1) (the series at 1 sums to it), enclosed once.
+_EULER_GAMMA = _close(*_gap_parts(1.0, math.inf, "ref_euler_gamma"))
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
@@ -569,7 +573,8 @@ def ref_stirling_target(x: float, eps: float = DEFAULT_EPS) -> ErrorBoundedValue
 
 def ref_euler_gamma(eps: float = DEFAULT_EPS) -> ErrorBoundedValue:
     """The Euler-Mascheroni constant, -psi(1) = gap(1), with the gap oracle's radius."""
-    return ref_digamma_gap(1.0, eps)
+    _ensure(_EULER_GAMMA.error_radius, _check_eps(eps), "ref_euler_gamma", 1.0)
+    return _EULER_GAMMA
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
@@ -628,8 +633,10 @@ def _log_gamma_stirling(x: float, eps: float) -> ErrorBoundedValue:
     stirling = product - x + _HALF_LOG_TWO_PI
     if not math.isfinite(stirling):
         raise DomainError(f"ref_log_gamma({x!r}): (x - 1/2) log x overflows binary64")
-    # Where this can fire (eps >= EPS_FLOOR, so s >= 128 and x > 45), s is
-    # within 2^-50 relative of the exact part.
+    # log Gamma = mu + s*, mu > 0, s* the exact part: s errs by a few ulps of
+    # the product, under mu up to x ~ 2e7 and under 2^-48 s from x ~ 2.22, so
+    # s (1 - 2^-48) < log Gamma at every x > 2.  Where s < 0 (x < 2.09), half
+    # an ulp of |s| < 0.042 is under the product's own charge.
     _ensure_above(stirling, eps, "ref_log_gamma", x)
     charges = [
         abs(x - h - 0.5) * log_x,   # x - h is exact, so this is h's rounding
@@ -656,9 +663,8 @@ def _log_gamma_series(x: float) -> ErrorBoundedValue:
         mid_parts, half_width, mid_charge = _log_gamma_tail(a)
         charges = [half_width, mid_charge, rel * math.fsum(parts)]
         parts.extend(mid_parts)
-        gam = ref_digamma_gap(1.0)   # the series at 1 sums to gamma
-        parts.append(-gam.value * a)
-        charges.append(gam.error_radius * a + 0.5 * math.ulp(gam.value * a))
+        parts.append(-_EULER_GAMMA.value * a)
+        charges.append(_EULER_GAMMA.error_radius * a + 0.5 * math.ulp(_EULER_GAMMA.value * a))
 
     if x <= 1.0:
         log_x = math.log(x)

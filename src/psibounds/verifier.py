@@ -212,13 +212,18 @@ def sweep(grid: GridSpec, family: BoundFamily) -> InequalityReport:
                             records=records, notes=row.notes)
 
 
+#: What ``compare`` reports of each sweep record, by side.
+_COMPARE_SIDES = {"lower": lambda r: abs(r.lower_margin), "upper": lambda r: abs(r.upper_margin),
+                  "width": lambda r: r.interval.width}
+
+
 def compare(grid: GridSpec, families: list[BoundFamily], side: str) -> list[ComparisonRow]:
-    """Per-family gap metrics on a shared grid; no direction is asserted.
+    """Per-family gap metrics from one sweep per family; no direction is asserted.
 
     side='width' reports upper - lower; side='lower'/'upper' reports the
     distance |bound - target| of that side from the oracle target.
     """
-    if side not in ("lower", "upper", "width"):
+    if side not in _COMPARE_SIDES:
         raise DomainError(f"side must be lower/upper/width, got {side!r}")
     if not families:
         raise DomainError("need at least one family")
@@ -229,17 +234,11 @@ def compare(grid: GridSpec, families: list[BoundFamily], side: str) -> list[Comp
             + ", ".join(f"{f.value}->{f.target}" for f in families)
         )
     _check_grid_domain(grid, families)
-    row = _TARGET_ROWS[kinds.pop()]
-    rows = []
-    for x in grid.abscissae():
-        target = None if side == "width" else row.oracle(x).value
-        gaps = {}
-        for f in families:
-            interval = row.bounds(x, f)
-            gaps[f] = (interval.width if target is None else
-                       abs((interval.lower if side == "lower" else interval.upper) - target))
-        rows.append(ComparisonRow(x=x, gap_by_family=gaps))
-    return rows
+    gap = _COMPARE_SIDES[side]
+    columns = [sweep(grid, f).records for f in families]
+    return [ComparisonRow(x=records[0].x,
+                          gap_by_family={f: gap(r) for f, r in zip(families, records)})
+            for records in zip(*columns)]
 
 
 # -- monotonicity / sign / limit checks ---------------------------------------
@@ -332,16 +331,18 @@ def limit_schedule_check(name: str) -> bool:
     return all(b < a for a, b in zip(errors, errors[1:]))
 
 
-def identity_check(grid: GridSpec, tau_terms: int = 100,
-                   tolerance: float = 1e-10) -> bool:
-    """Recurrence identities plus the tau-series enclosure at every abscissa."""
+def identity_check(grid: GridSpec, tau_terms: int = 100) -> bool:
+    """Recurrence identities plus the tau-series enclosure at every abscissa.
+
+    Each recurrence a - b - c = 0 holds where |a - b - c| is within 1e-10 of
+    max(1, |a|, |b|, |c|): relative where its terms are large, as psi' near 0.
+    """
     for x in grid.abscissae():
-        if abs(specfun.digamma(x + 1.0) - specfun.digamma(x) - 1.0 / x) > tolerance:
-            return False
-        if abs(specfun.trigamma(x + 1.0) - specfun.trigamma(x) + 1.0 / (x * x)) > tolerance:
-            return False
-        if abs(specfun.log_gamma(x + 1.0) - specfun.log_gamma(x) - math.log(x)) > tolerance:
-            return False
+        for a, b, c in ((specfun.digamma(x + 1.0), specfun.digamma(x), 1.0 / x),
+                        (specfun.trigamma(x + 1.0), specfun.trigamma(x), -1.0 / (x * x)),
+                        (specfun.log_gamma(x + 1.0), specfun.log_gamma(x), math.log(x))):
+            if abs(a - b - c) > 1e-10 * max(1.0, abs(a), abs(b), abs(c)):
+                return False
         gap = oracle.ref_digamma_gap(x, math.inf)
         iv = bounds.gap_via_tau_series(x, tau_terms)
         if not (iv.lower <= gap.lower and gap.upper <= iv.upper):

@@ -21,18 +21,26 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _value_and_radius(out):
+    value, radius = out.split(" ± ")
+    return float(value), float(radius)
+
+
 def test_eval_digamma_at_one(capsys):
+    # The value's repr: it reads back as the oracle's double, -gamma rounded.
     code, out, _ = run(capsys, "eval", "digamma", "1")
     assert code == 0
-    value = out.split("±")[0].strip()
-    assert value.startswith("-0.577215664902")
-    assert "±" in out
+    value, radius = _value_and_radius(out)
+    assert out.split(" ± ")[0] == repr(value) == "-0.5772156649015329"
+    assert abs(value + 0.57721566490153286061) <= radius < 4e-16
 
 
 def test_eval_gamma_factorial(capsys):
+    # exp of log Gamma(5) is not 24 to the last digit, but its radius covers it.
     code, out, _ = run(capsys, "eval", "gamma", "5")
     assert code == 0
-    assert out.split("±")[0].strip() == "24"
+    value, radius = _value_and_radius(out)
+    assert abs(value - 24.0) <= radius < 1e-12
 
 
 def test_eval_gamma_overflow_names_log_gamma(capsys):
@@ -59,29 +67,36 @@ def test_eval_takes_a_negative_x_with_an_exponent(capsys, exponent, plain):
     assert "positive finite real" in err
 
 
+def _eval_reads_back(capsys, name, x):
+    # eval prints the value's repr: the function's own double, read back exactly.
+    code, out, _ = run(capsys, "eval", name, x)
+    assert code == 0
+    value = float(out)
+    assert out.strip() == repr(value) and value == bounds.FUNCTIONS[name](float(x))
+    return value
+
+
+# The expected values are 60-digit mpmath to 12 significant digits.
 @pytest.mark.parametrize("name, x, expected", [("beta", "1e160", "1e+160"),
                                                ("beta", "1e300", "1e+300"),
                                                ("f", "1e300", "0.333333333333")])
 def test_eval_where_kernel_r_underflows(capsys, name, x, expected):
-    code, out, _ = run(capsys, "eval", name, x)
-    assert code == 0 and out.strip() == expected
+    assert f"{_eval_reads_back(capsys, name, x):.12g}" == expected
 
 
 @pytest.mark.parametrize("name, x, expected", [("f", "1e17", "0.333333333333"),
                                                ("H", "1e5", "2.17588213795e-27")])
 def test_eval_where_the_direct_forms_cancel(capsys, name, x, expected):
-    code, out, _ = run(capsys, "eval", name, x)
-    assert code == 0 and out.strip() == expected
+    assert f"{_eval_reads_back(capsys, name, x):.12g}" == expected
 
 
 @pytest.mark.parametrize("argv, expected", [
-    (["trigamma", "1e-3"], "1000001.64253 ± 5.0e-10"),
-    (["log_gamma", "1e5"], "1051287.70897 ± 4.1e-10"),
-    (["digamma", "1", "--precision", "1e-15"], "-0.577215664901533 ± 3.2e-16"),
+    (["trigamma", "1e-3"], "1000001.6425331959 ± 5.0e-10"),
+    (["log_gamma", "1e5"], "1051287.7089736569 ± 4.1e-10"),
+    (["trigamma", "1e5"], "1.0000050000166667e-05 ± 8.5e-22"),
 ])
-def test_eval_prints_the_oracle_radius_at_any_precision(capsys, argv, expected):
-    # --precision sets the printed digits only: the oracle is asked at
-    # eps = inf, so a radius above the digits (or below the eps floor) prints.
+def test_eval_prints_the_oracle_radius(capsys, argv, expected):
+    # The oracle is asked at eps = inf, so its radius prints whatever its size.
     code, out, _ = run(capsys, "eval", *argv)
     assert code == 0 and out.strip() == expected
 
@@ -93,29 +108,15 @@ def test_eval_domain_error_exit_2(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["eval", "digamma", "1", "--precision", "inf"],
-    ["eval", "f", "1", "--precision", "0"],
-    ["eval", "f", "1", "--precision=-1e-3"],
-    ["eval", "f", "1", "--precision", "nan"],
-    ["eval", "f", "1", "--precision", "tight"],
-])
-def test_precision_must_be_positive_and_finite(capsys, argv):
-    # Rejected by the parser with a plain message, before any layer runs.
-    with pytest.raises(SystemExit) as exc:
-        cli.main(argv)
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "argument --precision: must be a positive finite number" in err
-
-
-@pytest.mark.parametrize("argv", [
     ["verify", "--family", "eq4", "--precision", "1e-6"],
     ["compare", "--families", "eq4,eq5", "--precision", "1e-6"],
     ["constants", "--precision", "1e-6"],
+    ["eval", "digamma", "1", "--precision", "1e-6"],
 ])
-def test_only_eval_takes_a_precision(capsys, argv):
+def test_no_command_takes_a_precision(capsys, argv):
     # A sweep takes each oracle radius as it is and the strictness rule
-    # judges it, so verify, compare and constants have no tolerance to set.
+    # judges it; eval prints the value's repr and the radius.  No command
+    # has a tolerance or a digit count to set.
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
@@ -389,7 +390,7 @@ def test_cold_start_loads_only_what_it_runs(args):
     (["constants"], "euler_gamma = 0.5772156649015329 ± 3.2e-16\n"
                     "log_two_pi = 1.8378770664093453 ± 4.4e-16\n"
                     "half_log_two_pi = 0.9189385332046727 ± 2.2e-16\n"),
-    (["eval", "digamma", "1"], "-0.577215664902 ± 3.2e-16\n"),
+    (["eval", "digamma", "1"], "-0.5772156649015329 ± 3.2e-16\n"),
 ])
 def test_commands_that_sum_in_bulk_print_as_before(argv, expected):
     proc = _python("-m", "psibounds", *argv)

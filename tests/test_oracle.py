@@ -84,10 +84,11 @@ def test_ref_euler_gamma():
 ])
 def test_psi_gamma_and_log_gamma_take_the_cached_sums(name, args, x, summed, summing,
                                                       monkeypatch):
-    # The gap and mu series are each summed once per call: gamma reads the
-    # gap's cache, log Gamma above 2 mu's and on (0, 2] gamma's, and no other
-    # gap or mu sum runs.  psi sums the gap's parts itself, to round once, and
-    # leaves the gap's cache empty.
+    # The gap and mu series are each summed at most once per call: log Gamma
+    # above 2 reads mu's cache, and no other gap or mu sum runs.  psi sums the
+    # gap's parts itself, to round once, and leaves the gap's cache empty.
+    # gamma = gap(1) is enclosed once at import, so gamma and log Gamma on
+    # (0, 2] (the rows at x = 1) sum no gap and leave its cache empty.
     oracle.clear_caches()
     sums = []
     real = {fn: getattr(oracle, fn) for fn in ("_enveloped_tail", "_kernel_sum")}
@@ -101,8 +102,24 @@ def test_psi_gamma_and_log_gamma_take_the_cached_sums(name, args, x, summed, sum
     for fn in real:
         monkeypatch.setattr(oracle, fn, recording(fn))
     getattr(oracle, name)(*args)
-    assert getattr(oracle, summed).cache_info().currsize == (name != "ref_digamma")
-    assert sums == [(summing, x)]
+    once = x != 1.0
+    assert getattr(oracle, summed).cache_info().currsize == (once and name != "ref_digamma")
+    assert sums == [(summing, x)] * once
+    oracle.clear_caches()
+
+
+def test_gamma_is_enclosed_once_at_import(monkeypatch):
+    # A cold ref_log_gamma on (0, 2] and ref_euler_gamma sum no gap: they read
+    # gamma's enclosure, the same doubles as the gap's sum at 1.
+    def boom(*args):
+        raise AssertionError("summed the gap")
+
+    oracle.clear_caches()
+    monkeypatch.setattr(oracle, "_gap_parts", boom)
+    gamma, log_gamma_half = oracle.ref_euler_gamma(), oracle.ref_log_gamma(0.5)
+    monkeypatch.undo()
+    assert gamma == oracle.ref_digamma_gap(1.0)
+    assert encloses(log_gamma_half, mp_reference(mpmath.loggamma, 0.5))
     oracle.clear_caches()
 
 
@@ -117,13 +134,19 @@ def test_euler_gamma_matches_the_accelerated_harmonic_limit(eps):
     assert abs(gamma.value - accel) <= 1.0 / (3.0 * n * n) + 1e-12 + gamma.error_radius
 
 
-def test_eps_floor_fails_loudly():
+def test_eps_is_refused_exactly_where_the_radius_exceeds_it():
+    # No floor of its own: an eps the radius meets is met, however small.
+    r = oracle.ref_trigamma(1e5, 1e-20)
+    assert r.value == 1.0000050000166667e-05 and f"{r.error_radius:.2e}" == "8.47e-22"
+    assert f"{oracle.ref_digamma(1.0, 9e-15).error_radius:.2e}" == "3.18e-16"
     with pytest.raises(ToleranceError):
-        oracle.ref_digamma(1.0, 9e-15)
+        oracle.ref_trigamma(1e5, 1e-22)
     with pytest.raises(ToleranceError):
-        oracle.ref_euler_gamma(9e-15)
-    # gamma = gap(1): refused below the floor only, as the gap itself.
-    assert oracle.ref_euler_gamma(oracle.EPS_FLOOR) == oracle.ref_digamma_gap(1.0, oracle.EPS_FLOOR)
+        oracle.ref_digamma(1.0, 1e-16)
+    # gamma = gap(1): met and refused as the gap itself.
+    assert oracle.ref_euler_gamma(9e-15) == oracle.ref_digamma_gap(1.0, 9e-15)
+    with pytest.raises(ToleranceError):
+        oracle.ref_euler_gamma(1e-16)
     with pytest.raises(DomainError):
         oracle.ref_digamma(1.0, -1e-10)
 
@@ -542,20 +565,30 @@ def test_series_and_closed_form_agree_at_the_switch(x):
     assert max(series.lower, closed.lower) <= min(series.upper, closed.upper)
 
 
-@pytest.mark.parametrize("eps", [1e-12, 1e-9, 1e-6])
+#: 40 log points of [1e-3, 1e4] (mu's sums kept to x <= 1e4, for time), psi's
+#: zero, and log Gamma's switch to its Stirling form, whose Stirling part is
+#: negative up to x ~ 2.09.
+_REFUSAL_X = [10.0 ** (-3 + 7 * i / 39) for i in range(40)] + [1.4616321449683622, 2.0,
+                                                               2.05, 2.5]
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-9, 1e-12, 1e-14, 1e-16, 1e-18, 1e-20, 1e-22,
+                                 1e-25, 1e-30])
 def test_early_log_gamma_refusal_only_where_the_full_sum_refuses(eps):
-    # The radius does not depend on eps, so the one at eps = 1 (which refuses
-    # nothing here) is the full sum's: a refusal before the sum must agree.
-    for x in np.logspace(np.log10(2.5), 5, 40):
-        x = float(x)
-        full = oracle.ref_log_gamma(x, 1.0)
-        oracle.clear_caches()
-        try:
-            oracle.ref_log_gamma(x, eps)
-            refused = False
-        except ToleranceError:
-            refused = True
-        assert refused == (full.error_radius > eps), x
+    # Every ref_* refuses exactly where its radius exceeds eps, log Gamma, the
+    # gap, psi and psi' also where they refuse before any sum, from a lower
+    # bound of the value.  The radius does not depend on eps, so the one at
+    # eps = inf, which refuses nothing, is the full sum's.
+    for name in _REFS:
+        fn = getattr(oracle, name)
+        for x in _REFUSAL_X:
+            radius = fn(x, math.inf).error_radius
+            try:
+                fn(x, eps)
+                refused = False
+            except ToleranceError:
+                refused = True
+            assert refused == (radius > eps), (name, x, radius)
 
 
 @pytest.mark.parametrize("name, x", [("ref_binet_mu", 6e4), ("ref_binet_mu", 1e6)])
@@ -606,7 +639,7 @@ def test_trigamma_refuses_tiny_x_before_summing(x):
     if x < 5.6e-309:
         names += ["ref_digamma_gap", "ref_digamma", "ref_stirling_target"]
     for name in names:
-        for eps in (oracle.EPS_FLOOR, 1e-3, math.inf):
+        for eps in (1e-30, 1e-3, math.inf):
             oracle.clear_caches()
             with pytest.raises(DomainError, match="passes the largest double"):
                 getattr(oracle, name)(x, eps)
@@ -752,8 +785,13 @@ def test_gap_and_trigamma_sum_at_most_16_head_terms(name, monkeypatch):
             oracle.clear_caches()
             tails_taken.clear()
             try:
-                r = (oracle.ref_euler_gamma(eps) if name == "ref_euler_gamma"
-                     else getattr(oracle, name)(x, eps))
+                if name == "ref_euler_gamma":
+                    # gamma's enclosure, from import, is the gap's sum at 1.
+                    gamma = oracle.ref_euler_gamma(eps)
+                    r = oracle.ref_digamma_gap(x, eps)
+                    assert gamma == r
+                else:
+                    r = getattr(oracle, name)(x, eps)
             except ToleranceError:
                 continue
             returned += 1
@@ -867,7 +905,7 @@ def _three_term_start(x, target):
 def test_mu_series_cost_is_bounded(monkeypatch):
     # mu's double midpoint, below mu(m) < 1/(12m), is charged 4 ulps of
     # itself.  At the quarter-ulp target eps/(8x) (from x = 0.0111, where it
-    # falls below EPS_FLOOR/4) the tail starts at most at
+    # falls below _MU_TARGET_MAX) the tail starts at most at
     # max(x + 16, 64, (scale/target)^0.2, min(8x/3, x + MAX_TERMS)), and
     # where the cap does not bind, the charge fits the target there.
     sums = _record_kernel_sums(monkeypatch)
@@ -1068,7 +1106,8 @@ _EPS_CHECK_X = [10.0 ** (-3 + 12 * i / 400) for i in range(401)] + [1e20, 1e100,
 @pytest.mark.parametrize("name", _REFS)
 def test_eps_only_decides_a_refusal(name):
     # Every value and radius is a function of x alone: at each eps that does
-    # not refuse, the same doubles, and no larger eps refuses.
+    # not refuse, the same doubles, and no larger eps refuses.  An eps equal
+    # to the radius is met, and the next double below it refused.
     fn = getattr(oracle, name)
     returned = 0
     for x in _EPS_CHECK_X:
@@ -1082,6 +1121,11 @@ def test_eps_only_decides_a_refusal(name):
             seen.append((r.value.hex(), r.error_radius.hex()))
         assert len(set(seen)) <= 1, (x, seen)
         returned += bool(seen)
+        if x < 1e306:
+            radius = fn(x, math.inf).error_radius
+            assert fn(x, radius).error_radius == radius, x
+            with pytest.raises(ToleranceError):
+                fn(x, math.nextafter(radius, 0.0))
     assert returned >= 400, returned
 
 

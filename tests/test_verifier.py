@@ -79,6 +79,44 @@ def test_compare_consistent_with_sweep():
         )
 
 
+#: Per target: the oracle value and the interval of a family at x, taken
+#: directly, as ``compare`` took them before it read its rows off sweeps.
+_DIRECT = {
+    "gap": (lambda x: oracle.ref_digamma_gap(x, math.inf).value, bounds.digamma_gap_bounds),
+    "ratio": (lambda x: oracle.ref_stirling_target(x, math.inf).value,
+              bounds.stirling_ratio_bounds),
+    "gamma": (lambda x: verifier._log_gamma_plus_one(x).value, bounds.gamma_bounds_log),
+}
+
+
+_COMPARE_GRIDS = [
+    ("eq6,thm23", GridSpec(2.0, 100.0, 40)),
+    ("eq5,thm21,thm22,eq9,eq9r1,eq9r2", GridSpec(1e-3, 1e4, 40)),
+    ("eq4,eq7,thm23", GridSpec(1e-2, 1e3, 40)),
+    ("eq8,thm24", GridSpec(1e-3, 1e6, 40, "linear")),
+]
+
+
+@pytest.mark.parametrize("families, grid, side", [
+    ("eq6,thm23", GridSpec(2.0, 100.0, 500), "upper"),   # criterion 8
+    *[(*row, side) for row in _COMPARE_GRIDS for side in ("lower", "upper", "width")],
+])
+def test_compare_rows_are_the_sweeps_margins(families, grid, side):
+    # |lower - target|, |upper - target| or the width, bit for bit as
+    # computed from the oracle and the bounds directly at each x.
+    families = [BoundFamily.parse(tag) for tag in families.split(",")]
+    target, interval = _DIRECT[families[0].target]
+    rows = verifier.compare(grid, families, side)
+    assert [row.x for row in rows] == grid.abscissae()
+    for row in rows:
+        t = target(row.x)
+        for f in families:
+            iv = interval(row.x, f)
+            want = {"lower": abs(iv.lower - t), "upper": abs(iv.upper - t),
+                    "width": iv.upper - iv.lower}[side]
+            assert row.gap_by_family[f].hex() == want.hex(), (f, row.x)
+
+
 def test_compare_upper_ordering_observed():
     grid = GridSpec(0.5, 100.0, 20)
     rows = verifier.compare(grid, [BoundFamily.EQ5, BoundFamily.THM21,
@@ -165,13 +203,20 @@ def test_limit_schedules_improve_monotonically():
         assert verifier.limit_schedule_check(name), name
 
 
-def test_identity_check():
+def test_identity_check(monkeypatch):
     assert verifier.identity_check(GridSpec(0.5, 50.0, 12))
     # The gap is asked at eps = inf, as sweep asks it: near 0 its radius
     # (1.3e-12 at 3e-4) passes the default eps, and the enclosure judges it.
     assert verifier.identity_check(GridSpec(3e-4, 3.1e-4, 2))
     with pytest.raises(DomainError):
         verifier.identity_check(GridSpec(1.0, 2.0, 1))
+    # Near 0 psi' ~ 1/x^2 ~ 1e7: its recurrence's residual is an ulp or so of
+    # that, far above an absolute 1e-10 and far below 1e-10 of psi'.
+    grid = GridSpec(3e-4, 1e-3, 8)
+    assert verifier.identity_check(grid)
+    trigamma = verifier.specfun.trigamma
+    monkeypatch.setattr(verifier.specfun, "trigamma", lambda x: trigamma(x) * (1.0 + 1e-9))
+    assert not verifier.identity_check(grid)
 
 
 def test_identity_check_single_point_tau_interval():
@@ -223,11 +268,12 @@ def test_sweep_sums_each_series_once_per_point():
     oracle.clear_caches()
     verifier.sweep(GridSpec(1e-3, 1e4, 500), BoundFamily.EQ4)
     assert oracle.ref_binet_mu.cache_info().misses == 500
-    # compare asks once per point, whatever the number of families.
+    # compare sweeps each family, and the cache sums the target once per
+    # point, whatever the number of families.
     oracle.clear_caches()
     verifier.compare(GridSpec(1e-3, 1e4, 50), [BoundFamily.EQ4, BoundFamily.EQ7,
                                               BoundFamily.THM23], "upper")
-    assert oracle.ref_stirling_target.cache_info()[:2] == (0, 50)
+    assert oracle.ref_stirling_target.cache_info()[:2] == (100, 50)
     oracle.clear_caches()
 
 
