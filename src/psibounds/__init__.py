@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 
 # The public names, by the submodule that defines them.
 _NAMES = {
-    "bounds": "BoundFamily Interval alpha aux_eval beta beta_refined delta_star "
+    "bounds": "BoundFamily Interval alpha beta beta_refined delta_star "
               "digamma_gap_bounds g_c gamma_arg_bounds gamma_bounds gamma_bounds_log "
               "gap_via_tau_series stirling_arg_upper stirling_ratio_bounds tau",
     "errors": "DomainError ToleranceError UndecidedComparisonError",

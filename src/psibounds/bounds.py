@@ -18,8 +18,8 @@ p in t = x/(x + 2) up to x = 2 (6.7 on (1, 2]).  theta up to t = 1/16 takes
 its own series, and up to 4 a form in z = ((1 + t)^(1/3) - 1)/((1 + t)^(1/3) + 1)
 that does not cancel; from 1e6 its direct form takes (t + 1)^(2/3) as the
 square of a cube root refined by one Newton step (2.8 ulps on [1e6, 1e200]).
-A gap interval takes about 0.7 microseconds where its sides are rational in x (eq9)
-and 3-6.3 where they take psi' (eq5, thm21, thm22; best of 7 x 20000 calls, 2 vCPUs).
+A gap interval costs a bounded number of operations at every x: a few where
+its sides are rational in x (eq9), one psi' sum a side (eq5, thm21, thm22).
 """
 
 from __future__ import annotations
@@ -515,11 +515,3 @@ FUNCTIONS = _Registry(
     P=lambda x: aux_big_p(x),
     p=lambda x: aux_p(x),
 )
-
-
-def aux_eval(name: str, t: float) -> float:
-    """Evaluate a function of ``FUNCTIONS`` by name at t.
-
-    The proof auxiliaries are f, h, theta, H, P and p.
-    """
-    return FUNCTIONS[name](t)

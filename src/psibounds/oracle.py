@@ -67,7 +67,7 @@ Cost is bounded, not linear in x.  The gap and psi' sum at most 10 head
 terms, none from x = 10, and take their tail in one Horner pass over at most
 16 coefficients (7 at y ~ 100, none from y = 2^53 for psi', 2^105 for the
 gap), a multiply and a shift on Python integers each: a cold call of the
-gap, psi or psi' takes 5-13 microseconds at any x.  The log Gamma series, at
+gap, psi or psi' does that bounded work at every x.  The log Gamma series, at
 step 1/a, sums its terms k = 1 ... 15 and its tail's 18 coefficients at
 every a.  mu's midpoint term is 8x/3 (to within its rounding)
 for the quarter-ulp target; it exceeds the enclosure's from x ~ 930, and mu
@@ -98,7 +98,7 @@ DEFAULT_EPS = 1e-12
 MAX_TERMS = 100_000
 
 #: Entries each ``ref_*`` cache keeps: twice the most any one of them holds
-#: after one certify pass (1048, ``ref_binet_mu``), rounded up.
+#: after one certify pass (1285, ``ref_binet_mu``), rounded up to a power of 2.
 CACHE_SIZE = 4096
 
 #: ``_target``'s cap, which binds from x ~ 0.011 down.
@@ -154,9 +154,6 @@ class ErrorBoundedValue:
     @property
     def upper(self) -> float:
         return self.value + self.error_radius
-
-    def __str__(self) -> str:
-        return f"{self.value!r} ± {self.error_radius:.2e}"
 
 
 _set_value, _set_radius = ErrorBoundedValue.value.__set__, ErrorBoundedValue.error_radius.__set__

@@ -197,9 +197,26 @@ def polygamma(n: int, x: float) -> float:
     return _polygamma(n, _check_domain(x))
 
 
+# Logs of the largest double and of 2^-1075, below which a value rounds to 0.
+_LOG_MAX, _LOG_ZERO = math.log(1.7976931348623157e308), -1075.0 * math.log(2.0)
+
+
 def _polygamma(n: int, x: float) -> float:
     # polygamma past its checks, for trigamma and the bounds' closed forms.
     try:
+        if n > 22:
+            # |psi^(n)(x)| is n! x^-(n+1), of log low, times [1, 1 + x/n], with
+            # log n! = (n + 1/2) log n - n + log(2 pi)/2 + r, 0 < r < 1/(12n)
+            # (Stirling).  Past either end by the margin (1 for r, 2^-40 of the
+            # terms' size for the roundings) it overflows or rounds to zero.
+            nf, log_x = float(n), math.log(x)
+            log_n = math.log(nf)
+            low = (nf + 0.5) * (log_n - log_x) - 0.5 * log_x - nf + HALF_LOG_TWO_PI
+            margin = 1.0 + (nf + 1.0) * 2.0**-40 * (abs(log_n) + abs(log_x) + 1.0)
+            if low > _LOG_MAX + margin:
+                raise OverflowError   # handled below, as every overflow is
+            if low + math.log1p(x / nf) < _LOG_ZERO - margin:
+                return 0.0 if n % 2 == 1 else -0.0
         total = _power_sum(n, x, 1.0)   # its first term overflows where the value does
         if n > 1 and total < 2.2250738585072014e-308:   # the least normal double
             # The terms underflow: sum them over x^-(n+1), then divide that out.

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 from . import bounds, oracle, specfun
 from .bounds import BoundFamily, Interval
@@ -62,14 +61,6 @@ class GridSpec:
                 raise DomainError("grid abscissae failed to increase strictly")
         return xs
 
-    def as_dict(self) -> dict:
-        return {
-            "x_min": self.x_min,
-            "x_max": self.x_max,
-            "points": self.points,
-            "spacing": self.spacing,
-        }
-
 
 @dataclass(frozen=True)
 class PointRecord:
@@ -107,20 +98,12 @@ class InequalityReport:
     def all_pass(self) -> bool:
         return all(r.passed for r in self.records)
 
-    @property
-    def min_margin(self) -> float:
-        return min(min(r.lower_margin, r.upper_margin) for r in self.records)
-
-    @property
-    def argmin_x(self) -> float:
-        worst = min(self.records, key=lambda r: min(r.lower_margin, r.upper_margin))
-        return worst.x
-
     def summary(self) -> dict:
+        worst = min(self.records, key=lambda r: min(r.lower_margin, r.upper_margin))
         return {
             "all_pass": self.all_pass,
-            "min_margin": self.min_margin,
-            "argmin_x": self.argmin_x,
+            "min_margin": min(worst.lower_margin, worst.upper_margin),
+            "argmin_x": worst.x,
             "points": len(self.records),
             "failures": sum(not r.passed for r in self.records),
         }
@@ -132,14 +115,6 @@ class ComparisonRow:
 
     x: float
     gap_by_family: dict[BoundFamily, float]
-
-
-@dataclass(frozen=True)
-class _TargetRow:
-    oracle: Callable[[float], oracle.ErrorBoundedValue]  # (x)
-    bounds: Callable[[float, BoundFamily], Interval]  # (x, family)
-    scale: str
-    notes: tuple[str, ...] = ()
 
 
 def _log_gamma_plus_one(x: float) -> oracle.ErrorBoundedValue:
@@ -155,39 +130,35 @@ def _log_gamma_plus_one(x: float) -> oracle.ErrorBoundedValue:
         out.error_radius + abs(e) * max(0.5773, math.log(s + 1.0)), math.inf))
 
 
-#: One row per target quantity.  A sweep takes each oracle radius as it is,
+#: One row per target quantity: (oracle value at x, the family's interval at
+#: x, report scale, notes).  A sweep takes each oracle radius as it is,
 #: at eps = inf, and only the strictness rule judges it.  The entries look
 #: their functions up at call time, so a patched module attribute sees every
 #: call.
 _TARGET_ROWS = {
-    "gap": _TargetRow(lambda x: oracle.ref_digamma_gap(x, math.inf),
-                      lambda x, f: bounds.digamma_gap_bounds(x, f), "abs"),
-    "ratio": _TargetRow(lambda x: oracle.ref_stirling_target(x, math.inf),
-                        lambda x, f: bounds.stirling_ratio_bounds(x, f), "ratio"),
-    "gamma": _TargetRow(lambda x: _log_gamma_plus_one(x),
-                        lambda x, f: bounds.gamma_bounds_log(x, f), "log",
-                        ("target and bounds reported on the log scale: "
-                         "Gamma(x+1) overflows doubles for x beyond ~170",)),
+    "gap": (lambda x: oracle.ref_digamma_gap(x, math.inf),
+            lambda x, f: bounds.digamma_gap_bounds(x, f), "abs", ()),
+    "ratio": (lambda x: oracle.ref_stirling_target(x, math.inf),
+              lambda x, f: bounds.stirling_ratio_bounds(x, f), "ratio", ()),
+    "gamma": (lambda x: _log_gamma_plus_one(x),
+              lambda x, f: bounds.gamma_bounds_log(x, f), "log",
+              ("target and bounds reported on the log scale: "
+               "Gamma(x+1) overflows doubles for x beyond ~170",)),
 }
-
-
-def _check_grid_domain(grid: GridSpec, families) -> None:
-    for f in families:
-        if grid.x_min < f.domain_min:
-            raise DomainError(
-                f"grid starts at {grid.x_min!r} but {f.value} requires "
-                f"x >= {f.domain_min}"
-            )
 
 
 def sweep(grid: GridSpec, family: BoundFamily) -> InequalityReport:
     """Certify one family over a grid; every abscissa must be in-domain."""
-    _check_grid_domain(grid, [family])
-    row = _TARGET_ROWS[family.target]
+    if grid.x_min < family.domain_min:
+        raise DomainError(
+            f"grid starts at {grid.x_min!r} but {family.value} requires "
+            f"x >= {family.domain_min}"
+        )
+    target_at, interval_at, scale, notes = _TARGET_ROWS[family.target]
     records = []
     for x in grid.abscissae():
-        target = row.oracle(x)
-        interval = row.bounds(x, family)
+        target = target_at(x)
+        interval = interval_at(x, family)
         lower_margin = target.value - interval.lower
         upper_margin = interval.upper - target.value
         lo_thr = STRICTNESS_FACTOR * (
@@ -208,8 +179,8 @@ def sweep(grid: GridSpec, family: BoundFamily) -> InequalityReport:
                 passed=(lower_margin > lo_thr and upper_margin > up_thr),
             )
         )
-    return InequalityReport(family=family, grid=grid, scale=row.scale,
-                            records=records, notes=row.notes)
+    return InequalityReport(family=family, grid=grid, scale=scale,
+                            records=records, notes=notes)
 
 
 #: What ``compare`` reports of each sweep record, by side.
@@ -220,20 +191,21 @@ _COMPARE_SIDES = {"lower": lambda r: abs(r.lower_margin), "upper": lambda r: abs
 def compare(grid: GridSpec, families: list[BoundFamily], side: str) -> list[ComparisonRow]:
     """Per-family gap metrics from one sweep per family; no direction is asserted.
 
+    The families are at least two distinct ones bounding one target.
     side='width' reports upper - lower; side='lower'/'upper' reports the
     distance |bound - target| of that side from the oracle target.
     """
     if side not in _COMPARE_SIDES:
         raise DomainError(f"side must be lower/upper/width, got {side!r}")
-    if not families:
-        raise DomainError("need at least one family")
+    if len(families) < 2 or len(set(families)) < len(families):
+        raise DomainError("compare needs at least two distinct families, got "
+                          + ",".join(f.value for f in families))
     kinds = {f.target for f in families}
     if len(kinds) > 1:
         raise DomainError(
             "families bound different targets: "
             + ", ".join(f"{f.value}->{f.target}" for f in families)
         )
-    _check_grid_domain(grid, families)
     gap = _COMPARE_SIDES[side]
     columns = [sweep(grid, f).records for f in families]
     return [ComparisonRow(x=records[0].x,
@@ -244,28 +216,16 @@ def compare(grid: GridSpec, families: list[BoundFamily], side: str) -> list[Comp
 # -- monotonicity / sign / limit checks ---------------------------------------
 
 
-def _tau_at(x: float):
-    return lambda k: bounds.tau(int(round(k)), x)
-
-
 def monotonicity_check(fn_name: str, grid: GridSpec, expected: str) -> bool:
     """True iff consecutive forward differences all have the expected strict
     sign beyond the working-precision noise floor.
 
-    ``fn_name`` may be 'tau:<x>' to check tau in its integer index at fixed
-    x; the grid abscissae are then rounded to distinct integers >= 1.
     A difference inside the noise floor raises UndecidedComparisonError.
     """
     if expected not in ("increasing", "decreasing"):
         raise DomainError(f"expected must be increasing/decreasing, got {expected!r}")
-    if fn_name.startswith("tau:"):
-        fn = _tau_at(float(fn_name.split(":", 1)[1]))
-        xs = sorted({max(1, int(round(v))) for v in grid.abscissae()})
-        if len(xs) < 2:
-            raise DomainError("tau grid collapsed to fewer than 2 integer indices")
-    else:
-        fn = bounds.FUNCTIONS[fn_name]
-        xs = grid.abscissae()
+    fn = bounds.FUNCTIONS[fn_name]
+    xs = grid.abscissae()
     want_positive = expected == "increasing"
     values = [fn(x) for x in xs]
     for (xa, a), (xb, b) in zip(zip(xs, values), zip(xs[1:], values[1:])):
@@ -331,8 +291,8 @@ def limit_schedule_check(name: str) -> bool:
     return all(b < a for a, b in zip(errors, errors[1:]))
 
 
-def identity_check(grid: GridSpec, tau_terms: int = 100) -> bool:
-    """Recurrence identities plus the tau-series enclosure at every abscissa.
+def identity_check(grid: GridSpec) -> bool:
+    """Recurrence identities plus the 100-term tau-series enclosure at every abscissa.
 
     Each recurrence a - b - c = 0 holds where |a - b - c| is within 1e-10 of
     max(1, |a|, |b|, |c|): relative where its terms are large, as psi' near 0.
@@ -344,7 +304,7 @@ def identity_check(grid: GridSpec, tau_terms: int = 100) -> bool:
             if abs(a - b - c) > 1e-10 * max(1.0, abs(a), abs(b), abs(c)):
                 return False
         gap = oracle.ref_digamma_gap(x, math.inf)
-        iv = bounds.gap_via_tau_series(x, tau_terms)
+        iv = bounds.gap_via_tau_series(x, 100)
         if not (iv.lower <= gap.lower and gap.upper <= iv.upper):
             return False
     return True

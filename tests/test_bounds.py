@@ -273,6 +273,12 @@ def test_gap_via_tau_series():
         assert outer.lower <= iv.lower and iv.upper <= outer.upper
 
 
+@pytest.mark.parametrize("terms", [0, True, 2.5])
+def test_gap_via_tau_series_takes_a_positive_integer_count(terms):
+    with pytest.raises(DomainError):
+        bounds.gap_via_tau_series(1.0, terms)
+
+
 def test_gap_bounds_spot_values_at_one():
     thm21 = bounds.digamma_gap_bounds(1.0, BoundFamily.THM21)
     assert thm21.lower == pytest.approx(refs.THM21_LOWER_1, rel=1e-12)
@@ -431,25 +437,25 @@ def test_delta_star_exceeds_simple_argument():
 
 
 def test_aux_values_at_one():
-    assert bounds.aux_eval("H", 1.0) == pytest.approx(refs.AUX_H_1, rel=1e-12)
-    assert bounds.aux_eval("P", 1.0) == pytest.approx(refs.AUX_P_1, rel=1e-11)
-    assert bounds.aux_eval("p", 1.0) == pytest.approx(refs.AUX_LITTLE_P_1, rel=1e-12)
-    assert bounds.aux_eval("theta", 1.0) == pytest.approx(refs.AUX_THETA_1, rel=1e-11)
-    assert bounds.aux_eval("h", 0.0) == 0.0
-    assert bounds.aux_eval("theta", 0.0) == 0.0
-    assert bounds.aux_eval("h", 1.0) == pytest.approx(1.0 - math.log(2.0), rel=1e-14)
-    assert bounds.aux_eval("f", 2.0) == pytest.approx(refs.TAU_2_1, rel=1e-12)
+    assert bounds.FUNCTIONS["H"](1.0) == pytest.approx(refs.AUX_H_1, rel=1e-12)
+    assert bounds.FUNCTIONS["P"](1.0) == pytest.approx(refs.AUX_P_1, rel=1e-11)
+    assert bounds.FUNCTIONS["p"](1.0) == pytest.approx(refs.AUX_LITTLE_P_1, rel=1e-12)
+    assert bounds.FUNCTIONS["theta"](1.0) == pytest.approx(refs.AUX_THETA_1, rel=1e-11)
+    assert bounds.FUNCTIONS["h"](0.0) == 0.0
+    assert bounds.FUNCTIONS["theta"](0.0) == 0.0
+    assert bounds.FUNCTIONS["h"](1.0) == pytest.approx(1.0 - math.log(2.0), rel=1e-14)
+    assert bounds.FUNCTIONS["f"](2.0) == pytest.approx(refs.TAU_2_1, rel=1e-12)
     with pytest.raises(KeyError):
-        bounds.aux_eval("Q", 1.0)
+        bounds.FUNCTIONS["Q"](1.0)
 
 
 def test_aux_signs_on_grid():
     for x in GRID:
-        assert 0.0 < bounds.aux_eval("f", x) < 1.0 / 3.0
-        assert bounds.aux_eval("H", x) > 0.0
-        assert bounds.aux_eval("P", x) < 0.0
-        assert bounds.aux_eval("p", x) < 0.0
-        assert bounds.aux_eval("theta", x) < 0.0
+        assert 0.0 < bounds.FUNCTIONS["f"](x) < 1.0 / 3.0
+        assert bounds.FUNCTIONS["H"](x) > 0.0
+        assert bounds.FUNCTIONS["P"](x) < 0.0
+        assert bounds.FUNCTIONS["p"](x) < 0.0
+        assert bounds.FUNCTIONS["theta"](x) < 0.0
 
 
 @pytest.mark.parametrize("name", ["aux_h", "aux_theta", "aux_p"])
@@ -462,7 +468,7 @@ def test_aux_nonnegative_domain(name):
 
 
 def test_aux_f_limit():
-    assert bounds.aux_eval("f", 1e6) == pytest.approx(1.0 / 3.0, abs=1e-6)
+    assert bounds.FUNCTIONS["f"](1e6) == pytest.approx(1.0 / 3.0, abs=1e-6)
 
 
 @pytest.mark.parametrize("x", [1e160, 1e300, 1.7976931348623157e308])

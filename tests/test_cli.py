@@ -155,6 +155,11 @@ def test_eval_parametrized_names(capsys):
     code, out, _ = run(capsys, "eval", "g_c:0", "1")
     assert code == 0
     assert float(out.strip()) == pytest.approx(-0.20754636565543919, rel=1e-8)
+    # psi^(200)'s terms underflow at 1000 and its value does not; at order
+    # 10^6 the value at 2 passes the largest double, known before any sum.
+    assert run(capsys, "eval", "polygamma:200", "1000") == (0, "-4.350819270597102e-228\n", "")
+    code, _, err = run(capsys, "eval", "polygamma:1000000", "2")
+    assert code == 2 and "exceeds the largest double" in err
 
 
 def test_verify_json_document(capsys):
@@ -254,6 +259,14 @@ def test_compare_mixed_targets_exit_2(capsys):
     code, _, err = run(capsys, "compare", "--families", "eq5,eq8")
     assert code == 2
     assert "target" in err
+
+
+@pytest.mark.parametrize("families", ["eq5", "eq5,eq5", "eq5,EQ5,thm21"])
+def test_compare_needs_two_distinct_families_exit_2(capsys, families):
+    # One family, or one named twice (tags are case-insensitive), writes no table.
+    code, out, err = run(capsys, "compare", "--families", families, "--points", "5")
+    assert (code, out) == (2, "")
+    assert "two distinct families" in err
 
 
 def test_compare_remark_probe_no_nans(capsys):

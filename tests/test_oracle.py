@@ -507,7 +507,6 @@ def test_error_bounded_value_validation():
         oracle.ErrorBoundedValue(1.0, -1e-3)
     ebv = oracle.ErrorBoundedValue(2.0, 0.5)
     assert ebv.lower == 1.5 and ebv.upper == 2.5
-    assert "±" in str(ebv)
 
 
 def test_determinism_and_cache_transparency():

@@ -23,6 +23,9 @@ def test_gridspec_validation():
     assert all(b > a for a, b in zip(xs, xs[1:]))
     lin = GridSpec(1.0, 2.0, 11, "linear").abscissae()
     assert lin[5] == pytest.approx(1.5, rel=1e-15)
+    # Three points between adjacent doubles cannot increase strictly.
+    with pytest.raises(DomainError):
+        GridSpec(1.0, math.nextafter(1.0, 2.0), 3, "linear").abscissae()
 
 
 def test_sweep_thm22_op_example():
@@ -134,6 +137,13 @@ def test_compare_rejects_mixed_targets():
         verifier.compare(GridSpec(1.0, 2.0, 5), [BoundFamily.EQ5], "sideways")
 
 
+@pytest.mark.parametrize("families", [[BoundFamily.EQ5], [BoundFamily.EQ5, BoundFamily.EQ5],
+                                      [BoundFamily.EQ5, BoundFamily.THM21, BoundFamily.EQ5]])
+def test_compare_needs_two_distinct_families(families):
+    with pytest.raises(DomainError, match="two distinct families"):
+        verifier.compare(GridSpec(1.0, 2.0, 5), families, "upper")
+
+
 def test_monotonicity_checks():
     assert verifier.monotonicity_check("f", GridSpec(1e-2, 1e6, 300), "increasing")
     assert verifier.monotonicity_check("trigamma", GridSpec(0.1, 100.0, 300),
@@ -147,11 +157,6 @@ def test_monotonicity_checks():
         verifier.monotonicity_check("nope", GridSpec(1.0, 2.0, 5), "increasing")
     with pytest.raises(DomainError):
         verifier.monotonicity_check("f", GridSpec(1.0, 2.0, 5), "sideways")
-
-
-def test_monotonicity_tau_in_k():
-    assert verifier.monotonicity_check("tau:1.0", GridSpec(1.0, 1e4, 60),
-                                       "increasing")
 
 
 def test_monotonicity_undecided_inside_noise_floor():
@@ -168,12 +173,14 @@ def test_sign_checks():
     assert verifier.sign_check("p", grid, "negative")
     assert verifier.sign_check("theta", grid, "negative")
     assert not verifier.sign_check("H", grid, "negative")
+    with pytest.raises(DomainError):
+        verifier.sign_check("H", grid, "nonzero")
 
 
 def test_unknown_function_names_list_the_choices():
     grid = GridSpec(1.0, 2.0, 5)
     calls = [
-        lambda: bounds.aux_eval("Q", 1.0),
+        lambda: bounds.FUNCTIONS["Q"](1.0),
         lambda: verifier.monotonicity_check("Q", grid, "increasing"),
         lambda: verifier.sign_check("Q", grid, "positive"),
     ]
@@ -203,6 +210,12 @@ def test_limit_schedules_improve_monotonically():
         assert verifier.limit_schedule_check(name), name
 
 
+def test_limit_schedule_fails_where_a_probe_misses(monkeypatch):
+    # f observed a constant 1/3 + 0.1 misses the limit at every probe.
+    monkeypatch.setitem(verifier._LIMITS, "f_limit", (lambda x: 0.1 + 1 / 3, 1 / 3))
+    assert not verifier.limit_schedule_check("f_limit")
+
+
 def test_identity_check(monkeypatch):
     assert verifier.identity_check(GridSpec(0.5, 50.0, 12))
     # The gap is asked at eps = inf, as sweep asks it: near 0 its radius
@@ -217,11 +230,17 @@ def test_identity_check(monkeypatch):
     trigamma = verifier.specfun.trigamma
     monkeypatch.setattr(verifier.specfun, "trigamma", lambda x: trigamma(x) * (1.0 + 1e-9))
     assert not verifier.identity_check(grid)
+    # With the recurrences whole, a tau-series enclosure of [1, 2] misses the
+    # gap (under 0.6 from x = 1).
+    monkeypatch.undo()
+    monkeypatch.setattr(verifier.bounds, "gap_via_tau_series",
+                        lambda x, terms: bounds.Interval(1.0, 2.0))
+    assert not verifier.identity_check(GridSpec(1.0, 2.0, 3))
 
 
 def test_identity_check_single_point_tau_interval():
     grid = GridSpec(1.0, 1.0 + 1e-9, 2, "linear")
-    assert verifier.identity_check(grid, tau_terms=100)
+    assert verifier.identity_check(grid)
 
 
 def test_aux_property_report():
