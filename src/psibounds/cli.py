@@ -66,7 +66,15 @@ def _eval_target(name: str, x: float):
     head, colon, param = name.partition(":")
     if colon and head in _PARAMETRISED:
         return _PARAMETRISED[head][1](param, x), None
+    if name not in bounds.FUNCTIONS:
+        raise KeyError(f"unknown function {name!r}; choose from {_eval_names()}")
     return bounds.FUNCTIONS[name](x), None
+
+
+def _eval_names() -> list[str]:
+    """Every name eval takes, as --help and the unknown-name error list them."""
+    from .bounds import FUNCTIONS
+    return [*FUNCTIONS, *(f"{name}:{letter}" for name, (letter, _) in _PARAMETRISED.items())]
 
 
 def cmd_eval(args) -> int:
@@ -216,9 +224,7 @@ class _EvalHelpFormatter(argparse.HelpFormatter):
     def _get_help_string(self, action):
         if action.dest != "fn":
             return super()._get_help_string(action)
-        from .bounds import FUNCTIONS
-        return ", ".join([*FUNCTIONS, *(f"{name}:{letter}"
-                                        for name, (letter, _) in _PARAMETRISED.items())])
+        return ", ".join(_eval_names())
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

@@ -84,7 +84,10 @@ def kernel_r(x: float) -> float:
         t = 0.5 / s
         v = t * t
         return (0.5 / x - _w_over_v(v) * v) / s
-    return u_minus_log1p(1.0 / x)
+    u = 1.0 / x
+    if u == math.inf:
+        raise DomainError(f"kernel_r({x!r}) passes the largest double")
+    return u_minus_log1p(u)
 
 
 def kernel_s(x: float) -> float:
@@ -126,8 +129,7 @@ def _kernel_w(x: float) -> float:
 def kernel_r_terms(x: float, count: int) -> list[float]:
     """[kernel_r(x + j) for j in range(count)], bit for bit: the gap's terms.
 
-    x is checked once; each term takes kernel_r's own series/direct test
-    and operations, and DomainError is raised where kernel_r raises it.
+    x is checked once, and each term from 1 on takes kernel_r's series operations.
     """
     x = _check_domain(x)
     terms = []
@@ -138,24 +140,6 @@ def kernel_r_terms(x: float, count: int) -> list[float]:
             t = 0.5 / s
             v = t * t
             terms.append((0.5 / y - _w_over_v(v) * v) / s)
-        else:
-            terms.append(u_minus_log1p(1.0 / y))
+        else:   # y = x < 1, at j = 0 only
+            terms.append(kernel_r(y))
     return terms
-
-
-# Exact derivative forms used by the gap's tail enclosure, in u = 1/y: the
-# powers of u and of u/(1+u) = 1/(y+1) are taken by pow from the exact y, so
-# they neither overflow nor underflow before their values do for y >= 1, and
-# u's own rounding is not raised to a power: within 5e-16 relative on
-# [64, 1.8e308], where every tail starts.
-
-
-def kernel_r_d1(y: float) -> float:
-    """First derivative of kernel_r: -1/(y^2 (y+1)) = -u^3/(1+u)."""
-    return -y**-2.0 / (y + 1.0)
-
-
-def kernel_r_d3(y: float) -> float:
-    """Third derivative of kernel_r: -2u^5 (6+8u+3u^2)/(1+u)^3."""
-    u = 1.0 / y
-    return -2.0 * ((3.0 * u + 8.0) * u + 6.0) * y**-2.0 * (y + 1.0) ** -3.0

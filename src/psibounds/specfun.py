@@ -2,7 +2,7 @@
 
 The digamma gap log(x) - psi(x) = sum_{j>=0} kernel_r(x + j) is summed term
 by term, with completely monotone, cancellation-free terms, until the
-enclosure of its tail (:mod:`psibounds.tails`) is a quarter ulp of the value.
+enclosure of its tail (``_gap_tail``) is a quarter ulp of the value.
 mu, the log of the Stirling ratio, and the polygamma series
 S(x) = sum_k (x + k)^-(n+1) shift the argument instead: they sum kernel_w(x + j)
 while x + j < 7, or (x + k)^-(n+1) while x + k < n + 8, then add a
@@ -34,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 
-from . import kernels, tails
+from . import kernels
 from .errors import DomainError
 from .kernels import _check_domain
 
@@ -48,12 +48,17 @@ LOG_TWO_PI = math.log(2.0 * math.pi)
 HALF_LOG_TWO_PI = LOG_TWO_PI / 2.0
 
 
-def _tail_start(x: float, scale: float, magnitude: float) -> float:
-    # First tail abscissa: far enough out that the enclosure width
-    # (~scale / M^5) is below a quarter ulp of a lower bound on the value.
-    target = 0.25 * _EPS * max(magnitude, 1e-8)
-    m = (scale / target) ** 0.2
-    return max(x + 8.0, m, 64.0)
+def _gap_tail(y: float) -> float:
+    # sum_{j>=0} kernel_r(y + j), the midpoint of hi = kernel_s(y) + f/2 - f'/12
+    # and lo = hi + f'''/720: f is completely monotone, so the Euler-Maclaurin
+    # remainder lies between them (kernel_s(y) is f's integral over [y, inf)).
+    # f' and f''' take their powers by pow from the exact y: no early overflow.
+    u = 1.0 / y
+    d1 = -y**-2.0 / (y + 1.0)
+    d3 = -2.0 * ((3.0 * u + 8.0) * u + 6.0) * y**-2.0 * (y + 1.0) ** -3.0
+    hi = kernels.kernel_s(y) + 0.5 * kernels.kernel_r(y) - d1 / 12.0
+    lo = hi + d3 / 720.0
+    return 0.5 * (lo + hi)
 
 
 def digamma_gap(x: float) -> float:
@@ -64,10 +69,13 @@ def digamma_gap(x: float) -> float:
     log and digamma cannot achieve once x is large.
     """
     x = _check_domain(x)
-    y_tail = _tail_start(x, 1.0 / 60.0, 0.5 / x)
-    count = int(math.ceil(y_tail - x))
+    # The tail starts where its pair's width 1/(60 m^5), twice the half-width
+    # -f'''(m)/1440 ~ 1/(120 m^5), is a quarter ulp of max(0.5/x, 1e-8); gap(x) > 0.5/x.
+    target = 0.25 * _EPS * max(0.5 / x, 1e-8)
+    m = max(x + 8.0, (1.0 / 60.0 / target) ** 0.2, 64.0)
+    count = int(math.ceil(m - x))
     terms = kernels.kernel_r_terms(x, count)
-    terms.append(tails.gap_tail(x + count)[0])
+    terms.append(_gap_tail(x + count))
     return math.fsum(terms)
 
 

@@ -1,38 +1,11 @@
-"""Enclosures of the tails of the fast path's gap series and the oracle's mu.
-
-The gap tail is an Euler-Maclaurin pair.  Its terms f(k) are completely
-monotone (derivatives of alternating sign), so the Euler-Maclaurin
-correction sequence envelopes the true tail: truncating after the -f'/12
-term leaves a remainder between f'''/720 and 0.  The tail lies between
-
-    lo = I + f(m)/2 - f'(m)/12 + f'''(m)/720
-    hi = I + f(m)/2 - f'(m)/12
-
-where I is the exact integral of f over [m, inf), evaluated in closed,
-cancellation-free form.  ``gap_tail`` returns the midpoint (lo + hi)/2 and
-the half-width -f'''(m)/1440 rounded up (hi - lo loses it below an ulp of
-hi).
-
-mu's tail, sum_{j>=0} kernel_w(m + j), is mu(m) itself, and mu's Stirling
-series envelopes for real m (DLMF 5.11(ii)): mu(m) lies between
+"""The oracle's mu tail: sum_{j>=0} kernel_w(m + j) is mu(m) itself, and mu's
+Stirling series envelopes for real m (DLMF 5.11(ii)), so mu(m) lies between
 1/(12m) - 1/(360m^3) and that plus the first omitted term, 1/(1260m^5).
 """
 
 from __future__ import annotations
 
 import math
-
-from . import kernels
-
-
-def gap_tail(y0: float) -> tuple[float, float]:
-    """(midpoint, half-width) of sum_{j>=0} kernel_r(y0 + j)."""
-    # d1, d3 <= 0: -d1/12 raises the center, d3/720 is the (negative)
-    # enveloped remainder.
-    d3 = kernels.kernel_r_d3(y0)
-    hi = kernels.kernel_s(y0) + 0.5 * kernels.kernel_r(y0) - kernels.kernel_r_d1(y0) / 12.0
-    lo = hi + d3 / 720.0
-    return 0.5 * (lo + hi), math.nextafter(-d3 / 1440.0, math.inf)
 
 
 def mu_tail(y0: float) -> tuple[float, float]:

@@ -207,10 +207,11 @@ def compare(grid: GridSpec, families: list[BoundFamily], side: str) -> list[Comp
             + ", ".join(f"{f.value}->{f.target}" for f in families)
         )
     gap = _COMPARE_SIDES[side]
-    columns = [sweep(grid, f).records for f in families]
+    # The latest domain start first, so an out-of-domain grid fails before any sweep.
+    swept = {f: sweep(grid, f).records for f in sorted(families, key=lambda f: -f.domain_min)}
     return [ComparisonRow(x=records[0].x,
                           gap_by_family={f: gap(r) for f, r in zip(families, records)})
-            for records in zip(*columns)]
+            for records in zip(*(swept[f] for f in families))]
 
 
 # -- monotonicity / sign / limit checks ---------------------------------------

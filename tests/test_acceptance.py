@@ -17,6 +17,8 @@ import csv
 import json
 import math
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +34,9 @@ AUX_GRID = GridSpec(1e-2, 1e4, 500)
 #: eq6's upper side by about 13/(6480 x^4) relative, its lower side by about
 #: 11/(3240 x^3) relative, eq9r2's upper side by about 1/(240 x^5) absolute.
 NOISE_FLOOR_FAMILIES = (BoundFamily.EQ6, BoundFamily.EQ9R2)
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _grid_for(family: BoundFamily) -> GridSpec:
@@ -300,3 +305,45 @@ def test_criterion_8_remark_probe(tmp_path):
     _record(8, ok, "eq6-vs-thm23 upper-gap table over [2,100]: complete, "
                    "finite, direction recorded but not asserted")
     assert ok
+
+
+def _as_written(text: str, value: float) -> bool:
+    # A figure such as 629.7 or 6.5e3 is the value rounded to as many
+    # significant digits as it is written with.
+    digits = len(text.lower().split("e")[0].replace(".", "").lstrip("0"))
+    return float(f"{value:.{digits}g}") == float(text)
+
+
+def test_readme_acceptance_status_matches_the_sweeps(reports):
+    """README's acceptance table and outward-rounding counts are the sweeps'.
+
+    Read off the criterion-1 reports: per noise-floor family, the uncertified
+    points, the first x of each side whose margin is within its threshold,
+    the lower side's count, and the upper margins below and equal to 0.
+    """
+    text = README.read_text(encoding="utf-8")
+    section = " ".join(text[text.index("## Acceptance status"):].split())
+    counts = re.search(
+        r"eq6 upper bound sits below the target at (\d+) points \(equal to it at (\d+) "
+        r"more\) and the eq9r2 upper bound at (\d+) \(equal at (\d+) more\)", section)
+    assert counts, "README's upper-margin counts are not where this test reads them"
+    below_and_equal = {BoundFamily.EQ6: counts.groups()[:2], BoundFamily.EQ9R2: counts.groups()[2:]}
+    for fam in NOISE_FLOOR_FAMILIES:
+        records = reports[fam].records
+        row = re.search(rf"\| `{fam.value}` ?\| (\d+)/(\d+) \| x ~ (\S+) \| "
+                        r"(?:x ~ (\S+) \((\d+) points\)|never) \|", section)
+        assert row, f"README has no acceptance row for {fam.value}"
+        uncertified, points, upper_from, lower_from, lower_count = row.groups()
+        assert (int(uncertified), int(points)) == (
+            sum(not r.passed for r in records), len(records)), fam
+        upper = [r.x for r in records if r.upper_margin <= r.upper_threshold]
+        lower = [r.x for r in records if r.lower_margin <= r.lower_threshold]
+        assert _as_written(upper_from, upper[0]), (fam, upper_from, upper[0])
+        if lower_from is None:
+            assert not lower, fam
+        else:
+            assert _as_written(lower_from, lower[0]), (fam, lower_from, lower[0])
+            assert int(lower_count) == len(lower), fam
+        assert tuple(map(int, below_and_equal[fam])) == (
+            sum(r.upper_margin < 0 for r in records),
+            sum(r.upper_margin == 0 for r in records)), fam

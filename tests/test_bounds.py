@@ -189,6 +189,25 @@ def test_functions_at_the_ends_of_the_range(name, x, finite):
     assert _all_finite(out), out
 
 
+@pytest.mark.parametrize("x", [5e-324, 1e-310])
+def test_where_kernel_r_overflows_the_error_names_it(x, capsys):
+    # Below ~5.56e-309, 1/x overflows, and every function built on kernel_r(x)
+    # says that kernel_r(x) passes the largest double, not that an argument
+    # the caller never passed is inf.
+    from psibounds import cli, kernels
+    message = f"kernel_r({x!r}) passes the largest double"
+    calls = [kernels.kernel_r, lambda x: kernels.kernel_r_terms(x, 3), specfun.digamma_gap,
+             specfun.digamma, bounds.beta, bounds.aux_f, lambda x: bounds.tau(1, x),
+             lambda x: bounds.g_c(x, 0.0),
+             lambda x: bounds.digamma_gap_bounds(x, BoundFamily.THM21)]
+    for fn in calls:
+        with pytest.raises(DomainError) as exc:
+            fn(x)
+        assert str(exc.value) == message
+    assert cli.main(["eval", "beta", repr(x)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @given(st.floats(min_value=1e-3, max_value=2e4))
 @settings(max_examples=80)
 def test_argument_ordering(x):

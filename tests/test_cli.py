@@ -145,6 +145,21 @@ def test_eval_help_lists_every_name(capsys):
         assert name in flat
 
 
+@pytest.mark.parametrize("name", ["nope", "polygamma"])
+def test_eval_unknown_name_lists_the_help_names(capsys, name):
+    # The unknown-name error and eval --help read one list of names.
+    with pytest.raises(SystemExit):
+        cli.main(["eval", "--help"])
+    flat = " ".join(capsys.readouterr().out.split())
+    start = flat.index("arguments: fn ") + len("arguments: fn ")
+    helped = flat[start:flat.index(" x ", start)].split(", ")
+    code, _, err = run(capsys, "eval", name, "1")
+    assert code == cli.EXIT_UNKNOWN_NAME
+    listed = err[err.index("choose from [") + len("choose from ["):err.rindex("]")]
+    assert [part.strip("'") for part in listed.split(", ")] == helped
+    assert {"polygamma:n", "tau:k", "g_c:c"} <= set(helped)
+
+
 def test_eval_parametrized_names(capsys):
     code, out, _ = run(capsys, "eval", "polygamma:2", "1.5")
     assert code == 0

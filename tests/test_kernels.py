@@ -147,31 +147,6 @@ def test_u_minus_log1p_domain():
         kernels.u_minus_log1p(-1.0)
 
 
-def test_w_derivative_forms_match_finite_differences():
-    for y in (3.0, 17.0, 250.0):
-        h = y * 1e-6
-        fd1_r = (kernels.kernel_r(y + h) - kernels.kernel_r(y - h)) / (2 * h)
-        assert kernels.kernel_r_d1(y) == pytest.approx(fd1_r, rel=1e-6)
-
-
-def test_derivative_forms_past_huge_y():
-    # The product forms in y would overflow from ~7.5e51; the forms in u = 1/y
-    # hold on every abscissa a tail starts at, from 64 up to the largest double.
-    mpmath = pytest.importorskip("mpmath")
-    exact = {
-        kernels.kernel_r_d1: lambda y: -1 / (y * y * (y + 1)),
-        kernels.kernel_r_d3: lambda y: -2 * (6 * y * y + 8 * y + 3) / (y**4 * (y + 1) ** 3),
-    }
-    for fn, ref in exact.items():
-        for y in (64.0, 100.0, 1e3, 12345.678, 1e6, 1e10, 1e20, 2e30, 1e52, 1e55, 1e80,
-                  1e155, 1e200, 1.7976931348623157e308):
-            with mpmath.workdps(40 + 2 * math.ceil(math.log10(y))):
-                truth = ref(mpmath.mpf(y))
-            value = fn(y)
-            assert value <= 0.0
-            assert abs(value - truth) <= 1e-15 * abs(truth) + 2.0**-1074, (fn.__name__, y)
-
-
 @pytest.mark.parametrize("x", [5e-324, 1e-310, 5.562684646268003e-309])
 def test_kernels_where_the_reciprocal_overflows(x):
     # Below ~5.56e-309, 1/x is inf: kernel_r (~1/x) is beyond the largest

@@ -231,30 +231,6 @@ def test_trigamma_tail_inside_classical_integral_test():
             assert coarse_lo < mid - half < mid + half < coarse_hi
 
 
-def test_em2_brackets_contain_high_precision_tails():
-    x = mpmath.mpf("3.7")
-    for m in (9, 33):
-        true_tail = float(
-            mpmath.log(x) - mpmath.psi(0, x)
-            - mpmath.fsum(1 / (x + k) - mpmath.log(1 + 1 / (x + k)) for k in range(m))
-        )
-        mid, half = tails.gap_tail(float(x) + m)
-        assert mid - half <= true_tail <= mid + half
-
-
-@pytest.mark.parametrize("y", [64.0, 2240.0, 1.1e5])
-def test_em2_half_width_is_the_derived_one(y):
-    # The half-width is -f'''(y)/1440 rounded up, also where it is far below
-    # an ulp of the midpoint (at 1.1e5, where hi - lo is 0), and the midpoint
-    # is within it, plus 4 ulps of itself, of the 50-digit tail.
-    with mpmath.workdps(50):
-        m = mpmath.mpf(y)
-        mid, half = tails.gap_tail(y)
-        exact = -mpmath.diff(lambda z: 1 / z - mpmath.log1p(1 / z), m, 3) / 1440
-        assert exact <= half <= exact * (1 + 2.0**-50), y
-        assert abs(mid - (mpmath.log(m) - mpmath.psi(0, m))) <= half + 4 * 2.0**-52 * mid, y
-
-
 #: Where the tails start: y = 10 (the most terms), just above it, y = 16, and up
 #: to the largest double, where the gap and psi' are subnormal.
 _TAIL_Y = [10.0, math.nextafter(10.0, math.inf), 10.5, 15.99, 16.0, math.nextafter(16.0, math.inf),

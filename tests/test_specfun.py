@@ -275,6 +275,42 @@ def test_digamma_gap_within_its_documented_ulps():
     assert worst <= 1.9
 
 
+def _gap_tail_half_width(m):
+    # -f'''(m)/1440 for f = kernel_r, f''' = -2(6m^2 + 8m + 3)/(m^4 (m + 1)^3):
+    # half the Euler-Maclaurin pair's width, for an mpf m.
+    return (6 * m * m + 8 * m + 3) / (720 * m**4 * (m + 1) ** 3)
+
+
+def test_em2_brackets_contain_high_precision_tails():
+    # The tail of the gap's series after m terms lies within the half-width
+    # of _gap_tail's midpoint.
+    mpmath = pytest.importorskip("mpmath")
+    x = mpmath.mpf("3.7")
+    for m in (9, 33):
+        with mpmath.workdps(50):
+            # y rounds x + m, which moves the tail by under f(y) ulp(y), below
+            # 1e-7 of the half-width.
+            y = float(x) + m
+            true_tail = (mpmath.log(x) - mpmath.psi(0, x)
+                         - mpmath.fsum(1 / (x + k) - mpmath.log(1 + 1 / (x + k))
+                                       for k in range(m)))
+            assert abs(specfun._gap_tail(y) - true_tail) <= _gap_tail_half_width(mpmath.mpf(y))
+
+
+@pytest.mark.parametrize("y", [64.0, 100.0, 1e3, 2240.0, 12345.678, 1.1e5, 1e6, 1e10, 1e20,
+                               2e30, 1e52, 1e55, 1e80, 1e155, 1e200, 1.7976931348623157e308])
+def test_em2_half_width_is_the_derived_one(y):
+    # From every abscissa a tail starts at, 64 up to the largest double, the
+    # midpoint is within the half-width -f'''(y)/1440, plus 4 ulps of itself
+    # (and one subnormal step where it underflows), of the gap at y.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50 + 2 * math.ceil(math.log10(y))):
+        m = mpmath.mpf(y)
+        mid = specfun._gap_tail(y)
+        tolerance = _gap_tail_half_width(m) + 4 * 2.0**-52 * mid + 2.0**-1074
+        assert abs(mid - (mpmath.log(m) - mpmath.psi(0, m))) <= tolerance, y
+
+
 def test_binet_mu_exceeds_robbins_lower_bound():
     # mu(x) > 1/(12x + 1) for x > 0 (Robbins), with a relative gap of about
     # 1/(12x): wider than binet_mu's error on [1e-10, 1e7].

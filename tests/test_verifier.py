@@ -129,6 +129,25 @@ def test_compare_upper_ordering_observed():
         assert g[BoundFamily.THM21] <= g[BoundFamily.THM22] < g[BoundFamily.EQ5]
 
 
+def test_compare_sweeps_the_latest_domain_start_first(monkeypatch):
+    # eq6 starts at 2: asked after eq4 on a grid from 1e-3, it fails before any
+    # eq4 interval is evaluated.  On its domain the columns keep the order asked.
+    calls, stirling_ratio_bounds = [], bounds.stirling_ratio_bounds
+
+    def counting(x, family):
+        calls.append(family)
+        return stirling_ratio_bounds(x, family)
+
+    monkeypatch.setattr(bounds, "stirling_ratio_bounds", counting)
+    families = [BoundFamily.EQ4, BoundFamily.EQ6]
+    with pytest.raises(DomainError, match="eq6 requires"):
+        verifier.compare(GridSpec(1e-3, 1e4, 50), families, "upper")
+    assert calls == []
+    rows = verifier.compare(GridSpec(2.0, 10.0, 5), families, "upper")
+    assert [list(row.gap_by_family) for row in rows] == [families] * 5
+    assert calls == [BoundFamily.EQ6] * 5 + [BoundFamily.EQ4] * 5
+
+
 def test_compare_rejects_mixed_targets():
     with pytest.raises(DomainError):
         verifier.compare(GridSpec(1.0, 2.0, 5), [BoundFamily.EQ5, BoundFamily.EQ8],
