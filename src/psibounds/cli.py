@@ -48,11 +48,11 @@ _ORACLE_EVAL = {
     "stirling_ratio": lambda x: _exp_radius(oracle.ref_binet_mu(x, math.inf)),
 }
 
-# 'name:<parameter>' forms: (parameter letter, fn(parameter text, x)).
+# 'name:<parameter>' forms: (parameter letter, its converter, fn(parameter, x)).
 _PARAMETRISED = {
-    "polygamma": ("n", lambda n, x: specfun.polygamma(int(n), x)),
-    "tau": ("k", lambda k, x: bounds.tau(int(k), x)),
-    "g_c": ("c", lambda c, x: bounds.g_c(x, float(c))),
+    "polygamma": ("n", int, lambda n, x: specfun.polygamma(n, x)),
+    "tau": ("k", int, lambda k, x: bounds.tau(k, x)),
+    "g_c": ("c", float, lambda c, x: bounds.g_c(x, c)),
 }
 
 
@@ -65,7 +65,13 @@ def _eval_target(name: str, x: float):
         return _ORACLE_EVAL[name](x)
     head, colon, param = name.partition(":")
     if colon and head in _PARAMETRISED:
-        return _PARAMETRISED[head][1](param, x), None
+        letter, convert, fn = _PARAMETRISED[head]
+        try:
+            value = convert(param)
+        except ValueError:
+            kind = "an integer" if convert is int else "a real"
+            raise DomainError(f"{head}:{letter} needs {kind} {letter}, got {param!r}") from None
+        return fn(value, x), None
     if name not in bounds.FUNCTIONS:
         raise KeyError(f"unknown function {name!r}; choose from {_eval_names()}")
     return bounds.FUNCTIONS[name](x), None
@@ -74,7 +80,7 @@ def _eval_target(name: str, x: float):
 def _eval_names() -> list[str]:
     """Every name eval takes, as --help and the unknown-name error list them."""
     from .bounds import FUNCTIONS
-    return [*FUNCTIONS, *(f"{name}:{letter}" for name, (letter, _) in _PARAMETRISED.items())]
+    return [*FUNCTIONS, *(f"{name}:{letter}" for name, (letter, *_) in _PARAMETRISED.items())]
 
 
 def cmd_eval(args) -> int:

@@ -14,7 +14,8 @@ on [-1/2, 1].  Below y = 1 the direct forms stay (kernel_r's within about 2 ulps
 but kernel_w is W from y = 1/2.  Most ulps off (40 + 2 log10 y)-digit mpmath on 600
 log points of [1e-3, 1) and 3000 of [1, 1e150] (tests/test_kernels.py): kernel_r
 2.1 and 2.4, kernel_s 5.5 and 1.6, kernel_w 13.2 (its direct form below 1/2
-cancels) and 2.9; u_minus_log1p 2.3 on [-1/2, 1].
+cancels) and 2.9; u_minus_log1p 2.3 on [-1/2, 1].  The gap's term list,
+kernel_r_terms, writes W's six-term cut inline: _w_over_v's K = 6 test on v.
 """
 
 from __future__ import annotations
@@ -130,16 +131,21 @@ def kernel_r_terms(x: float, count: int) -> list[float]:
     """[kernel_r(x + j) for j in range(count)], bit for bit: the gap's terms.
 
     x is checked once, and each term from 1 on takes kernel_r's series operations.
+    W's six-term cut is written inline, under _w_over_v's K = 6 test on v: its one other copy.
     """
     x = _check_domain(x)
     terms = []
+    append = terms.append
     for j in range(count):
         y = x + j
         if y >= 1.0:
             s = y + 0.5
             t = 0.5 / s
             v = t * t
-            terms.append((0.5 / y - _w_over_v(v) * v) / s)
+            # On v, not y: y = 16 takes K = 9, as (0.5/16.5)^2 rounds above 1/1089.
+            w = ((((((1/13 * v + 1/11) * v + 1/9) * v + 1/7) * v + 1/5) * v + 1/3) * v
+                 if v <= 1/1089 else _w_over_v(v) * v)
+            append((0.5 / y - w) / s)
         else:   # y = x < 1, at j = 0 only
-            terms.append(kernel_r(y))
+            append(kernel_r(y))
     return terms

@@ -175,6 +175,17 @@ def test_eval_parametrized_names(capsys):
     assert run(capsys, "eval", "polygamma:200", "1000") == (0, "-4.350819270597102e-228\n", "")
     code, _, err = run(capsys, "eval", "polygamma:1000000", "2")
     assert code == 2 and "exceeds the largest double" in err
+    # A parameter out of range is the library's own error.
+    code, _, err = run(capsys, "eval", "polygamma:0", "1")
+    assert code == 2 and "order must be an integer >= 1" in err
+
+
+@pytest.mark.parametrize("name, form", [("polygamma:x", "polygamma:n"), ("tau:1.5", "tau:k"),
+                                        ("polygamma:", "polygamma:n"), ("g_c:abc", "g_c:c")])
+def test_eval_names_the_parameter_it_cannot_read(capsys, name, form):
+    # A usage error that names the form, not the converter's own message.
+    code, _, err = run(capsys, "eval", name, "1")
+    assert code == 2 and form in err, err
 
 
 def test_verify_json_document(capsys):

@@ -195,7 +195,10 @@ _TERM_STARTS = ([10.0 ** (-300 + 608 * i / 400) for i in range(401)]
                 + [1.0 - 2.0**-53, 15.0, 16.0, 17.0]
                 + [math.nextafter(16.0 - k, 0.0) for k in range(16)]
                 + [math.nextafter(16.0 - k, 20.0) for k in range(16)]
-                + [16.0 - k + 0.3 for k in range(16)])
+                + [16.0 - k + 0.3 for k in range(16)]
+                # Just above 16 W's sixth term is nearest an ulp of the value:
+                # without its 1/13, 6 of these lists change.
+                + [16.0 + i / 256 for i in range(512)])
 
 
 def test_term_lists_equal_the_scalar_kernels():

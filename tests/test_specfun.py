@@ -97,6 +97,50 @@ def test_polygamma_at_large_orders_returns_before_summing(n, x, result):
     assert time.perf_counter() - start < 1.0
 
 
+def _series_polygamma(mpmath, n, x):
+    # (-1)^(n+1) n! sum_k (x + k)^-(n+1), until a term is under 10^-45 of the
+    # first: past it the rest is under t_k (1 + (x + k)/n), a few times that.
+    x = mpmath.mpf(x)
+    terms = [x ** -(n + 1)]
+    while terms[-1] > terms[0] * mpmath.mpf(10) ** -45:
+        terms.append((x + len(terms)) ** -(n + 1))
+    return (-1) ** (n + 1) * mpmath.factorial(n) * mpmath.fsum(terms)
+
+
+def test_polygamma_at_large_orders_within_four_ulps():
+    # From n = 57 a head can stop before the shift point, and from n = 141
+    # the scaled sum has one, whose quotients (x + k)/x once carried their
+    # roundings n + 1 times over: 51.8 ulps at (2000, 700), 1634 at
+    # (10^5, 36800).  x is within a factor 2 of n/e, where the terms fall by
+    # about e each, raised where psi^(n) would pass the largest double.
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(57)
+    points = [(200, 60.0), (500, 100.0), (2000, 700.0), (10**5, 36800.0)]
+    for _ in range(40):
+        n = rng.randint(57, 5000)
+        low = max(-1.0, -690.0 / (n * math.log(2.0)))
+        points.append((n, n / math.e * 2.0 ** rng.uniform(low, 1.0)))
+    for n, x in points:
+        with mpmath.workdps(40):
+            ref = _series_polygamma(mpmath, n, x)
+            err = abs(mpmath.mpf(specfun.polygamma(n, x)) - ref)
+        assert err <= 4 * math.ulp(float(ref)), (n, x)
+    with mpmath.workdps(40):   # the series reference agrees with mpmath's own
+        assert _series_polygamma(mpmath, 200, 60.0) == pytest.approx(
+            mpmath.polygamma(200, 60), rel=1e-35)
+
+
+def test_polygamma_at_order_1e5_takes_a_bounded_head():
+    # Its scaled sum once summed 63 208 head terms and divided true Fractions
+    # out: 3.7 s.  math.factorial(10**5) alone takes 0.13-0.24 s.
+    def seconds():
+        start = time.perf_counter()
+        specfun.polygamma(10**5, 36800.0)
+        return time.perf_counter() - start
+
+    assert min(seconds() for _ in range(3)) < 0.5   # the best of three: a busy machine stalls one
+
+
 # Log grid over [1e-3, 1e6], plus starts just below powers of two, where the
 # abscissas x + k round the most.
 _POLYGAMMA_GRID = ([10.0 ** (-3 + 9 * i / 180) for i in range(181)]
@@ -162,6 +206,11 @@ def test_shift_then_expand_does_bounded_work(monkeypatch):
             # The head, the expansion's two parts and the rounding drift.
             x0 = n + specfun._PSI_X0
             assert all(c <= x0 + 1 + 3 for c in sums), (n, x, sums)
+    # A head of over 64 terms stops where the rest is under 2^-64 of its first
+    # term: about 16 of the 63 208 below the shift point here, in both sums.
+    sums.clear()
+    specfun.polygamma(10**5, 36800.0)
+    assert len(sums) == 2 and all(c <= 64 + 3 for c in sums), sums
 
 
 #: mu's 16 expansion coefficients B_2k / (2k(2k-1)), k = 1..16, as the
