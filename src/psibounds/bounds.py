@@ -119,11 +119,10 @@ def _shifted_atanh(v: float) -> float:
 
 def _t_fifth(x: float) -> float:
     # t^5 = (2x + 1)^-5 for x >= 1/2 by pow, which underflows gradually from
-    # x ~ 1e61.  s = x + 0.5 rounds, by e = (x + 0.5) - s, exact as computed;
+    # x ~ 1e61.  s = x + 0.5 rounds, by e = (x + 0.5) - s, exact by TwoSum;
     # (1 - 5e/s) keeps pow from raising that rounding to the fifth power.
     s = x + 0.5
-    e = (x - s) + 0.5
-    return 2.0**-5 * s**-5.0 * (1.0 - 5.0 * e / s)
+    return 2.0**-5 * s**-5.0 * (1.0 - 5.0 * specfun._add_error(x, 0.5, s) / s)
 
 
 def beta(x: float) -> float:

@@ -22,7 +22,9 @@ Each result carries an ``error_radius`` that accounts for
     (``_FLOAT_MID_REL``), while the gap's and psi''s tails are exact to about
     2^-70 of themselves at y = 10 (2^-105 from y = 2^12) and the log Gamma
     series' to about 2^-79 (2^-74 at the least a), each charged that
-    (``_enveloped_tail``, ``_log_gamma_tail``), and
+    (``_enveloped_tail``, ``_log_gamma_tail``),
+  * on (0, 1], the rounding of z0 = x + 1, which moves log Gamma(z0) by
+    under 0.5773 |x - (z0 - 1)| (``_log_gamma_series``), and
   * the final exactly-rounded summation (``math.fsum``), half an ulp.
 
 The tests check ``|value - reference| <= error_radius``, and each per-term
@@ -371,15 +373,9 @@ def _log_gamma_tail(a: float):
 
 
 def _two_doubles(mid: int, b: int) -> tuple[list[float], int]:
-    # mid 2^-b as hi + lo and the units they leave.  While 2^-b is a normal
-    # double, float(int) rounds correctly and ldexp is exact; below that the
-    # true divisions round once, subnormals included.  Either way hi and lo
-    # are whole numbers of units, mid being at least 2^57 of them.
-    if b <= 1022:
-        hi = float(mid)
-        rest = mid - int(hi)
-        lo = float(rest)
-        return [math.ldexp(hi, -b), math.ldexp(lo, -b)], abs(rest - int(lo))
+    # mid 2^-b as hi + lo and the units they leave.  Each int/int true
+    # division rounds once, subnormals included, so hi and lo are whole
+    # numbers of units, mid being at least 2^57 of them.
     one = 1 << b
     hi = mid / one
     rest = mid - int(math.ldexp(hi, b))
@@ -526,46 +522,47 @@ def _gap_parts(x: float, eps: float, what: str):
 _EULER_GAMMA = _close(*_gap_parts(1.0, math.inf, "ref_euler_gamma"))
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
+def _reference(sum_at):
+    # Each cached ref_*: x and eps checked, then the body's sum, refused past eps.
+    @functools.lru_cache(maxsize=CACHE_SIZE)
+    @functools.wraps(sum_at)
+    def entry(x, eps=DEFAULT_EPS):
+        x = _check_domain(x)
+        eps = _check_eps(eps)
+        out = sum_at(x, eps)
+        _ensure(out.error_radius, eps, sum_at.__name__, x)
+        return out
+    return entry
+
+
+@_reference
 def ref_digamma_gap(x: float, eps: float = DEFAULT_EPS) -> ErrorBoundedValue:
     """log(x) - psi(x) = sum_{j>=0} kernel_r(x + j) (``_gap_parts``).
 
     The target quantity of the digamma-gap bound families; also the source
     of the Euler-Mascheroni constant (the series at x = 1 sums to it).
     """
-    x = _check_domain(x)
-    eps = _check_eps(eps)
-    out = _close(*_gap_parts(x, eps, "ref_digamma_gap"))
-    _ensure(out.error_radius, eps, "ref_digamma_gap", x)
-    return out
+    return _close(*_gap_parts(x, eps, "ref_digamma_gap"))
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
+@_reference
 def ref_binet_mu(x: float, eps: float = DEFAULT_EPS) -> ErrorBoundedValue:
     """log of the Stirling ratio Gamma(x)/(sqrt(2 pi) x^(x-1/2) e^-x)."""
-    x = _check_domain(x)
-    eps = _check_eps(eps)
-    out = _close(*_kernel_sum(x))
-    _ensure(out.error_radius, eps, "ref_binet_mu", x)
-    return out
+    return _close(*_kernel_sum(x))
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
+@_reference
 def ref_stirling_target(x: float, eps: float = DEFAULT_EPS) -> ErrorBoundedValue:
     """Gamma(x) / (sqrt(2 pi) x^x e^-x), the exponential families' target.
 
     Computed as exp(mu)/sqrt(x) so the relative radius stays at ulp scale;
     the log/exp round trip through large log-gamma values would not.
     """
-    x = _check_domain(x)
-    eps = _check_eps(eps)
-    mu = ref_binet_mu(x, math.inf)   # eps judges the target's radius, below
+    mu = ref_binet_mu(x, math.inf)   # eps judges the target's radius
     value = math.exp(mu.value) / math.sqrt(x)
     if value == math.inf:
         raise DomainError(f"ref_stirling_target({x!r}) passes the largest double")
-    radius = value * (mu.error_radius + 3.0 * _EPS)
-    _ensure(radius, eps, "ref_stirling_target", x)
-    return ErrorBoundedValue(value, radius)
+    return ErrorBoundedValue(value, value * (mu.error_radius + 3.0 * _EPS))
 
 
 def ref_euler_gamma(eps: float = DEFAULT_EPS) -> ErrorBoundedValue:
@@ -574,20 +571,16 @@ def ref_euler_gamma(eps: float = DEFAULT_EPS) -> ErrorBoundedValue:
     return _EULER_GAMMA
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
+@_reference
 def ref_digamma(x: float, eps: float = DEFAULT_EPS) -> ErrorBoundedValue:
     """psi(x) = log x - gap(x) at every x (DLMF 5.11.1): log x less the gap's
     parts, rounded once, with the gap's charges and an ulp of log x."""
-    x = _check_domain(x)
-    eps = _check_eps(eps)
     parts, charges = _gap_parts(x, eps, "ref_digamma")
     log_x = math.log(x)
-    out = _close([log_x, *[-part for part in parts]], [*charges, math.ulp(log_x)])
-    _ensure(out.error_radius, eps, "ref_digamma", x)
-    return out
+    return _close([log_x, *[-part for part in parts]], [*charges, math.ulp(log_x)])
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
+@_reference
 def ref_trigamma(x: float, eps: float = DEFAULT_EPS) -> ErrorBoundedValue:
     """psi'(x) = sum_{j>=0} (x + j)^-2: the terms while x + j < 10, as Python
     floats, then the tail, psi'(y) at y = x + count, by its enveloping series.
@@ -596,18 +589,14 @@ def ref_trigamma(x: float, eps: float = DEFAULT_EPS) -> ErrorBoundedValue:
     errs by under one ulp: each term is charged 2 ulps.  Refused before any
     sum where half an ulp of 1/x^2 < psi'(x) exceeds eps.
     """
-    x = _check_domain(x)
-    eps = _check_eps(eps)
     _ensure_above(1.0 / x / x, eps, "ref_trigamma", x)
     count = _head_count(x)
     terms = [(x + j) ** -2.0 for j in range(count)]
     mid_parts, half_width, mid_charge = _enveloped_tail(x, count, _TRIGAMMA_SERIES)
-    out = _close([*terms, *mid_parts], [half_width, 2.0 * _EPS * math.fsum(terms), mid_charge])
-    _ensure(out.error_radius, eps, "ref_trigamma", x)
-    return out
+    return _close([*terms, *mid_parts], [half_width, 2.0 * _EPS * math.fsum(terms), mid_charge])
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
+@_reference
 def ref_log_gamma(x: float, eps: float = DEFAULT_EPS) -> ErrorBoundedValue:
     """log Gamma(x): a series on (0, 2], Stirling's formula above 2.
 
@@ -617,11 +606,7 @@ def ref_log_gamma(x: float, eps: float = DEFAULT_EPS) -> ErrorBoundedValue:
     Stirling part (mu > 0) or the closed-form charges exceed eps; DomainError
     where (x - 1/2) log x overflows.
     """
-    x = _check_domain(x)
-    eps = _check_eps(eps)
-    out = _log_gamma_series(x) if x <= 2.0 else _log_gamma_stirling(x, eps)
-    _ensure(out.error_radius, eps, "ref_log_gamma", x)
-    return out
+    return _log_gamma_series(x) if x <= 2.0 else _log_gamma_stirling(x, eps)
 
 
 def _log_gamma_stirling(x: float, eps: float) -> ErrorBoundedValue:
@@ -666,7 +651,9 @@ def _log_gamma_series(x: float) -> ErrorBoundedValue:
     if x <= 1.0:
         log_x = math.log(x)
         parts.append(-log_x)
-        charges.append(2.0 * _EPS * abs(log_x))
+        # The sum is log Gamma(1 + a), off by psi(1 + xi)(x - a), |psi| < 0.5773 on [1, 2];
+        # x - a is exact (x itself at a = 0, below 2^-53, where it covers gamma x).
+        charges += [2.0 * _EPS * abs(log_x), 0.5773 * abs(x - a)]
     return _close(parts, charges)
 
 

@@ -194,20 +194,14 @@ def _power_sum(n: int, x: float, d: float) -> float:
         # times over: without this, psi^(10) is 3.2 ulps off at x = 15.8.
         # To first order, the exact error e = x + k - y moves a term t by
         # -(n + 1) t e / y and the expansion (~ y^-n / n) by -n e / y of it.
-        # Each e is exact by Fast2Sum (Dekker), the larger of x and k first.
-        # Where x + count is exact, x is a multiple of its ulp, so every
-        # x + k below it is exact too and the drift is 0.
-        e = count - (y - x) if x >= count else x - (y - count)
-        if e:
+        # Each e is exact by TwoSum (``_add_error``).  Where x + count is
+        # exact, x is a multiple of its ulp, so every x + k below it is exact
+        # too and the drift is 0.
+        if e := _add_error(x, count, y):
             drift = n * e / y * terms[count] if head == count else 0.0
-            rounded = head if d == 1.0 else 0   # the head terms that took x + k
-            n1, split = n + 1, min(rounded, math.floor(x) + 1)
-            for k in range(1, split):   # k <= x
+            for k in range(1, head if d == 1.0 else 0):   # the head terms that took x + k
                 y = x + k
-                drift += n1 * (k - (y - x)) / y * terms[k]
-            for k in range(split, rounded):   # k > x
-                y = x + k
-                drift += n1 * (x - (y - k)) / y * terms[k]
+                drift += (n + 1) * _add_error(x, k, y) / y * terms[k]
             terms.append(-drift)
     return math.fsum(terms)
 

@@ -80,7 +80,11 @@ def _fast_path_calls():
     calls.update(digamma_gap=specfun.digamma_gap, binet_mu=specfun.binet_mu,
                  digamma=specfun.digamma, trigamma=specfun.trigamma,
                  log_gamma=specfun.log_gamma, stirling_ratio=specfun.stirling_ratio,
-                 polygamma2=functools.partial(specfun.polygamma, 2))
+                 H=bounds.aux_big_h, P=bounds.aux_big_p)
+    # polygamma's expansion, its drift over the head terms (n >= 3; 55 with the
+    # exact n! of n > 22) and its scaled sum (200, from x ~ 35, as terms underflow).
+    calls.update({f"polygamma{n}": functools.partial(specfun.polygamma, n)
+                  for n in (2, 3, 10, 55, 200)})
     return calls
 
 

@@ -1,3 +1,5 @@
+import functools
+import inspect
 import math
 import random
 import time
@@ -476,6 +478,51 @@ def test_log_gamma_tail_table():
         if m < 19:
             assert 16 * abs(table[m + 1]) < abs(c), m
     assert 16 * exact[20] < abs(table[19]) and oracle._LOG_GAMMA_OMITTED >= exact[20]
+
+
+#: log Gamma radii where x + 1 adds no rounding (above 1, and on (0, 1] where
+#: x + 1 is exact), as they were before the charge for rounding x + 1.
+_LOG_GAMMA_EXACT_RADII = {
+    1.0000000000000002: 9.53714170811005e-32, 1.5: 2.7380133947432823e-16,
+    1.9999999999999998: 7.677620820660616e-16, 2.0: 6.466056036630751e-16,
+    3.0: 1.0410132120709168e-15, 0.5: 6.301927805263437e-16, 0.375: 6.923796628643332e-16,
+    2.0**-30: 1.1010932351488512e-14, 1.0: 6.466056036630751e-16,
+    0.9999999999999998: 7.677620820660617e-16,
+}
+
+
+def test_log_gamma_charges_the_rounding_of_x_plus_one():
+    # On (0, 1] the series sums log Gamma(1 + a), a = (x + 1) - 1, and
+    # subtracts log x: where x + 1 rounds, a != x moves the value by
+    # psi(1 + xi)(x - a), charged 0.5773 |x - a|.  Here that is 6.1% of the
+    # radius without it (7.68e-16); where x + 1 is exact nothing changes.
+    x = 0.9999926775359839
+    r = oracle.ref_log_gamma(x, math.inf)
+    assert r.error_radius == 8.318516465400625e-16
+    with mpmath.workdps(60):
+        assert abs(mpmath.mpf(r.value) - mpmath.loggamma(mpmath.mpf(x))) <= r.error_radius
+    for x, radius in _LOG_GAMMA_EXACT_RADII.items():
+        assert x > 1.0 or (x + 1.0) - 1.0 == x, x
+        assert oracle.ref_log_gamma(x, math.inf).error_radius == radius, x
+
+
+@pytest.mark.parametrize("b", [60, 1021, 1022, 1023, 1100, 1140])
+def test_two_doubles_leaves_exactly_its_rest(b):
+    # hi and lo are whole numbers of units 2^-b, and mid less hi + lo is the
+    # returned rest, exactly, where 2^-b is normal and where it is subnormal.
+    rng = random.Random(b)
+    mids = [2**57, 2**57 + 1, 3 * 2**57 + 12345, 2**60 - 1, 2**110 + 2**40 + 1]
+    mids += [rng.getrandbits(n) | 1 << n - 1 for n in range(58, min(b, 1000), 7)]
+    subnormal = [0, 0]
+    for mid in mids:
+        (hi, lo), rest = oracle._two_doubles(mid, b)
+        units = [Fraction(v) * 2**b for v in (hi, lo)]
+        assert all(u.denominator == 1 for u in units), (mid, b)
+        assert abs(mid - sum(units)) == rest, (mid, b)
+        for i, v in enumerate((hi, lo)):
+            subnormal[i] += 0.0 < abs(v) < 2.0**-1022
+    # From b = 1023 some lo is subnormal, and from b = 1100 some hi too.
+    assert subnormal[0] >= (b >= 1100) and subnormal[1] >= (b >= 1023), (b, subnormal)
 
 
 def test_error_bounded_value_validation():
@@ -1116,3 +1163,16 @@ def test_oracle_caches_are_bounded(name):
         assert fn.cache_info().currsize <= oracle.CACHE_SIZE
     assert fn.cache_info().currsize == oracle.CACHE_SIZE
     oracle.clear_caches()
+
+
+@pytest.mark.parametrize("name", _REFS)
+def test_reference_entries_keep_their_contract(name):
+    # Each cached ref_* is one lru_cache object over its body (``_reference``):
+    # perfbench reads its cache_info() and selects it by name and module, and
+    # its signature and refusals are the body's.
+    fn = getattr(oracle, name)
+    assert type(fn) is type(functools.lru_cache(maxsize=1)(abs))
+    assert (fn.__name__, fn.__module__) == (name, "psibounds.oracle")
+    assert inspect.signature(fn).parameters["eps"].default == 1e-12 == oracle.DEFAULT_EPS
+    with pytest.raises(ToleranceError, match=rf"^{name}\(3\.0\)"):
+        fn(3.0, 1e-300)
