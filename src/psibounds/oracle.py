@@ -34,12 +34,13 @@ mu, sum kernel_w(x + j) (DLMF 5.11.1), sums its terms while x + j <= 16 as
 Python floats, then its bulk from y > 16 (W's K = 6) in numpy, the package's
 only use of numpy, imported at the first bulk sum; log Gamma(1 + a) + gamma a =
 sum_k kernel_r(k/a) sums its terms as Python floats.  The bulk is built
-``BLOCK_TERMS`` (32768) terms at a time on two arrays that every chunk
-reuses, each term the scalar ``kernel_w``'s bit for bit; ``_exact_split``
+``BLOCK_TERMS`` (32768) terms at a time in three arrays of that length
+that each thread makes at its first bulk sum and keeps across sums (0.75 MB,
+held once), each term the scalar ``kernel_w``'s bit for bit; ``_exact_split``
 reduces a chunk of ``SPLIT_MIN_TERMS`` (600) or more to two or three doubles
 with its exact sum (Rump, Ogita and Oishi), shorter ones go to ``fsum`` as
-floats, and the one ``fsum`` gives the double of the whole term list.
-``ref_binet_mu(6e4)``, a full 1e5-term block, peaks at 0.53 MB.
+floats, and the one ``fsum`` gives the double of the whole term list.  A
+later full 1e5-term block, as ``ref_binet_mu(6e4)``, allocates no array.
 
 psi(x) = log x less the gap's parts, rounded once, at every x, charging
 1 ulp of log x on top, and gamma = gap(1), enclosed once at import.  Above
@@ -84,6 +85,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 from . import kernels, tails
@@ -120,6 +122,12 @@ _FLOAT_MID_REL = 4.0 * _EPS
 
 #: Terms per bulk chunk, 256 KiB of doubles: the fastest power of two from 8192 to 65536.
 BLOCK_TERMS = 32_768
+
+#: Each thread's bulk buffers, made at its first bulk sum: the integers 0, 1,
+#: ..., the abscissas (later scratch) and the terms, ``BLOCK_TERMS`` doubles
+#: each.  Per thread, since numpy's loops release the GIL: two threads' sums
+#: on shared buffers would overwrite each other's terms.
+_bulk = threading.local()
 
 #: W(v) = sum_{k>=1} v^k/(2k + 1) (see ``kernels``): the coefficients of the
 #: K = 6 that kernel_w takes at every bulk term (y > 16, where v <= 1/1089).
@@ -220,7 +228,6 @@ def _kernel_sum(x: float):
         w_sum += float(terms.sum())   # every bulk term is positive
         parts.extend(terms.tolist() if terms.size < SPLIT_MIN_TERMS
                      else _exact_split(terms, scratch))
-        del terms, scratch   # so that the next chunk's abscissas take their memory
     mid, half_width = tails.mu_tail(x + count)
     parts.append(mid)
     return parts, [half_width, _FLOAT_MID_REL * mid, _W_REL * w_sum,
@@ -388,25 +395,29 @@ def _bulk_terms(x: float, start: int, stop: int):
     """kernel_w(x + j) for j in [start, stop), all at y > 16 (where W takes K = 6
     terms, as in ``kernels``, by Horner from (0 + c_6) v = c_6 v), bit for bit:
     yields each chunk of at most ``BLOCK_TERMS`` and a scratch array of its
-    length.  The terms reuse one buffer, and each chunk's abscissas the memory
-    the last chunk's left: a fresh array's first writes cost page faults.
+    length.  Both are views of the calling thread's buffers (``_bulk``), which
+    outlive the call, so that a sum allocates no array after the thread's
+    first: a fresh array's first writes cost page faults.  Each chunk is
+    overwritten by the next, or by the thread's next bulk sum.
     """
     import numpy as np   # imported at the first bulk sum (see the module docstring)
-    w_all = None
+    buffers = getattr(_bulk, "buffers", None)
+    if buffers is None or buffers[0].size < BLOCK_TERMS:
+        buffers = _bulk.buffers = (np.arange(BLOCK_TERMS, dtype=np.float64),
+                                   np.empty(BLOCK_TERMS), np.empty(BLOCK_TERMS))
+    iota, v_all, w_all = buffers
     for first in range(start, stop, BLOCK_TERMS):
-        v = np.arange(first, min(first + BLOCK_TERMS, stop), dtype=np.float64)
+        n = min(BLOCK_TERMS, stop - first)
+        v = np.add(iota[:n], float(first), out=v_all[:n])   # first + i, exact below 2^53
         v += x
         v += 0.5
         np.divide(0.5, v, out=v)
         v *= v
-        if w_all is None:   # after the first v, so that no later v is fresh
-            w_all = np.empty(v.size)
-        w = np.multiply(v, _W_COEFFS[-1], out=w_all[:v.size])
+        w = np.multiply(v, _W_COEFFS[-1], out=w_all[:n])
         for c in _W_COEFFS[-2::-1]:
             w += c
             w *= v
         yield w, v   # v is scratch once w is built
-        del v, w
 
 
 def _exact_split(p, q) -> list[float]:

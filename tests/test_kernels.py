@@ -54,7 +54,8 @@ def test_series_matches_direct_formulas(y):
 
 def test_poly_eval_on_arrays_matches_scalar_kernels(monkeypatch):
     # mu's bulk terms, kernel_w at y > 16, are built in place, BLOCK_TERMS at
-    # a time on buffers every chunk reuses, from W's K = 6 coefficient tuple.
+    # a time in buffers the thread keeps across sums, from W's K = 6
+    # coefficient tuple.
     # Each term must equal the scalar kernel_w at x + j exactly, in every
     # chunk: both paths take the same IEEE operations.
     chunks = []

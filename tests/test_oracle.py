@@ -2,6 +2,8 @@ import functools
 import inspect
 import math
 import random
+import sys
+import threading
 import time
 import tracemalloc
 from fractions import Fraction
@@ -613,21 +615,74 @@ def test_early_log_gamma_refusal_only_where_the_full_sum_refuses(eps):
             assert refused == (radius > eps), (name, x, radius)
 
 
-@pytest.mark.parametrize("name, x", [("ref_binet_mu", 6e4), ("ref_binet_mu", 1e6)])
-def test_full_bulk_block_stays_small_in_memory(name, x):
-    # A full 1e5-term block is built and reduced a chunk at a time, so the
-    # sum's transient peak stays near two BLOCK_TERMS arrays (0.5 MB), not
-    # the 0.8 MB of one whole-block array.
-    fn = getattr(oracle, name)
-    fn(x)   # numpy imported and warmed up outside the trace
+def _traced_peak(fn, x):
+    # fn(x), cold, and the peak of the memory traced while it ran.
     oracle.clear_caches()
     tracemalloc.start()
     try:
-        fn(x)
+        out = fn(x)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2**20, peak
+    return out, peak
+
+
+@pytest.mark.parametrize("name, x", [("ref_binet_mu", 6e4), ("ref_binet_mu", 1e6)])
+def test_full_bulk_block_stays_small_in_memory(name, x):
+    # A full 1e5-term block is built and reduced a chunk at a time in buffers
+    # that the thread keeps across sums, so after the first sum (numpy
+    # imported and the buffers made outside the trace) a cold one allocates
+    # no array: its peak is a few parts lists, not one 256 KiB chunk.
+    fn = getattr(oracle, name)
+    fn(x)
+    assert _traced_peak(fn, x)[1] < 2**16
+
+    def cold_bits(y):
+        out, peak = _traced_peak(oracle.ref_binet_mu, y)
+        assert peak < 2**16, (y, peak)
+        return out.value.hex(), out.error_radius.hex()
+
+    # Other x in between, or a bulk sum whose generator is dropped after its
+    # first chunk, leave the buffers to the next sum, which gives the same bits.
+    first = cold_bits(1e6)
+    cold_bits(6e4)
+    assert cold_bits(1e6) == first
+    next(oracle._bulk_terms(x, 0, 3))
+    assert cold_bits(1e6) == first
+    oracle.clear_caches()
+
+
+def test_bulk_sums_in_two_threads_give_the_sequential_bits():
+    # Each thread sums in its own buffers: numpy's loops release the GIL, so
+    # on shared ones two threads' full-block sums would overwrite each
+    # other's terms.  ``__wrapped__`` is each call uncached.
+    cold_mu = oracle.ref_binet_mu.__wrapped__
+    xs = [(1e6, 6e4), (65536.37, 1e6)]
+
+    def bits(x):
+        out = cold_mu(x)
+        return out.value.hex(), out.error_radius.hex()
+
+    expected = [[bits(x) for x in pair] for pair in xs]
+    results = [[], []]
+
+    def run(k):
+        for _ in range(8):
+            results[k].append([bits(x) for x in xs[k]])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)   # threads switch inside each sum, not between sums
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for k in range(2):
+        assert results[k] == [expected[k]] * 8, k
 
 
 def test_no_bulk_terms_at_abscissas_that_round_together(monkeypatch):
@@ -636,15 +691,15 @@ def test_no_bulk_terms_at_abscissas_that_round_together(monkeypatch):
     # there would be wasted work: its tail starts at x + 16, rounded.  (Only
     # mu sums in bulk.)
     lengths = []
-    arange = np.arange
+    bulk_terms = oracle._bulk_terms
 
-    def recording_arange(*args, **kwargs):
-        out = arange(*args, **kwargs)
-        lengths.append(len(out))
-        return out
+    def recording(x, start, stop):
+        for terms, scratch in bulk_terms(x, start, stop):
+            lengths.append(terms.size)
+            yield terms, scratch
 
     oracle.clear_caches()
-    monkeypatch.setattr(np, "arange", recording_arange)
+    monkeypatch.setattr(oracle, "_bulk_terms", recording)
     r = oracle.ref_binet_mu(1e19)
     assert sum(lengths) <= 16
     assert encloses(r, mp_reference(HUGE_TARGETS["ref_binet_mu"], 1e19))

@@ -157,6 +157,29 @@ def test_polygamma_within_four_ulps(n):
         assert err <= 4 * math.ulp(float(ref)), (n, x)
 
 
+#: (n, x, psi^(n)(x)) where the head's drift decides the last bit: with its
+#: factor n + 1 taken as n, each value moves by an ulp.  They are the first two
+#: per order among starts 2^e - U(0, 1), e in (2, 3, 4), 200 of each drawn
+#: from random.Random(1) in turn.
+_DRIFT_DECIDES = [
+    (2, 7.152566263062767, -0.022469483537497816),
+    (2, 7.06085083722149, -0.023098485660282754),
+    (3, 7.1642348960801305, 0.006682767177351282),
+    (3, 3.4585875272065034, 0.07319804613637446),
+    (10, 15.50418775861815, -6.15011321073444e-07),
+    (10, 15.696631489067082, -5.416926482055849e-07),
+]
+
+
+@pytest.mark.parametrize("n, x, value", _DRIFT_DECIDES)
+def test_polygamma_head_drift_decides_the_last_bit(n, x, value):
+    mpmath = pytest.importorskip("mpmath")
+    assert specfun.polygamma(n, x).hex() == value.hex()
+    with mpmath.workdps(40):
+        ref = mpmath.polygamma(n, mpmath.mpf(x))
+        assert abs(mpmath.mpf(value) - ref) <= 2.4 * math.ulp(float(ref)), (n, x)
+
+
 def test_shift_then_expand_does_bounded_work(monkeypatch):
     # Each sum evaluates its terms below the shift point x0 (ceil(x0) of them
     # at most), then one expansion: a few terms at any x, where the summed
